@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as config_mod
 from . import dnn, fusion, spectral, synthgen, trainer
 from .errors import (
@@ -113,12 +115,12 @@ def cmd_rows(args):
         )
         seed = derive_seed(cfg.seed, "blocks", entry["label"], entry["trial"])
         blocks = spectral.extract_blocks(rec, blocks_per_rec, seed)
-        for k in range(blocks_per_rec):
-            spectra = {
-                cid: spectral.magnitude_spectrum(blocks[cid][k])
-                for cid in weights.selected_channels
-            }
-            rows.append(fusion.fuse(spectra, weights))
+        spectra = {
+            cid: spectral.magnitude_spectrum(blocks[cid])
+            for cid in weights.selected_channels
+        }
+        fused = fusion.fuse(spectra, weights)
+        rows.extend(fusion.SpectrumRow(bins=bins, label=entry["label"]) for bins in fused)
     rows_path = Path(cfg.out_dir) / "rows.csv"
     trainer.save_rows(rows_path, rows)
     _write_manifest(cfg.out_dir, "rows", cfg, {"rows_file": rows_path.name, "row_count": len(rows)})
@@ -139,15 +141,19 @@ def cmd_heatmap(args):
         seed = derive_seed(cfg.seed, "heatmap", entry["label"], entry["trial"])
         blocks = spectral.extract_blocks(rec, cfg.heatmap_blocks, seed)
         for cid, channel_blocks in blocks.items():
-            specs = spectra_by_channel.setdefault(cid, [])
-            specs.extend(spectral.magnitude_spectrum(b) for b in channel_blocks)
-    heatmap = spectral.build_heatmap(spectra_by_channel)
+            spectra_by_channel.setdefault(cid, []).append(
+                spectral.magnitude_spectrum(channel_blocks)
+            )
+    heatmap = spectral.build_heatmap(
+        {cid: np.concatenate(specs) for cid, specs in spectra_by_channel.items()}
+    )
+    n_rows = sum(len(rows) for rows in heatmap.values())
     pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
     spectral.write_heatmap_pgm(pgm, heatmap)
     spectral.write_heatmap_csv(csv, heatmap)
-    _write_manifest(cfg.out_dir, "heatmap", cfg, {"label": args.label, "rows": len(heatmap.rows)})
-    print(f"wrote {pgm} and {csv} ({len(heatmap.rows)} rows)")
+    _write_manifest(cfg.out_dir, "heatmap", cfg, {"label": args.label, "rows": n_rows})
+    print(f"wrote {pgm} and {csv} ({n_rows} rows)")
     return EXIT_OK
 
 
@@ -163,22 +169,12 @@ def cmd_train(args):
     fusion.write_mask(out / "mask.txt", mask)
     fusion.write_selection_report_csv(out / "selection_report.csv", report)
 
-    tcfg = trainer.TrainConfig(
-        train_fraction=cfg.train_fraction,
-        batch_size=cfg.batch_size,
-        runs=cfg.runs,
-        learn_rate=cfg.learn_rate,
-        threshold=cfg.threshold,
-        seed=cfg.seed,
-        normalize_rows=cfg.normalize_rows,
-        stratified=cfg.stratified,
-    )
-    params, log = trainer.train(ds, mask, tcfg)
+    params, log = trainer.train(ds, mask, cfg)
     trainer.write_runlog_csv(out / "runlog.csv", log)
     dnn.save_checkpoint(out / "checkpoint.bin", params, mask.kept, ds.label_vocab, cfg.normalize_rows)
 
     # score the held-out side of the same deterministic split
-    _, test_ds = trainer.split(ds, tcfg)
+    _, test_ds = trainer.split(ds, cfg)
     accuracy, cm = trainer.evaluate(params, test_ds.rows, mask, ds.label_vocab, cfg.normalize_rows)
     trainer.write_confusion_csv(out / "confusion.csv", cm)
     _write_manifest(cfg.out_dir, "train", cfg, {

@@ -2,15 +2,17 @@
 
 Defaults: selection threshold 1.75, batches of 150 rows, 200 training runs,
 learn rate 0.005, 80/20 split, 5 trials per target.  The sample rate defaults
-to a desk-scale 2000 Hz; blocks are exactly one second, so all bin math is
-rate-independent and the rate only sets synthesis cost.
+to a desk-scale 2000 Hz.  Blocks are exactly one second, so bin i is i Hz at
+any rate, but the rate still changes the data: a higher rate raises each
+line's spectral SNR, so more bins pass selection (Group1 masks are 77-89 bins
+at 2000 Hz and 108-130 at 8000 Hz).
 """
 
 from dataclasses import dataclass, asdict
 
 from .errors import ConfigurationError
 from .fusion import FusionWeights, default_max_classes_per_bin
-from .synthgen import DEFAULT_LINES_PER_PROFILE, GROUPS
+from .synthgen import DEFAULT_LINES_PER_PROFILE, GROUPS, default_roster
 
 
 @dataclass
@@ -50,6 +52,18 @@ class PipelineConfig:
             raise ConfigurationError("seed must be >= 0")
         if self.threshold <= 1.0:
             raise ConfigurationError("threshold must be > 1 (1.5 to 2 works well)")
+        if not (0 < self.train_fraction < 1):
+            raise ConfigurationError("train_fraction must be in (0, 1)")
+        if self.runs < 1:
+            raise ConfigurationError("runs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
+        known = {ch.id for ch in default_roster()}
+        unknown = [cid for cid in self.fusion_channels if cid not in known]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown fusion channels {unknown}; expected ids from {sorted(known)}"
+            )
 
     @property
     def labels(self):

@@ -234,11 +234,17 @@ def predict(params, x):
 
 def predict_batch(params, x):
     """Vectorized predict over a (batch, d) matrix; returns int array."""
-    logits, _ = forward(params, x)
-    hot = logits >= 0.0  # sigmoid(z) >= 0.5 exactly when z >= 0
-    counts = hot.sum(axis=1)
-    preds = np.where(counts == 1, hot.argmax(axis=1), UNCLASSIFIED)
-    return preds.astype(int)
+    return decode(forward(params, x)[0])[1].astype(int)
+
+
+def decode(logits):
+    """(hot, preds): rounded outputs and the one-hot index or UNCLASSIFIED.
+
+    sigmoid(z) >= 0.5 exactly when z >= 0, so hot = logits >= 0 per element.
+    """
+    hot = logits >= 0.0
+    preds = np.where(hot.sum(axis=1) == 1, hot.argmax(axis=1), UNCLASSIFIED)
+    return hot, preds
 
 
 def save_checkpoint(path, params, mask_bins, label_vocab, normalize_rows):

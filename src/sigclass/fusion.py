@@ -1,6 +1,6 @@
 """Weighted sensor fusion and discriminative frequency selection.
 
-Fusion collapses the per-channel spectra of one time block into a single
+Fusion collapses the per-channel spectra of each time block into a single
 300-bin row via a normalized weighted average.  Selection then keeps the bins
 where some class's mean response stands out against the grand mean across all
 classes, while dropping bins that are hot for too many classes at once (those
@@ -77,25 +77,29 @@ class SelectionReport:
 def fuse(spectra, fusion_weights):
     """Weighted average of per-channel magnitudes at each frequency.
 
-    bins[i] = sum_j w_j * |S_ij| / sum_j w_j over the selected channels.
-    All spectra must come from the same time block and share one label.
+    `spectra` maps channel ids to equally shaped arrays, e.g. (blocks, 300)
+    with row k of every channel from the same time block.  Returns
+    bins[..., i] = sum_j w_j * |S_ij| / sum_j w_j over the selected channels,
+    summed in `selected_channels` order.
     """
     total = 0.0
-    acc = np.zeros(N_BINS)
-    labels = set()
+    acc = None
     for cid in fusion_weights.selected_channels:
         spec = spectra.get(cid)
         if spec is None:
             raise ConfigurationError(f"fusion needs channel {cid!r} but it is missing")
+        if acc is None:
+            acc = np.zeros(spec.shape)
+        elif spec.shape != acc.shape:
+            raise ValidationError(
+                f"channel {cid!r} spectra have shape {spec.shape}, expected {acc.shape}"
+            )
         w = fusion_weights.weights[cid]
-        acc += w * spec.bins
+        acc += w * spec
         total += w
-        labels.add(spec.label)
     if total <= 0:
         raise ValidationError("total fusion weight must be > 0")
-    if len(labels) != 1:
-        raise ValidationError(f"fused spectra carry mixed labels {sorted(labels)}")
-    return SpectrumRow(bins=acc / total, label=labels.pop())
+    return acc / total
 
 
 def default_max_classes_per_bin(n_classes):

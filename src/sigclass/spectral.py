@@ -1,12 +1,11 @@
 """Block extraction, magnitude spectra, and heat maps.
 
 Blocks are exactly one second long, so FFT bin i sits at exactly i Hz at any
-sample rate; only bins 1..300 are kept (DC excluded).  Heat maps rescale each
-spectrum row to [0, 10] with the row peak at 10, for visual comparison of
-per-channel signatures.
+sample rate; only bins 1..300 are kept (DC excluded).  Everything here works
+on arrays: a channel's blocks are one (count, rate) matrix and its spectra one
+(count, 300) matrix.  Heat maps rescale each spectrum row to [0, 10] with the
+row peak at 10, for visual comparison of per-channel signatures.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,44 +14,13 @@ from .errors import ValidationError
 N_BINS = 300
 
 
-@dataclass
-class TimeBlock:
-    """One channel-second of samples; length equals the recording's rate."""
-
-    channel_id: str
-    label: str
-    samples: np.ndarray
-
-
-@dataclass
-class Spectrum:
-    """bins[i] = |DFT(samples)[i+1]|, i.e. the magnitude at (i+1) Hz."""
-
-    channel_id: str
-    label: str
-    bins: np.ndarray
-
-
-@dataclass
-class HeatMapRow:
-    channel_id: str
-    trial: int
-    values: np.ndarray
-
-
-@dataclass
-class HeatMap:
-    label: str
-    rows: list
-
-
 def extract_blocks(rec, count, seed):
     """Cut `count` random 1-second blocks out of every channel.
 
     Start offsets are drawn uniformly over all valid sample positions and are
     shared across channels, so the k-th block of every channel covers the same
     time span (fused spectra must be time-aligned).  Blocks may overlap.
-    Returns {channel_id: [TimeBlock, ...]} with `count` blocks per channel.
+    Returns {channel_id: (count, rate) array}; row k is block k.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -63,55 +31,46 @@ def extract_blocks(rec, count, seed):
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, n - rate + 1, size=count)
     return {
-        cid: [TimeBlock(cid, rec.label, arr[o : o + rate].copy()) for o in offsets]
+        cid: np.lib.stride_tricks.sliding_window_view(arr, rate)[offsets]
         for cid, arr in rec.samples.items()
     }
 
 
-def magnitude_spectrum(block):
-    """FFT magnitude of one block, truncated to bins 1..300.
+def magnitude_spectrum(blocks):
+    """FFT magnitudes of the blocks along the last axis, bins 1..300.
 
-    Works for any block length >= 600 (numpy's FFT is mixed-radix, so
-    non-power-of-two one-second blocks are exact, not padded).
+    bins[..., i] = |DFT(block)[i+1]|, the magnitude at (i+1) Hz.  Works for
+    any block length >= 600 (numpy's FFT is mixed-radix, so non-power-of-two
+    one-second blocks are exact, not padded).
     """
-    samples = np.asarray(block.samples, dtype=float)
-    if samples.shape[0] < 2 * N_BINS:
+    samples = np.asarray(blocks, dtype=float)
+    if samples.shape[-1] < 2 * N_BINS:
         raise ValidationError(
-            f"block of {samples.shape[0]} samples is too short; need >= {2 * N_BINS}"
+            f"block of {samples.shape[-1]} samples is too short; need >= {2 * N_BINS}"
         )
-    mags = np.abs(np.fft.rfft(samples)[1 : N_BINS + 1])
-    return Spectrum(channel_id=block.channel_id, label=block.label, bins=mags)
+    return np.abs(np.fft.rfft(samples, axis=-1)[..., 1 : N_BINS + 1])
 
 
 def build_heatmap(spectra_by_channel):
     """Normalize spectra onto a 0..10 scale, one heat-map row per spectrum.
 
-    Input is {channel_id: [Spectrum, ...]}; every spectrum must carry the same
-    label.  Each row is scaled by 10/max(row); an all-zero row stays zero.
+    Input is {channel_id: (rows, 300) array}; the result has the same keys and
+    shapes.  Each row is scaled by 10/max(row); an all-zero row stays zero.
     """
-    labels = {s.label for specs in spectra_by_channel.values() for s in specs}
-    if len(labels) != 1:
-        raise ValidationError(f"heat map needs exactly one label, got {sorted(labels)}")
-    label = labels.pop()
-    rows = []
-    for cid, specs in spectra_by_channel.items():
-        for trial, spec in enumerate(specs):
-            peak = float(np.max(spec.bins))
-            values = spec.bins * (10.0 / peak) if peak > 0 else np.zeros_like(spec.bins)
-            rows.append(HeatMapRow(channel_id=cid, trial=trial, values=values))
-    return HeatMap(label=label, rows=rows)
+    heatmap = {}
+    for cid, spectra in spectra_by_channel.items():
+        peaks = spectra.max(axis=1, keepdims=True)
+        scale = 10.0 / np.where(peaks > 0, peaks, 1.0)
+        heatmap[cid] = np.where(peaks > 0, spectra * scale, 0.0)
+    return heatmap
 
 
 def write_heatmap_pgm(path, heatmap):
     """ASCII PGM (P2) image of the heat map; value 10 maps to pixel 255."""
-    lines = [
-        "P2",
-        f"{N_BINS} {len(heatmap.rows)}",
-        "255",
-    ]
-    for row in heatmap.rows:
-        pixels = np.clip(np.rint(row.values * 25.5), 0, 255).astype(int)
-        lines.append(" ".join(str(p) for p in pixels))
+    rows = np.concatenate(list(heatmap.values()))
+    pixels = np.clip(np.rint(rows * 25.5), 0, 255).astype(int)
+    lines = ["P2", f"{N_BINS} {len(rows)}", "255"]
+    lines.extend(" ".join(str(p) for p in row) for row in pixels)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -119,18 +78,9 @@ def write_heatmap_pgm(path, heatmap):
 def write_heatmap_csv(path, heatmap):
     header = "channel,trial," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))
     lines = [header]
-    for row in heatmap.rows:
-        vals = ",".join(repr(float(v)) for v in row.values)
-        lines.append(f"{row.channel_id},{row.trial},{vals}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_spectra_csv(path, spectra):
-    header = "channel,label," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))
-    lines = [header]
-    for spec in spectra:
-        vals = ",".join(repr(float(v)) for v in spec.bins)
-        lines.append(f"{spec.channel_id},{spec.label},{vals}")
+    for cid, rows in heatmap.items():
+        for trial, row in enumerate(rows):
+            vals = ",".join(repr(float(v)) for v in row)
+            lines.append(f"{cid},{trial},{vals}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

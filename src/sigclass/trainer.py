@@ -37,26 +37,6 @@ class Dataset:
 
 
 @dataclass
-class TrainConfig:
-    train_fraction: float = 0.8
-    batch_size: int = 150
-    runs: int = 200
-    learn_rate: float = 0.005
-    threshold: float = 1.75
-    seed: int = 0
-    normalize_rows: bool = True
-    stratified: bool = False
-
-    def __post_init__(self):
-        if not (0 < self.train_fraction < 1):
-            raise ValidationError("train_fraction must be in (0, 1)")
-        if self.runs < 1:
-            raise ValidationError("runs must be >= 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-
-
-@dataclass
 class RunRecord:
     run: int
     train_loss: float
@@ -129,9 +109,10 @@ def one_hot(label, vocab):
 def split(ds, cfg):
     """Disjoint train/test partition; |train| = round(fraction * n).
 
-    Plain uniform by default; per-class (stratified) when cfg.stratified is
-    set.  Both variants are deterministic in cfg.seed.  A warning is issued
-    if some class ends up absent from the training side.
+    cfg is the PipelineConfig.  Plain uniform by default; per-class
+    (stratified) when cfg.stratified is set.  Both variants are deterministic
+    in cfg.seed.  A warning is issued if some class ends up absent from the
+    training side.
     """
     n = len(ds.rows)
     rng = derive_rng(cfg.seed, "split")
@@ -177,12 +158,8 @@ def targets_matrix(rows, vocab):
 
 def _scores(params, x, y):
     """(row accuracy, bit accuracy) of rounded sigmoid outputs against one-hots."""
-    logits, _ = dnn.forward(params, x)
-    hot = logits >= 0.0
-    ok_rows = hot.sum(axis=1) == 1
-    preds = np.where(ok_rows, hot.argmax(axis=1), UNCLASSIFIED)
-    actual = y.argmax(axis=1)
-    row_acc = float(np.mean(preds == actual))
+    hot, preds = dnn.decode(dnn.forward(params, x)[0])
+    row_acc = float(np.mean(preds == y.argmax(axis=1)))
     bit_acc = float(np.mean(hot == (y > 0.5)))
     return row_acc, bit_acc
 
@@ -192,7 +169,8 @@ def train(ds, mask, cfg, initial_params=None):
 
     Every run draws a fresh batch (without replacement inside the batch),
     applies exactly one optimizer step, then logs the full-train-set loss and
-    the train/test accuracies of the updated parameters.  Returns the final
+    the train/test accuracies of the updated parameters.  cfg is the
+    PipelineConfig (its seed, split and training fields).  Returns the final
     parameters and the RunLog.
     """
     if mask is None or len(mask) == 0:

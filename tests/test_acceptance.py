@@ -13,8 +13,8 @@ import pytest
 from sigclass import cli, dnn, fusion, trainer
 from sigclass.dnn import AdamState, LayerParams
 from sigclass.fusion import FeatureMask, SpectrumRow
-from sigclass.spectral import N_BINS, TimeBlock, magnitude_spectrum
-from sigclass.trainer import TrainConfig
+from sigclass.config import PipelineConfig
+from sigclass.spectral import N_BINS, magnitude_spectrum
 
 LN2 = 0.6931471805599453
 
@@ -95,7 +95,7 @@ def test_criterion_1_fft_oracle():
     worst_rel = 0.0
     for n in (600, 1000, 1024, 2000):
         samples = np.random.default_rng(n).normal(size=n)
-        got = magnitude_spectrum(TimeBlock("c", "L", samples)).bins
+        got = magnitude_spectrum(samples)
         oracle = naive_dft_bins(samples)
         diff = float(np.max(np.abs(got - oracle)))
         worst_rel = max(worst_rel, diff / n)
@@ -103,7 +103,7 @@ def test_criterion_1_fft_oracle():
         # noise-free on-bin sinusoid peaks at its own bin at N*A/2
         freq, amp = 137, 0.8
         tone = amp * np.sin(2 * np.pi * freq * np.arange(n) / n + 0.7)
-        bins = magnitude_spectrum(TimeBlock("c", "L", tone)).bins
+        bins = magnitude_spectrum(tone)
         assert int(np.argmax(bins)) + 1 == freq
         assert abs(bins[freq - 1] - n * amp / 2.0) <= 1e-6 * n * amp
     elapsed = time.perf_counter() - started
@@ -282,7 +282,7 @@ def test_criterion_7_group1_pipeline(group1_run):
 
     # row sums must equal the per-class counts of the deterministic test split
     ds = trainer.load_rows(out / "rows.csv")
-    _, test_ds = trainer.split(ds, TrainConfig(seed=0))
+    _, test_ds = trainer.split(ds, PipelineConfig(group="Group1", seed=0))
     per_class = {label: 0 for label in ds.label_vocab}
     for r in test_ds.rows:
         per_class[r.label] += 1

@@ -128,6 +128,20 @@ def test_bad_config_value_is_usage_error(tmp_path):
     assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "synth"]) == 1
 
 
+@pytest.mark.parametrize("line, command", [
+    ("runs = 0", "train"),
+    ("batch_size = 0", "train"),
+    ("train_fraction = 1.0", "train"),
+    ("fusion_channels = geo_front_10m,bogus", "rows"),
+])
+def test_config_range_error_is_usage_error(tmp_path, capsys, line, command):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(f"group = Group2\n{line}\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), command]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])

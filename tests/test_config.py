@@ -37,7 +37,7 @@ def test_uniform_fusion_weights_by_default():
 
 
 def test_explicit_fusion_weights_must_align():
-    cfg = PipelineConfig(fusion_channels=("a", "b"), fusion_weights=(1.0,))
+    cfg = PipelineConfig(fusion_channels=("geo_front_10m", "mic_side_10m"), fusion_weights=(1.0,))
     with pytest.raises(ConfigurationError):
         cfg.fusion()
 
@@ -50,7 +50,7 @@ def test_config_file_parsing(tmp_path):
         "seed = 42   # trailing comment\n"
         "threshold = 1.6\n"
         "normalize_rows = false\n"
-        "fusion_channels = a, b\n"
+        "fusion_channels = geo_front_10m, mic_side_10m\n"
         "fusion_weights = 1.0, 2.5\n"
     )
     cfg = build_config(read_config_file(path))
@@ -58,8 +58,8 @@ def test_config_file_parsing(tmp_path):
     assert cfg.seed == 42
     assert cfg.threshold == 1.6
     assert cfg.normalize_rows is False
-    assert cfg.fusion_channels == ("a", "b")
-    assert cfg.fusion().weights == {"a": 1.0, "b": 2.5}
+    assert cfg.fusion_channels == ("geo_front_10m", "mic_side_10m")
+    assert cfg.fusion().weights == {"geo_front_10m": 1.0, "mic_side_10m": 2.5}
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sigclass import spectral
+from sigclass import fusion, spectral
 from sigclass.errors import ValidationError
-from sigclass.spectral import N_BINS, TimeBlock
+from sigclass.fusion import FusionWeights
+from sigclass.spectral import N_BINS
 from sigclass.synthgen import Recording
 
 
@@ -25,8 +26,8 @@ def make_recording(arrays, rate=1000, label="X"):
     return Recording(label=label, sample_rate_hz=rate, samples=arrays, duration_s=n / rate)
 
 
-def block(samples, channel="ch", label="X"):
-    return TimeBlock(channel_id=channel, label=label, samples=np.asarray(samples, float))
+def block(samples):
+    return np.asarray(samples, float)
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +39,14 @@ def test_extract_block_count_per_channel():
     blocks = spectral.extract_blocks(rec, 20, seed=1)
     assert set(blocks) == {"a", "b"}
     assert len(blocks["a"]) == 20 and len(blocks["b"]) == 20
-    assert all(len(b.samples) == 1000 for b in blocks["a"])
+    assert blocks["a"].shape == (20, 1000) and blocks["b"].shape == (20, 1000)
 
 
 def test_extract_single_block_from_one_second_recording():
     arr = np.arange(1000.0)
     rec = make_recording({"a": arr})
     blocks = spectral.extract_blocks(rec, 1, seed=7)
-    assert np.array_equal(blocks["a"][0].samples, arr)
+    assert np.array_equal(blocks["a"][0], arr)
 
 
 def test_extract_offsets_shared_across_channels():
@@ -55,10 +56,10 @@ def test_extract_offsets_shared_across_channels():
     rec = make_recording({"a": base, "b": base + 5e6})
     blocks = spectral.extract_blocks(rec, 10, seed=3)
     for ba, bb in zip(blocks["a"], blocks["b"]):
-        assert np.array_equal(bb.samples - ba.samples, np.full(1000, 5e6))
+        assert np.array_equal(bb - ba, np.full(1000, 5e6))
         # block content is a contiguous slice starting at an integer offset
-        start = int(ba.samples[0])
-        assert np.array_equal(ba.samples, base[start : start + 1000])
+        start = int(ba[0])
+        assert np.array_equal(ba, base[start : start + 1000])
 
 
 def test_extract_blocks_deterministic():
@@ -66,8 +67,7 @@ def test_extract_blocks_deterministic():
     rec = make_recording({"a": rng.normal(size=20_000)})
     one = spectral.extract_blocks(rec, 8, seed=11)
     two = spectral.extract_blocks(rec, 8, seed=11)
-    for x, y in zip(one["a"], two["a"]):
-        assert np.array_equal(x.samples, y.samples)
+    assert np.array_equal(one["a"], two["a"])
 
 
 def test_extract_rejects_short_recording():
@@ -89,30 +89,30 @@ def test_on_bin_sinusoid_peak_magnitude():
     for n, freq, amp in [(1000, 100, 1.0), (2000, 37, 0.7), (1024, 250, 2.5)]:
         t = np.arange(n)
         samples = amp * np.sin(2 * np.pi * freq * t / n + 0.3)
-        spec = spectral.magnitude_spectrum(block(samples))
-        assert int(np.argmax(spec.bins)) + 1 == freq
-        assert spec.bins[freq - 1] == pytest.approx(n * amp / 2.0, abs=1e-6 * n * amp)
+        bins = spectral.magnitude_spectrum(block(samples))
+        assert int(np.argmax(bins)) + 1 == freq
+        assert bins[freq - 1] == pytest.approx(n * amp / 2.0, abs=1e-6 * n * amp)
 
 
 def test_all_zero_block_gives_zero_bins():
-    spec = spectral.magnitude_spectrum(block(np.zeros(1000)))
-    assert spec.bins.shape == (N_BINS,)
-    assert np.all(spec.bins == 0.0)
+    bins = spectral.magnitude_spectrum(block(np.zeros(1000)))
+    assert bins.shape == (N_BINS,)
+    assert np.all(bins == 0.0)
 
 
 @pytest.mark.parametrize("n", [600, 1000, 1024, 2000, 5000, 50000])
 def test_fft_matches_naive_dft(n):
     samples = np.random.default_rng(n).normal(size=n)
-    spec = spectral.magnitude_spectrum(block(samples))
+    bins = spectral.magnitude_spectrum(block(samples))
     oracle = naive_dft_bins(samples)
-    assert np.max(np.abs(spec.bins - oracle)) < 1e-9 * n
+    assert np.max(np.abs(bins - oracle)) < 1e-9 * n
 
 
 def test_out_of_peak_energy_negligible():
     # noise-free on-bin sinusoid: everything outside the peak bin is rounding
     n, freq = 2000, 120
     samples = np.sin(2 * np.pi * freq * np.arange(n) / n + 1.1)
-    bins = spectral.magnitude_spectrum(block(samples)).bins
+    bins = spectral.magnitude_spectrum(block(samples))
     peak_energy = bins[freq - 1] ** 2
     rest = np.delete(bins, freq - 1)
     assert np.sum(rest**2) < 1e-6 * peak_energy
@@ -120,8 +120,8 @@ def test_out_of_peak_energy_negligible():
 
 def test_spectrum_excludes_dc():
     # constant signal lives entirely in the DC bin, which is dropped
-    spec = spectral.magnitude_spectrum(block(np.full(1000, 7.0)))
-    assert np.max(spec.bins) < 1e-9
+    bins = spectral.magnitude_spectrum(block(np.full(1000, 7.0)))
+    assert np.max(bins) < 1e-9
 
 
 def test_rejects_short_block():
@@ -132,46 +132,40 @@ def test_rejects_short_block():
 # ---------------------------------------------------------------------------
 # heat maps
 
-def spectrum_of(values, channel="ch", label="X"):
-    return spectral.Spectrum(channel_id=channel, label=label, bins=np.asarray(values, float))
+def spectra_of(*rows):
+    return np.array(rows, dtype=float)
 
 
 def test_heatmap_scales_rows_to_ten():
     row = np.zeros(N_BINS)
     row[10] = 5.0
     row[20] = 2.5
-    hm = spectral.build_heatmap({"ch": [spectrum_of(row)]})
-    assert hm.rows[0].values[10] == pytest.approx(10.0)
-    assert hm.rows[0].values[20] == pytest.approx(5.0)
+    hm = spectral.build_heatmap({"ch": spectra_of(row)})
+    assert hm["ch"][0][10] == pytest.approx(10.0)
+    assert hm["ch"][0][20] == pytest.approx(5.0)
 
 
 def test_heatmap_zero_row_stays_zero():
-    hm = spectral.build_heatmap({"ch": [spectrum_of(np.zeros(N_BINS))]})
-    assert np.all(hm.rows[0].values == 0.0)
+    hm = spectral.build_heatmap({"ch": spectra_of(np.zeros(N_BINS))})
+    assert np.all(hm["ch"][0] == 0.0)
 
 
 def test_heatmap_one_row_per_spectrum_and_range():
     rng = np.random.default_rng(9)
     spectra = {
-        "a": [spectrum_of(rng.random(N_BINS) * 50, "a") for _ in range(60)],
-        "b": [spectrum_of(rng.random(N_BINS) * 3, "b") for _ in range(40)],
+        "a": spectra_of(*[rng.random(N_BINS) * 50 for _ in range(60)]),
+        "b": spectra_of(*[rng.random(N_BINS) * 3 for _ in range(40)]),
     }
     hm = spectral.build_heatmap(spectra)
-    assert len(hm.rows) == 100
-    for row in hm.rows:
-        assert np.all(row.values >= 0.0) and np.all(row.values <= 10.0)
-        assert row.values.max() == pytest.approx(10.0)
-
-
-def test_heatmap_rejects_mixed_labels():
-    with pytest.raises(ValidationError):
-        spectral.build_heatmap({"a": [spectrum_of(np.ones(N_BINS), label="X"),
-                                      spectrum_of(np.ones(N_BINS), label="Y")]})
+    assert sum(len(rows) for rows in hm.values()) == 100
+    for row in np.concatenate(list(hm.values())):
+        assert np.all(row >= 0.0) and np.all(row <= 10.0)
+        assert row.max() == pytest.approx(10.0)
 
 
 def test_heatmap_pgm_format(tmp_path):
     row = np.linspace(0, 10, N_BINS)
-    hm = spectral.build_heatmap({"ch": [spectrum_of(row)]})
+    hm = spectral.build_heatmap({"ch": spectra_of(row)})
     path = tmp_path / "map.pgm"
     spectral.write_heatmap_pgm(path, hm)
     lines = path.read_text().splitlines()
@@ -185,7 +179,7 @@ def test_heatmap_pgm_format(tmp_path):
 
 def test_heatmap_csv_roundtrip_shape(tmp_path):
     rng = np.random.default_rng(2)
-    hm = spectral.build_heatmap({"ch": [spectrum_of(rng.random(N_BINS)) for _ in range(3)]})
+    hm = spectral.build_heatmap({"ch": spectra_of(*[rng.random(N_BINS) for _ in range(3)])})
     path = tmp_path / "map.csv"
     spectral.write_heatmap_csv(path, hm)
     lines = path.read_text().splitlines()
@@ -194,12 +188,46 @@ def test_heatmap_csv_roundtrip_shape(tmp_path):
     assert len(lines[1].split(",")) == N_BINS + 2
 
 
-def test_spectra_csv(tmp_path):
-    specs = [spectrum_of(np.arange(N_BINS, dtype=float), "a", "L")]
-    path = tmp_path / "spec.csv"
-    spectral.write_spectra_csv(path, specs)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    fields = lines[1].split(",")
-    assert fields[0] == "a" and fields[1] == "L"
-    assert float(fields[2]) == 0.0 and float(fields[-1]) == float(N_BINS - 1)
+# ---------------------------------------------------------------------------
+# the array path against a per-block reference
+
+def test_array_path_matches_per_block_reference():
+    """Batched FFT, fusion and heat-map scaling are bit-equal to a loop over blocks."""
+    rate, count, seed = 1000, 12, 4
+    rng = np.random.default_rng(8)
+    arrays = {
+        "a": rng.normal(size=5500) * 3.0,
+        "b": rng.normal(size=5500) + np.sin(2 * np.pi * 40 * np.arange(5500) / rate),
+        "dead": np.zeros(5500),  # all-zero spectra, so all-zero heat-map rows
+    }
+    rec = make_recording(arrays, rate=rate)
+    weights = FusionWeights(weights={"a": 0.3, "b": 1.7, "dead": 2.0},
+                            selected_channels=["b", "dead", "a"])
+
+    offsets = np.random.default_rng(seed).integers(0, 5500 - rate + 1, size=count)
+    ref_spectra = {
+        cid: [np.abs(np.fft.rfft(arr[o : o + rate])[1 : N_BINS + 1]) for o in offsets]
+        for cid, arr in arrays.items()
+    }
+    ref_fused = []
+    for k in range(count):
+        acc, total = np.zeros(N_BINS), 0.0
+        for cid in weights.selected_channels:
+            acc += weights.weights[cid] * ref_spectra[cid][k]
+            total += weights.weights[cid]
+        ref_fused.append(acc / total)
+    ref_heat = {
+        cid: [s * (10.0 / s.max()) if s.max() > 0 else np.zeros(N_BINS) for s in specs]
+        for cid, specs in ref_spectra.items()
+    }
+
+    blocks = spectral.extract_blocks(rec, count, seed)
+    spectra = {cid: spectral.magnitude_spectrum(b) for cid, b in blocks.items()}
+    fused = fusion.fuse(spectra, weights)
+    heat = spectral.build_heatmap(spectra)
+
+    for cid in arrays:
+        assert np.array_equal(spectra[cid], np.stack(ref_spectra[cid]))
+        assert np.array_equal(heat[cid], np.stack(ref_heat[cid]))
+    assert np.all(heat["dead"] == 0.0)
+    assert np.array_equal(fused, np.stack(ref_fused))

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from sigclass import dnn, trainer
+from sigclass.config import PipelineConfig
 from sigclass.dnn import DnnParams, LayerParams, UNCLASSIFIED
 from sigclass.errors import ConfigurationError, ParseError, ValidationError
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.spectral import N_BINS
-from sigclass.trainer import Dataset, TrainConfig
+from sigclass.trainer import Dataset
 
 LN2 = 0.6931471805599453
 
@@ -112,7 +113,7 @@ def test_one_hot_unknown_label():
 
 def test_split_sizes_and_disjointness():
     ds = toy_dataset(n_per_class=500)  # 1000 rows
-    train, test = trainer.split(ds, TrainConfig(seed=1))
+    train, test = trainer.split(ds, PipelineConfig(seed=1))
     assert len(train.rows) == 800 and len(test.rows) == 200
     train_ids = {id(r) for r in train.rows}
     test_ids = {id(r) for r in test.rows}
@@ -122,17 +123,17 @@ def test_split_sizes_and_disjointness():
 
 def test_split_small_dataset():
     ds = toy_dataset(n_per_class=5)  # 10 rows
-    train, test = trainer.split(ds, TrainConfig(seed=2))
+    train, test = trainer.split(ds, PipelineConfig(seed=2))
     assert len(train.rows) == 8 and len(test.rows) == 2
 
 
 def test_split_deterministic():
     ds = toy_dataset(30)
-    a_train, a_test = trainer.split(ds, TrainConfig(seed=9))
-    b_train, b_test = trainer.split(ds, TrainConfig(seed=9))
+    a_train, a_test = trainer.split(ds, PipelineConfig(seed=9))
+    b_train, b_test = trainer.split(ds, PipelineConfig(seed=9))
     assert [r.label for r in a_train.rows] == [r.label for r in b_train.rows]
     assert all(np.array_equal(x.bins, y.bins) for x, y in zip(a_train.rows, b_train.rows))
-    c_train, _ = trainer.split(ds, TrainConfig(seed=10))
+    c_train, _ = trainer.split(ds, PipelineConfig(seed=10))
     assert [id(r) for r in a_train.rows] != [id(r) for r in c_train.rows]
 
 
@@ -140,12 +141,12 @@ def test_split_warns_when_class_missing_from_train():
     rows = [row("A", (10,)) for _ in range(4)] + [row("B", (20,))]
     ds = Dataset.from_rows(rows)
     with pytest.warns(UserWarning, match="absent from the training split"):
-        trainer.split(ds, TrainConfig(seed=3))
+        trainer.split(ds, PipelineConfig(seed=3))
 
 
 def test_stratified_split_keeps_class_shares():
     ds = toy_dataset(n_per_class=50)  # 100 rows, 2 classes
-    train, test = trainer.split(ds, TrainConfig(seed=4, stratified=True))
+    train, test = trainer.split(ds, PipelineConfig(seed=4, stratified=True))
     for label in ("A", "B"):
         assert sum(r.label == label for r in train.rows) == 40
         assert sum(r.label == label for r in test.rows) == 10
@@ -175,7 +176,7 @@ def test_features_matrix_zero_row_untouched():
 
 def test_train_logs_one_record_per_run():
     ds = toy_dataset(20)
-    cfg = TrainConfig(runs=200, batch_size=16, seed=5)
+    cfg = PipelineConfig(runs=200, batch_size=16, seed=5)
     params, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
     assert len(log.records) == 200
     assert [r.run for r in log.records] == list(range(1, 201))
@@ -194,7 +195,7 @@ def test_train_single_run_zero_net_loss_near_ln2():
         ],
         layer_sizes=(d, d, c),
     )
-    cfg = TrainConfig(runs=1, batch_size=16, seed=6)
+    cfg = PipelineConfig(runs=1, batch_size=16, seed=6)
     params, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg, initial_params=zero)
     # one 0.005-sized Adam step barely moves the logits away from 0
     assert log.records[0].train_loss == pytest.approx(LN2, abs=0.05)
@@ -202,7 +203,7 @@ def test_train_single_run_zero_net_loss_near_ln2():
 
 def test_train_deterministic():
     ds = toy_dataset(20)
-    cfg = TrainConfig(runs=10, batch_size=16, seed=7)
+    cfg = PipelineConfig(runs=10, batch_size=16, seed=7)
     p1, log1 = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
     p2, log2 = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
     assert log1.records == log2.records
@@ -212,7 +213,7 @@ def test_train_deterministic():
 
 def test_train_zero_learn_rate_freezes_metrics():
     ds = toy_dataset(20)
-    cfg = TrainConfig(runs=8, batch_size=16, seed=8, learn_rate=0.0)
+    cfg = PipelineConfig(runs=8, batch_size=16, seed=8, learn_rate=0.0)
     _, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
     losses = {r.train_loss for r in log.records}
     accs = {r.test_acc for r in log.records}
@@ -221,7 +222,7 @@ def test_train_zero_learn_rate_freezes_metrics():
 
 def test_train_learns_separable_toy():
     ds = toy_dataset(30)
-    cfg = TrainConfig(runs=300, batch_size=24, seed=9)
+    cfg = PipelineConfig(runs=300, batch_size=24, seed=9)
     params, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
     assert log.records[-1].test_acc == 1.0
     assert log.records[-1].train_acc == 1.0
@@ -231,13 +232,13 @@ def test_train_learns_separable_toy():
 def test_train_rejects_oversized_batch():
     ds = toy_dataset(5)  # 10 rows -> 8 train rows
     with pytest.raises(ValidationError):
-        trainer.train(ds, FeatureMask(kept=[10, 20]), TrainConfig(runs=1, batch_size=9, seed=0))
+        trainer.train(ds, FeatureMask(kept=[10, 20]), PipelineConfig(runs=1, batch_size=9, seed=0))
 
 
 def test_train_rejects_empty_mask():
     ds = toy_dataset(20)
     with pytest.raises(ConfigurationError):
-        trainer.train(ds, None, TrainConfig(runs=1, batch_size=8, seed=0))
+        trainer.train(ds, None, PipelineConfig(runs=1, batch_size=8, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,7 @@ def test_evaluate_rejects_unknown_label():
 
 def test_runlog_csv_format(tmp_path):
     ds = toy_dataset(20)
-    cfg = TrainConfig(runs=3, batch_size=16, seed=5)
+    cfg = PipelineConfig(runs=3, batch_size=16, seed=5)
     _, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
     path = tmp_path / "runlog.csv"
     trainer.write_runlog_csv(path, log)
