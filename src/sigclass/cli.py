@@ -114,7 +114,7 @@ def cmd_rows(args):
             Path(cfg.out_dir) / "recordings" / entry["file"]
         )
         seed = derive_seed(cfg.seed, "blocks", entry["label"], entry["trial"])
-        blocks = spectral.extract_blocks(rec, blocks_per_rec, seed)
+        blocks = spectral.extract_blocks(rec, weights.selected_channels, blocks_per_rec, seed)
         spectra = {
             cid: spectral.magnitude_spectrum(blocks[cid])
             for cid in weights.selected_channels
@@ -139,7 +139,7 @@ def cmd_heatmap(args):
     for entry in entries:
         rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"])
         seed = derive_seed(cfg.seed, "heatmap", entry["label"], entry["trial"])
-        blocks = spectral.extract_blocks(rec, cfg.heatmap_blocks, seed)
+        blocks = spectral.extract_blocks(rec, list(rec.samples), cfg.heatmap_blocks, seed)
         for cid, channel_blocks in blocks.items():
             spectra_by_channel.setdefault(cid, []).append(
                 spectral.magnitude_spectrum(channel_blocks)
@@ -151,7 +151,7 @@ def cmd_heatmap(args):
     pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
     spectral.write_heatmap_pgm(pgm, heatmap)
-    spectral.write_heatmap_csv(csv, heatmap)
+    spectral.write_heatmap_csv(csv, heatmap, [e["trial"] for e in entries])
     _write_manifest(cfg.out_dir, "heatmap", cfg, {"label": args.label, "rows": n_rows})
     print(f"wrote {pgm} and {csv} ({n_rows} rows)")
     return EXIT_OK

@@ -54,6 +54,19 @@ class PipelineConfig:
             raise ConfigurationError("threshold must be > 1 (1.5 to 2 works well)")
         if not (0 < self.train_fraction < 1):
             raise ConfigurationError("train_fraction must be in (0, 1)")
+        if self.duration_s < 1:
+            raise ConfigurationError("duration_s must be >= 1 second")
+        if self.sample_rate_hz < 600:
+            raise ConfigurationError("sample_rate_hz must be >= 600 so 300 Hz stays below Nyquist")
+        n_samples = self.duration_s * self.sample_rate_hz
+        if abs(n_samples - round(n_samples)) > 1e-9:
+            raise ConfigurationError("duration_s * sample_rate_hz must be an integer sample count")
+        if self.trials < 1:
+            raise ConfigurationError("trials must be >= 1")
+        if self.heatmap_blocks < 1:
+            raise ConfigurationError("heatmap_blocks must be >= 1")
+        if self.blocks_per_recording < 0:
+            raise ConfigurationError("blocks_per_recording must be >= 0 (0 picks the default)")
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
         if self.batch_size < 1:

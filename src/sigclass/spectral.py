@@ -9,21 +9,25 @@ row peak at 10, for visual comparison of per-channel signatures.
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 
 N_BINS = 300
 
 
-def extract_blocks(rec, count, seed):
-    """Cut `count` random 1-second blocks out of every channel.
+def extract_blocks(rec, channels, count, seed):
+    """Cut `count` random 1-second blocks out of each channel in `channels`.
 
     Start offsets are drawn uniformly over all valid sample positions and are
     shared across channels, so the k-th block of every channel covers the same
-    time span (fused spectra must be time-aligned).  Blocks may overlap.
-    Returns {channel_id: (count, rate) array}; row k is block k.
+    time span (fused spectra must be time-aligned).  Blocks may overlap.  The
+    offsets do not depend on which channels are cut.  Returns
+    {channel_id: (count, rate) array} in `channels` order; row k is block k.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
+    missing = [cid for cid in channels if cid not in rec.samples]
+    if missing:
+        raise ConfigurationError(f"recording {rec.label!r} has no channel {missing}")
     rate = rec.sample_rate_hz
     n = rec.n_samples
     if n < rate:
@@ -31,8 +35,8 @@ def extract_blocks(rec, count, seed):
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, n - rate + 1, size=count)
     return {
-        cid: np.lib.stride_tricks.sliding_window_view(arr, rate)[offsets]
-        for cid, arr in rec.samples.items()
+        cid: np.lib.stride_tricks.sliding_window_view(rec.samples[cid], rate)[offsets]
+        for cid in channels
     }
 
 
@@ -75,12 +79,18 @@ def write_heatmap_pgm(path, heatmap):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_heatmap_csv(path, heatmap):
-    header = "channel,trial," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))
+def write_heatmap_csv(path, heatmap, trials):
+    """One CSV line per heat-map row: channel, trial, block, hz_1..hz_300.
+
+    `trials` lists the 1-based trial of each stacked recording, which all gave
+    the same number of blocks; `block` is 0-based within the trial.
+    """
+    header = "channel,trial,block," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))
     lines = [header]
     for cid, rows in heatmap.items():
-        for trial, row in enumerate(rows):
+        per_trial = len(rows) // len(trials)
+        for i, row in enumerate(rows):
             vals = ",".join(repr(float(v)) for v in row)
-            lines.append(f"{cid},{trial},{vals}")
+            lines.append(f"{cid},{trials[i // per_trial]},{i % per_trial},{vals}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

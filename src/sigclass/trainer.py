@@ -156,9 +156,9 @@ def targets_matrix(rows, vocab):
     return np.stack([one_hot(row.label, vocab) for row in rows])
 
 
-def _scores(params, x, y):
+def _scores(logits, y):
     """(row accuracy, bit accuracy) of rounded sigmoid outputs against one-hots."""
-    hot, preds = dnn.decode(dnn.forward(params, x)[0])
+    hot, preds = dnn.decode(logits)
     row_acc = float(np.mean(preds == y.argmax(axis=1)))
     bit_acc = float(np.mean(hot == (y > 0.5)))
     return row_acc, bit_acc
@@ -191,19 +191,20 @@ def train(ds, mask, cfg, initial_params=None):
     if params is None:
         init_seed = derive_rng(cfg.seed, "init").integers(2**32)
         params = dnn.init_network(d, c, seed=init_seed)
-    state = dnn.AdamState.for_layers(params.layers, alpha=cfg.learn_rate)
+    state = dnn.AdamState.for_params(params)
     batch_rng = derive_rng(cfg.seed, "batches")
 
     log = RunLog()
     for run in range(1, cfg.runs + 1):
         idx = batch_rng.choice(len(train_ds.rows), size=cfg.batch_size, replace=False)
-        logits, trace = dnn.forward(params, x_train[idx])
+        _, trace = dnn.forward(params, x_train[idx])
         grads = dnn.backward(params, trace, y_train[idx])
-        params, state = dnn.adam_step(params, grads, state)
+        params, state = dnn.adam_update(params, grads, state, cfg.learn_rate)
 
-        train_loss = dnn.loss(dnn.forward(params, x_train)[0], y_train)
-        train_acc, train_bit = _scores(params, x_train, y_train)
-        test_acc, test_bit = _scores(params, x_test, y_test)
+        train_logits = dnn.forward(params, x_train)[0]
+        train_loss = dnn.loss(train_logits, y_train)
+        train_acc, train_bit = _scores(train_logits, y_train)
+        test_acc, test_bit = _scores(dnn.forward(params, x_test)[0], y_test)
         log.records.append(
             RunRecord(run, train_loss, train_acc, test_acc, train_bit, test_bit)
         )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sigclass import cli, dnn, fusion, trainer
-from sigclass.dnn import AdamState, LayerParams
+from sigclass.dnn import AdamState
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.config import PipelineConfig
 from sigclass.spectral import N_BINS, magnitude_spectrum
@@ -127,20 +127,20 @@ def test_criterion_2_gradient_check():
 
     h = 1e-5
     worst = 0.0
-    for layer, grad in zip(params.layers, analytic):
-        for arr, g in ((layer.weight, grad.weight), (layer.bias, grad.bias)):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                i = it.multi_index
-                saved = arr[i]
-                arr[i] = saved + h
-                up = dnn.loss(dnn.forward(params, x)[0], y)
-                arr[i] = saved - h
-                down = dnn.loss(dnn.forward(params, x)[0], y)
-                arr[i] = saved
-                numeric = (up - down) / (2 * h)
-                rel = abs(g[i] - numeric) / max(1.0, abs(g[i]))
-                worst = max(worst, rel)
+    assert [g.shape for g in analytic] == [a.shape for a in params]
+    for arr, g in zip(params, analytic):
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            i = it.multi_index
+            saved = arr[i]
+            arr[i] = saved + h
+            up = dnn.loss(dnn.forward(params, x)[0], y)
+            arr[i] = saved - h
+            down = dnn.loss(dnn.forward(params, x)[0], y)
+            arr[i] = saved
+            numeric = (up - down) / (2 * h)
+            rel = abs(g[i] - numeric) / max(1.0, abs(g[i]))
+            worst = max(worst, rel)
     elapsed = time.perf_counter() - started
     check(2, worst < 1e-5 and elapsed < 1.0,
           f"all analytic gradients within {worst:.2e} of central differences; "
@@ -178,18 +178,17 @@ def test_criterion_4_adam_references():
     # first step magnitude
     rng = np.random.default_rng(4)
     g_vals = rng.uniform(1e-3, 5.0, size=200) * rng.choice([-1.0, 1.0], size=200)
-    layers = [LayerParams(np.zeros((1, 200)), np.zeros(1))]
-    grads = [LayerParams(g_vals.reshape(1, -1).copy(), np.zeros(1))]
-    state = AdamState.for_layers(layers, alpha=0.005)
-    stepped, state1 = dnn.adam_update(layers, grads, state)
-    moved = np.abs(stepped[0].weight - layers[0].weight).ravel()
+    params = [np.zeros((1, 200)), np.zeros(1)]
+    grads = [g_vals.reshape(1, -1).copy(), np.zeros(1)]
+    stepped, state1 = dnn.adam_update(params, grads, AdamState.for_params(params), 0.005)
+    moved = np.abs(stepped[0] - params[0]).ravel()
     expected = 0.005 * np.abs(g_vals) / (np.abs(g_vals) + 1e-8)
     first_ok = np.max(np.abs(moved - expected)) < 1e-12 and np.max(np.abs(moved - 0.005)) < 1e-6
 
     # zero gradient leaves parameters fixed
-    zeros = [LayerParams(np.zeros((1, 200)), np.zeros(1))]
-    frozen, _ = dnn.adam_update(layers, zeros, AdamState.for_layers(layers))
-    zero_ok = np.array_equal(frozen[0].weight, layers[0].weight)
+    zeros = [np.zeros((1, 200)), np.zeros(1)]
+    frozen, _ = dnn.adam_update(params, zeros, AdamState.for_params(params), 0.005)
+    zero_ok = np.array_equal(frozen[0], params[0])
 
     # two-step scalar recurrence against hand computation
     alpha, b1, b2, eps = 0.005, 0.9, 0.999, 1e-8
@@ -200,13 +199,13 @@ def test_criterion_4_adam_references():
     m2 = b1 * m + (1 - b1) * g
     v2 = b2 * v + (1 - b2) * g * g
     t2 = t1 - alpha * (m2 / (1 - b1**2)) / (np.sqrt(v2 / (1 - b2**2)) + eps)
-    lay = [LayerParams(np.array([[theta]]), np.zeros(1))]
-    grd = [LayerParams(np.array([[g]]), np.zeros(1))]
-    st = AdamState.for_layers(lay, alpha=alpha)
-    lay, st = dnn.adam_update(lay, grd, st)
-    step1_ok = abs(lay[0].weight[0, 0] - t1) <= 1e-12
-    lay, st = dnn.adam_update(lay, grd, st)
-    step2_ok = abs(lay[0].weight[0, 0] - t2) <= 1e-12
+    lay = [np.array([[theta]]), np.zeros(1)]
+    grd = [np.array([[g]]), np.zeros(1)]
+    st = AdamState.for_params(lay)
+    lay, st = dnn.adam_update(lay, grd, st, alpha)
+    step1_ok = abs(lay[0][0, 0] - t1) <= 1e-12
+    lay, st = dnn.adam_update(lay, grd, st, alpha)
+    step2_ok = abs(lay[0][0, 0] - t2) <= 1e-12
 
     check(4, first_ok and zero_ok and step1_ok and step2_ok,
           "first-step displacement is alpha*|g|/(|g|+eps), zero gradient is a "

@@ -70,7 +70,7 @@ def test_train_and_eval_roundtrip(smoke, capsys):
 
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(out / "checkpoint.bin")
     assert vocab[0] == "AllQuiet" and len(vocab) == 4
-    assert params.input_dim == len(mask_bins)
+    assert params[0].shape[1] == len(mask_bins)
     assert normalize is True
 
     assert run(cfg_path, out, "eval") == 0
@@ -100,6 +100,21 @@ def test_heatmap_output(smoke):
     assert width == N_BINS
     assert height == 13 * 2 * 20  # channels x trials x heatmap blocks
     assert (out / "heatmap_Saab83.csv").exists()
+
+
+def test_heatmap_csv_trial_and_block_columns(smoke, tmp_path):
+    _, out = smoke
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG + "heatmap_blocks = 3\n")
+    assert run(cfg_path, out, "heatmap", "FordF150") == 0
+    lines = (out / "heatmap_FordF150.csv").read_text().splitlines()
+    assert lines[0].startswith("channel,trial,block,hz_1,")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 13 * 2 * 3  # channels x trials x heatmap blocks
+    first = rows[0][0]
+    ids = [(int(r[1]), int(r[2])) for r in rows if r[0] == first]
+    assert ids == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+    assert all(len(r) == 3 + N_BINS for r in rows)
 
 
 def test_heatmap_unknown_label_usage_error(smoke, capsys):
@@ -133,13 +148,59 @@ def test_bad_config_value_is_usage_error(tmp_path):
     ("batch_size = 0", "train"),
     ("train_fraction = 1.0", "train"),
     ("fusion_channels = geo_front_10m,bogus", "rows"),
+    ("duration_s = 0.5", "synth"),
+    ("sample_rate_hz = 500", "synth"),
+    ("duration_s = 1.0001", "synth"),
+    ("trials = 0", "synth"),
+    ("heatmap_blocks = 0", "heatmap AllQuiet"),
+    ("blocks_per_recording = -1", "rows"),
 ])
 def test_config_range_error_is_usage_error(tmp_path, capsys, line, command):
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text(f"group = Group2\n{line}\n")
-    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), command]) == 1
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), *command.split()]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+SMOKE_LABELS = ["AllQuiet", "HondaGenerator", "FordF150", "Saab83"]
+
+
+def _truncate_at(cut):
+    return lambda raw: raw[:cut]
+
+
+def _hidden_width_off_by_one(raw):
+    d = int.from_bytes(raw[8:12], "little")
+    return raw[:12] + (d + 1).to_bytes(4, "little") + raw[16:]
+
+
+def _huge_widths(raw):
+    # d * d overflows a 64-bit integer, so the size must be computed exactly
+    return raw[:8] + (2**32 - 1).to_bytes(4, "little") * 2 + raw[16:]
+
+
+# header: magic 8, sizes 12, mask 4+6, vocab 4+10+16+10+8, flag 1 -> 79 bytes;
+# then 40 float64 parameters -> 399 bytes
+@pytest.mark.parametrize("corrupt, message", [
+    *[pytest.param(_truncate_at(cut), "truncated", id=f"cut{cut}")
+      for cut in (12, 22, 30, 50, 78, 79, 200, 398)],
+    pytest.param(lambda raw: raw + b"\0", "trailing", id="trailing"),
+    pytest.param(_hidden_width_off_by_one, "hidden width", id="hidden"),
+    pytest.param(_huge_widths, "truncated", id="huge"),
+])
+def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, message):
+    cfg_path, out = smoke
+    ckpt = tmp_path / "model.bin"
+    dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
+    assert len(ckpt.read_bytes()) == 399
+    argv = ["eval", "--checkpoint", str(ckpt), "--rows", str(out / "rows.csv")]
+    assert run(cfg_path, tmp_path / "o", *argv) == 0
+    capsys.readouterr()
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+    assert run(cfg_path, tmp_path / "o", *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from sigclass import dnn
-from sigclass.dnn import AdamState, DnnParams, LayerParams, UNCLASSIFIED
+from sigclass.dnn import AdamState, UNCLASSIFIED
 from sigclass.errors import NumericalError, ValidationError
 
 LN2 = 0.6931471805599453
 
 
 def zero_net(d, c):
-    layers = [
-        LayerParams(np.zeros((d, d)), np.zeros(d)),
-        LayerParams(np.zeros((d, d)), np.zeros(d)),
-        LayerParams(np.zeros((c, d)), np.zeros(c)),
-    ]
-    return DnnParams(layers=layers, layer_sizes=(d, d, c))
+    return [np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d),
+            np.zeros((c, d)), np.zeros(c)]
+
+
+def predict_one(params, x):
+    """Class of one feature vector, through predict_batch on a 1-row matrix."""
+    return int(dnn.predict_batch(params, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -22,29 +23,26 @@ def zero_net(d, c):
 
 def test_init_shapes_small_task():
     p = dnn.init_network(23, 4, seed=0)
-    assert [l.weight.shape for l in p.layers] == [(23, 23), (23, 23), (4, 23)]
-    assert [l.bias.shape for l in p.layers] == [(23,), (23,), (4,)]
+    assert [a.shape for a in p] == [(23, 23), (23,), (23, 23), (23,), (4, 23), (4,)]
 
 
 def test_init_shapes_large_task():
     p = dnn.init_network(115, 7, seed=0)
-    assert [l.weight.shape for l in p.layers] == [(115, 115), (115, 115), (7, 115)]
-    assert [l.bias.shape for l in p.layers] == [(115,), (115,), (7,)]
+    assert [a.shape for a in p] == [(115, 115), (115,), (115, 115), (115,), (7, 115), (7,)]
 
 
 def test_init_deterministic_and_bounded():
     a = dnn.init_network(10, 3, seed=99)
     b = dnn.init_network(10, 3, seed=99)
-    for la, lb in zip(a.layers, b.layers):
-        assert np.array_equal(la.weight, lb.weight)
-        assert np.array_equal(la.bias, lb.bias)
-        assert np.all(la.bias == 0)
+    for pa, pb in zip(a, b):
+        assert np.array_equal(pa, pb)
+    assert all(np.all(bias == 0) for bias in a[1::2])
     r1 = np.sqrt(6.0 / (10 + 10))
     r3 = np.sqrt(6.0 / (10 + 3))
-    assert np.all(np.abs(a.layers[0].weight) <= r1)
-    assert np.all(np.abs(a.layers[2].weight) <= r3)
+    assert np.all(np.abs(a[0]) <= r1)
+    assert np.all(np.abs(a[4]) <= r3)
     c = dnn.init_network(10, 3, seed=100)
-    assert not np.array_equal(a.layers[0].weight, c.layers[0].weight)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_init_rejects_degenerate_sizes():
@@ -59,32 +57,28 @@ def test_init_rejects_degenerate_sizes():
 
 def test_forward_zero_net_gives_half_activations():
     p = zero_net(4, 3)
-    logits, trace = dnn.forward(p, np.zeros((2, 4)))
-    assert np.all(trace.a1 == 0.5)
-    assert np.all(trace.a2 == 0.5)
+    logits, (_, a1, a2, _) = dnn.forward(p, np.zeros((2, 4)))
+    assert np.all(a1 == 0.5)
+    assert np.all(a2 == 0.5)
     assert np.all(logits == 0.0)
 
 
 def test_forward_hand_evaluated_chain():
     # 1-wide net: W1=2, W2=1, W3=1, b3=1 applied to x=0
-    layers = [
-        LayerParams(np.array([[2.0]]), np.array([0.0])),
-        LayerParams(np.array([[1.0]]), np.array([0.0])),
-        LayerParams(np.array([[1.0]]), np.array([1.0])),
-    ]
-    p = DnnParams(layers=layers, layer_sizes=(1, 1, 1))
-    logits, trace = dnn.forward(p, np.array([[0.0]]))
-    assert trace.a1[0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert trace.a2[0, 0] == pytest.approx(0.6224593312018546, abs=1e-12)
+    p = [np.array([[2.0]]), np.array([0.0]), np.array([[1.0]]), np.array([0.0]),
+         np.array([[1.0]]), np.array([1.0])]
+    logits, (_, a1, a2, _) = dnn.forward(p, np.array([[0.0]]))
+    assert a1[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert a2[0, 0] == pytest.approx(0.6224593312018546, abs=1e-12)
     assert logits[0, 0] == pytest.approx(1.6224593312018546, abs=1e-12)
 
 
 def test_forward_batch_shape():
     p = dnn.init_network(23, 4, seed=3)
     x = np.random.default_rng(0).normal(size=(150, 23))
-    logits, trace = dnn.forward(p, x)
+    logits, (_, a1, _, _) = dnn.forward(p, x)
     assert logits.shape == (150, 4)
-    assert trace.a1.shape == (150, 23)
+    assert a1.shape == (150, 23)
 
 
 def test_forward_rejects_wrong_width():
@@ -157,22 +151,19 @@ def test_loss_rejects_nonfinite_logits():
 def finite_difference_grads(params, x, y, h=1e-5):
     """Central-difference loss gradients; independent of backward()."""
     grads = []
-    for layer in params.layers:
-        parts = []
-        for arr in (layer.weight, layer.bias):
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                i = it.multi_index
-                saved = arr[i]
-                arr[i] = saved + h
-                up = dnn.loss(dnn.forward(params, x)[0], y)
-                arr[i] = saved - h
-                down = dnn.loss(dnn.forward(params, x)[0], y)
-                arr[i] = saved
-                g[i] = (up - down) / (2.0 * h)
-            parts.append(g)
-        grads.append(LayerParams(*parts))
+    for arr in params:
+        g = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            i = it.multi_index
+            saved = arr[i]
+            arr[i] = saved + h
+            up = dnn.loss(dnn.forward(params, x)[0], y)
+            arr[i] = saved - h
+            down = dnn.loss(dnn.forward(params, x)[0], y)
+            arr[i] = saved
+            g[i] = (up - down) / (2.0 * h)
+        grads.append(g)
     return grads
 
 
@@ -185,7 +176,7 @@ def test_backward_output_delta_zero_net():
     grads = dnn.backward(p, trace, y)
     # delta = (0.5 - 1) / (batch * c) at every output; bias grad sums over the batch
     expected_b3 = batch * (0.5 - 1.0) / (batch * 3)
-    assert np.allclose(grads[2].bias, expected_b3, atol=1e-15)
+    assert np.allclose(grads[5], expected_b3, atol=1e-15)
 
 
 def test_backward_matches_finite_differences():
@@ -197,10 +188,10 @@ def test_backward_matches_finite_differences():
     _, trace = dnn.forward(p, x)
     analytic = dnn.backward(p, trace, y)
     numeric = finite_difference_grads(p, x, y)
-    for a, n in zip(analytic, numeric):
-        for ga, gn in ((a.weight, n.weight), (a.bias, n.bias)):
-            rel = np.abs(ga - gn) / np.maximum(1.0, np.abs(ga))
-            assert np.max(rel) < 1e-5
+    assert [g.shape for g in analytic] == [a.shape for a in p]
+    for ga, gn in zip(analytic, numeric):
+        rel = np.abs(ga - gn) / np.maximum(1.0, np.abs(ga))
+        assert np.max(rel) < 1e-5
 
 
 def test_backward_zero_input_batch():
@@ -210,8 +201,8 @@ def test_backward_zero_input_batch():
     y[:, 0] = 1.0
     _, trace = dnn.forward(p, x)
     grads = dnn.backward(p, trace, y)
-    assert np.all(grads[0].weight == 0.0)  # delta1 x^T with x = 0
-    assert np.any(grads[0].bias != 0.0)
+    assert np.all(grads[0] == 0.0)  # delta1 x^T with x = 0
+    assert np.any(grads[1] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,36 +210,29 @@ def test_backward_zero_input_batch():
 
 def test_adam_first_step_moves_alpha_per_element():
     p = dnn.init_network(3, 2, seed=1)
-    state = AdamState.for_layers(p.layers, alpha=0.005)
+    state = AdamState.for_params(p)
     rng = np.random.default_rng(3)
     grads = [
-        LayerParams(
-            rng.uniform(1e-3, 2.0, l.weight.shape) * rng.choice([-1, 1], l.weight.shape),
-            rng.uniform(1e-3, 2.0, l.bias.shape) * rng.choice([-1, 1], l.bias.shape),
-        )
-        for l in p.layers
+        rng.uniform(1e-3, 2.0, a.shape) * rng.choice([-1, 1], a.shape) for a in p
     ]
-    new_p, new_state = dnn.adam_step(p, grads, state)
+    new_p, new_state = dnn.adam_update(p, grads, state, 0.005)
     assert new_state.t == 1
-    for before, after, g in zip(p.layers, new_p.layers, grads):
-        for b, a, gg in ((before.weight, after.weight, g.weight),
-                         (before.bias, after.bias, g.bias)):
-            step = np.abs(a - b)
-            expected = 0.005 * np.abs(gg) / (np.abs(gg) + state.epsilon)
-            assert np.max(np.abs(step - expected)) < 1e-12
-            assert np.max(np.abs(step - 0.005)) < 1e-6  # |g| >= 1e-3 everywhere
-            # moves against the gradient
-            assert np.all(np.sign(a - b) == -np.sign(gg))
+    for b, a, gg in zip(p, new_p, grads):
+        step = np.abs(a - b)
+        expected = 0.005 * np.abs(gg) / (np.abs(gg) + dnn.EPSILON)
+        assert np.max(np.abs(step - expected)) < 1e-12
+        assert np.max(np.abs(step - 0.005)) < 1e-6  # |g| >= 1e-3 everywhere
+        # moves against the gradient
+        assert np.all(np.sign(a - b) == -np.sign(gg))
 
 
 def test_adam_zero_gradient_keeps_params():
     p = dnn.init_network(4, 2, seed=2)
-    state = AdamState.for_layers(p.layers)
-    grads = [LayerParams(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in p.layers]
-    new_p, new_state = dnn.adam_step(p, grads, state)
-    for before, after in zip(p.layers, new_p.layers):
-        assert np.array_equal(before.weight, after.weight)
-        assert np.array_equal(before.bias, after.bias)
+    state = AdamState.for_params(p)
+    grads = [np.zeros_like(a) for a in p]
+    new_p, new_state = dnn.adam_update(p, grads, state, 0.005)
+    for before, after in zip(p, new_p):
+        assert np.array_equal(before, after)
     assert new_state.t == 1
 
 
@@ -263,13 +247,14 @@ def test_adam_two_steps_match_scalar_recurrence():
     v2 = b2 * v + (1 - b2) * g * g
     theta2 = theta1 - alpha * (m2 / (1 - b1**2)) / (np.sqrt(v2 / (1 - b2**2)) + eps)
 
-    layer = [LayerParams(np.array([[theta]]), np.zeros(1))]
-    grads = [LayerParams(np.array([[g]]), np.zeros(1))]
-    state = AdamState.for_layers(layer, alpha=alpha)
-    layer, state = dnn.adam_update(layer, grads, state)
-    assert layer[0].weight[0, 0] == pytest.approx(theta1, abs=1e-12)
-    layer, state = dnn.adam_update(layer, grads, state)
-    assert layer[0].weight[0, 0] == pytest.approx(theta2, abs=1e-12)
+    assert (dnn.BETA1, dnn.BETA2, dnn.EPSILON) == (b1, b2, eps)
+    params = [np.array([[theta]]), np.zeros(1)]
+    grads = [np.array([[g]]), np.zeros(1)]
+    state = AdamState.for_params(params)
+    params, state = dnn.adam_update(params, grads, state, alpha)
+    assert params[0][0, 0] == pytest.approx(theta1, abs=1e-12)
+    params, state = dnn.adam_update(params, grads, state, alpha)
+    assert params[0][0, 0] == pytest.approx(theta2, abs=1e-12)
     assert state.t == 2
 
 
@@ -278,16 +263,16 @@ def test_adam_descends_on_convex_toy():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 3))
     y = (x @ np.array([[1.0, -2.0, 0.5], [-1.0, 1.0, 2.0]]).T > 0).astype(float)
-    layers = [LayerParams(np.zeros((2, 3)), np.zeros(2))]
-    state = AdamState.for_layers(layers, alpha=0.005)
+    params = [np.zeros((2, 3)), np.zeros(2)]
+    state = AdamState.for_params(params)
     losses = []
     for _ in range(50):
-        z = x @ layers[0].weight.T + layers[0].bias
+        z = x @ params[0].T + params[1]
         losses.append(dnn.loss(z, y))
         delta = (dnn.sigmoid(z) - y) / z.size
-        grads = [LayerParams(delta.T @ x, delta.sum(axis=0))]
-        layers, state = dnn.adam_update(layers, grads, state)
-    z = x @ layers[0].weight.T + layers[0].bias
+        grads = [delta.T @ x, delta.sum(axis=0)]
+        params, state = dnn.adam_update(params, grads, state, 0.005)
+    z = x @ params[0].T + params[1]
     losses.append(dnn.loss(z, y))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -297,20 +282,20 @@ def test_adam_descends_on_convex_toy():
 
 def test_predict_single_hot_output():
     p = zero_net(2, 3)
-    p.layers[2].bias[:] = [-5.0, 5.0, -5.0]
-    assert dnn.predict(p, np.zeros(2)) == 1
+    p[5][:] = [-5.0, 5.0, -5.0]
+    assert predict_one(p, np.zeros(2)) == 1
 
 
 def test_predict_no_hot_output_is_unclassified():
     p = zero_net(2, 3)
-    p.layers[2].bias[:] = [-5.0, -5.0, -5.0]
-    assert dnn.predict(p, np.zeros(2)) == UNCLASSIFIED
+    p[5][:] = [-5.0, -5.0, -5.0]
+    assert predict_one(p, np.zeros(2)) == UNCLASSIFIED
 
 
 def test_predict_two_hot_outputs_is_unclassified():
     p = zero_net(2, 3)
-    p.layers[2].bias[:] = [5.0, 5.0, -5.0]
-    assert dnn.predict(p, np.zeros(2)) == UNCLASSIFIED
+    p[5][:] = [5.0, 5.0, -5.0]
+    assert predict_one(p, np.zeros(2)) == UNCLASSIFIED
 
 
 def test_predict_matches_rounded_one_hot():
@@ -340,9 +325,9 @@ def test_checkpoint_roundtrip(tmp_path):
     assert mask == [3, 17, 120]
     assert vocab == ["AllQuiet", "TruckA", "CarB", "Gen"]
     assert normalize is True
-    for a, b in zip(p.layers, loaded.layers):
-        assert np.array_equal(a.weight, b.weight)
-        assert np.array_equal(a.bias, b.bias)
+    assert [a.shape for a in loaded] == [a.shape for a in p]
+    for a, b in zip(p, loaded):
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -358,3 +343,22 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     dnn.save_checkpoint(a, p, [1, 2], ["x", "y", "z"], False)
     dnn.save_checkpoint(b, p, [1, 2], ["x", "y", "z"], False)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_golden_bytes(tmp_path):
+    # sha256 recorded before the network became a plain list of arrays; the
+    # checkpoint format and the init draws must not change
+    import hashlib
+
+    p = dnn.init_network(3, 4, seed=21)
+    path = tmp_path / "model.bin"
+    dnn.save_checkpoint(path, p, [3, 17, 120], ["AllQuiet", "TruckA", "CarB", "Gen"], True)
+    raw = path.read_bytes()
+    assert len(raw) == 384
+    assert hashlib.sha256(raw).hexdigest() == (
+        "2d6fe6270ab9e1856e45cf50f333de3f90ecd0a8c77794f664d19103c2f26166"
+    )
+    loaded, mask, vocab, normalize = dnn.load_checkpoint(path)
+    again = tmp_path / "again.bin"
+    dnn.save_checkpoint(again, loaded, mask, vocab, normalize)
+    assert again.read_bytes() == raw

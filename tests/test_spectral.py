@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigclass import fusion, spectral
-from sigclass.errors import ValidationError
+from sigclass.errors import ConfigurationError, ValidationError
 from sigclass.fusion import FusionWeights
 from sigclass.spectral import N_BINS
 from sigclass.synthgen import Recording
@@ -36,7 +36,7 @@ def block(samples):
 def test_extract_block_count_per_channel():
     rng = np.random.default_rng(0)
     rec = make_recording({"a": rng.normal(size=60_000), "b": rng.normal(size=60_000)})
-    blocks = spectral.extract_blocks(rec, 20, seed=1)
+    blocks = spectral.extract_blocks(rec, ["a", "b"], 20, seed=1)
     assert set(blocks) == {"a", "b"}
     assert len(blocks["a"]) == 20 and len(blocks["b"]) == 20
     assert blocks["a"].shape == (20, 1000) and blocks["b"].shape == (20, 1000)
@@ -45,7 +45,7 @@ def test_extract_block_count_per_channel():
 def test_extract_single_block_from_one_second_recording():
     arr = np.arange(1000.0)
     rec = make_recording({"a": arr})
-    blocks = spectral.extract_blocks(rec, 1, seed=7)
+    blocks = spectral.extract_blocks(rec, ["a"], 1, seed=7)
     assert np.array_equal(blocks["a"][0], arr)
 
 
@@ -54,32 +54,42 @@ def test_extract_offsets_shared_across_channels():
     # by exactly that constant everywhere
     base = np.arange(30_000.0)
     rec = make_recording({"a": base, "b": base + 5e6})
-    blocks = spectral.extract_blocks(rec, 10, seed=3)
+    blocks = spectral.extract_blocks(rec, ["a", "b"], 10, seed=3)
     for ba, bb in zip(blocks["a"], blocks["b"]):
         assert np.array_equal(bb - ba, np.full(1000, 5e6))
         # block content is a contiguous slice starting at an integer offset
         start = int(ba[0])
         assert np.array_equal(ba, base[start : start + 1000])
+    # cutting fewer channels draws the same offsets
+    only_b = spectral.extract_blocks(rec, ["b"], 10, seed=3)
+    assert list(only_b) == ["b"]
+    assert np.array_equal(only_b["b"], blocks["b"])
+
+
+def test_extract_rejects_missing_channel():
+    rec = make_recording({"a": np.zeros(2000)})
+    with pytest.raises(ConfigurationError, match="bogus"):
+        spectral.extract_blocks(rec, ["a", "bogus"], 1, seed=0)
 
 
 def test_extract_blocks_deterministic():
     rng = np.random.default_rng(5)
     rec = make_recording({"a": rng.normal(size=20_000)})
-    one = spectral.extract_blocks(rec, 8, seed=11)
-    two = spectral.extract_blocks(rec, 8, seed=11)
+    one = spectral.extract_blocks(rec, ["a"], 8, seed=11)
+    two = spectral.extract_blocks(rec, ["a"], 8, seed=11)
     assert np.array_equal(one["a"], two["a"])
 
 
 def test_extract_rejects_short_recording():
     rec = make_recording({"a": np.zeros(999)})
     with pytest.raises(ValidationError):
-        spectral.extract_blocks(rec, 1, seed=0)
+        spectral.extract_blocks(rec, ["a"], 1, seed=0)
 
 
 def test_extract_rejects_zero_count():
     rec = make_recording({"a": np.zeros(2000)})
     with pytest.raises(ValidationError):
-        spectral.extract_blocks(rec, 0, seed=0)
+        spectral.extract_blocks(rec, ["a"], 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +191,13 @@ def test_heatmap_csv_roundtrip_shape(tmp_path):
     rng = np.random.default_rng(2)
     hm = spectral.build_heatmap({"ch": spectra_of(*[rng.random(N_BINS) for _ in range(3)])})
     path = tmp_path / "map.csv"
-    spectral.write_heatmap_csv(path, hm)
+    spectral.write_heatmap_csv(path, hm, [4])  # three blocks of trial 4
     lines = path.read_text().splitlines()
     assert len(lines) == 4  # header + 3 rows
-    assert lines[0].split(",")[:2] == ["channel", "trial"]
-    assert len(lines[1].split(",")) == N_BINS + 2
+    assert lines[0].split(",")[:4] == ["channel", "trial", "block", "hz_1"]
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["ch", "4", "0"], ["ch", "4", "1"], ["ch", "4", "2"]]
+    assert len(lines[1].split(",")) == N_BINS + 3
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +233,7 @@ def test_array_path_matches_per_block_reference():
         for cid, specs in ref_spectra.items()
     }
 
-    blocks = spectral.extract_blocks(rec, count, seed)
+    blocks = spectral.extract_blocks(rec, list(arrays), count, seed)
     spectra = {cid: spectral.magnitude_spectrum(b) for cid, b in blocks.items()}
     fused = fusion.fuse(spectra, weights)
     heat = spectral.build_heatmap(spectra)

@@ -110,7 +110,7 @@ def test_noise_free_lines_peak_at_their_bins():
         "mic": [SpectralLine(37, 1.0, jitter_hz=0.0), SpectralLine(120, 0.8, jitter_hz=0.0)],
     })
     rec = synthgen.synthesize_recording(p, SETUP, 4.0, 2000, seed=3)
-    blocks = spectral.extract_blocks(rec, 4, seed=5)
+    blocks = spectral.extract_blocks(rec, ["mic"], 4, seed=5)
     for bins in spectral.magnitude_spectrum(blocks["mic"]):
         assert int(np.argmax(bins)) + 1 == 37
         # the weaker line still dominates its own neighborhood

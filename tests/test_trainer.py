@@ -3,7 +3,7 @@ import pytest
 
 from sigclass import dnn, trainer
 from sigclass.config import PipelineConfig
-from sigclass.dnn import DnnParams, LayerParams, UNCLASSIFIED
+from sigclass.dnn import UNCLASSIFIED
 from sigclass.errors import ConfigurationError, ParseError, ValidationError
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.spectral import N_BINS
@@ -187,14 +187,8 @@ def test_train_logs_one_record_per_run():
 def test_train_single_run_zero_net_loss_near_ln2():
     ds = toy_dataset(20)
     d, c = 2, 2
-    zero = DnnParams(
-        layers=[
-            LayerParams(np.zeros((d, d)), np.zeros(d)),
-            LayerParams(np.zeros((d, d)), np.zeros(d)),
-            LayerParams(np.zeros((c, d)), np.zeros(c)),
-        ],
-        layer_sizes=(d, d, c),
-    )
+    zero = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d),
+            np.zeros((c, d)), np.zeros(c)]
     cfg = PipelineConfig(runs=1, batch_size=16, seed=6)
     params, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg, initial_params=zero)
     # one 0.005-sized Adam step barely moves the logits away from 0
@@ -207,8 +201,8 @@ def test_train_deterministic():
     p1, log1 = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
     p2, log2 = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
     assert log1.records == log2.records
-    for a, b in zip(p1.layers, p2.layers):
-        assert np.array_equal(a.weight, b.weight)
+    for a, b in zip(p1, p2):
+        assert np.array_equal(a, b)
 
 
 def test_train_zero_learn_rate_freezes_metrics():
@@ -246,10 +240,10 @@ def test_train_rejects_empty_mask():
 
 def hand_built_classifier():
     """d=2, c=2 net that maps feature argmax to the class index."""
-    w1 = LayerParams(np.array([[20.0, -20.0], [-20.0, 20.0]]), np.zeros(2))
-    w2 = LayerParams(np.array([[20.0, -20.0], [-20.0, 20.0]]), np.array([0.0, 0.0]))
-    w3 = LayerParams(np.array([[30.0, -30.0], [-30.0, 30.0]]), np.zeros(2))
-    return DnnParams(layers=[w1, w2, w3], layer_sizes=(2, 2, 2))
+    w1 = np.array([[20.0, -20.0], [-20.0, 20.0]])
+    w2 = np.array([[20.0, -20.0], [-20.0, 20.0]])
+    w3 = np.array([[30.0, -30.0], [-30.0, 30.0]])
+    return [w1, np.zeros(2), w2, np.array([0.0, 0.0]), w3, np.zeros(2)]
 
 
 def test_evaluate_perfect_toy_model():
