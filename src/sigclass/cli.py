@@ -7,6 +7,7 @@ exactly.  Exit codes: 0 success, 1 usage/config error, 2 data error,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -108,8 +109,10 @@ def cmd_rows(args):
     weights = cfg.fusion()
     blocks_per_rec = cfg.resolved_blocks_per_recording
 
-    rows = []
-    for entry in manifest["recordings"]:
+    recordings = manifest["recordings"]
+    x = np.empty((len(recordings) * blocks_per_rec, spectral.N_BINS))
+    labels = []
+    for i, entry in enumerate(recordings):
         rec = synthgen.load_recording(
             Path(cfg.out_dir) / "recordings" / entry["file"]
         )
@@ -119,12 +122,12 @@ def cmd_rows(args):
             cid: spectral.magnitude_spectrum(blocks[cid])
             for cid in weights.selected_channels
         }
-        fused = fusion.fuse(spectra, weights)
-        rows.extend(fusion.SpectrumRow(bins=bins, label=entry["label"]) for bins in fused)
+        x[i * blocks_per_rec : (i + 1) * blocks_per_rec] = fusion.fuse(spectra, weights)
+        labels += [entry["label"]] * blocks_per_rec
     rows_path = Path(cfg.out_dir) / "rows.csv"
-    trainer.save_rows(rows_path, rows)
-    _write_manifest(cfg.out_dir, "rows", cfg, {"rows_file": rows_path.name, "row_count": len(rows)})
-    print(f"wrote {len(rows)} fused rows to {rows_path}")
+    trainer.save_rows(rows_path, x, labels)
+    _write_manifest(cfg.out_dir, "rows", cfg, {"rows_file": rows_path.name, "row_count": len(labels)})
+    print(f"wrote {len(labels)} fused rows to {rows_path}")
     return EXIT_OK
 
 
@@ -169,15 +172,15 @@ def cmd_train(args):
     fusion.write_mask(out / "mask.txt", mask)
     fusion.write_selection_report_csv(out / "selection_report.csv", report)
 
-    params, log = trainer.train(ds, mask, cfg)
+    train_ds, test_ds = trainer.split(ds, cfg)
+    params, log = trainer.train(train_ds, test_ds, mask, cfg)
     trainer.write_runlog_csv(out / "runlog.csv", log)
     dnn.save_checkpoint(out / "checkpoint.bin", params, mask.kept, ds.label_vocab, cfg.normalize_rows)
 
-    # score the held-out side of the same deterministic split
-    _, test_ds = trainer.split(ds, cfg)
     accuracy, cm = trainer.evaluate(params, test_ds.rows, mask, ds.label_vocab, cfg.normalize_rows)
     trainer.write_confusion_csv(out / "confusion.csv", cm)
-    _write_manifest(cfg.out_dir, "train", cfg, {
+    # the guard comes from the labels in the rows, which need not be the group's
+    _write_manifest(cfg.out_dir, "train", dataclasses.replace(cfg, max_classes_per_bin=guard), {
         "rows_file": str(rows_path),
         "mask_size": len(mask),
         "test_rows": len(test_ds.rows),

@@ -8,7 +8,8 @@ line's spectral SNR, so more bins pass selection (Group1 masks are 77-89 bins
 at 2000 Hz and 108-130 at 8000 Hz).
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_origin
 
 from .errors import ConfigurationError
 from .fusion import FusionWeights, default_max_classes_per_bin
@@ -33,8 +34,8 @@ class PipelineConfig:
     blocks_per_recording: int = 0  # 0 -> sized so the row count lands near 1000
     heatmap_blocks: int = 20
     # fusion / selection
-    fusion_channels: tuple = ()    # empty -> per-group default subset
-    fusion_weights: tuple = ()     # empty -> uniform
+    fusion_channels: tuple[str, ...] = ()    # empty -> per-group default subset
+    fusion_weights: tuple[float, ...] = ()   # empty -> uniform
     threshold: float = 1.75
     max_classes_per_bin: int = 0   # 0 -> ceil(T/2) - 1 with floor 1
     # training
@@ -126,38 +127,24 @@ class PipelineConfig:
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-_PARSERS = {
-    "group": str,
-    "seed": int,
-    "out_dir": str,
-    "sample_rate_hz": int,
-    "duration_s": float,
-    "trials": int,
-    "noise_rms": float,
-    "jitter_hz": float,
-    "min_line_spacing_hz": int,
-    "lines_per_profile": int,
-    "profiles_file": str,
-    "blocks_per_recording": int,
-    "heatmap_blocks": int,
-    "fusion_channels": lambda v: tuple(t.strip() for t in v.split(",") if t.strip()),
-    "fusion_weights": lambda v: tuple(float(t) for t in v.split(",") if t.strip()),
-    "threshold": float,
-    "max_classes_per_bin": int,
-    "train_fraction": float,
-    "batch_size": int,
-    "runs": int,
-    "learn_rate": float,
-    "normalize_rows": None,
-    "stratified": None,
-}
+# file values are parsed by field type; a tuple field takes comma-separated items
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
-def _parse_bool(key, value):
-    word = value.strip().lower()
-    if word not in _BOOL_WORDS:
-        raise ConfigurationError(f"config key {key!r}: expected true/false, got {value!r}")
-    return _BOOL_WORDS[word]
+def _parse_value(key, value):
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
+        word = value.strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ConfigurationError(f"config key {key!r}: expected true/false, got {value!r}")
+        return _BOOL_WORDS[word]
+    try:
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            return tuple(item(t.strip()) for t in value.split(",") if t.strip())
+        return kind(value)
+    except (ValueError, TypeError):
+        raise ConfigurationError(f"config key {key!r}: bad value {value!r}") from None
 
 
 def read_config_file(path):
@@ -171,7 +158,7 @@ def read_config_file(path):
             if "=" not in text:
                 raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (t.strip() for t in text.split("=", 1))
-            if key not in _PARSERS:
+            if key not in _FIELD_TYPES:
                 raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value
     return values
@@ -179,13 +166,7 @@ def read_config_file(path):
 
 def build_config(file_values=None, **overrides):
     """PipelineConfig from raw string file values plus typed overrides."""
-    kwargs = {}
-    for key, value in (file_values or {}).items():
-        parser = _PARSERS[key]
-        try:
-            kwargs[key] = _parse_bool(key, value) if parser is None else parser(value)
-        except (ValueError, TypeError):
-            raise ConfigurationError(f"config key {key!r}: bad value {value!r}") from None
+    kwargs = {key: _parse_value(key, value) for key, value in (file_values or {}).items()}
     for key, value in overrides.items():
         if value is not None:
             kwargs[key] = value

@@ -179,8 +179,9 @@ def save_checkpoint(path, params, mask_bins, label_vocab, normalize_rows):
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, mask_bins, label_vocab, normalize_rows).
 
-    A file that is cut short, has bytes past the last bias, or declares a
-    hidden width other than the input width raises ValidationError.
+    A file that is cut short, has bytes past the last bias, declares a hidden
+    width other than the input width, or holds a label that is not UTF-8
+    raises ValidationError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -204,7 +205,10 @@ def load_checkpoint(path):
     vocab = []
     for _ in range(n_vocab):
         (ln,) = struct.unpack("<H", take(2))
-        vocab.append(take(ln).decode("utf-8"))
+        try:
+            vocab.append(take(ln).decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: label {len(vocab) + 1} is not valid UTF-8") from None
     (norm_flag,) = struct.unpack("<B", take(1))
     params = []
     for shape in [(d, d), (d,), (d, d), (d,), (c, d), (c,)]:

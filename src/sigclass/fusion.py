@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SelectionError, ValidationError
+from .errors import ConfigurationError, ParseError, SelectionError, ValidationError
 from .spectral import N_BINS
 
 
@@ -197,6 +197,12 @@ def write_mask(path, mask):
 
 
 def load_mask(path):
+    kept = []
     with open(path, "r", encoding="ascii") as fh:
-        kept = [int(t) for t in fh.read().split()]
+        for lineno, line in enumerate(fh, start=1):
+            for token in line.split():
+                try:
+                    kept.append(int(token))
+                except ValueError:
+                    raise ParseError(f"{path}: bin {token!r} is not an integer", line=lineno) from None
     return FeatureMask(kept=kept)

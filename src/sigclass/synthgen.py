@@ -233,23 +233,31 @@ def save_recording(path, rec):
 
 
 def load_recording(path):
+    """Read a recording file; a bad header or payload raises ParseError naming the file."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        header = fh.readline()
         payload = fh.read()
-    fields = header.split()
-    if not fields or fields[0] != RECORDING_MAGIC:
-        raise ParseError(f"{path}: not a recording file", line=1)
-    meta = dict(f.split("=", 1) for f in fields[1:])
-    rate = int(meta["rate"])
-    duration = float(meta["duration"])
-    ids = meta["channels"].split(",")
+    try:
+        fields = header.decode("ascii").split()
+        if not fields or fields[0] != RECORDING_MAGIC:
+            raise ParseError(f"{path}: not a recording file", line=1)
+        meta = dict(f.split("=", 1) for f in fields[1:])
+        label, ids = meta["label"], meta["channels"].split(",")
+        rate = int(meta["rate"])
+        duration = float(meta["duration"])
+        n = int(round(rate * duration))
+    except KeyError as exc:
+        raise ParseError(f"{path}: header has no {exc.args[0]!r} field", line=1) from None
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: bad header ({exc})", line=1) from None
+    if len(payload) % 8:
+        raise ParseError(f"{path}: payload of {len(payload)} bytes is not whole float64 values")
     data = np.frombuffer(payload, dtype="<f8")
-    n = int(round(rate * duration))
     if data.size != n * len(ids):
         raise ParseError(f"{path}: payload holds {data.size} values, expected {n * len(ids)}")
     block = data.reshape(n, len(ids))
     samples = {cid: block[:, j].copy() for j, cid in enumerate(ids)}
-    return Recording(label=meta["label"], sample_rate_hz=rate, samples=samples, duration_s=duration)
+    return Recording(label=label, sample_rate_hz=rate, samples=samples, duration_s=duration)
 
 
 def save_profiles(path, profiles):

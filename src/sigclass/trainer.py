@@ -26,14 +26,8 @@ class Dataset:
 
     @classmethod
     def from_rows(cls, rows):
-        vocab = []
-        for row in rows:
-            if row.label not in vocab:
-                vocab.append(row.label)
-        return cls(rows=rows, label_vocab=vocab)
-
-    def __len__(self):
-        return len(self.rows)
+        """The vocabulary lists labels in order of first appearance."""
+        return cls(rows=rows, label_vocab=list(dict.fromkeys(row.label for row in rows)))
 
 
 @dataclass
@@ -63,8 +57,8 @@ class ConfusionMatrix:
 def load_rows(path):
     """Parse the 301-column CSV into a Dataset.
 
-    Lines starting with '#' and blank lines are skipped.  Any arity or number
-    format problem raises ParseError naming the 1-based line number.
+    Lines starting with '#' and blank lines are skipped.  A wrong arity, a
+    malformed number or a nan/inf raises ParseError naming the 1-based line.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -81,6 +75,8 @@ def load_rows(path):
                 bins = np.array([float(v) for v in fields[:N_BINS]])
             except ValueError as exc:
                 raise ParseError(f"bad numeric field ({exc})", line=lineno) from None
+            if not np.isfinite(bins).all():
+                raise ParseError("non-finite magnitude (nan or inf)", line=lineno)
             label = fields[N_BINS].strip()
             if not label:
                 raise ParseError("empty label field", line=lineno)
@@ -90,20 +86,22 @@ def load_rows(path):
     return Dataset.from_rows(rows)
 
 
-def save_rows(path, rows):
+def save_rows(path, x, labels):
+    """One CSV line per row of the (n, 300) matrix x plus its label; repr round-trips."""
     lines = ["# 300 fused magnitude bins, then the class label"]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row.bins) + f",{row.label}")
+    for row, label in zip(x, labels):
+        lines.append(",".join(map(repr, row.tolist())) + f",{label}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def one_hot(label, vocab):
-    if label not in vocab:
-        raise ValidationError(f"label {label!r} not in vocabulary {vocab}")
-    vec = np.zeros(len(vocab))
-    vec[vocab.index(label)] = 1.0
-    return vec
+def label_index(rows, vocab):
+    """Each row's class index in vocab; a label outside vocab raises ValidationError."""
+    index = {label: i for i, label in enumerate(vocab)}
+    try:
+        return np.array([index[row.label] for row in rows], dtype=int)
+    except KeyError as exc:
+        raise ValidationError(f"label {exc.args[0]!r} not in vocabulary {vocab}") from None
 
 
 def split(ds, cfg):
@@ -111,23 +109,23 @@ def split(ds, cfg):
 
     cfg is the PipelineConfig.  Plain uniform by default; per-class
     (stratified) when cfg.stratified is set.  Both variants are deterministic
-    in cfg.seed.  A warning is issued if some class ends up absent from the
-    training side.
+    in cfg.seed, and both sides keep the dataset's row order.  A warning is
+    issued if some class ends up absent from the training side.
     """
     n = len(ds.rows)
     rng = derive_rng(cfg.seed, "split")
+    in_train = np.zeros(n, dtype=bool)
     if cfg.stratified:
-        train_idx = []
-        for label in ds.label_vocab:
-            idx = np.array([i for i, r in enumerate(ds.rows) if r.label == label])
+        labels = label_index(ds.rows, ds.label_vocab)
+        for k in range(len(ds.label_vocab)):
+            idx = np.flatnonzero(labels == k)
             perm = idx[rng.permutation(len(idx))]
-            train_idx.extend(perm[: int(round(cfg.train_fraction * len(idx)))])
-        train_set = set(int(i) for i in train_idx)
+            in_train[perm[: int(round(cfg.train_fraction * len(idx)))]] = True
     else:
         perm = rng.permutation(n)
-        train_set = set(int(i) for i in perm[: int(round(cfg.train_fraction * n))])
-    train_rows = [ds.rows[i] for i in range(n) if i in train_set]
-    test_rows = [ds.rows[i] for i in range(n) if i not in train_set]
+        in_train[perm[: int(round(cfg.train_fraction * n))]] = True
+    train_rows = [r for r, keep in zip(ds.rows, in_train) if keep]
+    test_rows = [r for r, keep in zip(ds.rows, in_train) if not keep]
     present = {r.label for r in train_rows}
     for label in ds.label_vocab:
         if label not in present:
@@ -152,10 +150,6 @@ def features_matrix(rows, mask, normalize):
     return x
 
 
-def targets_matrix(rows, vocab):
-    return np.stack([one_hot(row.label, vocab) for row in rows])
-
-
 def _scores(logits, y):
     """(row accuracy, bit accuracy) of rounded sigmoid outputs against one-hots."""
     hot, preds = dnn.decode(logits)
@@ -164,29 +158,29 @@ def _scores(logits, y):
     return row_acc, bit_acc
 
 
-def train(ds, mask, cfg, initial_params=None):
-    """Program steps 3..8: split, batch runs with Adam, per-run scoring.
+def train(train_ds, test_ds, mask, cfg, initial_params=None):
+    """The training loop: batch runs with Adam, scored after every step.
 
+    train_ds and test_ds are the two sides of `split`, with one vocabulary.
     Every run draws a fresh batch (without replacement inside the batch),
     applies exactly one optimizer step, then logs the full-train-set loss and
     the train/test accuracies of the updated parameters.  cfg is the
-    PipelineConfig (its seed, split and training fields).  Returns the final
+    PipelineConfig (its seed and training fields).  Returns the final
     parameters and the RunLog.
     """
     if mask is None or len(mask) == 0:
         raise ConfigurationError("selection produced an empty feature mask")
-    train_ds, test_ds = split(ds, cfg)
     if cfg.batch_size > len(train_ds.rows):
         raise ValidationError(
             f"batch_size {cfg.batch_size} exceeds the {len(train_ds.rows)} training rows"
         )
-    vocab = ds.label_vocab
-    x_train = features_matrix(train_ds.rows, mask, cfg.normalize_rows)
-    y_train = targets_matrix(train_ds.rows, vocab)
-    x_test = features_matrix(test_ds.rows, mask, cfg.normalize_rows)
-    y_test = targets_matrix(test_ds.rows, vocab)
-
+    vocab = train_ds.label_vocab
     d, c = len(mask), len(vocab)
+    x_train = features_matrix(train_ds.rows, mask, cfg.normalize_rows)
+    y_train = np.eye(c)[label_index(train_ds.rows, vocab)]
+    x_test = features_matrix(test_ds.rows, mask, cfg.normalize_rows)
+    y_test = np.eye(c)[label_index(test_ds.rows, vocab)]
+
     params = initial_params
     if params is None:
         init_seed = derive_rng(cfg.seed, "init").integers(2**32)
@@ -216,19 +210,12 @@ def evaluate(params, rows, mask, vocab, normalize_rows=True):
     """Accuracy plus the actual x (predicted + Unclassified) confusion matrix."""
     if not rows:
         raise ValidationError("evaluate needs at least one row")
-    x = features_matrix(rows, mask, normalize_rows)
-    preds = dnn.predict_batch(params, x)
+    actual = label_index(rows, vocab)
+    preds = dnn.predict_batch(params, features_matrix(rows, mask, normalize_rows))
     t = len(vocab)
     counts = np.zeros((t, t + 1), dtype=int)
-    correct = 0
-    for row, pred in zip(rows, preds):
-        if row.label not in vocab:
-            raise ValidationError(f"row label {row.label!r} not in vocabulary")
-        actual = vocab.index(row.label)
-        col = pred if pred != UNCLASSIFIED else t
-        counts[actual, col] += 1
-        correct += int(pred == actual)
-    return correct / len(rows), ConfusionMatrix(labels=list(vocab), counts=counts)
+    np.add.at(counts, (actual, np.where(preds == UNCLASSIFIED, t, preds)), 1)
+    return float(np.mean(preds == actual)), ConfusionMatrix(labels=list(vocab), counts=counts)
 
 
 def write_runlog_csv(path, log):

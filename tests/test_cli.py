@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -188,6 +189,8 @@ def _huge_widths(raw):
     pytest.param(lambda raw: raw + b"\0", "trailing", id="trailing"),
     pytest.param(_hidden_width_off_by_one, "hidden width", id="hidden"),
     pytest.param(_huge_widths, "truncated", id="huge"),
+    # the first byte of the first label
+    pytest.param(lambda raw: raw[:36] + b"\xff" + raw[37:], "UTF-8", id="label"),
 ])
 def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, message):
     cfg_path, out = smoke
@@ -201,6 +204,69 @@ def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, mess
     assert run(cfg_path, tmp_path / "o", *argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def _edit_header(edit):
+    def corrupt(raw):
+        header, payload = raw.split(b"\n", 1)
+        return edit(header) + b"\n" + payload
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda raw: raw[:-3], "float64", id="cut"),
+    pytest.param(_edit_header(lambda h: h.replace(b" duration=2.0", b"")), "duration", id="no-duration"),
+    pytest.param(_edit_header(lambda h: h.replace(b"rate=2000", b"rate=fast")), "fast", id="rate"),
+    pytest.param(_edit_header(lambda h: h.replace(b"duration=2.0", b"duration=2s")), "2s", id="duration"),
+])
+def test_corrupt_recording_is_data_error(smoke, tmp_path, capsys, corrupt, message):
+    cfg_path, out = smoke
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    rec = copy / "recordings" / "AllQuiet_t1.rec"
+    rec.write_bytes(corrupt(rec.read_bytes()))
+    assert run(cfg_path, copy, "rows") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "AllQuiet_t1.rec" in err[0] and message in err[0]
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_rows_is_data_error(smoke, tmp_path, capsys, command, token):
+    cfg_path, out = smoke
+    lines = (out / "rows.csv").read_text().splitlines()
+    lines[3] = token + lines[3][lines[3].index(","):]
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text("\n".join(lines) + "\n")
+    ckpt = tmp_path / "model.bin"
+    dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
+    argv = [command, "--rows", str(rows_path)]
+    if command == "eval":
+        argv += ["--checkpoint", str(ckpt)]
+    assert run(cfg_path, tmp_path / "o", *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 4: non-finite")
+
+
+def test_train_manifest_records_guard_from_rows(tmp_path):
+    # Group2 has 4 labels (guard 1); these rows carry 7, so the guard is 3
+    labels = [f"L{k}" for k in range(7)]
+    rng = np.random.default_rng(5)
+    lines = []
+    for i in range(10):
+        for k, label in enumerate(labels):
+            bins = 0.1 + 0.01 * rng.random(N_BINS)
+            bins[10 * (k + 1)] = 5.0 + 0.01 * i
+            lines.append(",".join(map(repr, bins.tolist())) + f",{label}")
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text("group = Group2\nruns = 2\nbatch_size = 16\n")
+    assert run(cfg_path, tmp_path / "o", "train", "--rows", str(rows_path)) == 0
+    manifest = json.loads((tmp_path / "o" / "train_manifest.json").read_text())
+    assert manifest["config"]["max_classes_per_bin"] == fusion.default_max_classes_per_bin(7) == 3
+    assert manifest["config"]["group"] == "Group2"
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigclass import fusion
-from sigclass.errors import ConfigurationError, SelectionError, ValidationError
+from sigclass.errors import ConfigurationError, ParseError, SelectionError, ValidationError
 from sigclass.fusion import FeatureMask, FusionWeights, SpectrumRow
 from sigclass.spectral import N_BINS
 
@@ -241,6 +241,13 @@ def test_mask_file_roundtrip(tmp_path):
     path = tmp_path / "mask.txt"
     fusion.write_mask(path, m)
     assert fusion.load_mask(path).kept == [5, 17, 250]
+
+
+def test_mask_file_non_integer_names_line(tmp_path):
+    path = tmp_path / "mask.txt"
+    path.write_text("5\n17\n2.5\n")
+    with pytest.raises(ParseError, match="line 3: .*'2.5' is not an integer"):
+        fusion.load_mask(path)
 
 
 def test_selection_report_csv(tmp_path):

@@ -40,7 +40,7 @@ def rows_csv_text(rows):
 def test_load_rows_roundtrip(tmp_path):
     ds = toy_dataset(3)
     path = tmp_path / "rows.csv"
-    trainer.save_rows(path, ds.rows)
+    trainer.save_rows(path, np.stack([r.bins for r in ds.rows]), [r.label for r in ds.rows])
     loaded = trainer.load_rows(path)
     assert len(loaded.rows) == len(ds.rows)
     assert loaded.label_vocab == ["A", "B"]
@@ -76,6 +76,17 @@ def test_load_rows_bad_number_names_line(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_rows_non_finite_names_line(tmp_path, token):
+    text = rows_csv_text([row("A", (10,)), row("B", (20,))])
+    lines = text.splitlines()
+    lines[1] = lines[1].replace("0.1", token, 1)
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 2: non-finite"):
+        trainer.load_rows(path)
+
+
 def test_load_rows_empty_file(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("# only a comment\n")
@@ -91,21 +102,25 @@ def test_load_rows_skips_comment_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one_hot
+# label_index
 
-def test_one_hot_basic():
-    assert np.array_equal(trainer.one_hot("C", ["A", "B", "C", "D"]), [0, 0, 1, 0])
+def test_label_index_vocab_order():
+    rows = [row("C"), row("A"), row("D"), row("C")]
+    idx = trainer.label_index(rows, ["A", "B", "C", "D"])
+    assert idx.tolist() == [2, 0, 3, 2]
 
 
-def test_one_hot_sums_to_one():
+def test_label_index_one_per_row():
     vocab = [f"L{i}" for i in range(7)]
-    for label in vocab:
-        assert trainer.one_hot(label, vocab).sum() == 1.0
+    rows = [row(label) for label in reversed(vocab)] + [row("L3")]
+    idx = trainer.label_index(rows, vocab)
+    assert idx.shape == (len(rows),)
+    assert [vocab[i] for i in idx] == [r.label for r in rows]
 
 
-def test_one_hot_unknown_label():
-    with pytest.raises(ValidationError):
-        trainer.one_hot("Z", ["A", "B"])
+def test_label_index_unknown_label():
+    with pytest.raises(ValidationError, match="'Z'"):
+        trainer.label_index([row("A"), row("Z")], ["A", "B"])
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +192,7 @@ def test_features_matrix_zero_row_untouched():
 def test_train_logs_one_record_per_run():
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=200, batch_size=16, seed=5)
-    params, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
+    params, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
     assert len(log.records) == 200
     assert [r.run for r in log.records] == list(range(1, 201))
     assert log.final_adam_t == 200
@@ -190,7 +205,7 @@ def test_train_single_run_zero_net_loss_near_ln2():
     zero = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d),
             np.zeros((c, d)), np.zeros(c)]
     cfg = PipelineConfig(runs=1, batch_size=16, seed=6)
-    params, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg, initial_params=zero)
+    params, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg, initial_params=zero)
     # one 0.005-sized Adam step barely moves the logits away from 0
     assert log.records[0].train_loss == pytest.approx(LN2, abs=0.05)
 
@@ -198,8 +213,8 @@ def test_train_single_run_zero_net_loss_near_ln2():
 def test_train_deterministic():
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=10, batch_size=16, seed=7)
-    p1, log1 = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
-    p2, log2 = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
+    p1, log1 = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
+    p2, log2 = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
     assert log1.records == log2.records
     for a, b in zip(p1, p2):
         assert np.array_equal(a, b)
@@ -208,7 +223,7 @@ def test_train_deterministic():
 def test_train_zero_learn_rate_freezes_metrics():
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=8, batch_size=16, seed=8, learn_rate=0.0)
-    _, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
+    _, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
     losses = {r.train_loss for r in log.records}
     accs = {r.test_acc for r in log.records}
     assert len(losses) == 1 and len(accs) == 1
@@ -217,7 +232,7 @@ def test_train_zero_learn_rate_freezes_metrics():
 def test_train_learns_separable_toy():
     ds = toy_dataset(30)
     cfg = PipelineConfig(runs=300, batch_size=24, seed=9)
-    params, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
+    params, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
     assert log.records[-1].test_acc == 1.0
     assert log.records[-1].train_acc == 1.0
     assert log.records[-1].train_loss < log.records[0].train_loss
@@ -226,13 +241,15 @@ def test_train_learns_separable_toy():
 def test_train_rejects_oversized_batch():
     ds = toy_dataset(5)  # 10 rows -> 8 train rows
     with pytest.raises(ValidationError):
-        trainer.train(ds, FeatureMask(kept=[10, 20]), PipelineConfig(runs=1, batch_size=9, seed=0))
+        cfg = PipelineConfig(runs=1, batch_size=9, seed=0)
+        trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
 
 
 def test_train_rejects_empty_mask():
     ds = toy_dataset(20)
     with pytest.raises(ConfigurationError):
-        trainer.train(ds, None, PipelineConfig(runs=1, batch_size=8, seed=0))
+        cfg = PipelineConfig(runs=1, batch_size=8, seed=0)
+        trainer.train(*trainer.split(ds, cfg), None, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +289,13 @@ def test_evaluate_counts_conserved():
         assert cm.counts[i].sum() == sum(r.label == label for r in rows)
     unclassified = cm.counts[:, -1].sum()
     assert acc <= 1.0 - unclassified / 60.0 + 1e-12
+    # per-row reference tally
+    preds = dnn.predict_batch(params, trainer.features_matrix(rows, mask, True))
+    expected = np.zeros((3, 4), dtype=int)
+    for r, pred in zip(rows, preds):
+        expected[labels.index(r.label), 3 if pred == UNCLASSIFIED else pred] += 1
+    assert np.array_equal(cm.counts, expected)
+    assert acc == sum(labels.index(r.label) == p for r, p in zip(rows, preds)) / 60
 
 
 def test_evaluate_unclassified_lands_in_last_column():
@@ -296,7 +320,7 @@ def test_evaluate_rejects_unknown_label():
 def test_runlog_csv_format(tmp_path):
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=3, batch_size=16, seed=5)
-    _, log = trainer.train(ds, FeatureMask(kept=[10, 20]), cfg)
+    _, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
     path = tmp_path / "runlog.csv"
     trainer.write_runlog_csv(path, log)
     lines = path.read_text().splitlines()
