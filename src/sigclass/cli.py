@@ -160,13 +160,23 @@ def cmd_heatmap(args):
     return EXIT_OK
 
 
+def _print_warnings(report):
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def cmd_train(args):
     cfg = _load_config(args, runs=getattr(args, "runs", None))
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.csv"
     ds = trainer.load_rows(rows_path)
 
     guard = cfg.max_classes_per_bin or fusion.default_max_classes_per_bin(len(ds.label_vocab))
-    mask, report = fusion.compute_selection(ds.rows, cfg.threshold, guard)
+    try:
+        mask, report = fusion.compute_selection(ds.rows, cfg.threshold, guard)
+    except SelectionError as exc:
+        _print_warnings(exc.report)
+        raise
+    _print_warnings(report)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fusion.write_mask(out / "mask.txt", mask)

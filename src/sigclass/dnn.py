@@ -41,14 +41,16 @@ class AdamState:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    exp(min(z, 0)) / (1 + exp(-|z|)) needs no branch.  For z >= 0 the
+    numerator is exp(0) = 1 exactly, leaving 1 / (1 + exp(-z)); for z < 0 both
+    exponentials are exp(z), leaving exp(z) / (1 + exp(z)).  These are the
+    IEEE operations of the usual two-branch stable form, so each result is bit
+    for bit the same as there, and no exponential can overflow.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def init_network(d, c, seed):
@@ -180,8 +182,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (params, mask_bins, label_vocab, normalize_rows).
 
     A file that is cut short, has bytes past the last bias, declares a hidden
-    width other than the input width, or holds a label that is not UTF-8
-    raises ValidationError.
+    width other than the input width, holds a label count other than the
+    output width, or holds a label that is not UTF-8 raises ValidationError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -202,6 +204,8 @@ def load_checkpoint(path):
     (n_mask,) = struct.unpack("<I", take(4))
     mask_bins = list(struct.unpack(f"<{n_mask}H", take(2 * n_mask)))
     (n_vocab,) = struct.unpack("<I", take(4))
+    if n_vocab != c:
+        raise ValidationError(f"{path}: {n_vocab} labels for {c} outputs")
     vocab = []
     for _ in range(n_vocab):
         (ln,) = struct.unpack("<H", take(2))

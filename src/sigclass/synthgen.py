@@ -255,6 +255,8 @@ def load_recording(path):
     data = np.frombuffer(payload, dtype="<f8")
     if data.size != n * len(ids):
         raise ParseError(f"{path}: payload holds {data.size} values, expected {n * len(ids)}")
+    if not np.isfinite(data).all():
+        raise ParseError(f"{path}: payload holds non-finite samples")
     block = data.reshape(n, len(ids))
     samples = {cid: block[:, j].copy() for j, cid in enumerate(ids)}
     return Recording(label=label, sample_rate_hz=rate, samples=samples, duration_s=duration)

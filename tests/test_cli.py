@@ -176,6 +176,16 @@ def _hidden_width_off_by_one(raw):
     return raw[:12] + (d + 1).to_bytes(4, "little") + raw[16:]
 
 
+def _extra_outputs(k):
+    # c grows by k: k zero rows of d = 3 weights after w3, which ends at
+    # byte 367, and k zero biases after b3
+    def corrupt(raw):
+        c = int.from_bytes(raw[16:20], "little")
+        body = raw[20:367] + b"\0" * 24 * k + raw[367:] + b"\0" * 8 * k
+        return raw[:16] + (c + k).to_bytes(4, "little") + body
+    return corrupt
+
+
 def _huge_widths(raw):
     # d * d overflows a 64-bit integer, so the size must be computed exactly
     return raw[:8] + (2**32 - 1).to_bytes(4, "little") * 2 + raw[16:]
@@ -191,6 +201,8 @@ def _huge_widths(raw):
     pytest.param(_huge_widths, "truncated", id="huge"),
     # the first byte of the first label
     pytest.param(lambda raw: raw[:36] + b"\xff" + raw[37:], "UTF-8", id="label"),
+    pytest.param(_extra_outputs(1), "4 labels for 5 outputs", id="outputs5"),
+    pytest.param(_extra_outputs(2), "4 labels for 6 outputs", id="outputs6"),
 ])
 def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, message):
     cfg_path, out = smoke
@@ -218,6 +230,7 @@ def _edit_header(edit):
     pytest.param(_edit_header(lambda h: h.replace(b" duration=2.0", b"")), "duration", id="no-duration"),
     pytest.param(_edit_header(lambda h: h.replace(b"rate=2000", b"rate=fast")), "fast", id="rate"),
     pytest.param(_edit_header(lambda h: h.replace(b"duration=2.0", b"duration=2s")), "2s", id="duration"),
+    pytest.param(lambda raw: raw[:-8] + np.array([np.nan], "<f8").tobytes(), "non-finite", id="nan"),
 ])
 def test_corrupt_recording_is_data_error(smoke, tmp_path, capsys, corrupt, message):
     cfg_path, out = smoke
@@ -276,16 +289,50 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_selection_failure_exits_three(tmp_path, capsys):
-    # two classes with identical spectra: nothing can be selected
+    # two classes with identical spectra: nothing can be selected; bin 1 is
+    # zero, and its warning still reaches stderr ahead of the error
     rows = []
-    bins = ",".join(["1.0"] * N_BINS)
+    bins = ",".join(["0.0"] + ["1.0"] * (N_BINS - 1))
     for label in ("A", "B"):
         rows.extend(f"{bins},{label}" for _ in range(10))
     rows_path = tmp_path / "rows.csv"
     rows_path.write_text("\n".join(rows) + "\n")
     code = cli.main(["--out", str(tmp_path / "o"), "train", "--rows", str(rows_path)])
     assert code == 3
-    assert "threshold" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0] == "warning: 1 bins have zero grand mean and were excluded: [1]"
+    assert err[1].startswith("error: ") and "threshold" in err[1]
+
+
+def test_selection_warnings_go_to_stderr(tmp_path, capsys):
+    # bin 50 is zero in one rows file and a constant 1.0 in the other: it is
+    # selected in neither, so training and stdout match and only stderr differs
+    labels = ["A", "B", "C"]
+    rng = np.random.default_rng(6)
+    base = []
+    for i in range(12):
+        for k, label in enumerate(labels):
+            bins = 0.1 + 0.01 * rng.random(N_BINS)
+            bins[10 * (k + 1)] = 5.0 + 0.01 * i
+            base.append((bins, label))
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text("runs = 3\nbatch_size = 16\n")
+    results = []
+    for fill in (0.0, 1.0):
+        lines = []
+        for bins, label in base:
+            bins = bins.copy()
+            bins[49] = fill
+            lines.append(",".join(map(repr, bins.tolist())) + f",{label}")
+        rows_path = tmp_path / f"rows_{fill}.csv"
+        rows_path.write_text("\n".join(lines) + "\n")
+        assert run(cfg_path, tmp_path / f"o{fill}", "train", "--rows", str(rows_path)) == 0
+        results.append(capsys.readouterr())
+    zero, constant = results
+    assert zero.err == "warning: 1 bins have zero grand mean and were excluded: [50]\n"
+    assert constant.err == ""
+    assert zero.out == constant.out and "mask size: 3 bins" in zero.out
 
 
 def test_corrupt_rows_is_data_error(tmp_path):

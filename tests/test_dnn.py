@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from sigclass import dnn
+from sigclass import dnn, trainer
+from sigclass.config import PipelineConfig
 from sigclass.dnn import AdamState, UNCLASSIFIED
 from sigclass.errors import NumericalError, ValidationError
+from sigclass.fusion import FeatureMask, SpectrumRow
+from sigclass.spectral import N_BINS
+from sigclass.trainer import Dataset
 
 LN2 = 0.6931471805599453
 
@@ -50,6 +54,76 @@ def test_init_rejects_degenerate_sizes():
         dnn.init_network(0, 3, seed=1)
     with pytest.raises(ValidationError):
         dnn.init_network(4, 1, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# sigmoid
+
+def reference_sigmoid(z):
+    """The two-branch stable sigmoid, with boolean masks: the bitwise reference."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan]
+
+
+def test_sigmoid_bit_identical_to_branched_reference():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 200_001), SIGMOID_EDGES])
+    with np.errstate(under="ignore"):
+        expected = reference_sigmoid(z)
+    got = dnn.sigmoid(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    x = np.random.default_rng(4).normal(scale=6.0, size=(37, 11))
+    assert np.array_equal(dnn.sigmoid(x).view(np.int64), reference_sigmoid(x).view(np.int64))
+
+
+def test_sigmoid_matches_mpmath_oracle():
+    import mpmath
+
+    z = np.concatenate([np.linspace(-745.0, 745.0, 3001),
+                        np.random.default_rng(3).uniform(-40.0, 40.0, 1000)])
+    got = dnn.sigmoid(z)
+    with mpmath.workdps(50):
+        exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(float(v))))) for v in z])
+    normal = z >= -708.0
+    rel = np.abs(got[normal] - exact[normal]) / exact[normal]
+    assert rel.max() <= 4.5e-16
+    # below -708 the result is subnormal: only an absolute bound is meaningful
+    assert np.abs(got[~normal] - exact[~normal]).max() <= 1e-323
+
+
+def test_sigmoid_never_overflows_or_goes_invalid():
+    z = np.array([-800.0, -745.0, 745.0, 800.0, -np.inf, np.inf])
+    with np.errstate(over="raise", invalid="raise", under="ignore"):
+        out = dnn.sigmoid(z)
+    # exp(-745) rounds to the smallest subnormal, 5e-324
+    assert np.array_equal(out, [0.0, 5e-324, 1.0, 1.0, 0.0, 1.0])
+
+
+def test_sigmoid_swap_leaves_training_bit_identical(monkeypatch):
+    # random spectra keep the activations off 0 and 1, so every bit of the sigmoid counts
+    rng = np.random.default_rng(11)
+    rows = [SpectrumRow(bins=0.1 + rng.random(N_BINS), label=label)
+            for _ in range(16) for label in ("A", "B", "C")]
+    ds = Dataset.from_rows(rows)
+    cfg = PipelineConfig(runs=25, batch_size=12, seed=3)
+    mask = FeatureMask(kept=[4, 9, 30, 31, 77])
+    p_new, log_new = trainer.train(*trainer.split(ds, cfg), mask, cfg)
+    monkeypatch.setattr(dnn, "sigmoid", reference_sigmoid)
+    p_ref, log_ref = trainer.train(*trainer.split(ds, cfg), mask, cfg)
+    for a, b in zip(p_new, p_ref):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert len(log_new.records) == len(log_ref.records) == 25
+    for r_new, r_ref in zip(log_new.records, log_ref.records):
+        for name, value in vars(r_new).items():
+            assert np.float64(value).view(np.int64) == np.float64(getattr(r_ref, name)).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
