@@ -39,12 +39,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_manifest(out_dir, command, cfg, extra):
-    payload = {"command": command, "config": cfg.resolved_dict()}
+def _write_manifest(command, cfg, extra):
+    payload = {"command": command, "config": dataclasses.asdict(cfg)}
     payload.update(extra)
-    path = Path(out_dir) / f"{command}_manifest.json"
+    path = Path(cfg.out_dir) / f"{command}_manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def _load_config(args, **overrides):
@@ -56,26 +55,21 @@ def _load_config(args, **overrides):
     return config_mod.build_config(file_values, **overrides)
 
 
-def _recording_path(out_dir, label, trial):
-    return Path(out_dir) / "recordings" / f"{label}_t{trial}.rec"
-
-
 def cmd_synth(args):
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
-    (out / "recordings").mkdir(parents=True, exist_ok=True)
-
     if cfg.profiles_file:
         profiles = synthgen.load_profiles(cfg.profiles_file)
     else:
         profiles = synthgen.build_group_profiles(
             cfg.group,
             seed=cfg.seed,
-            lines_per_profile=cfg.resolved_lines_per_profile,
+            lines_per_profile=cfg.lines_per_profile,
             min_line_spacing_hz=cfg.min_line_spacing_hz,
             noise_rms=cfg.noise_rms,
             jitter_hz=cfg.jitter_hz,
         )
+    (out / "recordings").mkdir(parents=True, exist_ok=True)
     synthgen.save_profiles(out / "profiles.txt", profiles)
 
     roster = synthgen.default_roster()
@@ -86,67 +80,72 @@ def cmd_synth(args):
             rec = synthgen.synthesize_recording(
                 profile, roster, cfg.duration_s, cfg.sample_rate_hz, seed
             )
-            path = _recording_path(cfg.out_dir, profile.label, trial)
+            path = out / "recordings" / f"{profile.label}_t{trial}.rec"
             synthgen.save_recording(path, rec)
             entries.append(
                 {"label": profile.label, "trial": trial, "file": path.name, "seed": seed}
             )
-    _write_manifest(cfg.out_dir, "synth", cfg, {"recordings": entries})
+    _write_manifest("synth", cfg, {"recordings": entries})
     print(f"wrote {len(entries)} recordings to {out / 'recordings'}")
     return EXIT_OK
 
 
+# what rows and heatmap read from each synth manifest entry
+_ENTRY_KEYS = {"file": str, "label": str, "trial": int}
+
+
 def _read_synth_manifest(cfg):
+    """The synth manifest's recording entries; a missing or malformed one raises ParseError."""
     path = Path(cfg.out_dir) / "synth_manifest.json"
     if not path.exists():
         raise ParseError(f"{path}: not found; run 'synth' first")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        entries = json.loads(path.read_text(encoding="utf-8"))["recordings"]
+        bad = [e for e in entries if not all(isinstance(e.get(k), t) for k, t in _ENTRY_KEYS.items())]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path}: not a synth manifest ({type(exc).__name__}: {exc})") from None
+    if bad:
+        raise ParseError(f"{path}: recording entry {bad[0]} needs text file and label, integer trial")
+    return entries
+
+
+def _entry_spectra(cfg, entry, stream, count, channels=None):
+    """One entry's {channel: spectra} for `count` blocks, offsets seeded by `stream`."""
+    rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"])
+    seed = derive_seed(cfg.seed, stream, entry["label"], entry["trial"])
+    blocks = spectral.extract_blocks(rec, channels or list(rec.samples), count, seed)
+    return {cid: spectral.magnitude_spectrum(b) for cid, b in blocks.items()}
 
 
 def cmd_rows(args):
     cfg = _load_config(args)
-    manifest = _read_synth_manifest(cfg)
-    weights = cfg.fusion()
-    blocks_per_rec = cfg.resolved_blocks_per_recording
+    entries = _read_synth_manifest(cfg)
+    weights = dict(zip(cfg.fusion_channels, cfg.fusion_weights))
+    n = cfg.blocks_per_recording
 
-    recordings = manifest["recordings"]
-    x = np.empty((len(recordings) * blocks_per_rec, spectral.N_BINS))
+    x = np.empty((len(entries) * n, spectral.N_BINS))
     labels = []
-    for i, entry in enumerate(recordings):
-        rec = synthgen.load_recording(
-            Path(cfg.out_dir) / "recordings" / entry["file"]
-        )
-        seed = derive_seed(cfg.seed, "blocks", entry["label"], entry["trial"])
-        blocks = spectral.extract_blocks(rec, weights.selected_channels, blocks_per_rec, seed)
-        spectra = {
-            cid: spectral.magnitude_spectrum(blocks[cid])
-            for cid in weights.selected_channels
-        }
-        x[i * blocks_per_rec : (i + 1) * blocks_per_rec] = fusion.fuse(spectra, weights)
-        labels += [entry["label"]] * blocks_per_rec
+    for i, entry in enumerate(entries):
+        spectra = _entry_spectra(cfg, entry, "blocks", n, cfg.fusion_channels)
+        x[i * n : (i + 1) * n] = fusion.fuse(spectra, weights)
+        labels += [entry["label"]] * n
     rows_path = Path(cfg.out_dir) / "rows.csv"
     trainer.save_rows(rows_path, x, labels)
-    _write_manifest(cfg.out_dir, "rows", cfg, {"rows_file": rows_path.name, "row_count": len(labels)})
+    _write_manifest("rows", cfg, {"rows_file": rows_path.name, "row_count": len(labels)})
     print(f"wrote {len(labels)} fused rows to {rows_path}")
     return EXIT_OK
 
 
 def cmd_heatmap(args):
     cfg = _load_config(args)
-    manifest = _read_synth_manifest(cfg)
-    entries = [e for e in manifest["recordings"] if e["label"] == args.label]
+    entries = [e for e in _read_synth_manifest(cfg) if e["label"] == args.label]
     if not entries:
         raise ConfigurationError(f"no recordings for label {args.label!r}")
 
     spectra_by_channel = {}
     for entry in entries:
-        rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"])
-        seed = derive_seed(cfg.seed, "heatmap", entry["label"], entry["trial"])
-        blocks = spectral.extract_blocks(rec, list(rec.samples), cfg.heatmap_blocks, seed)
-        for cid, channel_blocks in blocks.items():
-            spectra_by_channel.setdefault(cid, []).append(
-                spectral.magnitude_spectrum(channel_blocks)
-            )
+        for cid, spectra in _entry_spectra(cfg, entry, "heatmap", cfg.heatmap_blocks).items():
+            spectra_by_channel.setdefault(cid, []).append(spectra)
     heatmap = spectral.build_heatmap(
         {cid: np.concatenate(specs) for cid, specs in spectra_by_channel.items()}
     )
@@ -155,7 +154,7 @@ def cmd_heatmap(args):
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
     spectral.write_heatmap_pgm(pgm, heatmap)
     spectral.write_heatmap_csv(csv, heatmap, [e["trial"] for e in entries])
-    _write_manifest(cfg.out_dir, "heatmap", cfg, {"label": args.label, "rows": n_rows})
+    _write_manifest("heatmap", cfg, {"label": args.label, "rows": n_rows})
     print(f"wrote {pgm} and {csv} ({n_rows} rows)")
     return EXIT_OK
 
@@ -190,7 +189,7 @@ def cmd_train(args):
     accuracy, cm = trainer.evaluate(params, test_ds.rows, mask, ds.label_vocab, cfg.normalize_rows)
     trainer.write_confusion_csv(out / "confusion.csv", cm)
     # the guard comes from the labels in the rows, which need not be the group's
-    _write_manifest(cfg.out_dir, "train", dataclasses.replace(cfg, max_classes_per_bin=guard), {
+    _write_manifest("train", dataclasses.replace(cfg, max_classes_per_bin=guard), {
         "rows_file": str(rows_path),
         "mask_size": len(mask),
         "test_rows": len(test_ds.rows),
@@ -213,7 +212,7 @@ def cmd_eval(args):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trainer.write_confusion_csv(out / "eval_confusion.csv", cm)
-    _write_manifest(cfg.out_dir, "eval", cfg, {
+    _write_manifest("eval", cfg, {
         "checkpoint": str(ckpt_path),
         "rows_file": str(rows_path),
         "accuracy": accuracy,

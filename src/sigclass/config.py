@@ -8,16 +8,24 @@ line's spectral SNR, so more bins pass selection (Group1 masks are 77-89 bins
 at 2000 Hz and 108-130 at 8000 Hz).
 """
 
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import dataclass, fields
 from typing import get_args, get_origin
 
 from .errors import ConfigurationError
-from .fusion import FusionWeights, default_max_classes_per_bin
 from .synthgen import DEFAULT_LINES_PER_PROFILE, GROUPS, default_roster
 
 
 @dataclass
 class PipelineConfig:
+    """Every pipeline setting, range-checked and resolved on construction.
+
+    A 0 or empty default takes its group value here, except
+    `max_classes_per_bin`: its default depends on the labels in the rows, so
+    selection derives it.  Resolution is idempotent, so
+    `PipelineConfig(**asdict(cfg)) == cfg`.
+    """
+
     group: str = "Group2"
     seed: int = 0
     out_dir: str = "out"
@@ -37,7 +45,7 @@ class PipelineConfig:
     fusion_channels: tuple[str, ...] = ()    # empty -> per-group default subset
     fusion_weights: tuple[float, ...] = ()   # empty -> uniform
     threshold: float = 1.75
-    max_classes_per_bin: int = 0   # 0 -> ceil(T/2) - 1 with floor 1
+    max_classes_per_bin: int = 0   # 0 -> ceil(T/2) - 1 with floor 1, T labels in the rows
     # training
     train_fraction: float = 0.8
     batch_size: int = 150
@@ -49,14 +57,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.group not in GROUPS:
             raise ConfigurationError(f"unknown group {self.group!r}; expected one of {sorted(GROUPS)}")
+        labels, group_channels = GROUPS[self.group]
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.threshold <= 1.0:
-            raise ConfigurationError("threshold must be > 1 (1.5 to 2 works well)")
+        if not math.isfinite(self.threshold) or self.threshold <= 1.0:
+            raise ConfigurationError("threshold must be finite and > 1 (1.5 to 2 works well)")
         if not (0 < self.train_fraction < 1):
             raise ConfigurationError("train_fraction must be in (0, 1)")
-        if self.duration_s < 1:
-            raise ConfigurationError("duration_s must be >= 1 second")
+        if not math.isfinite(self.duration_s) or self.duration_s < 1:
+            raise ConfigurationError("duration_s must be finite and >= 1 second")
         if self.sample_rate_hz < 600:
             raise ConfigurationError("sample_rate_hz must be >= 600 so 300 Hz stays below Nyquist")
         n_samples = self.duration_s * self.sample_rate_hz
@@ -64,65 +73,43 @@ class PipelineConfig:
             raise ConfigurationError("duration_s * sample_rate_hz must be an integer sample count")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        for name in ("noise_rms", "jitter_hz"):
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.heatmap_blocks < 1:
             raise ConfigurationError("heatmap_blocks must be >= 1")
-        if self.blocks_per_recording < 0:
-            raise ConfigurationError("blocks_per_recording must be >= 0 (0 picks the default)")
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if not math.isfinite(self.learn_rate) or self.learn_rate <= 0:
+            raise ConfigurationError("learn_rate must be finite and > 0")
+        if self.max_classes_per_bin < 0:
+            raise ConfigurationError("max_classes_per_bin must be >= 0 (0 derives it from the rows)")
+        if self.lines_per_profile < 0:
+            raise ConfigurationError("lines_per_profile must be >= 0 (0 picks the group default)")
+        self.lines_per_profile = self.lines_per_profile or DEFAULT_LINES_PER_PROFILE[self.group]
+        if self.blocks_per_recording < 0:
+            raise ConfigurationError("blocks_per_recording must be >= 0 (0 picks the default)")
+        self.blocks_per_recording = (
+            self.blocks_per_recording or max(1, round(1000 / (len(labels) * self.trials)))
+        )
+
+        channels = tuple(self.fusion_channels) or tuple(group_channels)
         known = {ch.id for ch in default_roster()}
-        unknown = [cid for cid in self.fusion_channels if cid not in known]
+        unknown = [cid for cid in channels if cid not in known]
         if unknown:
             raise ConfigurationError(
                 f"unknown fusion channels {unknown}; expected ids from {sorted(known)}"
             )
-
-    @property
-    def labels(self):
-        return list(GROUPS[self.group][0])
-
-    @property
-    def fused_channels(self):
-        if self.fusion_channels:
-            return list(self.fusion_channels)
-        return list(GROUPS[self.group][1])
-
-    @property
-    def resolved_lines_per_profile(self):
-        return self.lines_per_profile or DEFAULT_LINES_PER_PROFILE[self.group]
-
-    @property
-    def resolved_blocks_per_recording(self):
-        if self.blocks_per_recording:
-            return self.blocks_per_recording
-        return max(1, round(1000 / (len(self.labels) * self.trials)))
-
-    @property
-    def resolved_max_classes_per_bin(self):
-        return self.max_classes_per_bin or default_max_classes_per_bin(len(self.labels))
-
-    def fusion(self):
-        channels = self.fused_channels
-        if self.fusion_weights:
-            if len(self.fusion_weights) != len(channels):
-                raise ConfigurationError(
-                    f"{len(self.fusion_weights)} fusion weights for {len(channels)} channels"
-                )
-            weights = {cid: float(w) for cid, w in zip(channels, self.fusion_weights)}
-            return FusionWeights(weights=weights, selected_channels=channels)
-        return FusionWeights.uniform(channels)
-
-    def resolved_dict(self):
-        """Fully resolved values, for the run manifests."""
-        d = asdict(self)
-        d["fusion_channels"] = self.fused_channels
-        d["fusion_weights"] = [self.fusion().weights[c] for c in self.fused_channels]
-        d["lines_per_profile"] = self.resolved_lines_per_profile
-        d["blocks_per_recording"] = self.resolved_blocks_per_recording
-        d["max_classes_per_bin"] = self.resolved_max_classes_per_bin
-        return d
+        if len(set(channels)) != len(channels):
+            raise ConfigurationError(f"fusion channels {list(channels)} name a channel twice")
+        weights = tuple(float(w) for w in self.fusion_weights) or (1.0,) * len(channels)
+        if len(weights) != len(channels):
+            raise ConfigurationError(f"{len(weights)} fusion weights for {len(channels)} channels")
+        if not all(math.isfinite(w) and w >= 0 for w in weights) or sum(weights) <= 0:
+            raise ConfigurationError("fusion weights must be finite and >= 0, and not all zero")
+        self.fusion_channels, self.fusion_weights = channels, weights
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

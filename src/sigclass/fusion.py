@@ -17,28 +17,6 @@ from .spectral import N_BINS
 
 
 @dataclass
-class FusionWeights:
-    """Per-channel weights w_j over an ordered channel subset."""
-
-    weights: dict
-    selected_channels: list
-
-    def __post_init__(self):
-        if not self.selected_channels:
-            raise ValidationError("need at least one fused channel")
-        for cid in self.selected_channels:
-            w = self.weights.get(cid)
-            if w is None:
-                raise ConfigurationError(f"no weight for selected channel {cid!r}")
-            if not math.isfinite(w) or w < 0:
-                raise ValidationError(f"weight for {cid!r} must be finite and >= 0")
-
-    @classmethod
-    def uniform(cls, channels):
-        return cls(weights={cid: 1.0 for cid in channels}, selected_channels=list(channels))
-
-
-@dataclass
 class SpectrumRow:
     """One fused 300-bin magnitude row plus its class label."""
 
@@ -74,17 +52,17 @@ class SelectionReport:
     warnings: list = field(default_factory=list)
 
 
-def fuse(spectra, fusion_weights):
+def fuse(spectra, weights):
     """Weighted average of per-channel magnitudes at each frequency.
 
     `spectra` maps channel ids to equally shaped arrays, e.g. (blocks, 300)
-    with row k of every channel from the same time block.  Returns
-    bins[..., i] = sum_j w_j * |S_ij| / sum_j w_j over the selected channels,
-    summed in `selected_channels` order.
+    with row k of every channel from the same time block.  `weights` is an
+    ordered {channel id: w_j} dict.  Returns
+    bins[..., i] = sum_j w_j * |S_ij| / sum_j w_j, summed in `weights` order.
     """
     total = 0.0
     acc = None
-    for cid in fusion_weights.selected_channels:
+    for cid, w in weights.items():
         spec = spectra.get(cid)
         if spec is None:
             raise ConfigurationError(f"fusion needs channel {cid!r} but it is missing")
@@ -94,7 +72,6 @@ def fuse(spectra, fusion_weights):
             raise ValidationError(
                 f"channel {cid!r} spectra have shape {spec.shape}, expected {acc.shape}"
             )
-        w = fusion_weights.weights[cid]
         acc += w * spec
         total += w
     if total <= 0:

@@ -7,7 +7,7 @@ run-to-run engine variation, plus Gaussian noise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -293,10 +293,12 @@ def load_profiles(path):
             elif current is None:
                 raise ParseError(f"{key!r} before any 'profile' line", line=lineno)
             elif key == "noise_rms":
-                try:
-                    current.noise_rms = float(parts[1])
+                try:  # replace() re-runs the profile's own noise_rms check
+                    profiles[-1] = current = replace(current, noise_rms=float(parts[1]))
                 except (IndexError, ValueError):
                     raise ParseError("expected: noise_rms <value>", line=lineno) from None
+                except ValidationError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
             elif key == "line":
                 if len(parts) != 5:
                     raise ParseError("expected: line <channel> <freq_hz> <amp> <jitter>", line=lineno)

@@ -43,7 +43,6 @@ class RunRecord:
 @dataclass
 class RunLog:
     records: list = field(default_factory=list)
-    final_adam_t: int = 0
 
 
 @dataclass
@@ -202,7 +201,6 @@ def train(train_ds, test_ds, mask, cfg, initial_params=None):
         log.records.append(
             RunRecord(run, train_loss, train_acc, test_acc, train_bit, test_bit)
         )
-    log.final_adam_t = state.t
     return params, log
 
 

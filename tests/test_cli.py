@@ -155,6 +155,22 @@ def test_bad_config_value_is_usage_error(tmp_path):
     ("trials = 0", "synth"),
     ("heatmap_blocks = 0", "heatmap AllQuiet"),
     ("blocks_per_recording = -1", "rows"),
+    ("duration_s = nan", "synth"),
+    ("duration_s = inf", "synth"),
+    ("noise_rms = -1", "synth"),
+    ("jitter_hz = nan", "synth"),
+    ("learn_rate = 0", "train"),
+    ("learn_rate = -0.005", "train"),
+    ("learn_rate = inf", "train"),
+    ("threshold = nan", "train"),
+    ("max_classes_per_bin = -1", "train"),
+    ("lines_per_profile = -1", "synth"),
+    ("lines_per_profile = 2", "synth"),
+    ("min_line_spacing_hz = 0", "synth"),
+    ("fusion_channels = geo_front_10m,geo_front_10m", "rows"),
+    ("fusion_weights = 1, 2", "synth"),
+    ("fusion_weights = 0, 0, 0", "synth"),
+    ("fusion_weights = -1, 1, 1", "synth"),
 ])
 def test_config_range_error_is_usage_error(tmp_path, capsys, line, command):
     cfg_path = tmp_path / "config.txt"
@@ -162,6 +178,37 @@ def test_config_range_error_is_usage_error(tmp_path, capsys, line, command):
     assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), *command.split()]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()  # rejected before any stage writes a file
+
+
+def _edit_first_entry(edit):
+    def corrupt(text):
+        manifest = json.loads(text)
+        edit(manifest["recordings"][0])
+        return json.dumps(manifest)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda text: text[:100], id="cut100"),
+    pytest.param(lambda text: json.dumps({"command": "synth"}), id="no-recordings"),
+    pytest.param(lambda text: json.dumps({"recordings": 5}), id="recordings-not-list"),
+    *[pytest.param(_edit_first_entry(lambda e, key=key: e.pop(key)), id=f"no-{key}")
+      for key in ("file", "label", "trial")],
+    pytest.param(_edit_first_entry(lambda e: e.update(file=5)), id="file-not-text"),
+    pytest.param(_edit_first_entry(lambda e: e.update(trial="1")), id="trial-not-integer"),
+    pytest.param(lambda text: json.dumps({"recordings": [5]}), id="entry-not-object"),
+])
+@pytest.mark.parametrize("command", ["rows", "heatmap AllQuiet"])
+def test_corrupt_synth_manifest_is_data_error(smoke, tmp_path, capsys, command, corrupt):
+    cfg_path, out = smoke
+    copy = tmp_path / "out"
+    copy.mkdir()
+    manifest = copy / "synth_manifest.json"
+    manifest.write_text(corrupt((out / "synth_manifest.json").read_text()))
+    assert run(cfg_path, copy, *command.split()) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "synth_manifest.json" in err[0]
 
 
 SMOKE_LABELS = ["AllQuiet", "HondaGenerator", "FordF150", "Saab83"]
@@ -400,3 +447,14 @@ def test_seed_flag_overrides_config(tmp_path):
     assert cli.main(["--config", str(cfg_path), "--out", str(b), "synth"]) == 0
     rec = "Saab83_t1.rec"
     assert (a / "recordings" / rec).read_bytes() != (b / "recordings" / rec).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, value):
+    profiles = tmp_path / "profiles.txt"
+    profiles.write_text(f"profile A\nnoise_rms {value}\nline geo_front_10m 45 1.5 0.0\n")
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(f"profiles_file = {profiles}\ntrials = 1\nduration_s = 2.0\n")
+    assert run(cfg_path, tmp_path / "out", "synth") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 2: noise_rms")

@@ -1,7 +1,11 @@
+from dataclasses import asdict
+
 import pytest
 
 from sigclass.config import PipelineConfig, build_config, read_config_file
 from sigclass.errors import ConfigurationError
+from sigclass.fusion import default_max_classes_per_bin
+from sigclass.synthgen import GROUPS
 
 
 def test_pinned_defaults():
@@ -20,26 +24,28 @@ def test_pinned_defaults():
 def test_group_dependent_defaults():
     g1 = PipelineConfig(group="Group1")
     g2 = PipelineConfig(group="Group2")
-    assert len(g1.labels) == 7 and len(g2.labels) == 4
-    assert g1.fused_channels == ["mic_front_10m", "mic_side_10m", "geo_front_10m", "accel_front_10m"]
-    assert g2.fused_channels == ["geo_front_10m", "accel_front_5m", "mag_z_side_10m"]
-    assert g1.resolved_max_classes_per_bin == 3
-    assert g2.resolved_max_classes_per_bin == 1
+    assert len(GROUPS[g1.group][0]) == 7 and len(GROUPS[g2.group][0]) == 4
+    assert g1.fusion_channels == ("mic_front_10m", "mic_side_10m", "geo_front_10m", "accel_front_10m")
+    assert g2.fusion_channels == ("geo_front_10m", "accel_front_5m", "mag_z_side_10m")
+    assert (g1.lines_per_profile, g2.lines_per_profile) == (5, 7)
+    # the guard's default depends on the labels in the rows, so it stays 0 here
+    assert g1.max_classes_per_bin == g2.max_classes_per_bin == 0
+    assert default_max_classes_per_bin(7) == 3
+    assert default_max_classes_per_bin(4) == 1
     # row counts land near 1000 at the default 5 trials
-    assert g1.resolved_blocks_per_recording * 7 * 5 == pytest.approx(1000, abs=50)
-    assert g2.resolved_blocks_per_recording * 4 * 5 == 1000
+    assert g1.blocks_per_recording * 7 * 5 == pytest.approx(1000, abs=50)
+    assert g2.blocks_per_recording * 4 * 5 == 1000
 
 
 def test_uniform_fusion_weights_by_default():
-    fw = PipelineConfig(group="Group2").fusion()
-    assert fw.selected_channels == ["geo_front_10m", "accel_front_5m", "mag_z_side_10m"]
-    assert all(w == 1.0 for w in fw.weights.values())
+    cfg = PipelineConfig(group="Group2")
+    assert cfg.fusion_channels == ("geo_front_10m", "accel_front_5m", "mag_z_side_10m")
+    assert cfg.fusion_weights == (1.0, 1.0, 1.0)
 
 
 def test_explicit_fusion_weights_must_align():
-    cfg = PipelineConfig(fusion_channels=("geo_front_10m", "mic_side_10m"), fusion_weights=(1.0,))
     with pytest.raises(ConfigurationError):
-        cfg.fusion()
+        PipelineConfig(fusion_channels=("geo_front_10m", "mic_side_10m"), fusion_weights=(1.0,))
 
 
 def test_config_file_parsing(tmp_path):
@@ -59,7 +65,7 @@ def test_config_file_parsing(tmp_path):
     assert cfg.threshold == 1.6
     assert cfg.normalize_rows is False
     assert cfg.fusion_channels == ("geo_front_10m", "mic_side_10m")
-    assert cfg.fusion().weights == {"geo_front_10m": 1.0, "mic_side_10m": 2.5}
+    assert dict(zip(cfg.fusion_channels, cfg.fusion_weights)) == {"geo_front_10m": 1.0, "mic_side_10m": 2.5}
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -101,9 +107,17 @@ def test_overrides_beat_file_values(tmp_path):
     assert cfg.runs == 7
 
 
-def test_resolved_dict_is_complete():
-    d = PipelineConfig(group="Group2").resolved_dict()
+def test_resolution_is_idempotent():
+    # cmd_train's dataclasses.replace re-runs __post_init__ on resolved values
+    explicit = PipelineConfig(
+        group="Group1", fusion_channels=("geo_front_10m", "mic_side_10m"), fusion_weights=(1, 2.5),
+        blocks_per_recording=7, max_classes_per_bin=2, lines_per_profile=4,
+    )
+    for cfg in (PipelineConfig(group="Group1"), PipelineConfig(group="Group2"), explicit):
+        assert PipelineConfig(**asdict(cfg)) == cfg
+    assert explicit.fusion_weights == (1.0, 2.5)
+    d = asdict(PipelineConfig(group="Group2"))
     assert d["blocks_per_recording"] == 50
-    assert d["max_classes_per_bin"] == 1
-    assert d["fusion_channels"] == ["geo_front_10m", "accel_front_5m", "mag_z_side_10m"]
-    assert d["fusion_weights"] == [1.0, 1.0, 1.0]
+    assert d["max_classes_per_bin"] == 0
+    assert d["fusion_channels"] == ("geo_front_10m", "accel_front_5m", "mag_z_side_10m")
+    assert d["fusion_weights"] == (1.0, 1.0, 1.0)

@@ -3,7 +3,6 @@ import pytest
 
 from sigclass import fusion, spectral
 from sigclass.errors import ConfigurationError, ValidationError
-from sigclass.fusion import FusionWeights
 from sigclass.spectral import N_BINS
 from sigclass.synthgen import Recording
 
@@ -213,8 +212,7 @@ def test_array_path_matches_per_block_reference():
         "dead": np.zeros(5500),  # all-zero spectra, so all-zero heat-map rows
     }
     rec = make_recording(arrays, rate=rate)
-    weights = FusionWeights(weights={"a": 0.3, "b": 1.7, "dead": 2.0},
-                            selected_channels=["b", "dead", "a"])
+    weights = {"b": 1.7, "dead": 2.0, "a": 0.3}  # summed in this order
 
     offsets = np.random.default_rng(seed).integers(0, 5500 - rate + 1, size=count)
     ref_spectra = {
@@ -224,9 +222,9 @@ def test_array_path_matches_per_block_reference():
     ref_fused = []
     for k in range(count):
         acc, total = np.zeros(N_BINS), 0.0
-        for cid in weights.selected_channels:
-            acc += weights.weights[cid] * ref_spectra[cid][k]
-            total += weights.weights[cid]
+        for cid, w in weights.items():
+            acc += w * ref_spectra[cid][k]
+            total += w
         ref_fused.append(acc / total)
     ref_heat = {
         cid: [s * (10.0 / s.max()) if s.max() > 0 else np.zeros(N_BINS) for s in specs]

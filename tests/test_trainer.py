@@ -195,7 +195,6 @@ def test_train_logs_one_record_per_run():
     params, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
     assert len(log.records) == 200
     assert [r.run for r in log.records] == list(range(1, 201))
-    assert log.final_adam_t == 200
     assert all(np.isfinite(r.train_loss) for r in log.records)
 
 
@@ -222,7 +221,8 @@ def test_train_deterministic():
 
 def test_train_zero_learn_rate_freezes_metrics():
     ds = toy_dataset(20)
-    cfg = PipelineConfig(runs=8, batch_size=16, seed=8, learn_rate=0.0)
+    cfg = PipelineConfig(runs=8, batch_size=16, seed=8)
+    cfg.learn_rate = 0.0  # a config rejects it; train itself must still hold still
     _, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
     losses = {r.train_loss for r in log.records}
     accs = {r.test_acc for r in log.records}
