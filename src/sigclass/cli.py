@@ -61,24 +61,16 @@ def cmd_synth(args):
     if cfg.profiles_file:
         profiles = synthgen.load_profiles(cfg.profiles_file)
     else:
-        profiles = synthgen.build_group_profiles(
-            cfg.group,
-            seed=cfg.seed,
-            lines_per_profile=cfg.lines_per_profile,
-            min_line_spacing_hz=cfg.min_line_spacing_hz,
-            noise_rms=cfg.noise_rms,
-            jitter_hz=cfg.jitter_hz,
-        )
+        profiles = synthgen.build_group_profiles(cfg)
     (out / "recordings").mkdir(parents=True, exist_ok=True)
     synthgen.save_profiles(out / "profiles.txt", profiles)
 
-    roster = synthgen.default_roster()
     entries = []
     for profile in profiles:
         for trial in range(1, cfg.trials + 1):
             seed = derive_seed(cfg.seed, "synth", profile.label, trial)
             rec = synthgen.synthesize_recording(
-                profile, roster, cfg.duration_s, cfg.sample_rate_hz, seed
+                profile, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed
             )
             path = out / "recordings" / f"{profile.label}_t{trial}.rec"
             synthgen.save_recording(path, rec)
@@ -159,8 +151,8 @@ def cmd_heatmap(args):
     return EXIT_OK
 
 
-def _print_warnings(report):
-    for warning in report.warnings:
+def _print_warnings(warnings):
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
 
@@ -168,35 +160,41 @@ def cmd_train(args):
     cfg = _load_config(args, runs=getattr(args, "runs", None))
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.csv"
     ds = trainer.load_rows(rows_path)
+    vocab = ds.label_vocab
 
-    guard = cfg.max_classes_per_bin or fusion.default_max_classes_per_bin(len(ds.label_vocab))
+    guard = cfg.max_classes_per_bin or fusion.default_max_classes_per_bin(len(vocab))
     try:
         mask, report = fusion.compute_selection(ds.rows, cfg.threshold, guard)
     except SelectionError as exc:
-        _print_warnings(exc.report)
+        _print_warnings(exc.report.warnings)
         raise
-    _print_warnings(report)
+    _print_warnings(report.warnings)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fusion.write_mask(out / "mask.txt", mask)
     fusion.write_selection_report_csv(out / "selection_report.csv", report)
 
-    train_ds, test_ds = trainer.split(ds, cfg)
-    params, log = trainer.train(train_ds, test_ds, mask, cfg)
+    x = trainer.features_matrix(ds.rows, mask, cfg.normalize_rows)
+    y = trainer.label_index(ds.rows, vocab)
+    train_idx, test_idx = trainer.split(y, cfg)
+    missing = np.flatnonzero(np.bincount(y[train_idx], minlength=len(vocab)) == 0)
+    _print_warnings(f"class {vocab[k]!r} absent from the training split" for k in missing)
+    x_test, y_test = x[test_idx], y[test_idx]
+    params, log = trainer.train(x[train_idx], y[train_idx], x_test, y_test, len(vocab), cfg)
     trainer.write_runlog_csv(out / "runlog.csv", log)
-    dnn.save_checkpoint(out / "checkpoint.bin", params, mask.kept, ds.label_vocab, cfg.normalize_rows)
+    dnn.save_checkpoint(out / "checkpoint.bin", params, mask.kept, vocab, cfg.normalize_rows)
 
-    accuracy, cm = trainer.evaluate(params, test_ds.rows, mask, ds.label_vocab, cfg.normalize_rows)
+    accuracy, cm = trainer.evaluate(params, x_test, y_test, vocab)
     trainer.write_confusion_csv(out / "confusion.csv", cm)
     # the guard comes from the labels in the rows, which need not be the group's
     _write_manifest("train", dataclasses.replace(cfg, max_classes_per_bin=guard), {
         "rows_file": str(rows_path),
         "mask_size": len(mask),
-        "test_rows": len(test_ds.rows),
+        "test_rows": len(test_idx),
         "test_accuracy": accuracy,
     })
     print(f"mask size: {len(mask)} bins")
-    print(f"final test accuracy: {accuracy:.4f} on {len(test_ds.rows)} rows")
+    print(f"final test accuracy: {accuracy:.4f} on {len(test_idx)} rows")
     print(trainer.format_confusion(cm))
     return EXIT_OK
 
@@ -207,8 +205,9 @@ def cmd_eval(args):
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.csv"
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(ckpt_path)
     ds = trainer.load_rows(rows_path)
-    mask = fusion.FeatureMask(kept=mask_bins)
-    accuracy, cm = trainer.evaluate(params, ds.rows, mask, vocab, normalize)
+    y = trainer.label_index(ds.rows, vocab)
+    x = trainer.features_matrix(ds.rows, fusion.FeatureMask(kept=mask_bins), normalize)
+    accuracy, cm = trainer.evaluate(params, x, y, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trainer.write_confusion_csv(out / "eval_confusion.csv", cm)
@@ -217,7 +216,7 @@ def cmd_eval(args):
         "rows_file": str(rows_path),
         "accuracy": accuracy,
     })
-    print(f"accuracy: {accuracy:.4f} on {len(ds.rows)} rows")
+    print(f"accuracy: {accuracy:.4f} on {len(y)} rows")
     print(trainer.format_confusion(cm))
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from typing import get_args, get_origin
 
 from .errors import ConfigurationError
-from .synthgen import DEFAULT_LINES_PER_PROFILE, GROUPS, default_roster
+from .synthgen import DEFAULT_LINES_PER_PROFILE, GROUPS, ROSTER
 
 
 @dataclass
@@ -86,9 +86,11 @@ class PipelineConfig:
             raise ConfigurationError("learn_rate must be finite and > 0")
         if self.max_classes_per_bin < 0:
             raise ConfigurationError("max_classes_per_bin must be >= 0 (0 derives it from the rows)")
-        if self.lines_per_profile < 0:
-            raise ConfigurationError("lines_per_profile must be >= 0 (0 picks the group default)")
         self.lines_per_profile = self.lines_per_profile or DEFAULT_LINES_PER_PROFILE[self.group]
+        if self.lines_per_profile < 3:
+            raise ConfigurationError("lines_per_profile must be >= 3 (0 picks the group default)")
+        if self.min_line_spacing_hz < 1:
+            raise ConfigurationError("min_line_spacing_hz must be >= 1")
         if self.blocks_per_recording < 0:
             raise ConfigurationError("blocks_per_recording must be >= 0 (0 picks the default)")
         self.blocks_per_recording = (
@@ -96,11 +98,10 @@ class PipelineConfig:
         )
 
         channels = tuple(self.fusion_channels) or tuple(group_channels)
-        known = {ch.id for ch in default_roster()}
-        unknown = [cid for cid in channels if cid not in known]
+        unknown = [cid for cid in channels if cid not in ROSTER]
         if unknown:
             raise ConfigurationError(
-                f"unknown fusion channels {unknown}; expected ids from {sorted(known)}"
+                f"unknown fusion channels {unknown}; expected ids from {sorted(ROSTER)}"
             )
         if len(set(channels)) != len(channels):
             raise ConfigurationError(f"fusion channels {list(channels)} name a channel twice")

@@ -98,17 +98,18 @@ def compute_selection(rows, threshold, max_classes_per_bin):
     """
     if threshold <= 1:
         raise ValidationError("threshold must be > 1")
-    by_label = {}
-    for row in rows:
-        by_label.setdefault(row.label, []).append(row.bins)
-    if len(by_label) < 2:
+    labels = np.array([row.label for row in rows])
+    vocab = list(dict.fromkeys(labels.tolist()))
+    if len(vocab) < 2:
         raise ValidationError("selection needs at least 2 distinct labels")
-    for label, stack in by_label.items():
-        if len(stack) < 10:
-            raise ValidationError(f"label {label!r} has {len(stack)} rows; need >= 10")
-
-    class_means = {label: np.mean(np.stack(stack), axis=0) for label, stack in by_label.items()}
-    global_mean = np.mean(np.stack([row.bins for row in rows]), axis=0)
+    x = np.stack([row.bins for row in rows])
+    class_means = {}
+    for label in vocab:
+        members = x[labels == label]
+        if len(members) < 10:
+            raise ValidationError(f"label {label!r} has {len(members)} rows; need >= 10")
+        class_means[label] = members.mean(axis=0)
+    global_mean = x.mean(axis=0)
 
     warnings = []
     zero = global_mean == 0

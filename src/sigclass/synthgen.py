@@ -14,20 +14,16 @@ import numpy as np
 from .errors import ConfigurationError, ParseError, ValidationError
 from .rng import derive_rng
 
-SENSOR_KINDS = ("microphone", "geophone", "accelerometer", "magnetometer")
-
 RECORDING_MAGIC = "SIGREC1"
 
-
-@dataclass(frozen=True)
-class SensorChannel:
-    id: str
-    kind: str
-    placement: str = ""
-
-    def __post_init__(self):
-        if self.kind not in SENSOR_KINDS:
-            raise ValidationError(f"unknown sensor kind {self.kind!r}")
+# The 13-channel measurement setup the synthetic data mirrors; each id's
+# prefix names its sensor: microphone, geophone, accelerometer, magnetometer.
+ROSTER = (
+    "mic_front_10m", "mic_front_5m", "mic_on_target", "mic_side_10m",
+    "geo_front_10m", "geo_front_5m",
+    "accel_front_10m", "accel_front_5m", "accel_engine", "accel_roof",
+    "mag_x_side_10m", "mag_y_side_10m", "mag_z_side_10m",
+)
 
 
 @dataclass(frozen=True)
@@ -80,25 +76,6 @@ class Recording:
         return list(self.samples.keys())
 
 
-def default_roster():
-    """The 13-channel measurement setup the synthetic data mirrors."""
-    return [
-        SensorChannel("mic_front_10m", "microphone", "10m front"),
-        SensorChannel("mic_front_5m", "microphone", "5m front"),
-        SensorChannel("mic_on_target", "microphone", "on target"),
-        SensorChannel("mic_side_10m", "microphone", "10m side"),
-        SensorChannel("geo_front_10m", "geophone", "10m front"),
-        SensorChannel("geo_front_5m", "geophone", "5m front"),
-        SensorChannel("accel_front_10m", "accelerometer", "10m front"),
-        SensorChannel("accel_front_5m", "accelerometer", "5m front"),
-        SensorChannel("accel_engine", "accelerometer", "on engine"),
-        SensorChannel("accel_roof", "accelerometer", "on roof"),
-        SensorChannel("mag_x_side_10m", "magnetometer", "10m side, x axis"),
-        SensorChannel("mag_y_side_10m", "magnetometer", "10m side, y axis"),
-        SensorChannel("mag_z_side_10m", "magnetometer", "10m side, z axis"),
-    ]
-
-
 GROUP1_LABELS = [
     "AllQuiet", "HondaCivic", "ToyotaCorolla", "FordF150",
     "DieselVan", "FordFusion", "AcuraMDX",
@@ -119,9 +96,12 @@ GROUPS = {
 # inside 20..125 bins even when frequency wobble drags neighbor bins along.
 DEFAULT_LINES_PER_PROFILE = {"Group1": 5, "Group2": 7}
 
+# signature line amplitudes are drawn uniformly from this range
+LINE_AMPLITUDES = (1.0, 2.0)
 
-def synthesize_recording(profile, setup, duration_s, sample_rate_hz, seed):
-    """Render a TargetProfile into a multi-channel Recording.
+
+def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
+    """Render a TargetProfile into a Recording of the given channel ids.
 
     Each channel is the sum of its spectral lines plus white Gaussian noise of
     std profile.noise_rms.  A line contributes amplitude * sin(phase) where
@@ -138,9 +118,8 @@ def synthesize_recording(profile, setup, duration_s, sample_rate_hz, seed):
     if abs(n_float - n) > 1e-9:
         raise ValidationError("duration_s * sample_rate_hz must be an integer sample count")
 
-    channel_ids = {ch.id for ch in setup}
     for cid in profile.lines_per_channel:
-        if cid not in channel_ids:
+        if cid not in channels:
             raise ConfigurationError(
                 f"profile {profile.label!r} references unknown channel {cid!r}"
             )
@@ -148,11 +127,9 @@ def synthesize_recording(profile, setup, duration_s, sample_rate_hz, seed):
     rng = np.random.default_rng(seed)
     n_seconds = int(math.ceil(duration_s))
     samples = {}
-    for ch in setup:
+    for cid in channels:
         data = rng.normal(0.0, profile.noise_rms, size=n) if profile.noise_rms > 0 else np.zeros(n)
-        for line in profile.lines_per_channel.get(ch.id, []):
-            if not math.isfinite(line.amplitude):
-                raise ValidationError("non-finite line amplitude")
+        for line in profile.lines_per_channel.get(cid, []):
             phase0 = rng.uniform(0.0, 2.0 * np.pi)
             wobble = rng.normal(0.0, line.jitter_hz, size=n_seconds) if line.jitter_hz > 0 else np.zeros(n_seconds)
             inst = np.repeat(float(line.freq_hz) + wobble, sample_rate_hz)[:n]
@@ -163,7 +140,7 @@ def synthesize_recording(profile, setup, duration_s, sample_rate_hz, seed):
             np.cumsum(inst[:-1], out=phase[1:])
             phase = phase0 + 2.0 * np.pi * phase / sample_rate_hz
             data = data + line.amplitude * np.sin(phase)
-        samples[ch.id] = data
+        samples[cid] = data
     return Recording(
         label=profile.label,
         sample_rate_hz=int(sample_rate_hz),
@@ -172,47 +149,38 @@ def synthesize_recording(profile, setup, duration_s, sample_rate_hz, seed):
     )
 
 
-def build_group_profiles(group, seed, lines_per_profile=None, min_line_spacing_hz=3,
-                         noise_rms=3.5, jitter_hz=0.5, amp_lo=1.0, amp_hi=2.0):
-    """Generate the target profiles for one classification task.
+def build_group_profiles(cfg):
+    """Generate the target profiles of cfg.group from a resolved PipelineConfig.
 
     Group1 yields 7 profiles, Group2 yields 4; the first is always the
-    no-lines AllQuiet background.  Signature frequencies are drawn without
-    replacement from a grid with step `min_line_spacing_hz`, so every pair of
-    profiles differs in all of its line frequencies.  Each signature
-    frequency lands on at least two of the group's fused channels.
+    no-lines AllQuiet background.  Each other profile has
+    cfg.lines_per_profile signature frequencies, drawn without replacement
+    from a grid with step cfg.min_line_spacing_hz, so every pair of profiles
+    differs in all of its line frequencies.  Each signature frequency lands
+    on at least two of the group's fused channels.
     """
-    if group not in GROUPS:
-        raise ConfigurationError(f"unknown group {group!r}; expected one of {sorted(GROUPS)}")
-    labels, fused = GROUPS[group]
-    if lines_per_profile is None:
-        lines_per_profile = DEFAULT_LINES_PER_PROFILE[group]
-    if lines_per_profile < 3:
-        raise ConfigurationError("need at least 3 lines per profile")
-    if min_line_spacing_hz < 1:
-        raise ConfigurationError("min_line_spacing_hz must be >= 1")
-
-    candidates = np.arange(5, 296, int(min_line_spacing_hz))
-    needed = (len(labels) - 1) * lines_per_profile
+    labels, fused = GROUPS[cfg.group]
+    candidates = np.arange(5, 296, cfg.min_line_spacing_hz)
+    needed = (len(labels) - 1) * cfg.lines_per_profile
     if needed > len(candidates):
         raise ConfigurationError(
-            f"cannot place {needed} distinct lines with spacing {min_line_spacing_hz} Hz"
+            f"cannot place {needed} distinct lines with spacing {cfg.min_line_spacing_hz} Hz"
         )
-    rng = derive_rng(seed, "profiles", group)
+    rng = derive_rng(cfg.seed, "profiles", cfg.group)
     pool = list(rng.permutation(candidates))
 
-    profiles = [TargetProfile(label=labels[0], lines_per_channel={}, noise_rms=noise_rms)]
+    profiles = [TargetProfile(label=labels[0], lines_per_channel={}, noise_rms=cfg.noise_rms)]
     for label in labels[1:]:
         lines = {cid: [] for cid in fused}
-        for _ in range(lines_per_profile):
+        for _ in range(cfg.lines_per_profile):
             freq = int(pool.pop())
             n_ch = int(rng.integers(2, len(fused) + 1))
             picks = rng.choice(len(fused), size=n_ch, replace=False)
             for idx in sorted(picks):
-                amp = float(rng.uniform(amp_lo, amp_hi))
-                lines[fused[idx]].append(SpectralLine(freq, amp, jitter_hz))
+                amp = float(rng.uniform(*LINE_AMPLITUDES))
+                lines[fused[idx]].append(SpectralLine(freq, amp, cfg.jitter_hz))
         lines = {cid: lst for cid, lst in lines.items() if lst}
-        profiles.append(TargetProfile(label=label, lines_per_channel=lines, noise_rms=noise_rms))
+        profiles.append(TargetProfile(label=label, lines_per_channel=lines, noise_rms=cfg.noise_rms))
     return profiles
 
 
@@ -276,38 +244,47 @@ def save_profiles(path, profiles):
 
 
 def load_profiles(path):
-    profiles = []
+    """Parse a profiles file; a bad line raises ParseError naming it.
+
+    Bad lines include malformed or out-of-range values, a repeated profile
+    label and a channel id outside ROSTER.  A file with no profile is an error.
+    """
+    profiles = {}  # label -> TargetProfile, in file order
     current = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = text.split()
-            key = parts[0]
-            if key == "profile":
-                if len(parts) != 2:
-                    raise ParseError("expected: profile <label>", line=lineno)
-                current = TargetProfile(label=parts[1], lines_per_channel={}, noise_rms=0.0)
-                profiles.append(current)
-            elif current is None:
-                raise ParseError(f"{key!r} before any 'profile' line", line=lineno)
-            elif key == "noise_rms":
-                try:  # replace() re-runs the profile's own noise_rms check
-                    profiles[-1] = current = replace(current, noise_rms=float(parts[1]))
-                except (IndexError, ValueError):
-                    raise ParseError("expected: noise_rms <value>", line=lineno) from None
-                except ValidationError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-            elif key == "line":
-                if len(parts) != 5:
-                    raise ParseError("expected: line <channel> <freq_hz> <amp> <jitter>", line=lineno)
-                cid = parts[1]
-                try:
-                    line = SpectralLine(int(parts[2]), float(parts[3]), float(parts[4]))
-                except ValueError:
-                    raise ParseError(f"bad line numbers {parts[2:]}", line=lineno) from None
-                current.lines_per_channel.setdefault(cid, []).append(line)
-            else:
-                raise ParseError(f"unknown directive {key!r}", line=lineno)
-    return profiles
+            key, args = parts[0], parts[1:]
+            try:
+                if key == "profile":
+                    if len(args) != 1:
+                        raise ValidationError("expected: profile <label>")
+                    if args[0] in profiles:
+                        raise ValidationError(f"profile {args[0]!r} is defined twice")
+                    current = TargetProfile(label=args[0], lines_per_channel={}, noise_rms=0.0)
+                    profiles[current.label] = current
+                elif current is None:
+                    raise ValidationError(f"{key!r} before any 'profile' line")
+                elif key == "noise_rms":
+                    if len(args) != 1:
+                        raise ValidationError("expected: noise_rms <value>")
+                    # replace() re-runs the profile's own noise_rms check
+                    current = profiles[current.label] = replace(current, noise_rms=float(args[0]))
+                elif key == "line":
+                    if len(args) != 4:
+                        raise ValidationError("expected: line <channel> <freq_hz> <amp> <jitter>")
+                    if args[0] not in ROSTER:
+                        raise ValidationError(f"unknown channel {args[0]!r}; expected one of {', '.join(ROSTER)}")
+                    line = SpectralLine(int(args[1]), float(args[2]), float(args[3]))
+                    current.lines_per_channel.setdefault(args[0], []).append(line)
+                else:
+                    raise ValidationError(f"unknown directive {key!r}")
+            except ValueError as exc:
+                raise ParseError(f"bad number in {key!r} line ({exc})", line=lineno) from None
+            except ValidationError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+    if not profiles:
+        raise ParseError(f"{path}: no profiles")
+    return list(profiles.values())

@@ -6,14 +6,13 @@ full training and test sets.  Rows live in a 301-column CSV (300 fused
 magnitudes, then the class label).
 """
 
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dnn
 from .dnn import UNCLASSIFIED
-from .errors import ConfigurationError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .fusion import SpectrumRow, apply_mask
 from .rng import derive_rng
 from .spectral import N_BINS
@@ -103,36 +102,25 @@ def label_index(rows, vocab):
         raise ValidationError(f"label {exc.args[0]!r} not in vocabulary {vocab}") from None
 
 
-def split(ds, cfg):
-    """Disjoint train/test partition; |train| = round(fraction * n).
+def split(y, cfg):
+    """Disjoint train/test partition of the rows with class indices y.
 
-    cfg is the PipelineConfig.  Plain uniform by default; per-class
-    (stratified) when cfg.stratified is set.  Both variants are deterministic
-    in cfg.seed, and both sides keep the dataset's row order.  A warning is
-    issued if some class ends up absent from the training side.
+    cfg is the PipelineConfig.  Plain uniform by default, with
+    |train| = round(fraction * n); per class (stratified) when cfg.stratified
+    is set.  Both variants are deterministic in cfg.seed.  Returns the
+    ascending (train_idx, test_idx) row index arrays.
     """
-    n = len(ds.rows)
     rng = derive_rng(cfg.seed, "split")
-    in_train = np.zeros(n, dtype=bool)
+    in_train = np.zeros(len(y), dtype=bool)
     if cfg.stratified:
-        labels = label_index(ds.rows, ds.label_vocab)
-        for k in range(len(ds.label_vocab)):
-            idx = np.flatnonzero(labels == k)
+        for k in sorted(set(y.tolist())):
+            idx = np.flatnonzero(y == k)
             perm = idx[rng.permutation(len(idx))]
             in_train[perm[: int(round(cfg.train_fraction * len(idx)))]] = True
     else:
-        perm = rng.permutation(n)
-        in_train[perm[: int(round(cfg.train_fraction * n))]] = True
-    train_rows = [r for r, keep in zip(ds.rows, in_train) if keep]
-    test_rows = [r for r, keep in zip(ds.rows, in_train) if not keep]
-    present = {r.label for r in train_rows}
-    for label in ds.label_vocab:
-        if label not in present:
-            _warnings.warn(f"class {label!r} absent from the training split")
-    return (
-        Dataset(rows=train_rows, label_vocab=list(ds.label_vocab)),
-        Dataset(rows=test_rows, label_vocab=list(ds.label_vocab)),
-    )
+        perm = rng.permutation(len(y))
+        in_train[perm[: int(round(cfg.train_fraction * len(y)))]] = True
+    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
 def features_matrix(rows, mask, normalize):
@@ -157,39 +145,34 @@ def _scores(logits, y):
     return row_acc, bit_acc
 
 
-def train(train_ds, test_ds, mask, cfg, initial_params=None):
+def train(x_train, y_train, x_test, y_test, c, cfg, initial_params=None):
     """The training loop: batch runs with Adam, scored after every step.
 
-    train_ds and test_ds are the two sides of `split`, with one vocabulary.
-    Every run draws a fresh batch (without replacement inside the batch),
-    applies exactly one optimizer step, then logs the full-train-set loss and
-    the train/test accuracies of the updated parameters.  cfg is the
-    PipelineConfig (its seed and training fields).  Returns the final
-    parameters and the RunLog.
+    x_train and x_test are masked feature matrices (see `features_matrix`),
+    y_train and y_test their class indices in [0, c).  Every run draws a
+    fresh batch (without replacement inside the batch), applies exactly one
+    optimizer step, then logs the full-train-set loss and the train/test
+    accuracies of the updated parameters.  cfg is the PipelineConfig (its
+    seed and training fields).  Returns the final parameters and the RunLog.
     """
-    if mask is None or len(mask) == 0:
-        raise ConfigurationError("selection produced an empty feature mask")
-    if cfg.batch_size > len(train_ds.rows):
+    if cfg.batch_size > len(x_train):
         raise ValidationError(
-            f"batch_size {cfg.batch_size} exceeds the {len(train_ds.rows)} training rows"
+            f"batch_size {cfg.batch_size} exceeds the {len(x_train)} training rows"
         )
-    vocab = train_ds.label_vocab
-    d, c = len(mask), len(vocab)
-    x_train = features_matrix(train_ds.rows, mask, cfg.normalize_rows)
-    y_train = np.eye(c)[label_index(train_ds.rows, vocab)]
-    x_test = features_matrix(test_ds.rows, mask, cfg.normalize_rows)
-    y_test = np.eye(c)[label_index(test_ds.rows, vocab)]
+    if len(x_test) == 0:
+        raise ValidationError("the test split is empty; lower train_fraction")
+    y_train, y_test = np.eye(c)[y_train], np.eye(c)[y_test]
 
     params = initial_params
     if params is None:
         init_seed = derive_rng(cfg.seed, "init").integers(2**32)
-        params = dnn.init_network(d, c, seed=init_seed)
+        params = dnn.init_network(x_train.shape[1], c, seed=init_seed)
     state = dnn.AdamState.for_params(params)
     batch_rng = derive_rng(cfg.seed, "batches")
 
     log = RunLog()
     for run in range(1, cfg.runs + 1):
-        idx = batch_rng.choice(len(train_ds.rows), size=cfg.batch_size, replace=False)
+        idx = batch_rng.choice(len(x_train), size=cfg.batch_size, replace=False)
         _, trace = dnn.forward(params, x_train[idx])
         grads = dnn.backward(params, trace, y_train[idx])
         params, state = dnn.adam_update(params, grads, state, cfg.learn_rate)
@@ -204,16 +187,18 @@ def train(train_ds, test_ds, mask, cfg, initial_params=None):
     return params, log
 
 
-def evaluate(params, rows, mask, vocab, normalize_rows=True):
-    """Accuracy plus the actual x (predicted + Unclassified) confusion matrix."""
-    if not rows:
+def evaluate(params, x, y, vocab):
+    """Accuracy plus the actual x (predicted + Unclassified) confusion matrix.
+
+    x holds masked feature rows and y their class indices in vocab.
+    """
+    if len(x) == 0:
         raise ValidationError("evaluate needs at least one row")
-    actual = label_index(rows, vocab)
-    preds = dnn.predict_batch(params, features_matrix(rows, mask, normalize_rows))
+    preds = dnn.predict_batch(params, x)
     t = len(vocab)
     counts = np.zeros((t, t + 1), dtype=int)
-    np.add.at(counts, (actual, np.where(preds == UNCLASSIFIED, t, preds)), 1)
-    return float(np.mean(preds == actual)), ConfusionMatrix(labels=list(vocab), counts=counts)
+    np.add.at(counts, (y, np.where(preds == UNCLASSIFIED, t, preds)), 1)
+    return float(np.mean(preds == y)), ConfusionMatrix(labels=list(vocab), counts=counts)
 
 
 def write_runlog_csv(path, log):

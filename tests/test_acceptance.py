@@ -281,10 +281,11 @@ def test_criterion_7_group1_pipeline(group1_run):
 
     # row sums must equal the per-class counts of the deterministic test split
     ds = trainer.load_rows(out / "rows.csv")
-    _, test_ds = trainer.split(ds, PipelineConfig(group="Group1", seed=0))
+    y = trainer.label_index(ds.rows, ds.label_vocab)
+    _, test_idx = trainer.split(y, PipelineConfig(group="Group1", seed=0))
     per_class = {label: 0 for label in ds.label_vocab}
-    for r in test_ds.rows:
-        per_class[r.label] += 1
+    for k in y[test_idx]:
+        per_class[ds.label_vocab[k]] += 1
     sums_ok = all(counts[i].sum() == per_class[label] for i, label in enumerate(labels))
 
     ok = (
@@ -299,7 +300,7 @@ def test_criterion_7_group1_pipeline(group1_run):
     check(7, ok,
           f"Group1 pipeline (1000 runs, {len(ds.rows)} rows): test accuracy "
           f"{accuracy:.3f} >= 0.80, 7x8 confusion with Unclassified column, row "
-          f"sums match the {len(test_ds.rows)}-row test split, {elapsed:.1f}s < 300s")
+          f"sums match the {len(test_idx)}-row test split, {elapsed:.1f}s < 300s")
 
 
 # ---------------------------------------------------------------------------

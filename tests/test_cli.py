@@ -167,6 +167,11 @@ def test_bad_config_value_is_usage_error(tmp_path):
     ("lines_per_profile = -1", "synth"),
     ("lines_per_profile = 2", "synth"),
     ("min_line_spacing_hz = 0", "synth"),
+    ("lines_per_profile = -1", "rows"),
+    ("lines_per_profile = 2", "rows"),
+    ("min_line_spacing_hz = 0", "rows"),
+    ("lines_per_profile = 2", "train"),
+    ("min_line_spacing_hz = 0", "eval"),
     ("fusion_channels = geo_front_10m,geo_front_10m", "rows"),
     ("fusion_weights = 1, 2", "synth"),
     ("fusion_weights = 0, 0, 0", "synth"),
@@ -449,12 +454,75 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (a / "recordings" / rec).read_bytes() != (b / "recordings" / rec).read_bytes()
 
 
-@pytest.mark.parametrize("value", ["nan", "-1"])
-def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("text, message", [
+    pytest.param("profile A\nnoise_rms nan\nline geo_front_10m 45 1.5 0.0\n",
+                 "line 2: noise_rms", id="nan"),
+    pytest.param("profile A\nnoise_rms -1\nline geo_front_10m 45 1.5 0.0\n",
+                 "line 2: noise_rms", id="-1"),
+    pytest.param("profile A\nline geo_front_10m 45 1.5 0.0\nprofile B\nprofile A\n",
+                 "line 4: profile 'A' is defined twice", id="repeated"),
+    pytest.param("profile A\nline geo_front_10m 45 1.5 0.0\nline mic_front_1m 45 1.5 0.0\n",
+                 "line 3: unknown channel 'mic_front_1m'", id="channel"),
+    pytest.param("# no profiles\n", "profiles.txt: no profiles", id="empty"),
+    pytest.param("profile A\nline geo_front_10m 500 1.5 0.0\n",
+                 "line 2: line frequency 500", id="freq"),
+    pytest.param("profile A\nline geo_front_10m 45 nan 0.0\n",
+                 "line 2: line amplitude nan", id="amp"),
+    pytest.param("profile A,B\n", "line 1: label 'A,B'", id="label"),
+    pytest.param("profile A\nline geo_front_10m 4.5 1.5 0.0\n",
+                 "line 2: bad number", id="number"),
+])
+def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, text, message):
     profiles = tmp_path / "profiles.txt"
-    profiles.write_text(f"profile A\nnoise_rms {value}\nline geo_front_10m 45 1.5 0.0\n")
+    profiles.write_text(text)
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text(f"profiles_file = {profiles}\ntrials = 1\nduration_s = 2.0\n")
     assert run(cfg_path, tmp_path / "out", "synth") == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: line 2: noise_rms")
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def _two_class_rows(path, sizes):
+    """A rows file with A hot at bin 10 and B hot at bin 20, sizes[label] rows each."""
+    rng = np.random.default_rng(8)
+    lines = []
+    for i in range(max(sizes.values())):
+        for k, label in enumerate(sizes):
+            if i < sizes[label]:
+                bins = 0.1 + 0.01 * rng.random(N_BINS)
+                bins[10 * (k + 1) - 1] = 5.0 + 0.01 * i
+                lines.append(",".join(map(repr, bins.tolist())) + f",{label}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_split_warning_goes_to_stderr(tmp_path, capsys):
+    # stratified at 4%: round(0.4) = 0 of A's 10 rows train, 8 of B's 200
+    rows_path = tmp_path / "rows.csv"
+    _two_class_rows(rows_path, {"A": 10, "B": 200})
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text("stratified = true\ntrain_fraction = 0.04\nruns = 2\nbatch_size = 4\n")
+    assert run(cfg_path, tmp_path / "o", "train", "--rows", str(rows_path)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: class 'A' absent from the training split\n"
+    assert "final test accuracy" in captured.out and "on 202 rows" in captured.out
+
+
+def test_empty_test_split_is_data_error(tmp_path, capsys):
+    rows_path = tmp_path / "rows.csv"
+    _two_class_rows(rows_path, {"A": 10, "B": 10})
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text("train_fraction = 0.99\nruns = 2\nbatch_size = 4\n")
+    assert run(cfg_path, tmp_path / "o", "train", "--rows", str(rows_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the test split is empty; lower train_fraction"]
+
+
+def test_eval_rows_label_missing_from_checkpoint_is_data_error(smoke, tmp_path, capsys):
+    cfg_path, out = smoke
+    ckpt = tmp_path / "model.bin"
+    dnn.save_checkpoint(ckpt, dnn.init_network(3, 3, seed=1), [3, 17, 120], SMOKE_LABELS[:3], True)
+    argv = ["eval", "--checkpoint", str(ckpt), "--rows", str(out / "rows.csv")]
+    assert run(cfg_path, tmp_path / "o", *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: label 'Saab83' not in vocabulary")

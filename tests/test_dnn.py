@@ -114,10 +114,12 @@ def test_sigmoid_swap_leaves_training_bit_identical(monkeypatch):
             for _ in range(16) for label in ("A", "B", "C")]
     ds = Dataset.from_rows(rows)
     cfg = PipelineConfig(runs=25, batch_size=12, seed=3)
-    mask = FeatureMask(kept=[4, 9, 30, 31, 77])
-    p_new, log_new = trainer.train(*trainer.split(ds, cfg), mask, cfg)
+    x = trainer.features_matrix(ds.rows, FeatureMask(kept=[4, 9, 30, 31, 77]), True)
+    y = trainer.label_index(ds.rows, ds.label_vocab)
+    tr, te = trainer.split(y, cfg)
+    p_new, log_new = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
     monkeypatch.setattr(dnn, "sigmoid", reference_sigmoid)
-    p_ref, log_ref = trainer.train(*trainer.split(ds, cfg), mask, cfg)
+    p_ref, log_ref = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
     for a, b in zip(p_new, p_ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
     assert len(log_new.records) == len(log_ref.records) == 25

@@ -99,6 +99,36 @@ def test_selection_keeps_exactly_the_hot_bin():
     assert report.per_bin_class_counts[49] == 1
 
 
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_matrix_selection_matches_per_label_stack_bit_for_bit():
+    # interleaved labels of unequal class sizes, random magnitudes: every bit counts
+    rng = np.random.default_rng(21)
+    labels = ["B"] * 13 + ["A", "C", "B"] * 17 + ["C"] * 6
+    rng.shuffle(labels)
+    scale = {l: 1.0 + 3.0 * rng.random(N_BINS) for l in "ABC"}
+    rows = [SpectrumRow(bins=rng.random(N_BINS) * scale[l], label=l) for l in labels]
+    mask, report = fusion.compute_selection(rows, 1.15, 1)
+
+    # the reference stacks each label's rows in row order, as the row-list code did
+    by_label = {}
+    for r in rows:
+        by_label.setdefault(r.label, []).append(r.bins)
+    means = {l: np.mean(np.stack(stack), axis=0) for l, stack in by_label.items()}
+    grand = np.mean(np.stack([r.bins for r in rows]), axis=0)
+    assert list(report.class_means) == list(by_label)
+    assert np.array_equal(bits(report.global_mean), bits(grand))
+    counts = np.zeros(N_BINS, dtype=int)
+    for l, mean in means.items():
+        assert np.array_equal(bits(report.class_means[l]), bits(mean))
+        assert np.array_equal(bits(report.ratios[l]), bits(mean / grand))
+        counts += mean / grand > 1.15
+    assert np.array_equal(report.per_bin_class_counts, counts)
+    assert mask.kept == [int(i) + 1 for i in np.flatnonzero(counts == 1)]
+
+
 def test_selection_mask_is_scale_free():
     rows = hot_bin_rows()
     scaled = [SpectrumRow(bins=r.bins * 1e3, label=r.label) for r in rows]

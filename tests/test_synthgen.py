@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from sigclass import spectral, synthgen
+from sigclass.config import PipelineConfig
 from sigclass.errors import ConfigurationError, ParseError, ValidationError
 from sigclass.synthgen import (
     GROUP1_LABELS,
     GROUP2_LABELS,
     Recording,
-    SensorChannel,
     SpectralLine,
     TargetProfile,
 )
 
-SETUP = [
-    SensorChannel("mic", "microphone", "10m front"),
-    SensorChannel("geo", "geophone", "10m front"),
-]
+SETUP = ("mic", "geo")
 
 
 def profile(lines_per_channel, noise=0.0, label="T"):
@@ -24,11 +21,6 @@ def profile(lines_per_channel, noise=0.0, label="T"):
 
 # ---------------------------------------------------------------------------
 # types
-
-def test_sensor_kind_validated():
-    with pytest.raises(ValidationError):
-        SensorChannel("x", "thermometer")
-
 
 def test_spectral_line_validation():
     with pytest.raises(ValidationError):
@@ -122,8 +114,8 @@ def test_noise_free_lines_peak_at_their_bins():
 # group profiles
 
 def test_group_profile_counts_and_first_label():
-    g1 = synthgen.build_group_profiles("Group1", seed=0)
-    g2 = synthgen.build_group_profiles("Group2", seed=0)
+    g1 = synthgen.build_group_profiles(PipelineConfig(group="Group1", seed=0))
+    g2 = synthgen.build_group_profiles(PipelineConfig(group="Group2", seed=0))
     assert len(g1) == 7 and len(g2) == 4
     assert g1[0].label == "AllQuiet" and g2[0].label == "AllQuiet"
     assert [p.label for p in g1] == GROUP1_LABELS
@@ -131,8 +123,8 @@ def test_group_profile_counts_and_first_label():
 
 
 def test_group_profiles_deterministic():
-    a = synthgen.build_group_profiles("Group2", seed=5)
-    b = synthgen.build_group_profiles("Group2", seed=5)
+    a = synthgen.build_group_profiles(PipelineConfig(group="Group2", seed=5))
+    b = synthgen.build_group_profiles(PipelineConfig(group="Group2", seed=5))
     for pa, pb in zip(a, b):
         assert pa.label == pb.label
         assert pa.lines_per_channel == pb.lines_per_channel
@@ -140,14 +132,14 @@ def test_group_profiles_deterministic():
 
 def test_nonquiet_profiles_have_lines_on_multiple_channels():
     for group in ("Group1", "Group2"):
-        for p in synthgen.build_group_profiles(group, seed=2)[1:]:
+        for p in synthgen.build_group_profiles(PipelineConfig(group=group, seed=2))[1:]:
             freqs = {l.freq_hz for lines in p.lines_per_channel.values() for l in lines}
             assert len(freqs) >= 3
             assert len(p.lines_per_channel) >= 2
 
 
 def test_profiles_use_disjoint_frequencies():
-    profiles = synthgen.build_group_profiles("Group1", seed=8)
+    profiles = synthgen.build_group_profiles(PipelineConfig(group="Group1", seed=8))
     seen = set()
     for p in profiles[1:]:
         freqs = {l.freq_hz for lines in p.lines_per_channel.values() for l in lines}
@@ -156,16 +148,22 @@ def test_profiles_use_disjoint_frequencies():
 
 
 def test_min_line_spacing_respected():
-    profiles = synthgen.build_group_profiles("Group2", seed=1, min_line_spacing_hz=4)
+    profiles = synthgen.build_group_profiles(PipelineConfig(group="Group2", seed=1, min_line_spacing_hz=4))
     freqs = sorted(
         {l.freq_hz for p in profiles for lines in p.lines_per_channel.values() for l in lines}
     )
     assert all(b - a >= 4 for a, b in zip(freqs, freqs[1:]))
 
 
+def test_line_grid_capacity_checked():
+    # a 20 Hz grid over 5..295 Hz has 15 slots; Group1 needs 6 x 5 lines
+    with pytest.raises(ConfigurationError, match="cannot place 30 distinct lines"):
+        synthgen.build_group_profiles(PipelineConfig(group="Group1", min_line_spacing_hz=20))
+
+
 def test_unknown_group_rejected():
     with pytest.raises(ConfigurationError):
-        synthgen.build_group_profiles("Group3", seed=0)
+        synthgen.build_group_profiles(PipelineConfig(group="Group3", seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def test_load_recording_rejects_garbage(tmp_path):
 
 
 def test_profiles_roundtrip(tmp_path):
-    profiles = synthgen.build_group_profiles("Group2", seed=7)
+    profiles = synthgen.build_group_profiles(PipelineConfig(group="Group2", seed=7))
     path = tmp_path / "profiles.txt"
     synthgen.save_profiles(path, profiles)
     loaded = synthgen.load_profiles(path)

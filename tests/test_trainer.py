@@ -4,8 +4,9 @@ import pytest
 from sigclass import dnn, trainer
 from sigclass.config import PipelineConfig
 from sigclass.dnn import UNCLASSIFIED
-from sigclass.errors import ConfigurationError, ParseError, ValidationError
+from sigclass.errors import ParseError, ValidationError
 from sigclass.fusion import FeatureMask, SpectrumRow
+from sigclass.rng import derive_rng
 from sigclass.spectral import N_BINS
 from sigclass.trainer import Dataset
 
@@ -25,6 +26,20 @@ def toy_dataset(n_per_class=20, labels=("A", "B"), hot={"A": (10,), "B": (20,)})
         for label in labels:
             rows.append(row(label, hot[label], value=5.0 + 0.01 * i))
     return Dataset.from_rows(rows)
+
+
+def train_on(ds, mask, cfg, initial_params=None):
+    """trainer.train on the cfg split of ds, as the train stage runs it."""
+    x = trainer.features_matrix(ds.rows, mask, cfg.normalize_rows)
+    y = trainer.label_index(ds.rows, ds.label_vocab)
+    tr, te = trainer.split(y, cfg)
+    return trainer.train(x[tr], y[tr], x[te], y[te], len(ds.label_vocab), cfg, initial_params)
+
+
+def score(params, rows, mask, vocab):
+    """trainer.evaluate on the normalized masked rows, as the eval stage runs it."""
+    x = trainer.features_matrix(rows, mask, True)
+    return trainer.evaluate(params, x, trainer.label_index(rows, vocab), vocab)
 
 
 def rows_csv_text(rows):
@@ -126,45 +141,73 @@ def test_label_index_unknown_label():
 # ---------------------------------------------------------------------------
 # split
 
+def labels_of(ds):
+    return trainer.label_index(ds.rows, ds.label_vocab)
+
+
 def test_split_sizes_and_disjointness():
-    ds = toy_dataset(n_per_class=500)  # 1000 rows
-    train, test = trainer.split(ds, PipelineConfig(seed=1))
-    assert len(train.rows) == 800 and len(test.rows) == 200
-    train_ids = {id(r) for r in train.rows}
-    test_ids = {id(r) for r in test.rows}
-    assert not (train_ids & test_ids)
-    assert len(train_ids | test_ids) == 1000
+    y = labels_of(toy_dataset(n_per_class=500))  # 1000 rows
+    train, test = trainer.split(y, PipelineConfig(seed=1))
+    assert len(train) == 800 and len(test) == 200
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(1000))
 
 
 def test_split_small_dataset():
-    ds = toy_dataset(n_per_class=5)  # 10 rows
-    train, test = trainer.split(ds, PipelineConfig(seed=2))
-    assert len(train.rows) == 8 and len(test.rows) == 2
+    y = labels_of(toy_dataset(n_per_class=5))  # 10 rows
+    train, test = trainer.split(y, PipelineConfig(seed=2))
+    assert len(train) == 8 and len(test) == 2
 
 
 def test_split_deterministic():
-    ds = toy_dataset(30)
-    a_train, a_test = trainer.split(ds, PipelineConfig(seed=9))
-    b_train, b_test = trainer.split(ds, PipelineConfig(seed=9))
-    assert [r.label for r in a_train.rows] == [r.label for r in b_train.rows]
-    assert all(np.array_equal(x.bins, y.bins) for x, y in zip(a_train.rows, b_train.rows))
-    c_train, _ = trainer.split(ds, PipelineConfig(seed=10))
-    assert [id(r) for r in a_train.rows] != [id(r) for r in c_train.rows]
+    y = labels_of(toy_dataset(30))
+    a_train, a_test = trainer.split(y, PipelineConfig(seed=9))
+    b_train, b_test = trainer.split(y, PipelineConfig(seed=9))
+    assert np.array_equal(a_train, b_train) and np.array_equal(a_test, b_test)
+    c_train, _ = trainer.split(y, PipelineConfig(seed=10))
+    assert not np.array_equal(a_train, c_train)
 
 
-def test_split_warns_when_class_missing_from_train():
-    rows = [row("A", (10,)) for _ in range(4)] + [row("B", (20,))]
+def row_list_split(ds, cfg):
+    """The split as it was on row lists: (train rows, test rows) in file order."""
+    n = len(ds.rows)
+    rng = derive_rng(cfg.seed, "split")
+    in_train = np.zeros(n, dtype=bool)
+    if cfg.stratified:
+        labels = trainer.label_index(ds.rows, ds.label_vocab)
+        for k in range(len(ds.label_vocab)):
+            idx = np.flatnonzero(labels == k)
+            perm = idx[rng.permutation(len(idx))]
+            in_train[perm[: int(round(cfg.train_fraction * len(idx)))]] = True
+    else:
+        perm = rng.permutation(n)
+        in_train[perm[: int(round(cfg.train_fraction * n))]] = True
+    return (
+        [r for r, keep in zip(ds.rows, in_train) if keep],
+        [r for r, keep in zip(ds.rows, in_train) if not keep],
+    )
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_split_indices_match_row_list_split(stratified, seed):
+    # three classes of unequal size, interleaved, so per-class draws matter
+    sizes = {"A": 37, "B": 20, "C": 53}
+    rows = [row(label) for i in range(53) for label in sizes if i < sizes[label]]
     ds = Dataset.from_rows(rows)
-    with pytest.warns(UserWarning, match="absent from the training split"):
-        trainer.split(ds, PipelineConfig(seed=3))
+    cfg = PipelineConfig(seed=seed, stratified=stratified, train_fraction=0.7)
+    train, test = trainer.split(labels_of(ds), cfg)
+    ref_train, ref_test = row_list_split(ds, cfg)
+    assert [id(ds.rows[i]) for i in train] == [id(r) for r in ref_train]
+    assert [id(ds.rows[i]) for i in test] == [id(r) for r in ref_test]
 
 
 def test_stratified_split_keeps_class_shares():
-    ds = toy_dataset(n_per_class=50)  # 100 rows, 2 classes
-    train, test = trainer.split(ds, PipelineConfig(seed=4, stratified=True))
-    for label in ("A", "B"):
-        assert sum(r.label == label for r in train.rows) == 40
-        assert sum(r.label == label for r in test.rows) == 10
+    y = labels_of(toy_dataset(n_per_class=50))  # 100 rows, 2 classes
+    train, test = trainer.split(y, PipelineConfig(seed=4, stratified=True))
+    for k in (0, 1):
+        assert np.sum(y[train] == k) == 40
+        assert np.sum(y[test] == k) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +235,7 @@ def test_features_matrix_zero_row_untouched():
 def test_train_logs_one_record_per_run():
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=200, batch_size=16, seed=5)
-    params, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
+    params, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
     assert len(log.records) == 200
     assert [r.run for r in log.records] == list(range(1, 201))
     assert all(np.isfinite(r.train_loss) for r in log.records)
@@ -204,7 +247,7 @@ def test_train_single_run_zero_net_loss_near_ln2():
     zero = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d),
             np.zeros((c, d)), np.zeros(c)]
     cfg = PipelineConfig(runs=1, batch_size=16, seed=6)
-    params, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg, initial_params=zero)
+    params, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg, initial_params=zero)
     # one 0.005-sized Adam step barely moves the logits away from 0
     assert log.records[0].train_loss == pytest.approx(LN2, abs=0.05)
 
@@ -212,8 +255,8 @@ def test_train_single_run_zero_net_loss_near_ln2():
 def test_train_deterministic():
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=10, batch_size=16, seed=7)
-    p1, log1 = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
-    p2, log2 = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
+    p1, log1 = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
+    p2, log2 = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
     assert log1.records == log2.records
     for a, b in zip(p1, p2):
         assert np.array_equal(a, b)
@@ -223,7 +266,7 @@ def test_train_zero_learn_rate_freezes_metrics():
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=8, batch_size=16, seed=8)
     cfg.learn_rate = 0.0  # a config rejects it; train itself must still hold still
-    _, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
+    _, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
     losses = {r.train_loss for r in log.records}
     accs = {r.test_acc for r in log.records}
     assert len(losses) == 1 and len(accs) == 1
@@ -232,7 +275,7 @@ def test_train_zero_learn_rate_freezes_metrics():
 def test_train_learns_separable_toy():
     ds = toy_dataset(30)
     cfg = PipelineConfig(runs=300, batch_size=24, seed=9)
-    params, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
+    params, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
     assert log.records[-1].test_acc == 1.0
     assert log.records[-1].train_acc == 1.0
     assert log.records[-1].train_loss < log.records[0].train_loss
@@ -242,14 +285,7 @@ def test_train_rejects_oversized_batch():
     ds = toy_dataset(5)  # 10 rows -> 8 train rows
     with pytest.raises(ValidationError):
         cfg = PipelineConfig(runs=1, batch_size=9, seed=0)
-        trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
-
-
-def test_train_rejects_empty_mask():
-    ds = toy_dataset(20)
-    with pytest.raises(ConfigurationError):
-        cfg = PipelineConfig(runs=1, batch_size=8, seed=0)
-        trainer.train(*trainer.split(ds, cfg), None, cfg)
+        train_on(ds, FeatureMask(kept=[10, 20]), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +303,7 @@ def test_evaluate_perfect_toy_model():
     params = hand_built_classifier()
     rows = [row("A", (10,)) for _ in range(6)] + [row("B", (20,)) for _ in range(4)]
     mask = FeatureMask(kept=[10, 20])
-    acc, cm = trainer.evaluate(params, rows, mask, ["A", "B"])
+    acc, cm = score(params, rows, mask, ["A", "B"])
     assert acc == 1.0
     assert np.array_equal(cm.counts, [[6, 0, 0], [0, 4, 0]])
 
@@ -282,7 +318,7 @@ def test_evaluate_counts_conserved():
         bins = rng.random(N_BINS) * 4
         rows.append(SpectrumRow(bins=bins, label=label))
     mask = FeatureMask(kept=[1, 2, 3, 4])
-    acc, cm = trainer.evaluate(params, rows, mask, labels)
+    acc, cm = score(params, rows, mask, labels)
     assert cm.counts.shape == (3, 4)
     assert cm.counts.sum() == 60
     for i, label in enumerate(labels):
@@ -302,16 +338,9 @@ def test_evaluate_unclassified_lands_in_last_column():
     params = hand_built_classifier()
     # equal features drive both outputs high -> not a one-hot
     rows = [row("A", (10, 20))]
-    acc, cm = trainer.evaluate(params, rows, FeatureMask(kept=[10, 20]), ["A", "B"])
+    acc, cm = score(params, rows, FeatureMask(kept=[10, 20]), ["A", "B"])
     assert acc == 0.0
     assert cm.counts[0, 2] == 1
-
-
-def test_evaluate_rejects_unknown_label():
-    params = hand_built_classifier()
-    rows = [row("Z", (10,))]
-    with pytest.raises(ValidationError):
-        trainer.evaluate(params, rows, FeatureMask(kept=[10, 20]), ["A", "B"])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +349,7 @@ def test_evaluate_rejects_unknown_label():
 def test_runlog_csv_format(tmp_path):
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=3, batch_size=16, seed=5)
-    _, log = trainer.train(*trainer.split(ds, cfg), FeatureMask(kept=[10, 20]), cfg)
+    _, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
     path = tmp_path / "runlog.csv"
     trainer.write_runlog_csv(path, log)
     lines = path.read_text().splitlines()
