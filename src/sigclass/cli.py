@@ -21,7 +21,7 @@ from .errors import (
     NumericalError,
     ParseError,
     SelectionError,
-    ValidationError,
+    SigclassError,
 )
 from .rng import derive_seed
 
@@ -48,11 +48,7 @@ def _write_manifest(command, cfg, extra):
 
 def _load_config(args, **overrides):
     file_values = config_mod.read_config_file(args.config) if args.config else {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    return config_mod.build_config(file_values, **overrides)
+    return config_mod.build_config(file_values, seed=args.seed, out_dir=args.out, **overrides)
 
 
 def cmd_synth(args):
@@ -98,6 +94,10 @@ def _read_synth_manifest(cfg):
         raise ParseError(f"{path}: not a synth manifest ({type(exc).__name__}: {exc})") from None
     if bad:
         raise ParseError(f"{path}: recording entry {bad[0]} needs text file and label, integer trial")
+    # rows and heatmap open recordings/<file>, so it must be the bare name synth writes
+    bad = [e for e in entries if not e["file"] == Path(e["file"]).name == f"{e['label']}_t{e['trial']}.rec"]
+    if bad:
+        raise ParseError(f"{path}: recording entry {bad[0]} needs file <label>_t<trial>.rec")
     return entries
 
 
@@ -157,7 +157,7 @@ def _print_warnings(warnings):
 
 
 def cmd_train(args):
-    cfg = _load_config(args, runs=getattr(args, "runs", None))
+    cfg = _load_config(args, runs=args.runs)
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.csv"
     ds = trainer.load_rows(rows_path)
     vocab = ds.label_vocab
@@ -184,8 +184,8 @@ def cmd_train(args):
     trainer.write_runlog_csv(out / "runlog.csv", log)
     dnn.save_checkpoint(out / "checkpoint.bin", params, mask.kept, vocab, cfg.normalize_rows)
 
-    accuracy, cm = trainer.evaluate(params, x_test, y_test, vocab)
-    trainer.write_confusion_csv(out / "confusion.csv", cm)
+    accuracy, counts = trainer.evaluate(params, x_test, y_test, vocab)
+    trainer.write_confusion_csv(out / "confusion.csv", vocab, counts)
     # the guard comes from the labels in the rows, which need not be the group's
     _write_manifest("train", dataclasses.replace(cfg, max_classes_per_bin=guard), {
         "rows_file": str(rows_path),
@@ -195,7 +195,7 @@ def cmd_train(args):
     })
     print(f"mask size: {len(mask)} bins")
     print(f"final test accuracy: {accuracy:.4f} on {len(test_idx)} rows")
-    print(trainer.format_confusion(cm))
+    print(trainer.format_confusion(vocab, counts))
     return EXIT_OK
 
 
@@ -207,17 +207,17 @@ def cmd_eval(args):
     ds = trainer.load_rows(rows_path)
     y = trainer.label_index(ds.rows, vocab)
     x = trainer.features_matrix(ds.rows, fusion.FeatureMask(kept=mask_bins), normalize)
-    accuracy, cm = trainer.evaluate(params, x, y, vocab)
+    accuracy, counts = trainer.evaluate(params, x, y, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trainer.write_confusion_csv(out / "eval_confusion.csv", cm)
+    trainer.write_confusion_csv(out / "eval_confusion.csv", vocab, counts)
     _write_manifest("eval", cfg, {
         "checkpoint": str(ckpt_path),
         "rows_file": str(rows_path),
         "accuracy": accuracy,
     })
     print(f"accuracy: {accuracy:.4f} on {len(y)} rows")
-    print(trainer.format_confusion(cm))
+    print(trainer.format_confusion(vocab, counts))
     return EXIT_OK
 
 
@@ -255,15 +255,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (SigclassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (SelectionError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
+        if isinstance(exc, ConfigurationError):
+            return EXIT_USAGE
+        return EXIT_TRAINING if isinstance(exc, (SelectionError, NumericalError)) else EXIT_DATA
 
 
 def entrypoint():

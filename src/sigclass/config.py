@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import get_args, get_origin
 
-from .errors import ConfigurationError
-from .synthgen import DEFAULT_LINES_PER_PROFILE, GROUPS, ROSTER
+from .errors import ConfigurationError, text_lines
+from .synthgen import DEFAULT_LINES_PER_PROFILE, GROUPS, LINE_GRID_HZ, ROSTER
 
 
 @dataclass
@@ -91,6 +91,9 @@ class PipelineConfig:
             raise ConfigurationError("lines_per_profile must be >= 3 (0 picks the group default)")
         if self.min_line_spacing_hz < 1:
             raise ConfigurationError("min_line_spacing_hz must be >= 1")
+        needed = (len(labels) - 1) * self.lines_per_profile
+        if needed > len(range(*LINE_GRID_HZ, self.min_line_spacing_hz)):
+            raise ConfigurationError(f"cannot place {needed} distinct lines with spacing {self.min_line_spacing_hz} Hz")
         if self.blocks_per_recording < 0:
             raise ConfigurationError("blocks_per_recording must be >= 0 (0 picks the default)")
         self.blocks_per_recording = (
@@ -138,17 +141,16 @@ def _parse_value(key, value):
 def read_config_file(path):
     """Parse 'key = value' lines; '#' starts a comment, blank lines are fine."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (t.strip() for t in text.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
+    for lineno, raw in text_lines(path):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (t.strip() for t in text.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value
     return values
 
 

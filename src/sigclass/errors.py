@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline stages."""
+"""Exception types shared across the pipeline stages, and the text reader that raises them."""
 
 
 class SigclassError(Exception):
@@ -20,7 +20,6 @@ class ParseError(SigclassError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class NumericalError(SigclassError):
@@ -33,3 +32,12 @@ class SelectionError(SigclassError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def text_lines(path):
+    """Enumerate a UTF-8 text file's lines from 1; other bytes raise ParseError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -47,7 +47,6 @@ class SelectionReport:
     class_means: dict
     global_mean: np.ndarray
     ratios: dict
-    threshold: float
     per_bin_class_counts: np.ndarray
     warnings: list = field(default_factory=list)
 
@@ -123,14 +122,13 @@ def compute_selection(rows, threshold, max_classes_per_bin):
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(zero, np.nan, mean / np.where(zero, 1.0, global_mean))
         ratios[label] = ratio
-        counts += (~zero) & (ratio > threshold)
+        counts += ratio > threshold  # False where the ratio is nan
 
     keep = (counts >= 1) & (counts <= max_classes_per_bin)
     report = SelectionReport(
         class_means=class_means,
         global_mean=global_mean,
         ratios=ratios,
-        threshold=float(threshold),
         per_bin_class_counts=counts,
         warnings=warnings,
     )

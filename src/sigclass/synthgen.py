@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ValidationError
+from .errors import ConfigurationError, ParseError, ValidationError, text_lines
 from .rng import derive_rng
 
 RECORDING_MAGIC = "SIGREC1"
@@ -52,8 +52,8 @@ class TargetProfile:
     noise_rms: float = 0.0
 
     def __post_init__(self):
-        if not self.label or any(ch.isspace() or ch == "," for ch in self.label):
-            raise ValidationError(f"label {self.label!r} must be a token without spaces or commas")
+        if not self.label or any(ch.isspace() or ch in ",/\\" for ch in self.label):
+            raise ValidationError(f"label {self.label!r} must be a token without spaces, commas or slashes")
         if not math.isfinite(self.noise_rms) or self.noise_rms < 0:
             raise ValidationError("noise_rms must be finite and >= 0")
 
@@ -70,10 +70,6 @@ class Recording:
     @property
     def n_samples(self):
         return next(iter(self.samples.values())).shape[0]
-
-    @property
-    def channel_ids(self):
-        return list(self.samples.keys())
 
 
 GROUP1_LABELS = [
@@ -95,6 +91,8 @@ GROUPS = {
 # Default class-signature sizes keep the selected feature set comfortably
 # inside 20..125 bins even when frequency wobble drags neighbor bins along.
 DEFAULT_LINES_PER_PROFILE = {"Group1": 5, "Group2": 7}
+
+LINE_GRID_HZ = (5, 296)  # signature lines sit on range(*LINE_GRID_HZ, min_line_spacing_hz)
 
 # signature line amplitudes are drawn uniformly from this range
 LINE_AMPLITUDES = (1.0, 2.0)
@@ -160,12 +158,7 @@ def build_group_profiles(cfg):
     on at least two of the group's fused channels.
     """
     labels, fused = GROUPS[cfg.group]
-    candidates = np.arange(5, 296, cfg.min_line_spacing_hz)
-    needed = (len(labels) - 1) * cfg.lines_per_profile
-    if needed > len(candidates):
-        raise ConfigurationError(
-            f"cannot place {needed} distinct lines with spacing {cfg.min_line_spacing_hz} Hz"
-        )
+    candidates = np.arange(*LINE_GRID_HZ, cfg.min_line_spacing_hz)
     rng = derive_rng(cfg.seed, "profiles", cfg.group)
     pool = list(rng.permutation(candidates))
 
@@ -189,7 +182,7 @@ def build_group_profiles(cfg):
 
 def save_recording(path, rec):
     """Binary recording file: one ASCII header line, then float64 LE sample rows."""
-    ids = rec.channel_ids
+    ids = list(rec.samples)
     header = (
         f"{RECORDING_MAGIC} label={rec.label} rate={rec.sample_rate_hz} "
         f"duration={rec.duration_s!r} channels={','.join(ids)}\n"
@@ -251,40 +244,39 @@ def load_profiles(path):
     """
     profiles = {}  # label -> TargetProfile, in file order
     current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split("#", 1)[0].split()
-            if not parts:
-                continue
-            key, args = parts[0], parts[1:]
-            try:
-                if key == "profile":
-                    if len(args) != 1:
-                        raise ValidationError("expected: profile <label>")
-                    if args[0] in profiles:
-                        raise ValidationError(f"profile {args[0]!r} is defined twice")
-                    current = TargetProfile(label=args[0], lines_per_channel={}, noise_rms=0.0)
-                    profiles[current.label] = current
-                elif current is None:
-                    raise ValidationError(f"{key!r} before any 'profile' line")
-                elif key == "noise_rms":
-                    if len(args) != 1:
-                        raise ValidationError("expected: noise_rms <value>")
-                    # replace() re-runs the profile's own noise_rms check
-                    current = profiles[current.label] = replace(current, noise_rms=float(args[0]))
-                elif key == "line":
-                    if len(args) != 4:
-                        raise ValidationError("expected: line <channel> <freq_hz> <amp> <jitter>")
-                    if args[0] not in ROSTER:
-                        raise ValidationError(f"unknown channel {args[0]!r}; expected one of {', '.join(ROSTER)}")
-                    line = SpectralLine(int(args[1]), float(args[2]), float(args[3]))
-                    current.lines_per_channel.setdefault(args[0], []).append(line)
-                else:
-                    raise ValidationError(f"unknown directive {key!r}")
-            except ValueError as exc:
-                raise ParseError(f"bad number in {key!r} line ({exc})", line=lineno) from None
-            except ValidationError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    for lineno, raw in text_lines(path):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        key, args = parts[0], parts[1:]
+        try:
+            if key == "profile":
+                if len(args) != 1:
+                    raise ValidationError("expected: profile <label>")
+                if args[0] in profiles:
+                    raise ValidationError(f"profile {args[0]!r} is defined twice")
+                current = TargetProfile(label=args[0], lines_per_channel={}, noise_rms=0.0)
+                profiles[current.label] = current
+            elif current is None:
+                raise ValidationError(f"{key!r} before any 'profile' line")
+            elif key == "noise_rms":
+                if len(args) != 1:
+                    raise ValidationError("expected: noise_rms <value>")
+                # replace() re-runs the profile's own noise_rms check
+                current = profiles[current.label] = replace(current, noise_rms=float(args[0]))
+            elif key == "line":
+                if len(args) != 4:
+                    raise ValidationError("expected: line <channel> <freq_hz> <amp> <jitter>")
+                if args[0] not in ROSTER:
+                    raise ValidationError(f"unknown channel {args[0]!r}; expected one of {', '.join(ROSTER)}")
+                line = SpectralLine(int(args[1]), float(args[2]), float(args[3]))
+                current.lines_per_channel.setdefault(args[0], []).append(line)
+            else:
+                raise ValidationError(f"unknown directive {key!r}")
+        except ValueError as exc:
+            raise ParseError(f"bad number in {key!r} line ({exc})", line=lineno) from None
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     if not profiles:
         raise ParseError(f"{path}: no profiles")
     return list(profiles.values())

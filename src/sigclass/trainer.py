@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dnn
 from .dnn import UNCLASSIFIED
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, text_lines
 from .fusion import SpectrumRow, apply_mask
 from .rng import derive_rng
 from .spectral import N_BINS
@@ -44,14 +44,6 @@ class RunLog:
     records: list = field(default_factory=list)
 
 
-@dataclass
-class ConfusionMatrix:
-    """counts[actual, predicted]; the trailing column tallies Unclassified."""
-
-    labels: list
-    counts: np.ndarray
-
-
 def load_rows(path):
     """Parse the 301-column CSV into a Dataset.
 
@@ -59,26 +51,23 @@ def load_rows(path):
     malformed number or a nan/inf raises ParseError naming the 1-based line.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split(",")
-            if len(fields) != N_BINS + 1:
-                raise ParseError(
-                    f"expected {N_BINS + 1} fields, found {len(fields)}", line=lineno
-                )
-            try:
-                bins = np.array([float(v) for v in fields[:N_BINS]])
-            except ValueError as exc:
-                raise ParseError(f"bad numeric field ({exc})", line=lineno) from None
-            if not np.isfinite(bins).all():
-                raise ParseError("non-finite magnitude (nan or inf)", line=lineno)
-            label = fields[N_BINS].strip()
-            if not label:
-                raise ParseError("empty label field", line=lineno)
-            rows.append(SpectrumRow(bins=bins, label=label))
+    for lineno, raw in text_lines(path):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split(",")
+        if len(fields) != N_BINS + 1:
+            raise ParseError(f"expected {N_BINS + 1} fields, found {len(fields)}", line=lineno)
+        try:
+            bins = np.array([float(v) for v in fields[:N_BINS]])
+        except ValueError as exc:
+            raise ParseError(f"bad numeric field ({exc})", line=lineno) from None
+        if not np.isfinite(bins).all():
+            raise ParseError("non-finite magnitude (nan or inf)", line=lineno)
+        label = fields[N_BINS].strip()
+        if not label:
+            raise ParseError("empty label field", line=lineno)
+        rows.append(SpectrumRow(bins=bins, label=label))
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return Dataset.from_rows(rows)
@@ -145,7 +134,7 @@ def _scores(logits, y):
     return row_acc, bit_acc
 
 
-def train(x_train, y_train, x_test, y_test, c, cfg, initial_params=None):
+def train(x_train, y_train, x_test, y_test, c, cfg):
     """The training loop: batch runs with Adam, scored after every step.
 
     x_train and x_test are masked feature matrices (see `features_matrix`),
@@ -163,10 +152,8 @@ def train(x_train, y_train, x_test, y_test, c, cfg, initial_params=None):
         raise ValidationError("the test split is empty; lower train_fraction")
     y_train, y_test = np.eye(c)[y_train], np.eye(c)[y_test]
 
-    params = initial_params
-    if params is None:
-        init_seed = derive_rng(cfg.seed, "init").integers(2**32)
-        params = dnn.init_network(x_train.shape[1], c, seed=init_seed)
+    init_seed = derive_rng(cfg.seed, "init").integers(2**32)
+    params = dnn.init_network(x_train.shape[1], c, seed=init_seed)
     state = dnn.AdamState.for_params(params)
     batch_rng = derive_rng(cfg.seed, "batches")
 
@@ -188,9 +175,10 @@ def train(x_train, y_train, x_test, y_test, c, cfg, initial_params=None):
 
 
 def evaluate(params, x, y, vocab):
-    """Accuracy plus the actual x (predicted + Unclassified) confusion matrix.
+    """Accuracy plus the confusion counts, counts[actual, predicted].
 
-    x holds masked feature rows and y their class indices in vocab.
+    x holds masked feature rows and y their class indices in vocab; the
+    trailing column of counts tallies Unclassified.
     """
     if len(x) == 0:
         raise ValidationError("evaluate needs at least one row")
@@ -198,7 +186,7 @@ def evaluate(params, x, y, vocab):
     t = len(vocab)
     counts = np.zeros((t, t + 1), dtype=int)
     np.add.at(counts, (y, np.where(preds == UNCLASSIFIED, t, preds)), 1)
-    return float(np.mean(preds == y)), ConfusionMatrix(labels=list(vocab), counts=counts)
+    return float(np.mean(preds == y)), counts
 
 
 def write_runlog_csv(path, log):
@@ -212,20 +200,20 @@ def write_runlog_csv(path, log):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_confusion_csv(path, cm):
-    header = "actual," + ",".join(cm.labels) + ",Unclassified"
+def write_confusion_csv(path, labels, counts):
+    header = "actual," + ",".join(labels) + ",Unclassified"
     lines = [header]
-    for i, label in enumerate(cm.labels):
-        lines.append(label + "," + ",".join(str(int(v)) for v in cm.counts[i]))
+    for label, row in zip(labels, counts):
+        lines.append(label + "," + ",".join(str(int(v)) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def format_confusion(cm):
+def format_confusion(labels, counts):
     """Fixed-width text table for terminal output."""
-    cols = cm.labels + ["Unclassified"]
-    width = max(len(s) for s in cols + cm.labels) + 2
+    cols = list(labels) + ["Unclassified"]
+    width = max(len(s) for s in cols) + 2
     out = [" " * width + "".join(f"{c:>{width}}" for c in cols)]
-    for i, label in enumerate(cm.labels):
-        out.append(f"{label:>{width}}" + "".join(f"{int(v):>{width}}" for v in cm.counts[i]))
+    for label, row in zip(labels, counts):
+        out.append(f"{label:>{width}}" + "".join(f"{int(v):>{width}}" for v in row))
     return "\n".join(out)

@@ -176,6 +176,11 @@ def test_bad_config_value_is_usage_error(tmp_path):
     ("fusion_weights = 1, 2", "synth"),
     ("fusion_weights = 0, 0, 0", "synth"),
     ("fusion_weights = -1, 1, 1", "synth"),
+    # Group2 needs 3 x 7 line slots; a 100 Hz grid over 5..295 Hz has 3
+    ("min_line_spacing_hz = 100", "synth"),
+    ("min_line_spacing_hz = 100", "rows"),
+    ("min_line_spacing_hz = 100", "train"),
+    ("min_line_spacing_hz = 100", "eval"),
 ])
 def test_config_range_error_is_usage_error(tmp_path, capsys, line, command):
     cfg_path = tmp_path / "config.txt"
@@ -203,6 +208,10 @@ def _edit_first_entry(edit):
     pytest.param(_edit_first_entry(lambda e: e.update(file=5)), id="file-not-text"),
     pytest.param(_edit_first_entry(lambda e: e.update(trial="1")), id="trial-not-integer"),
     pytest.param(lambda text: json.dumps({"recordings": [5]}), id="entry-not-object"),
+    pytest.param(_edit_first_entry(lambda e: e.update(file="../../outside.rec")), id="file-escapes"),
+    pytest.param(_edit_first_entry(lambda e: e.update(file="AllQuiet_t2.rec")), id="file-not-entry"),
+    pytest.param(_edit_first_entry(lambda e: e.update(label="../x", file=f"../x_t{e['trial']}.rec")),
+                 id="label-escapes"),
 ])
 @pytest.mark.parametrize("command", ["rows", "heatmap AllQuiet"])
 def test_corrupt_synth_manifest_is_data_error(smoke, tmp_path, capsys, command, corrupt):
@@ -214,6 +223,7 @@ def test_corrupt_synth_manifest_is_data_error(smoke, tmp_path, capsys, command, 
     assert run(cfg_path, copy, *command.split()) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "synth_manifest.json" in err[0]
+    assert [p.name for p in copy.iterdir()] == ["synth_manifest.json"]
 
 
 SMOKE_LABELS = ["AllQuiet", "HondaGenerator", "FordF150", "Saab83"]
@@ -469,6 +479,10 @@ def test_seed_flag_overrides_config(tmp_path):
     pytest.param("profile A\nline geo_front_10m 45 nan 0.0\n",
                  "line 2: line amplitude nan", id="amp"),
     pytest.param("profile A,B\n", "line 1: label 'A,B'", id="label"),
+    pytest.param("profile ../escape\nline geo_front_10m 45 1.5 0.0\n",
+                 "line 1: label '../escape'", id="label-dotdot"),
+    pytest.param("profile a/b\n", "line 1: label 'a/b'", id="label-slash"),
+    pytest.param("profile a\\b\n", "line 1: label 'a\\\\b'", id="label-backslash"),
     pytest.param("profile A\nline geo_front_10m 4.5 1.5 0.0\n",
                  "line 2: bad number", id="number"),
 ])
@@ -481,6 +495,43 @@ def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, text, messa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    pytest.param("train-rows", "rows.csv: not UTF-8 text", id="train-rows"),
+    pytest.param("eval-rows", "rows.csv: not UTF-8 text", id="eval-rows"),
+    pytest.param("profiles", "profiles.txt: not UTF-8 text", id="profiles"),
+    pytest.param("config", "config.txt: not UTF-8 text", id="config"),
+    pytest.param("train-rows-dir", "Is a directory", id="train-rows-dir"),
+    pytest.param("eval-checkpoint-dir", "Is a directory", id="eval-checkpoint-dir"),
+    pytest.param("config-dir", "Is a directory", id="config-dir"),
+])
+def test_unreadable_input_is_data_error(smoke, tmp_path, capsys, case, message):
+    cfg_path, out = smoke
+    rows, ckpt, folder = tmp_path / "rows.csv", tmp_path / "model.bin", tmp_path / "folder"
+    rows.write_bytes((out / "rows.csv").read_bytes() + b"\xff\n")
+    dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
+    folder.mkdir()
+    profiles = tmp_path / "profiles.txt"
+    profiles.write_bytes(b"profile A\nline geo_front_10m 45 1.5 0.0\n\xff\n")
+    profiles_config = tmp_path / "profiles_config.txt"
+    profiles_config.write_text(f"profiles_file = {profiles}\ntrials = 1\nduration_s = 2.0\n")
+    bad_config = tmp_path / "config.txt"
+    bad_config.write_bytes(b"seed = 1\n\xff\n")
+    argv = {
+        "train-rows": ["--config", cfg_path, "train", "--rows", rows],
+        "eval-rows": ["--config", cfg_path, "eval", "--checkpoint", ckpt, "--rows", rows],
+        "profiles": ["--config", profiles_config, "synth"],
+        "config": ["--config", bad_config, "synth"],
+        "train-rows-dir": ["--config", cfg_path, "train", "--rows", folder],
+        "eval-checkpoint-dir": ["--config", cfg_path, "eval", "--checkpoint", folder],
+        "config-dir": ["--config", folder, "synth"],
+    }[case]
+    o = tmp_path / "o"
+    assert cli.main(["--out", str(o), *map(str, argv)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not o.exists()
 
 
 def _two_class_rows(path, sizes):

@@ -158,7 +158,7 @@ def test_min_line_spacing_respected():
 def test_line_grid_capacity_checked():
     # a 20 Hz grid over 5..295 Hz has 15 slots; Group1 needs 6 x 5 lines
     with pytest.raises(ConfigurationError, match="cannot place 30 distinct lines"):
-        synthgen.build_group_profiles(PipelineConfig(group="Group1", min_line_spacing_hz=20))
+        PipelineConfig(group="Group1", min_line_spacing_hz=20)
 
 
 def test_unknown_group_rejected():
@@ -178,8 +178,8 @@ def test_recording_roundtrip(tmp_path):
     assert loaded.label == rec.label
     assert loaded.sample_rate_hz == rec.sample_rate_hz
     assert loaded.duration_s == rec.duration_s
-    assert loaded.channel_ids == rec.channel_ids
-    for cid in rec.channel_ids:
+    assert list(loaded.samples) == list(rec.samples)
+    for cid in rec.samples:
         assert np.array_equal(loaded.samples[cid], rec.samples[cid])
 
 
