@@ -116,12 +116,11 @@ def cmd_rows(args):
     n = cfg.blocks_per_recording
 
     x = np.empty((len(entries) * n, spectral.N_BINS))
-    labels = []
     for i, entry in enumerate(entries):
         spectra = _entry_spectra(cfg, entry, "blocks", n, cfg.fusion_channels)
         x[i * n : (i + 1) * n] = fusion.fuse(spectra, weights)
-        labels += [entry["label"]] * n
-    rows_path = Path(cfg.out_dir) / "rows.csv"
+    labels = np.repeat([e["label"] for e in entries], n)
+    rows_path = Path(cfg.out_dir) / "rows.npz"
     trainer.save_rows(rows_path, x, labels)
     _write_manifest("rows", cfg, {"rows_file": rows_path.name, "row_count": len(labels)})
     print(f"wrote {len(labels)} fused rows to {rows_path}")
@@ -158,7 +157,7 @@ def _print_warnings(warnings):
 
 def cmd_train(args):
     cfg = _load_config(args, runs=args.runs)
-    rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.csv"
+    rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
     ds = trainer.load_rows(rows_path)
     vocab = ds.label_vocab
 
@@ -169,10 +168,6 @@ def cmd_train(args):
         _print_warnings(exc.report.warnings)
         raise
     _print_warnings(report.warnings)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    fusion.write_mask(out / "mask.txt", mask)
-    fusion.write_selection_report_csv(out / "selection_report.csv", report)
 
     x = trainer.features_matrix(ds.rows, mask, cfg.normalize_rows)
     y = trainer.label_index(ds.rows, vocab)
@@ -181,6 +176,11 @@ def cmd_train(args):
     _print_warnings(f"class {vocab[k]!r} absent from the training split" for k in missing)
     x_test, y_test = x[test_idx], y[test_idx]
     params, log = trainer.train(x[train_idx], y[train_idx], x_test, y_test, len(vocab), cfg)
+    # written only now, so a rejected split leaves no mask beside an older checkpoint
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    fusion.write_mask(out / "mask.txt", mask)
+    fusion.write_selection_report_csv(out / "selection_report.csv", report)
     trainer.write_runlog_csv(out / "runlog.csv", log)
     dnn.save_checkpoint(out / "checkpoint.bin", params, mask.kept, vocab, cfg.normalize_rows)
 
@@ -202,7 +202,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _load_config(args)
     ckpt_path = Path(args.checkpoint) if args.checkpoint else Path(cfg.out_dir) / "checkpoint.bin"
-    rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.csv"
+    rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(ckpt_path)
     ds = trainer.load_rows(rows_path)
     y = trainer.label_index(ds.rows, vocab)
@@ -231,7 +231,7 @@ def build_parser():
     p = sub.add_parser("synth", help="synthesize target recordings")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("rows", help="extract blocks, fuse spectra, write the rows CSV")
+    p = sub.add_parser("rows", help="extract blocks, fuse spectra, write the rows store")
     p.set_defaults(func=cmd_rows)
 
     p = sub.add_parser("heatmap", help="render one label's per-channel heat map")
@@ -240,12 +240,12 @@ def build_parser():
 
     p = sub.add_parser("train", help="select frequencies, train, and evaluate")
     p.add_argument("--runs", type=int, help="override the training run count")
-    p.add_argument("--rows", help="rows CSV path (default: <out>/rows.csv)")
+    p.add_argument("--rows", help="rows store path (default: <out>/rows.npz)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint against a rows CSV")
+    p = sub.add_parser("eval", help="score a checkpoint against a rows store")
     p.add_argument("--checkpoint", help="model checkpoint (default: <out>/checkpoint.bin)")
-    p.add_argument("--rows", help="rows CSV path (default: <out>/rows.csv)")
+    p.add_argument("--rows", help="rows store path (default: <out>/rows.npz)")
     p.set_defaults(func=cmd_eval)
     return parser
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .spectral import N_BINS
 
 # Prediction sentinel: the rounded sigmoid outputs did not form a valid one-hot.
 UNCLASSIFIED = -1
@@ -181,9 +182,9 @@ def save_checkpoint(path, params, mask_bins, label_vocab, normalize_rows):
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, mask_bins, label_vocab, normalize_rows).
 
-    A file that is cut short, has bytes past the last bias, declares a hidden
-    width other than the input width, holds a label count other than the
-    output width, or holds a label that is not UTF-8 raises ValidationError.
+    A file that is cut short or has trailing bytes, a hidden width or mask
+    length other than d, a label count other than c, a non-UTF-8 label, or
+    mask bins not strictly ascending in 1..300 raises ValidationError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -219,4 +220,6 @@ def load_checkpoint(path):
         params.append(np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy())
     if off != len(raw):
         raise ValidationError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
+    if n_mask != d or sorted(set(mask_bins)) != mask_bins or not all(0 < b <= N_BINS for b in mask_bins):
+        raise ValidationError(f"{path}: the mask must hold {d} strictly ascending bins in 1..{N_BINS}")
     return params, mask_bins, vocab, bool(norm_flag)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, SelectionError, ValidationError
+from .errors import ConfigurationError, ParseError, SelectionError, ValidationError, text_lines
 from .spectral import N_BINS
 
 
@@ -174,11 +174,10 @@ def write_mask(path, mask):
 
 def load_mask(path):
     kept = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            for token in line.split():
-                try:
-                    kept.append(int(token))
-                except ValueError:
-                    raise ParseError(f"{path}: bin {token!r} is not an integer", line=lineno) from None
+    for lineno, line in text_lines(path):
+        for token in line.split():
+            # ASCII digits only: int() also takes "+3", "1_0" and "\u0663" (Arabic-Indic 3)
+            if not (token.isascii() and token.isdigit()):
+                raise ParseError(f"{path}: bin {token!r} is not an integer", line=lineno)
+            kept.append(int(token))
     return FeatureMask(kept=kept)

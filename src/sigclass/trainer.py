@@ -2,17 +2,19 @@
 
 One "run" is one training cycle: sample a batch from the training rows, do a
 single backprop pass and Adam step, then score the updated parameters on the
-full training and test sets.  Rows live in a 301-column CSV (300 fused
-magnitudes, then the class label).
+full training and test sets.  Rows live in one .npz store: a float64 `x` of
+300 fused magnitudes per row and a unicode `labels` array.
 """
 
+import tokenize
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dnn
 from .dnn import UNCLASSIFIED
-from .errors import ParseError, ValidationError, text_lines
+from .errors import ParseError, ValidationError
 from .fusion import SpectrumRow, apply_mask
 from .rng import derive_rng
 from .spectral import N_BINS
@@ -45,41 +47,37 @@ class RunLog:
 
 
 def load_rows(path):
-    """Parse the 301-column CSV into a Dataset.
+    """Read the rows store that `save_rows` writes into a Dataset.
 
-    Lines starting with '#' and blank lines are skipped.  A wrong arity, a
-    malformed number or a nan/inf raises ParseError naming the 1-based line.
+    A file that is not such a store, a missing or malformed `x` or `labels`,
+    no rows, a nan/inf magnitude or an empty label raises ParseError.
     """
-    rows = []
-    for lineno, raw in text_lines(path):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split(",")
-        if len(fields) != N_BINS + 1:
-            raise ParseError(f"expected {N_BINS + 1} fields, found {len(fields)}", line=lineno)
+    with open(path, "rb") as fh:
         try:
-            bins = np.array([float(v) for v in fields[:N_BINS]])
-        except ValueError as exc:
-            raise ParseError(f"bad numeric field ({exc})", line=lineno) from None
-        if not np.isfinite(bins).all():
-            raise ParseError("non-finite magnitude (nan or inf)", line=lineno)
-        label = fields[N_BINS].strip()
-        if not label:
-            raise ParseError("empty label field", line=lineno)
-        rows.append(SpectrumRow(bins=bins, label=label))
-    if not rows:
+            store = np.load(fh, allow_pickle=False)
+            if not isinstance(store, np.lib.npyio.NpzFile):
+                raise ParseError(f"{path}: a bare array, not a rows store")
+            x, labels = store["x"], store["labels"]
+        # what a cut, flipped or forged file raises (OSError: a bad seek; MemoryError: a huge shape)
+        except (zipfile.BadZipFile, EOFError, ValueError, KeyError, NotImplementedError,
+                RuntimeError, OSError, MemoryError, tokenize.TokenError) as exc:
+            raise ParseError(f"{path}: not a rows store ({type(exc).__name__}: {exc})") from None
+    if (x.dtype, x.shape[1:], labels.dtype.kind, labels.shape) != (np.float64, (N_BINS,), "U", x.shape[:1]):
+        raise ParseError(f"{path}: x is {x.dtype} {x.shape} and labels {labels.dtype} {labels.shape}; "
+                         f"expected float64 (n, {N_BINS}) and n strings")
+    if not len(x):
         raise ParseError(f"{path}: no data rows")
-    return Dataset.from_rows(rows)
+    for bad, what in [(~np.isfinite(x).all(axis=1), "non-finite magnitude (nan or inf)"),
+                      (np.char.strip(labels) == "", "empty label")]:
+        if bad.any():
+            raise ParseError(f"{path}: row {bad.argmax() + 1}: {what}")
+    return Dataset.from_rows([SpectrumRow(bins=row, label=label) for row, label in zip(x, labels.tolist())])
 
 
 def save_rows(path, x, labels):
-    """One CSV line per row of the (n, 300) matrix x plus its label; repr round-trips."""
-    lines = ["# 300 fused magnitude bins, then the class label"]
-    for row, label in zip(x, labels):
-        lines.append(",".join(map(repr, row.tolist())) + f",{label}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the (n, 300) float64 rows x and their n labels as an uncompressed .npz store."""
+    with open(path, "wb") as fh:  # a handle, so np.savez appends no .npz to the name
+        np.savez(fh, x=np.asarray(x, dtype=np.float64), labels=np.array(labels, dtype=str))
 
 
 def label_index(rows, vocab):

@@ -250,9 +250,7 @@ def test_criterion_6_group2_pipeline(group2_run):
     out, elapsed = group2_run
     mask = fusion.load_mask(out / "mask.txt")
     records = read_runlog(out)
-    data_rows = [
-        l for l in (out / "rows.csv").read_text().splitlines() if not l.startswith("#")
-    ]
+    data_rows = trainer.load_rows(out / "rows.npz").rows
     import json
 
     accuracy = json.loads((out / "train_manifest.json").read_text())["test_accuracy"]
@@ -280,7 +278,7 @@ def test_criterion_7_group1_pipeline(group1_run):
     header, labels, counts = read_confusion(out)
 
     # row sums must equal the per-class counts of the deterministic test split
-    ds = trainer.load_rows(out / "rows.csv")
+    ds = trainer.load_rows(out / "rows.npz")
     y = trainer.label_index(ds.rows, ds.label_vocab)
     _, test_idx = trainer.split(y, PipelineConfig(group="Group1", seed=0))
     per_class = {label: 0 for label in ds.label_vocab}
@@ -311,7 +309,7 @@ def test_criterion_8_determinism(tmp_path):
         "group = Group2\nseed = 11\nduration_s = 3.0\ntrials = 2\n"
         "blocks_per_recording = 10\nbatch_size = 32\nruns = 20\n"
     )
-    artifacts = ("rows.csv", "mask.txt", "runlog.csv", "checkpoint.bin")
+    artifacts = ("rows.npz", "mask.txt", "runlog.csv", "checkpoint.bin")
     outs = []
     for name in ("first", "second"):
         root = tmp_path / name

@@ -48,13 +48,14 @@ def test_synth_writes_recordings_and_manifest(smoke):
     assert manifest["config"]["sample_rate_hz"] == 2000
 
 
-def test_rows_csv_arity(smoke):
+def test_rows_store_shape(smoke):
     _, out = smoke
-    lines = [
-        l for l in (out / "rows.csv").read_text().splitlines() if not l.startswith("#")
-    ]
-    assert len(lines) == 40  # 8 recordings x 5 blocks
-    assert all(len(l.split(",")) == N_BINS + 1 for l in lines)
+    with np.load(out / "rows.npz", allow_pickle=False) as store:
+        assert sorted(store.files) == ["labels", "x"]
+        x, labels = store["x"], store["labels"]
+    assert x.dtype == np.float64 and x.shape == (40, N_BINS)  # 8 recordings x 5 blocks
+    assert labels.dtype.kind == "U" and labels.shape == (40,)
+    assert not (out / "rows.csv").exists()
 
 
 def test_train_and_eval_roundtrip(smoke, capsys):
@@ -86,7 +87,7 @@ def test_train_runs_override(smoke, tmp_path):
     # reuse the rows file; write model artifacts to a scratch dir
     assert cli.main([
         "--config", str(cfg_path), "--out", str(scratch),
-        "train", "--runs", "5", "--rows", str(out / "rows.csv"),
+        "train", "--runs", "5", "--rows", str(out / "rows.npz"),
     ]) == 0
     runlog = (scratch / "runlog.csv").read_text().splitlines()
     assert len(runlog) == 1 + 5
@@ -248,6 +249,16 @@ def _extra_outputs(k):
     return corrupt
 
 
+def _mask_bins(*bins):
+    # the three u16 mask bins sit at bytes 24..30, after their count
+    return lambda raw: raw[:24] + b"".join(b.to_bytes(2, "little") for b in bins) + raw[30:]
+
+
+def _two_mask_bins(raw):
+    # a mask count of 2 and only [3, 17]: consistent bytes, one bin short of d = 3
+    return raw[:20] + (2).to_bytes(4, "little") + raw[24:28] + raw[30:]
+
+
 def _huge_widths(raw):
     # d * d overflows a 64-bit integer, so the size must be computed exactly
     return raw[:8] + (2**32 - 1).to_bytes(4, "little") * 2 + raw[16:]
@@ -265,13 +276,17 @@ def _huge_widths(raw):
     pytest.param(lambda raw: raw[:36] + b"\xff" + raw[37:], "UTF-8", id="label"),
     pytest.param(_extra_outputs(1), "4 labels for 5 outputs", id="outputs5"),
     pytest.param(_extra_outputs(2), "4 labels for 6 outputs", id="outputs6"),
+    *[pytest.param(_mask_bins(*bins), "must hold 3 strictly ascending bins in 1..300", id=name)
+      for name, bins in [("unsorted", (17, 3, 120)), ("repeated", (3, 3, 120)),
+                         ("bin0", (0, 17, 120)), ("bin301", (3, 17, 301))]],
+    pytest.param(_two_mask_bins, "must hold 3 strictly ascending bins", id="mask-short"),
 ])
 def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, message):
     cfg_path, out = smoke
     ckpt = tmp_path / "model.bin"
     dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
     assert len(ckpt.read_bytes()) == 399
-    argv = ["eval", "--checkpoint", str(ckpt), "--rows", str(out / "rows.csv")]
+    argv = ["eval", "--checkpoint", str(ckpt), "--rows", str(out / "rows.npz")]
     assert run(cfg_path, tmp_path / "o", *argv) == 0
     capsys.readouterr()
     ckpt.write_bytes(corrupt(ckpt.read_bytes()))
@@ -310,10 +325,11 @@ def test_corrupt_recording_is_data_error(smoke, tmp_path, capsys, corrupt, messa
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_non_finite_rows_is_data_error(smoke, tmp_path, capsys, command, token):
     cfg_path, out = smoke
-    lines = (out / "rows.csv").read_text().splitlines()
-    lines[3] = token + lines[3][lines[3].index(","):]
-    rows_path = tmp_path / "rows.csv"
-    rows_path.write_text("\n".join(lines) + "\n")
+    ds = trainer.load_rows(out / "rows.npz")
+    x = np.stack([r.bins for r in ds.rows])
+    x[3, 0] = float(token)
+    rows_path = tmp_path / "rows.npz"
+    trainer.save_rows(rows_path, x, [r.label for r in ds.rows])
     ckpt = tmp_path / "model.bin"
     dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
     argv = [command, "--rows", str(rows_path)]
@@ -321,21 +337,99 @@ def test_non_finite_rows_is_data_error(smoke, tmp_path, capsys, command, token):
         argv += ["--checkpoint", str(ckpt)]
     assert run(cfg_path, tmp_path / "o", *argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: line 4: non-finite")
+    assert len(err) == 1 and err[0] == f"error: {rows_path}: row 4: non-finite magnitude (nan or inf)"
+
+
+def _hand_store(**arrays):
+    """Writes np.savez of arrays made from the smoke (x, labels), as a hand-made store."""
+    def write(path, x, labels):
+        with open(path, "wb") as fh:
+            np.savez(fh, **{name: make(x, labels) for name, make in arrays.items()})
+    return write
+
+
+def _edit_store(edit):
+    def write(path, x, labels):
+        trainer.save_rows(path, x, labels)
+        path.write_bytes(edit(path.read_bytes()))
+    return write
+
+
+def _flip_payload(raw):
+    i = len(raw) // 2  # inside x's float64 payload
+    return raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :]
+
+
+def _huge_shape(raw):
+    # x's npy header claims 10**11 rows, 2.4e14 bytes: more than any address space
+    i, end = raw.index(b"(40, 300)"), raw.index(b"\n", raw.index(b"(40, 300)"))
+    return raw[:i] + b"(100000000000, 300)" + raw[i + 9 : end - 10] + raw[end:]
+
+
+def _old_csv(path, x, labels):
+    path.write_text("".join(",".join(map(repr, r.tolist())) + f",{l}\n" for r, l in zip(x, labels)))
+
+
+def _bare_npy(path, x, labels):
+    with open(path, "wb") as fh:
+        np.save(fh, x)
+
+
+_X, _LABELS = (lambda x, labels: x), (lambda x, labels: labels)
+
+
+# nan and inf magnitudes: test_non_finite_rows_is_data_error
+@pytest.mark.parametrize("write, message", [
+    *[pytest.param(_edit_store(lambda raw, cut=cut: raw[:cut]), "not a rows store", id=f"cut{cut}")
+      for cut in (0, 30, 5000, 60000, -200, -1)],
+    pytest.param(_edit_store(_flip_payload), "Bad CRC-32 for file 'x.npy'", id="crc"),
+    pytest.param(_edit_store(_huge_shape), "Unable to allocate", id="huge-shape"),
+    pytest.param(_old_csv, "not a rows store", id="old-csv"),
+    pytest.param(_bare_npy, "a bare array, not a rows store", id="npy"),
+    pytest.param(_hand_store(labels=_LABELS), "x is not a file in the archive", id="no-x"),
+    pytest.param(_hand_store(x=_X), "labels is not a file in the archive", id="no-labels"),
+    pytest.param(_hand_store(x=lambda x, labels: x[:, 1:], labels=_LABELS),
+                 "x is float64 (40, 299)", id="299-columns"),
+    pytest.param(_hand_store(x=lambda x, labels: x.astype(np.int64), labels=_LABELS),
+                 "x is int64 (40, 300)", id="int"),
+    pytest.param(_hand_store(x=_X, labels=lambda x, labels: labels.astype(object)),
+                 "allow_pickle=False", id="object-labels"),
+    pytest.param(_hand_store(x=_X, labels=lambda x, labels: np.where(np.arange(40) == 6, "", labels)),
+                 "row 7: empty label", id="empty-label"),
+    pytest.param(_hand_store(x=lambda x, labels: x[:0], labels=lambda x, labels: labels[:0]),
+                 "no data rows", id="zero-rows"),
+])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_corrupt_rows_store_is_data_error(smoke, tmp_path, capsys, command, write, message):
+    cfg_path, out = smoke
+    with np.load(out / "rows.npz", allow_pickle=False) as store:
+        x, labels = store["x"], store["labels"]
+    rows_path = tmp_path / ("rows.csv" if write is _old_csv else "rows.npz")
+    write(rows_path, x, labels)
+    ckpt = tmp_path / "model.bin"
+    dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
+    argv = [command, "--rows", str(rows_path)]
+    if command == "eval":
+        argv += ["--checkpoint", str(ckpt)]
+    assert run(cfg_path, tmp_path / "o", *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {rows_path}: ") and message in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_manifest_records_guard_from_rows(tmp_path):
     # Group2 has 4 labels (guard 1); these rows carry 7, so the guard is 3
     labels = [f"L{k}" for k in range(7)]
     rng = np.random.default_rng(5)
-    lines = []
+    x, row_labels = [], []
     for i in range(10):
         for k, label in enumerate(labels):
             bins = 0.1 + 0.01 * rng.random(N_BINS)
             bins[10 * (k + 1)] = 5.0 + 0.01 * i
-            lines.append(",".join(map(repr, bins.tolist())) + f",{label}")
-    rows_path = tmp_path / "rows.csv"
-    rows_path.write_text("\n".join(lines) + "\n")
+            x.append(bins)
+            row_labels.append(label)
+    rows_path = tmp_path / "rows.npz"
+    trainer.save_rows(rows_path, np.stack(x), row_labels)
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text("group = Group2\nruns = 2\nbatch_size = 16\n")
     assert run(cfg_path, tmp_path / "o", "train", "--rows", str(rows_path)) == 0
@@ -353,12 +447,10 @@ def test_unknown_subcommand_is_usage_error():
 def test_selection_failure_exits_three(tmp_path, capsys):
     # two classes with identical spectra: nothing can be selected; bin 1 is
     # zero, and its warning still reaches stderr ahead of the error
-    rows = []
-    bins = ",".join(["0.0"] + ["1.0"] * (N_BINS - 1))
-    for label in ("A", "B"):
-        rows.extend(f"{bins},{label}" for _ in range(10))
-    rows_path = tmp_path / "rows.csv"
-    rows_path.write_text("\n".join(rows) + "\n")
+    x = np.ones((20, N_BINS))
+    x[:, 0] = 0.0
+    rows_path = tmp_path / "rows.npz"
+    trainer.save_rows(rows_path, x, ["A"] * 10 + ["B"] * 10)
     code = cli.main(["--out", str(tmp_path / "o"), "train", "--rows", str(rows_path)])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
@@ -382,13 +474,10 @@ def test_selection_warnings_go_to_stderr(tmp_path, capsys):
     cfg_path.write_text("runs = 3\nbatch_size = 16\n")
     results = []
     for fill in (0.0, 1.0):
-        lines = []
-        for bins, label in base:
-            bins = bins.copy()
-            bins[49] = fill
-            lines.append(",".join(map(repr, bins.tolist())) + f",{label}")
-        rows_path = tmp_path / f"rows_{fill}.csv"
-        rows_path.write_text("\n".join(lines) + "\n")
+        x = np.stack([bins for bins, _ in base])
+        x[:, 49] = fill
+        rows_path = tmp_path / f"rows_{fill}.npz"
+        trainer.save_rows(rows_path, x, [label for _, label in base])
         assert run(cfg_path, tmp_path / f"o{fill}", "train", "--rows", str(rows_path)) == 0
         results.append(capsys.readouterr())
     zero, constant = results
@@ -419,7 +508,7 @@ def test_synth_and_rows_rerun_byte_identical(tmp_path):
         assert cli.main(["--config", str(cfg_path), "--out", str(out), "rows"]) == 0
         outs.append(out)
     a, b = outs
-    assert (a / "rows.csv").read_bytes() == (b / "rows.csv").read_bytes()
+    assert (a / "rows.npz").read_bytes() == (b / "rows.npz").read_bytes()
     # manifests must match except for the differing out_dir path itself
     ma = json.loads((a / "synth_manifest.json").read_text())
     mb = json.loads((b / "synth_manifest.json").read_text())
@@ -442,16 +531,12 @@ def test_single_profile_single_block_yields_one_row(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg_path), "--out", str(out), "synth"]) == 0
     assert cli.main(["--config", str(cfg_path), "--out", str(out), "rows"]) == 0
-    lines = [
-        l for l in (out / "rows.csv").read_text().splitlines() if not l.startswith("#")
-    ]
-    assert len(lines) == 1
-    fields = lines[0].split(",")
-    assert len(fields) == N_BINS + 1
-    assert fields[-1] == "Lonely"
+    ds = trainer.load_rows(out / "rows.npz")
+    assert len(ds.rows) == 1
+    assert len(ds.rows[0].bins) == N_BINS
+    assert ds.rows[0].label == "Lonely"
     # the 45 Hz line dominates the fused spectrum
-    bins = np.array([float(v) for v in fields[:-1]])
-    assert int(np.argmax(bins)) + 1 == 45
+    assert int(np.argmax(ds.rows[0].bins)) + 1 == 45
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -498,8 +583,8 @@ def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, text, messa
 
 
 @pytest.mark.parametrize("case, message", [
-    pytest.param("train-rows", "rows.csv: not UTF-8 text", id="train-rows"),
-    pytest.param("eval-rows", "rows.csv: not UTF-8 text", id="eval-rows"),
+    pytest.param("train-rows", "rows.csv: not a rows store", id="train-rows"),
+    pytest.param("eval-rows", "rows.csv: not a rows store", id="eval-rows"),
     pytest.param("profiles", "profiles.txt: not UTF-8 text", id="profiles"),
     pytest.param("config", "config.txt: not UTF-8 text", id="config"),
     pytest.param("train-rows-dir", "Is a directory", id="train-rows-dir"),
@@ -509,7 +594,7 @@ def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, text, messa
 def test_unreadable_input_is_data_error(smoke, tmp_path, capsys, case, message):
     cfg_path, out = smoke
     rows, ckpt, folder = tmp_path / "rows.csv", tmp_path / "model.bin", tmp_path / "folder"
-    rows.write_bytes((out / "rows.csv").read_bytes() + b"\xff\n")
+    rows.write_bytes(b"1.0,2.0,A\n\xff\n")
     dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
     folder.mkdir()
     profiles = tmp_path / "profiles.txt"
@@ -537,19 +622,20 @@ def test_unreadable_input_is_data_error(smoke, tmp_path, capsys, case, message):
 def _two_class_rows(path, sizes):
     """A rows file with A hot at bin 10 and B hot at bin 20, sizes[label] rows each."""
     rng = np.random.default_rng(8)
-    lines = []
+    x, labels = [], []
     for i in range(max(sizes.values())):
         for k, label in enumerate(sizes):
             if i < sizes[label]:
                 bins = 0.1 + 0.01 * rng.random(N_BINS)
                 bins[10 * (k + 1) - 1] = 5.0 + 0.01 * i
-                lines.append(",".join(map(repr, bins.tolist())) + f",{label}")
-    path.write_text("\n".join(lines) + "\n")
+                x.append(bins)
+                labels.append(label)
+    trainer.save_rows(path, np.stack(x), labels)
 
 
 def test_split_warning_goes_to_stderr(tmp_path, capsys):
     # stratified at 4%: round(0.4) = 0 of A's 10 rows train, 8 of B's 200
-    rows_path = tmp_path / "rows.csv"
+    rows_path = tmp_path / "rows.npz"
     _two_class_rows(rows_path, {"A": 10, "B": 200})
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text("stratified = true\ntrain_fraction = 0.04\nruns = 2\nbatch_size = 4\n")
@@ -560,7 +646,7 @@ def test_split_warning_goes_to_stderr(tmp_path, capsys):
 
 
 def test_empty_test_split_is_data_error(tmp_path, capsys):
-    rows_path = tmp_path / "rows.csv"
+    rows_path = tmp_path / "rows.npz"
     _two_class_rows(rows_path, {"A": 10, "B": 10})
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text("train_fraction = 0.99\nruns = 2\nbatch_size = 4\n")
@@ -569,11 +655,27 @@ def test_empty_test_split_is_data_error(tmp_path, capsys):
     assert err == ["error: the test split is empty; lower train_fraction"]
 
 
+@pytest.mark.parametrize("config, error", [
+    pytest.param("batch_size = 400\n", "batch_size 400 exceeds the 16 training rows", id="batch"),
+    pytest.param("train_fraction = 0.99\nbatch_size = 4\n", "the test split is empty; lower train_fraction",
+                 id="split"),
+])
+def test_rejected_training_writes_no_mask(tmp_path, capsys, config, error):
+    rows_path = tmp_path / "rows.npz"
+    _two_class_rows(rows_path, {"A": 10, "B": 10})
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config + "runs = 2\n")
+    assert run(cfg_path, tmp_path / "o", "train", "--rows", str(rows_path)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not (tmp_path / "o" / "mask.txt").exists()
+    assert not (tmp_path / "o" / "selection_report.csv").exists()
+
+
 def test_eval_rows_label_missing_from_checkpoint_is_data_error(smoke, tmp_path, capsys):
     cfg_path, out = smoke
     ckpt = tmp_path / "model.bin"
     dnn.save_checkpoint(ckpt, dnn.init_network(3, 3, seed=1), [3, 17, 120], SMOKE_LABELS[:3], True)
-    argv = ["eval", "--checkpoint", str(ckpt), "--rows", str(out / "rows.csv")]
+    argv = ["eval", "--checkpoint", str(ckpt), "--rows", str(out / "rows.npz")]
     assert run(cfg_path, tmp_path / "o", *argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: label 'Saab83' not in vocabulary")

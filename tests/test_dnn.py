@@ -396,9 +396,10 @@ def test_predict_matches_rounded_one_hot():
 def test_checkpoint_roundtrip(tmp_path):
     p = dnn.init_network(12, 4, seed=21)
     path = tmp_path / "model.bin"
-    dnn.save_checkpoint(path, p, [3, 17, 120], ["AllQuiet", "TruckA", "CarB", "Gen"], True)
+    bins = [3, 17, 120, *range(200, 209)]  # one bin per input, as load_checkpoint requires
+    dnn.save_checkpoint(path, p, bins, ["AllQuiet", "TruckA", "CarB", "Gen"], True)
     loaded, mask, vocab, normalize = dnn.load_checkpoint(path)
-    assert mask == [3, 17, 120]
+    assert mask == bins
     assert vocab == ["AllQuiet", "TruckA", "CarB", "Gen"]
     assert normalize is True
     assert [a.shape for a in loaded] == [a.shape for a in p]

@@ -274,6 +274,20 @@ def test_mask_file_non_integer_names_line(tmp_path):
         fusion.load_mask(path)
 
 
+@pytest.mark.parametrize("raw, message", [
+    pytest.param(b"3\n\xc3\xa9\n", "line 2: .*'\u00e9' is not an integer", id="e-acute"),
+    pytest.param("3\n\u0663\n".encode("utf-8"), "line 2: .*'\u0663' is not an integer", id="arabic-indic-3"),
+    pytest.param(b"3\n\xff\n", "not UTF-8 text", id="not-utf8"),
+    pytest.param(b"3\n1_0\n", "line 2: .*'1_0' is not an integer", id="underscore"),
+    pytest.param(b"3\n+4\n", "line 2: .*'\\+4' is not an integer", id="plus"),
+])
+def test_mask_file_non_digit_token_is_parse_error(tmp_path, raw, message):
+    path = tmp_path / "mask.txt"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=message):
+        fusion.load_mask(path)
+
+
 def test_selection_report_csv(tmp_path):
     _, report = fusion.compute_selection(hot_bin_rows(), 1.5, 1)
     path = tmp_path / "report.csv"

@@ -42,11 +42,14 @@ def score(params, rows, mask, vocab):
     return trainer.evaluate(params, x, trainer.label_index(rows, vocab), vocab)
 
 
-def rows_csv_text(rows):
-    lines = []
-    for r in rows:
-        lines.append(",".join(repr(float(v)) for v in r.bins) + f",{r.label}")
-    return "\n".join(lines) + "\n"
+def save_store(path, rows):
+    trainer.save_rows(path, np.stack([r.bins for r in rows]), [r.label for r in rows])
+
+
+def write_store(path, **arrays):
+    """A hand-made store: np.savez of exactly these arrays, at exactly this path."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -54,66 +57,78 @@ def rows_csv_text(rows):
 
 def test_load_rows_roundtrip(tmp_path):
     ds = toy_dataset(3)
-    path = tmp_path / "rows.csv"
-    trainer.save_rows(path, np.stack([r.bins for r in ds.rows]), [r.label for r in ds.rows])
+    path = tmp_path / "fused"
+    save_store(path, ds.rows)
+    assert [p.name for p in tmp_path.iterdir()] == ["fused"]  # no .npz appended
     loaded = trainer.load_rows(path)
     assert len(loaded.rows) == len(ds.rows)
     assert loaded.label_vocab == ["A", "B"]
     for a, b in zip(ds.rows, loaded.rows):
         assert np.array_equal(a.bins, b.bins)
-        assert a.label == b.label
+        assert a.label == b.label and type(b.label) is str
+
+
+def test_save_rows_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    ds = toy_dataset(3)
+    stores = []
+    for now in (0.0, 2e9):
+        monkeypatch.setattr("time.time", lambda now=now: now)
+        path = tmp_path / f"rows_{now}.npz"
+        save_store(path, ds.rows)
+        stores.append(path.read_bytes())
+    assert stores[0] == stores[1]
 
 
 def test_load_rows_vocab_first_appearance(tmp_path):
     rows = [row("A", (10,)), row("B", (20,)), row("A", (10,))]
-    path = tmp_path / "rows.csv"
-    path.write_text(rows_csv_text(rows))
+    path = tmp_path / "rows.npz"
+    save_store(path, rows)
     ds = trainer.load_rows(path)
     assert ds.label_vocab == ["A", "B"]
 
 
-def test_load_rows_wrong_arity_names_line(tmp_path):
-    good = rows_csv_text([row("A", (10,))])
-    bad = ",".join(["1.0"] * N_BINS) + "\n"  # 300 fields, label missing
-    path = tmp_path / "rows.csv"
-    path.write_text(good + bad)
-    with pytest.raises(ParseError) as err:
+@pytest.mark.parametrize("x, labels", [
+    pytest.param(np.ones((2, N_BINS - 1)), ["A", "B"], id="299-columns"),
+    pytest.param(np.ones(N_BINS), ["A"], id="one-dimensional"),
+    pytest.param(np.ones((2, N_BINS)), ["A"], id="labels-short"),
+])
+def test_load_rows_wrong_width(tmp_path, x, labels):
+    path = tmp_path / "rows.npz"
+    write_store(path, x=x, labels=np.array(labels))
+    with pytest.raises(ParseError, match="expected float64"):
         trainer.load_rows(path)
-    assert "line 2" in str(err.value)
 
 
-def test_load_rows_bad_number_names_line(tmp_path):
-    text = rows_csv_text([row("A", (10,))]).replace("0.1", "zap", 1)
-    path = tmp_path / "rows.csv"
-    path.write_text(text)
-    with pytest.raises(ParseError) as err:
+@pytest.mark.parametrize("x", [
+    pytest.param(np.ones((2, N_BINS), dtype=int), id="int"),
+    pytest.param(np.ones((2, N_BINS), dtype=np.float32), id="float32"),
+    pytest.param(np.full((2, N_BINS), "0.1"), id="text"),
+])
+def test_load_rows_non_float_dtype(tmp_path, x):
+    path = tmp_path / "rows.npz"
+    write_store(path, x=x, labels=np.array(["A", "B"]))
+    with pytest.raises(ParseError, match="expected float64"):
         trainer.load_rows(path)
-    assert "line 1" in str(err.value)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_load_rows_non_finite_names_line(tmp_path, token):
-    text = rows_csv_text([row("A", (10,)), row("B", (20,))])
-    lines = text.splitlines()
-    lines[1] = lines[1].replace("0.1", token, 1)
-    path = tmp_path / "rows.csv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="line 2: non-finite"):
+    rows = [row("A", (10,)), row("B", (20,))]
+    rows[1].bins[0] = float(token)
+    path = tmp_path / "rows.npz"
+    save_store(path, rows)
+    with pytest.raises(ParseError, match="row 2: non-finite"):
         trainer.load_rows(path)
 
 
 def test_load_rows_empty_file(tmp_path):
-    path = tmp_path / "rows.csv"
-    path.write_text("# only a comment\n")
-    with pytest.raises(ParseError):
+    path = tmp_path / "rows.npz"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError, match="not a rows store"):
         trainer.load_rows(path)
-
-
-def test_load_rows_skips_comment_header(tmp_path):
-    path = tmp_path / "rows.csv"
-    path.write_text("# header\n" + rows_csv_text([row("A", (10,)), row("B", (11,))]))
-    ds = trainer.load_rows(path)
-    assert len(ds.rows) == 2
+    trainer.save_rows(path, np.empty((0, N_BINS)), [])
+    with pytest.raises(ParseError, match="no data rows"):
+        trainer.load_rows(path)
 
 
 # ---------------------------------------------------------------------------
