@@ -3,8 +3,10 @@
 The network is the list [w1, b1, w2, b2, w3, b3]; weight k is (n_out, n_in).
 Layers 1 and 2 are sigmoid layers of width d (the feature count), layer 3 is
 a plain affine map onto the c class outputs.  Training uses per-class sigmoid
-cross-entropy on the raw output logits, analytic backpropagation, and Adam.
-Everything is plain float64 numpy; no autograd.
+cross-entropy on the raw output logits, analytic backpropagation, and Adam,
+in float64 numpy; no autograd.  `sigmoid` and `forward` keep a float32 input
+in float32 (any other input becomes float64), which the training loop uses
+for its per-run scoring pass over float32 copies of the parameters.
 """
 
 import math
@@ -48,10 +50,17 @@ def sigmoid(z):
     numerator is exp(0) = 1 exactly, leaving 1 / (1 + exp(-z)); for z < 0 both
     exponentials are exp(z), leaving exp(z) / (1 + exp(z)).  These are the
     IEEE operations of the usual two-branch stable form, so each result is bit
-    for bit the same as there, and no exponential can overflow.
+    for bit the same as there, and no exponential can overflow.  A float32 z
+    gives a float32 result; any other z is computed in float64.
     """
-    z = np.asarray(z, dtype=float)
+    z = _floats(z)
     return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+
+
+def _floats(a):
+    """a as an array: float32 stays float32, anything else becomes float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(float, copy=False)
 
 
 def init_network(d, c, seed):
@@ -75,10 +84,11 @@ def forward(params, x):
 
     x has shape (batch, d).  The first two layers apply the sigmoid to their
     affine outputs; the third returns the affine output directly.  trace is
-    the tuple (x, a1, a2, logits) that backward needs.
+    the tuple (x, a1, a2, logits) that backward needs.  A float32 x with
+    float32 params gives float32 logits; any other x is taken as float64.
     """
     w1, b1, w2, b2, w3, b3 = params
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_2d(_floats(x))
     if x.shape[1] != w1.shape[1]:
         raise ValidationError(
             f"input width {x.shape[1]} does not match network d={w1.shape[1]}"

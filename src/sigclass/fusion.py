@@ -155,7 +155,7 @@ def write_selection_report_csv(path, report):
     lines = [f"row,{bins_header}"]
 
     def fmt(arr):
-        return ",".join(repr(float(v)) for v in arr)
+        return ",".join(map(repr, np.asarray(arr, dtype=float).tolist()))
 
     lines.append("global_mean," + fmt(report.global_mean))
     for label in report.class_means:

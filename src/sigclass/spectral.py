@@ -74,7 +74,7 @@ def write_heatmap_pgm(path, heatmap):
     rows = np.concatenate(list(heatmap.values()))
     pixels = np.clip(np.rint(rows * 25.5), 0, 255).astype(int)
     lines = ["P2", f"{N_BINS} {len(rows)}", "255"]
-    lines.extend(" ".join(str(p) for p in row) for row in pixels)
+    lines.extend(" ".join(map(str, row)) for row in pixels.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -89,8 +89,8 @@ def write_heatmap_csv(path, heatmap, trials):
     lines = [header]
     for cid, rows in heatmap.items():
         per_trial = len(rows) // len(trials)
-        for i, row in enumerate(rows):
-            vals = ",".join(repr(float(v)) for v in row)
+        for i, row in enumerate(rows.tolist()):  # Python floats, so repr(v) == repr(float(v))
+            vals = ",".join(map(repr, row))
             lines.append(f"{cid},{trials[i // per_trial]},{i % per_trial},{vals}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -60,8 +60,12 @@ def test_init_rejects_degenerate_sizes():
 # sigmoid
 
 def reference_sigmoid(z):
-    """The two-branch stable sigmoid, with boolean masks: the bitwise reference."""
-    z = np.asarray(z, dtype=float)
+    """The two-branch stable sigmoid, with boolean masks: the bitwise reference.
+
+    A floating z keeps its dtype, as in dnn.sigmoid; anything else becomes float64.
+    """
+    z = np.asarray(z)
+    z = z if z.dtype.kind == "f" else z.astype(float)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -82,6 +86,13 @@ def test_sigmoid_bit_identical_to_branched_reference():
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     x = np.random.default_rng(4).normal(scale=6.0, size=(37, 11))
     assert np.array_equal(dnn.sigmoid(x).view(np.int64), reference_sigmoid(x).view(np.int64))
+    # float32, as in the training loop's scoring pass
+    z32 = np.concatenate([np.linspace(-200.0, 200.0, 200_001), SIGMOID_EDGES]).astype(np.float32)
+    with np.errstate(under="ignore"):
+        expected32 = reference_sigmoid(z32)
+        got32 = dnn.sigmoid(z32)
+    assert got32.dtype == expected32.dtype == np.float32
+    assert np.array_equal(got32.view(np.int32), expected32.view(np.int32))
 
 
 def test_sigmoid_matches_mpmath_oracle():
@@ -155,6 +166,18 @@ def test_forward_batch_shape():
     logits, (_, a1, _, _) = dnn.forward(p, x)
     assert logits.shape == (150, 4)
     assert a1.shape == (150, 23)
+
+
+def test_forward_keeps_float32_and_widens_the_rest():
+    p = dnn.init_network(6, 3, seed=4)
+    x = np.random.default_rng(5).random((9, 6))
+    p32 = [a.astype(np.float32) for a in p]
+    logits32, (x32, a1, a2, _) = dnn.forward(p32, x.astype(np.float32))
+    assert {a.dtype for a in (logits32, x32, a1, a2)} == {np.dtype(np.float32)}
+    assert np.allclose(logits32, dnn.forward(p, x)[0], rtol=0, atol=1e-5)
+    assert dnn.forward(p, x.tolist())[0].dtype == np.float64
+    assert dnn.forward(p, np.ones((2, 6), dtype=int))[0].dtype == np.float64
+    assert dnn.forward(p, [1] * 6)[1][0].dtype == np.float64
 
 
 def test_forward_rejects_wrong_width():

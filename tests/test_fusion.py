@@ -299,3 +299,22 @@ def test_selection_report_csv(tmp_path):
     assert "mean:A" in names and "ratio:B" in names
     assert names[-1] == "superthreshold_classes"
     assert all(len(l.split(",")) == N_BINS + 1 for l in lines)
+
+
+def test_selection_report_text_matches_per_element_reference(tmp_path):
+    awkward = np.resize(np.array([0.1, 1e-300, 5e-324, 10.0, 0.0, np.nan, 2.5e-310]), N_BINS)
+    report = fusion.SelectionReport(
+        class_means={"A": awkward, "B": awkward[::-1]}, global_mean=awkward * 3,
+        ratios={"A": awkward / 7, "B": awkward}, per_bin_class_counts=np.arange(N_BINS) % 3)
+    path = tmp_path / "report.csv"
+    fusion.write_selection_report_csv(path, report)
+
+    def fmt(arr):
+        return ",".join(repr(float(v)) for v in arr)
+
+    expected = ["row," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1)),
+                "global_mean," + fmt(awkward * 3),
+                "mean:A," + fmt(awkward), "mean:B," + fmt(awkward[::-1]),
+                "ratio:A," + fmt(awkward / 7), "ratio:B," + fmt(awkward),
+                "superthreshold_classes," + ",".join(str(c % 3) for c in range(N_BINS))]
+    assert path.read_text() == "\n".join(expected) + "\n"

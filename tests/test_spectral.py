@@ -199,6 +199,26 @@ def test_heatmap_csv_roundtrip_shape(tmp_path):
     assert len(lines[1].split(",")) == N_BINS + 3
 
 
+# awkward floats for the text writers: repr must round-trip each of them exactly
+AWKWARD = [0.1, 1e-300, 5e-324, 10.0, 0.0, 2.5e-310, 1 / 3, 9.999999999999998]
+
+
+def test_heatmap_text_matches_per_element_reference(tmp_path):
+    rows = np.resize(np.array(AWKWARD), (4, N_BINS))
+    rows[1] = rows[1][::-1]
+    hm = {"a": rows[:2], "b": rows[2:]}
+    spectral.write_heatmap_csv(tmp_path / "map.csv", hm, [1, 2])
+    expected = ["channel,trial,block," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))]
+    for cid, trial, block, row in [("a", 1, 0, rows[0]), ("a", 2, 0, rows[1]),
+                                   ("b", 1, 0, rows[2]), ("b", 2, 0, rows[3])]:
+        expected.append(f"{cid},{trial},{block}," + ",".join(repr(float(v)) for v in row))
+    assert (tmp_path / "map.csv").read_text() == "\n".join(expected) + "\n"
+    spectral.write_heatmap_pgm(tmp_path / "map.pgm", hm)
+    pixels = np.clip(np.rint(rows * 25.5), 0, 255).astype(int)
+    expected = ["P2", f"{N_BINS} 4", "255"] + [" ".join(str(p) for p in row) for row in pixels]
+    assert (tmp_path / "map.pgm").read_text() == "\n".join(expected) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # the array path against a per-block reference
 

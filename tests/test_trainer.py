@@ -297,6 +297,56 @@ def test_train_learns_separable_toy():
     assert log.records[-1].train_loss < log.records[0].train_loss
 
 
+def float64_scoring_train(x_train, y_train, x_test, y_test, c, cfg):
+    """The training loop scored in float64, one forward pass per split: the reference."""
+    targets = np.eye(c)[y_train]
+    params = dnn.init_network(x_train.shape[1], c, seed=derive_rng(cfg.seed, "init").integers(2**32))
+    state = dnn.AdamState.for_params(params)
+    batch_rng = derive_rng(cfg.seed, "batches")
+    records = []
+    for run in range(1, cfg.runs + 1):
+        idx = batch_rng.choice(len(x_train), size=cfg.batch_size, replace=False)
+        _, trace = dnn.forward(params, x_train[idx])
+        grads = dnn.backward(params, trace, targets[idx])
+        params, state = dnn.adam_update(params, grads, state, cfg.learn_rate)
+        train_logits = dnn.forward(params, x_train)[0]
+        scores = []
+        for logits, y in [(train_logits, y_train), (dnn.forward(params, x_test)[0], y_test)]:
+            hot, preds = dnn.decode(logits)
+            scores += [float(np.mean(preds == y)), float(np.mean(hot == np.eye(c, dtype=bool)[y]))]
+        train_acc, train_bit, test_acc, test_bit = scores
+        loss = dnn.loss(train_logits, targets)
+        records.append(trainer.RunRecord(run, loss, train_acc, test_acc, train_bit, test_bit))
+    return params, records
+
+
+def test_float32_scoring_matches_float64_reference():
+    ds = toy_dataset(30, labels=("A", "B", "C"), hot={"A": (10,), "B": (20,), "C": (30,)})
+    cfg = PipelineConfig(runs=600, batch_size=24, seed=12)
+    x = trainer.features_matrix(ds.rows, FeatureMask(kept=[10, 20, 30]), cfg.normalize_rows)
+    y = trainer.label_index(ds.rows, ds.label_vocab)
+    tr, te = trainer.split(y, cfg)
+    params, log = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
+    ref_params, ref_records = float64_scoring_train(x[tr], y[tr], x[te], y[te], 3, cfg)
+    for a, b in zip(params, ref_params):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert len(log.records) == len(ref_records) == 600
+    columns = ["train_acc", "test_acc", "train_bit_acc", "test_bit_acc"]
+    for r, ref in zip(log.records, ref_records):
+        assert r.run == ref.run
+        assert [getattr(r, k) for k in columns] == [getattr(ref, k) for k in columns]
+        assert r.train_loss == pytest.approx(ref.train_loss, rel=1e-6)
+    # the accuracies move over the runs, so the equality above is not vacuous
+    assert len({r.test_acc for r in ref_records}) > 2 and ref_records[-1].test_acc == 1.0
+
+
+def test_train_rejects_features_beyond_float32():
+    x = np.full((10, 2), 1e39)  # raw magnitudes (normalize_rows = false) past float32's range
+    y = np.arange(10) % 2
+    with pytest.raises(ValidationError, match="exceeds float32"):
+        trainer.train(x[:8], y[:8], x[8:], y[8:], 2, PipelineConfig(runs=1, batch_size=4))
+
+
 def test_train_rejects_oversized_batch():
     ds = toy_dataset(5)  # 10 rows -> 8 train rows
     with pytest.raises(ValidationError):
