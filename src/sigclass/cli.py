@@ -143,8 +143,9 @@ def cmd_heatmap(args):
     n_rows = sum(len(rows) for rows in heatmap.values())
     pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
-    spectral.write_heatmap_pgm(pgm, heatmap)
+    # the CSV first: it rejects a value outside 0..10 before either file exists
     spectral.write_heatmap_csv(csv, heatmap, [e["trial"] for e in entries])
+    spectral.write_heatmap_pgm(pgm, heatmap)
     _write_manifest("heatmap", cfg, {"label": args.label, "rows": n_rows})
     print(f"wrote {pgm} and {csv} ({n_rows} rows)")
     return EXIT_OK

@@ -4,7 +4,9 @@ Blocks are exactly one second long, so FFT bin i sits at exactly i Hz at any
 sample rate; only bins 1..300 are kept (DC excluded).  Everything here works
 on arrays: a channel's blocks are one (count, rate) matrix and its spectra one
 (count, 300) matrix.  Heat maps rescale each spectrum row to [0, 10] with the
-row peak at 10, for visual comparison of per-channel signatures.
+row peak at 10, for visual comparison of per-channel signatures.  They are
+written as a binary P5 PGM image and a CSV with four decimals per value, both
+from whole arrays, so no value is formatted on its own in Python.
 """
 
 import numpy as np
@@ -70,27 +72,54 @@ def build_heatmap(spectra_by_channel):
 
 
 def write_heatmap_pgm(path, heatmap):
-    """ASCII PGM (P2) image of the heat map; value 10 maps to pixel 255."""
-    rows = np.concatenate(list(heatmap.values()))
-    pixels = np.clip(np.rint(rows * 25.5), 0, 255).astype(int)
-    lines = ["P2", f"{N_BINS} {len(rows)}", "255"]
-    lines.extend(" ".join(map(str, row)) for row in pixels.tolist())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Binary PGM (P5) image of the heat map, one pixel row per heat-map row.
+
+    Value 10 maps to pixel 255: each pixel is rint(v * 25.5), clipped to 0..255.
+    """
+    n_rows = sum(len(rows) for rows in heatmap.values())
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{N_BINS} {n_rows}\n255\n".encode("ascii"))
+        for rows in heatmap.values():
+            fh.write(np.clip(np.rint(rows * 25.5), 0, 255).astype(np.uint8))
+
+
+def _four_decimal_lines(rows):
+    """Each row of a (rows, 300) block as bytes: its values, comma-separated, and a newline.
+
+    A value v is written as f"{q // 10000}.{q % 10000:04d}" with q = rint(v * 1e4),
+    so the text is within 5e-5 of v.  The digits come from integer division
+    into a 7-byte field per value: ones, ".", four decimals, then "," or the
+    newline.  The ones digit 10 lands on ":", the byte after "9", which is then
+    replaced by "10".  A v outside 0..10 or NaN raises ValidationError.
+    """
+    scaled = np.rint(rows * 1e4)
+    if not np.all((scaled >= 0) & (scaled <= 100_000)):
+        raise ValidationError("heat-map value outside 0..10; cannot write it with four decimals")
+    q = scaled.astype(np.int32)
+    fields = np.empty(q.shape + (7,), dtype=np.uint8)
+    fields[..., 0] = q // 10_000
+    for col, place in zip((2, 3, 4, 5), (1000, 100, 10, 1)):
+        fields[..., col] = q // place % 10
+    fields += ord("0")
+    fields[..., 1] = ord(".")
+    fields[..., 6] = ord(",")
+    fields[:, -1, 6] = ord("\n")
+    return fields.tobytes().replace(b":", b"10").splitlines(keepends=True)
 
 
 def write_heatmap_csv(path, heatmap, trials):
     """One CSV line per heat-map row: channel, trial, block, hz_1..hz_300.
 
     `trials` lists the 1-based trial of each stacked recording, which all gave
-    the same number of blocks; `block` is 0-based within the trial.
+    the same number of blocks; `block` is 0-based within the trial.  Values
+    have four decimals (see `_four_decimal_lines`); one outside 0..10 raises
+    ValidationError before the file is opened.
     """
     header = "channel,trial,block," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))
-    lines = [header]
+    parts = [header.encode("ascii") + b"\n"]
     for cid, rows in heatmap.items():
         per_trial = len(rows) // len(trials)
-        for i, row in enumerate(rows.tolist()):  # Python floats, so repr(v) == repr(float(v))
-            vals = ",".join(map(repr, row))
-            lines.append(f"{cid},{trials[i // per_trial]},{i % per_trial},{vals}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for i, values in enumerate(_four_decimal_lines(rows)):
+            parts += [f"{cid},{trials[i // per_trial]},{i % per_trial},".encode("utf-8"), values]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))

@@ -187,10 +187,10 @@ def save_recording(path, rec):
         f"{RECORDING_MAGIC} label={rec.label} rate={rec.sample_rate_hz} "
         f"duration={rec.duration_s!r} channels={','.join(ids)}\n"
     )
-    block = np.column_stack([rec.samples[cid] for cid in ids]).astype("<f8")
+    block = np.column_stack([rec.samples[cid] for cid in ids]).astype("<f8", copy=False)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(block.tobytes())
+        fh.write(block)  # C-contiguous, so written straight from its buffer
 
 
 def load_recording(path):

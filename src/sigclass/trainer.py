@@ -19,6 +19,10 @@ from .fusion import SpectrumRow, apply_mask
 from .rng import derive_rng
 from .spectral import N_BINS
 
+# the bound the scoring pass's first layer must stay within: half of float32's
+# range leaves room for the rounding of float32 sums
+_FLOAT32_HALF = float(np.finfo(np.float32).max) / 2
+
 
 @dataclass
 class Dataset:
@@ -145,7 +149,8 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     parameters do not depend on the scoring.  Each run scores with one
     float32 forward pass of float32 copies of the parameters over the train
     and test rows stacked once before the loop; only the logged loss differs
-    from float64 scoring, in about its seventh significant digit.
+    from float64 scoring, in about its seventh significant digit.  Features
+    large enough to overflow that pass raise ValidationError.
     """
     if cfg.batch_size > len(x_train):
         raise ValidationError(
@@ -161,6 +166,10 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     except FloatingPointError:
         raise ValidationError("a feature magnitude exceeds float32, which the scoring pass "
                               "uses; set normalize_rows = true") from None
+    # every partial sum of the scoring pass's first layer is within
+    # reach * max|w1| + max|b1|; that bound is checked each run, because numpy
+    # does not see an overflow inside a BLAS worker thread
+    reach = float(np.abs(x_score).sum(axis=1, dtype=float).max())
     n_train = len(x_train)
 
     init_seed = derive_rng(cfg.seed, "init").integers(2**32)
@@ -175,6 +184,9 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
         grads = dnn.backward(params, trace, targets[idx])
         params, state = dnn.adam_update(params, grads, state, cfg.learn_rate)
 
+        if reach * np.abs(params[0]).max() + np.abs(params[1]).max() > _FLOAT32_HALF:
+            raise ValidationError(f"run {run}: the feature magnitudes can overflow the float32 "
+                                  "scoring pass; set normalize_rows = true")
         logits = dnn.forward([p.astype(np.float32) for p in params], x_score)[0]
         train_logits, test_logits = logits[:n_train], logits[n_train:]
         train_loss = dnn.loss(train_logits, targets)

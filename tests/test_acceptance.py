@@ -2,7 +2,7 @@
 
 Runs every acceptance criterion at its stated tolerance and prints one
 PASS/FAIL line per criterion (use `pytest -s tests/test_acceptance.py` to see
-them in order).  Criteria 6/7/9 drive the real CLI pipelines at full scale.
+them in order).  Criteria 6, 7, 9 and 10 check the real CLI pipelines at full scale.
 """
 
 import time
@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from sigclass import cli, dnn, fusion, trainer
+from sigclass import cli, dnn, fusion, synthgen, trainer
 from sigclass.dnn import AdamState
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.config import PipelineConfig
@@ -335,3 +335,24 @@ def test_criterion_9_overtraining(group1_run):
     check(9, ok,
           f"after 1000 runs: final train accuracy {train_acc:.3f} >= "
           f"final test accuracy {test_acc:.3f}")
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: the mask against the synthetic ground truth
+
+def test_criterion_10_mask_ground_truth(group1_run, group2_run):
+    details, ok = [], True
+    for group, (out, _) in (("Group1", group1_run), ("Group2", group2_run)):
+        lines = {
+            line.freq_hz
+            for profile in synthgen.load_profiles(out / "profiles.txt")
+            for channel_lines in profile.lines_per_channel.values()
+            for line in channel_lines
+        }
+        kept = fusion.load_mask(out / "mask.txt").kept
+        near = sum(any(abs(k - f) <= 1 for f in lines) for k in kept)
+        covered = sum(any(abs(k - f) <= 1 for k in kept) for f in lines)
+        ok = ok and near == len(kept) and covered == len(lines)
+        details.append(f"{group} {near}/{len(kept)} kept bins within 1 Hz of a line, "
+                       f"{covered}/{len(lines)} lines with a kept bin within 1 Hz")
+    check(10, ok, "; ".join(details))

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -96,12 +97,16 @@ def test_train_runs_override(smoke, tmp_path):
 def test_heatmap_output(smoke):
     cfg_path, out = smoke
     assert run(cfg_path, out, "heatmap", "Saab83") == 0
-    pgm = (out / "heatmap_Saab83.pgm").read_text().splitlines()
-    assert pgm[0] == "P2"
-    width, height = map(int, pgm[1].split())
-    assert width == N_BINS
-    assert height == 13 * 2 * 20  # channels x trials x heatmap blocks
-    assert (out / "heatmap_Saab83.csv").exists()
+    height = 13 * 2 * 20  # channels x trials x heatmap blocks
+    header = f"P5\n{N_BINS} {height}\n255\n".encode("ascii")
+    pgm = (out / "heatmap_Saab83.pgm").read_bytes()
+    assert pgm.startswith(header) and len(pgm) == len(header) + N_BINS * height
+    csv = (out / "heatmap_Saab83.csv").read_text().splitlines()
+    assert len(csv) == 1 + height
+    # every value has four decimals, and each row's peak is 10
+    values = [line.split(",", 3)[3] for line in csv[1:]]
+    assert all(re.fullmatch(r"(\d+\.\d{4},){299}\d+\.\d{4}", v) for v in values)
+    assert all("10.0000" in v.split(",") for v in values)
 
 
 def test_heatmap_csv_trial_and_block_columns(smoke, tmp_path):
@@ -506,9 +511,11 @@ def test_synth_and_rows_rerun_byte_identical(tmp_path):
         out = tmp_path / name
         assert cli.main(["--config", str(cfg_path), "--out", str(out), "synth"]) == 0
         assert cli.main(["--config", str(cfg_path), "--out", str(out), "rows"]) == 0
+        assert cli.main(["--config", str(cfg_path), "--out", str(out), "heatmap", "AllQuiet"]) == 0
         outs.append(out)
     a, b = outs
-    assert (a / "rows.npz").read_bytes() == (b / "rows.npz").read_bytes()
+    for name in ("rows.npz", "heatmap_AllQuiet.pgm", "heatmap_AllQuiet.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
     # manifests must match except for the differing out_dir path itself
     ma = json.loads((a / "synth_manifest.json").read_text())
     mb = json.loads((b / "synth_manifest.json").read_text())

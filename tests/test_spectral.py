@@ -177,13 +177,12 @@ def test_heatmap_pgm_format(tmp_path):
     hm = spectral.build_heatmap({"ch": spectra_of(row)})
     path = tmp_path / "map.pgm"
     spectral.write_heatmap_pgm(path, hm)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == f"{N_BINS} 1"
-    assert lines[2] == "255"
-    pixels = [int(v) for v in lines[3].split()]
-    assert len(pixels) == N_BINS
-    assert min(pixels) == 0 and max(pixels) == 255
+    header = f"P5\n{N_BINS} 1\n255\n".encode("ascii")
+    data = path.read_bytes()
+    assert data.startswith(header) and len(data) == len(header) + N_BINS
+    pixels = np.frombuffer(data[len(header):], dtype=np.uint8)
+    assert pixels[0] == 0 and pixels[-1] == 255
+    assert np.all(np.diff(pixels.astype(int)) >= 0)
 
 
 def test_heatmap_csv_roundtrip_shape(tmp_path):
@@ -199,8 +198,15 @@ def test_heatmap_csv_roundtrip_shape(tmp_path):
     assert len(lines[1].split(",")) == N_BINS + 3
 
 
-# awkward floats for the text writers: repr must round-trip each of them exactly
-AWKWARD = [0.1, 1e-300, 5e-324, 10.0, 0.0, 2.5e-310, 1 / 3, 9.999999999999998]
+# awkward floats for the four-decimal text: subnormals, values that round to
+# 0.0000 or up to 10.0000, and the neighbours of 10 on the 0..10 scale
+AWKWARD = [0.0, 5e-324, 1e-300, 5e-5, 1.5e-4, 1 / 3, 9.99995, 9.999999999999998,
+           10.0, 10.000000000000002]
+
+
+def four_decimals(v):
+    q = round(v * 1e4)
+    return f"{q // 10000}.{q % 10000:04d}"
 
 
 def test_heatmap_text_matches_per_element_reference(tmp_path):
@@ -211,12 +217,25 @@ def test_heatmap_text_matches_per_element_reference(tmp_path):
     expected = ["channel,trial,block," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))]
     for cid, trial, block, row in [("a", 1, 0, rows[0]), ("a", 2, 0, rows[1]),
                                    ("b", 1, 0, rows[2]), ("b", 2, 0, rows[3])]:
-        expected.append(f"{cid},{trial},{block}," + ",".join(repr(float(v)) for v in row))
-    assert (tmp_path / "map.csv").read_text() == "\n".join(expected) + "\n"
+        expected.append(f"{cid},{trial},{block}," + ",".join(four_decimals(float(v)) for v in row))
+    text = (tmp_path / "map.csv").read_text()
+    assert text == "\n".join(expected) + "\n"
+    written = np.array([[float(v) for v in line.split(",")[3:]] for line in text.splitlines()[1:]])
+    assert np.max(np.abs(written - rows)) <= 5e-5 + 1e-12
     spectral.write_heatmap_pgm(tmp_path / "map.pgm", hm)
-    pixels = np.clip(np.rint(rows * 25.5), 0, 255).astype(int)
-    expected = ["P2", f"{N_BINS} 4", "255"] + [" ".join(str(p) for p in row) for row in pixels]
-    assert (tmp_path / "map.pgm").read_text() == "\n".join(expected) + "\n"
+    pixels = np.clip(np.rint(rows * 25.5), 0, 255).astype(np.uint8)
+    expected = f"P5\n{N_BINS} 4\n255\n".encode("ascii") + pixels.tobytes()
+    assert (tmp_path / "map.pgm").read_bytes() == expected
+
+
+@pytest.mark.parametrize("bad", [-0.01, 10.001, float("nan"), float("inf")])
+def test_heatmap_csv_rejects_values_outside_zero_to_ten(tmp_path, bad):
+    rows = np.full((2, N_BINS), 5.0)
+    rows[1, 7] = bad
+    path = tmp_path / "map.csv"
+    with pytest.raises(ValidationError, match="outside 0..10"):
+        spectral.write_heatmap_csv(path, {"ch": rows}, [1])
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

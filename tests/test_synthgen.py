@@ -192,6 +192,16 @@ def test_recording_file_has_ascii_header(tmp_path):
     assert "rate=1000" in header and "channels=mic,geo" in header
 
 
+def test_recording_bytes_are_header_then_sample_major_float64(tmp_path):
+    p = profile({"mic": [SpectralLine(42, 1.1)], "geo": [SpectralLine(7, 0.3)]}, noise=0.4)
+    rec = synthgen.synthesize_recording(p, ("mic", "geo", "accel"), 1.5, 1000, seed=4)
+    path = tmp_path / "t.rec"
+    synthgen.save_recording(path, rec)
+    header = b"SIGREC1 label=T rate=1000 duration=1.5 channels=mic,geo,accel\n"
+    payload = np.column_stack([rec.samples[c] for c in ("mic", "geo", "accel")]).astype("<f8")
+    assert path.read_bytes() == header + payload.tobytes()
+
+
 def test_load_recording_rejects_garbage(tmp_path):
     path = tmp_path / "bad.rec"
     path.write_bytes(b"BOGUS header\n\x00\x01")

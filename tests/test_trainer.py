@@ -347,6 +347,20 @@ def test_train_rejects_features_beyond_float32():
         trainer.train(x[:8], y[:8], x[8:], y[8:], 2, PipelineConfig(runs=1, batch_size=4))
 
 
+@pytest.mark.parametrize("n, huge", [(300, slice(None)), (6000, slice(-40, None))],
+                         ids=["all-rows", "last-test-rows"])
+def test_train_rejects_features_that_overflow_the_float32_scoring(n, huge):
+    # every value fits float32, but the scoring pass's float32 matmul overflows;
+    # when only the last rows are huge, a second BLAS thread may hold the overflow
+    x = np.random.default_rng(0).random((n, 20))
+    x[huge] *= 3e38
+    assert np.all(x < np.finfo(np.float32).max)
+    y = np.arange(n) % 3
+    cut = n * 4 // 5
+    with pytest.raises(ValidationError, match="overflow the float32 scoring pass"):
+        trainer.train(x[:cut], y[:cut], x[cut:], y[cut:], 3, PipelineConfig(runs=2, batch_size=8))
+
+
 def test_train_rejects_oversized_batch():
     ds = toy_dataset(5)  # 10 rows -> 8 train rows
     with pytest.raises(ValidationError):
