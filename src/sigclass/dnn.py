@@ -7,21 +7,20 @@ cross-entropy on the raw output logits, analytic backpropagation, and Adam,
 in float64 numpy; no autograd.  `sigmoid` and `forward` keep a float32 input
 in float32 (any other input becomes float64), which the training loop uses
 for its per-run scoring pass over float32 copies of the parameters.
+A checkpoint is an uncompressed .npz of the model and what `eval` needs
+to feed it: the kept bins, the labels and the row-normalization flag.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import LABEL_RULE, NumericalError, ParseError, ValidationError, is_label, read_npz
 from .spectral import N_BINS
 
 # Prediction sentinel: the rounded sigmoid outputs did not form a valid one-hot.
 UNCLASSIFIED = -1
-
-CHECKPOINT_MAGIC = b"SIGCKPT1"
 
 # Adam's reference moment decay rates and its denominator guard.
 BETA1 = 0.9
@@ -165,71 +164,45 @@ def decode(logits):
 
 
 def save_checkpoint(path, params, mask_bins, label_vocab, normalize_rows):
-    """Write a self-describing binary model checkpoint.
+    """Write the model as an uncompressed .npz with four members.
 
-    Layout: 8-byte magic, layer sizes (d, d, c), the kept frequency bins, the
-    label vocabulary, the row-normalization flag, then all weight matrices and
-    bias vectors row-major as little-endian float64.
+    `mask` holds the d kept frequency bins, `vocab` the c labels, `normalize`
+    the row-normalization flag, and `params` w1, b1, w2, b2, w3 and b3
+    flattened row-major into one little-endian float64 vector.
     """
-    d, c = params[0].shape[1], params[4].shape[0]
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<3I", d, d, c)
-    out += struct.pack("<I", len(mask_bins))
-    out += struct.pack(f"<{len(mask_bins)}H", *mask_bins)
-    out += struct.pack("<I", len(label_vocab))
-    for label in label_vocab:
-        raw = label.encode("utf-8")
-        out += struct.pack("<H", len(raw))
-        out += raw
-    out += struct.pack("<B", 1 if normalize_rows else 0)
-    for arr in params:
-        out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    with open(path, "wb") as fh:  # a handle, so np.savez appends no .npz to the name
+        np.savez(fh, mask=np.asarray(mask_bins, dtype="<i8"), vocab=np.array(label_vocab, dtype=str),
+                 normalize=np.array(bool(normalize_rows)),
+                 params=np.concatenate([np.ravel(p) for p in params]).astype("<f8"))
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, mask_bins, label_vocab, normalize_rows).
 
-    A file that is cut short or has trailing bytes, a hidden width or mask
-    length other than d, a label count other than c, a non-UTF-8 label, or
-    mask bins not strictly ascending in 1..300 raises ValidationError.
+    d is the mask length and c the label count.  A file that is not such an
+    archive (see `errors.read_npz`), a member of the wrong dtype or shape,
+    mask bins not strictly ascending in 1..300 or none, a label that breaks
+    the label rule (`errors.is_label`) or repeats, or a `params` vector whose
+    length is not 2d^2 + 2d + cd + c raises ParseError.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != CHECKPOINT_MAGIC:
-        raise ValidationError(f"{path}: not a model checkpoint (bad magic)")
-    off = 8
-
-    def take(size):
-        nonlocal off
-        if off + size > len(raw):
-            raise ValidationError(f"{path}: checkpoint truncated at byte {len(raw)}")
-        off += size
-        return raw[off - size : off]
-
-    d, h, c = struct.unpack("<3I", take(12))
-    if h != d:
-        raise ValidationError(f"{path}: hidden width {h} must equal the input width {d}")
-    (n_mask,) = struct.unpack("<I", take(4))
-    mask_bins = list(struct.unpack(f"<{n_mask}H", take(2 * n_mask)))
-    (n_vocab,) = struct.unpack("<I", take(4))
-    if n_vocab != c:
-        raise ValidationError(f"{path}: {n_vocab} labels for {c} outputs")
-    vocab = []
-    for _ in range(n_vocab):
-        (ln,) = struct.unpack("<H", take(2))
-        try:
-            vocab.append(take(ln).decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ValidationError(f"{path}: label {len(vocab) + 1} is not valid UTF-8") from None
-    (norm_flag,) = struct.unpack("<B", take(1))
-    params = []
-    for shape in [(d, d), (d,), (d, d), (d,), (c, d), (c,)]:
-        params.append(np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy())
-    if off != len(raw):
-        raise ValidationError(f"{path}: {len(raw) - off} trailing bytes after the checkpoint")
-    if n_mask != d or sorted(set(mask_bins)) != mask_bins or not all(0 < b <= N_BINS for b in mask_bins):
-        raise ValidationError(f"{path}: the mask must hold {d} strictly ascending bins in 1..{N_BINS}")
-    return params, mask_bins, vocab, bool(norm_flag)
+    members = read_npz(path, "model checkpoint", ["mask", "vocab", "normalize", "params"])
+    mask, vocab, normalize, flat = members
+    if [(a.dtype.kind, a.ndim) for a in members] != [("i", 1), ("U", 1), ("b", 0), ("f", 1)] \
+            or flat.dtype != np.float64:
+        raise ParseError(f"{path}: members are " + ", ".join(f"{a.dtype} {a.shape}" for a in members)
+                         + "; expected mask 1-D int, vocab 1-D text, normalize one bool, params 1-D float64")
+    mask_bins, vocab = mask.tolist(), vocab.tolist()
+    if not mask_bins or mask_bins != sorted(set(mask_bins)) or not 0 < mask_bins[0] <= mask_bins[-1] <= N_BINS:
+        raise ParseError(f"{path}: the mask must hold strictly ascending bins in 1..{N_BINS}, at least one")
+    bad = [label for label in vocab if not is_label(label)]
+    if bad:
+        raise ParseError(f"{path}: label {bad[0]!r} {LABEL_RULE}")
+    if len(set(vocab)) < len(vocab):
+        raise ParseError(f"{path}: the labels {vocab} repeat one")
+    d, c = len(mask_bins), len(vocab)
+    shapes = [(d, d), (d,), (d, d), (d,), (c, d), (c,)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    if len(flat) != ends[-1]:
+        raise ParseError(f"{path}: {len(flat)} parameters; {d} bins and {c} labels need {ends[-1]}")
+    params = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    return params, mask_bins, vocab, bool(normalize)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, SelectionError, ValidationError, text_lines
+from .errors import ConfigurationError, SelectionError, ValidationError
 from .spectral import N_BINS
 
 
@@ -170,14 +170,3 @@ def write_selection_report_csv(path, report):
 def write_mask(path, mask):
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(str(b) for b in mask.kept) + "\n")
-
-
-def load_mask(path):
-    kept = []
-    for lineno, line in text_lines(path):
-        for token in line.split():
-            # ASCII digits only: int() also takes "+3", "1_0" and "\u0663" (Arabic-Indic 3)
-            if not (token.isascii() and token.isdigit()):
-                raise ParseError(f"{path}: bin {token!r} is not an integer", line=lineno)
-            kept.append(int(token))
-    return FeatureMask(kept=kept)

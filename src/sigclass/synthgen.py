@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ValidationError, text_lines
+from .errors import LABEL_RULE, ConfigurationError, ParseError, ValidationError, is_label, text_lines
 from .rng import derive_rng
 
 RECORDING_MAGIC = "SIGREC1"
@@ -52,8 +52,8 @@ class TargetProfile:
     noise_rms: float = 0.0
 
     def __post_init__(self):
-        if not self.label or any(ch.isspace() or ch in ",/\\" for ch in self.label):
-            raise ValidationError(f"label {self.label!r} must be a token without spaces, commas or slashes")
+        if not is_label(self.label):
+            raise ValidationError(f"label {self.label!r} {LABEL_RULE}")
         if not math.isfinite(self.noise_rms) or self.noise_rms < 0:
             raise ValidationError("noise_rms must be finite and >= 0")
 

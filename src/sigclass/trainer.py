@@ -2,19 +2,17 @@
 
 One "run" is one training cycle: sample a batch from the training rows, do a
 single backprop pass and Adam step, then score the updated parameters on the
-full training and test sets.  Rows live in one .npz store: a float64 `x` of
-300 fused magnitudes per row and a unicode `labels` array.
+full training and test sets.  Rows live in one uncompressed .npz store: a
+float64 `x` of 300 fused magnitudes per row and a unicode `labels` array.
 """
 
-import tokenize
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dnn
 from .dnn import UNCLASSIFIED
-from .errors import ParseError, ValidationError
+from .errors import LABEL_RULE, ParseError, ValidationError, is_label, read_npz
 from .fusion import SpectrumRow, apply_mask
 from .rng import derive_rng
 from .spectral import N_BINS
@@ -53,29 +51,24 @@ class RunLog:
 def load_rows(path):
     """Read the rows store that `save_rows` writes into a Dataset.
 
-    A file that is not such a store, a missing or malformed `x` or `labels`,
-    no rows, a nan/inf magnitude or an empty label raises ParseError.
+    A file that is not such a store (see `errors.read_npz`), a malformed `x`
+    or `labels`, no rows, a nan/inf magnitude or a label that breaks the
+    label rule (`errors.is_label`) raises ParseError.
     """
-    with open(path, "rb") as fh:
-        try:
-            store = np.load(fh, allow_pickle=False)
-            if not isinstance(store, np.lib.npyio.NpzFile):
-                raise ParseError(f"{path}: a bare array, not a rows store")
-            x, labels = store["x"], store["labels"]
-        # what a cut, flipped or forged file raises (OSError: a bad seek; MemoryError: a huge shape)
-        except (zipfile.BadZipFile, EOFError, ValueError, KeyError, NotImplementedError,
-                RuntimeError, OSError, MemoryError, tokenize.TokenError) as exc:
-            raise ParseError(f"{path}: not a rows store ({type(exc).__name__}: {exc})") from None
+    x, labels = read_npz(path, "rows store", ["x", "labels"])
     if (x.dtype, x.shape[1:], labels.dtype.kind, labels.shape) != (np.float64, (N_BINS,), "U", x.shape[:1]):
         raise ParseError(f"{path}: x is {x.dtype} {x.shape} and labels {labels.dtype} {labels.shape}; "
                          f"expected float64 (n, {N_BINS}) and n strings")
     if not len(x):
         raise ParseError(f"{path}: no data rows")
-    for bad, what in [(~np.isfinite(x).all(axis=1), "non-finite magnitude (nan or inf)"),
-                      (np.char.strip(labels) == "", "empty label")]:
-        if bad.any():
-            raise ParseError(f"{path}: row {bad.argmax() + 1}: {what}")
-    return Dataset.from_rows([SpectrumRow(bins=row, label=label) for row, label in zip(x, labels.tolist())])
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise ParseError(f"{path}: row {bad.argmax() + 1}: non-finite magnitude (nan or inf)")
+    labels = labels.tolist()
+    bad = [label for label in dict.fromkeys(labels) if not is_label(label)]
+    if bad:
+        raise ParseError(f"{path}: row {labels.index(bad[0]) + 1}: label {bad[0]!r} {LABEL_RULE}")
+    return Dataset.from_rows([SpectrumRow(bins=row, label=label) for row, label in zip(x, labels)])
 
 
 def save_rows(path, x, labels):

@@ -75,6 +75,13 @@ def read_runlog(out):
     return records
 
 
+def read_mask(out):
+    """The kept bins from the checkpoint; mask.txt lists exactly them, one per line."""
+    kept = dnn.load_checkpoint(out / "checkpoint.bin")[1]
+    assert (out / "mask.txt").read_text() == "".join(f"{b}\n" for b in kept)
+    return kept
+
+
 def read_confusion(out, name="confusion.csv"):
     lines = (out / name).read_text().splitlines()
     header = lines[0].split(",")
@@ -248,7 +255,7 @@ def test_criterion_5_selection_oracle():
 
 def test_criterion_6_group2_pipeline(group2_run):
     out, elapsed = group2_run
-    mask = fusion.load_mask(out / "mask.txt")
+    mask = read_mask(out)
     records = read_runlog(out)
     data_rows = trainer.load_rows(out / "rows.npz").rows
     import json
@@ -271,7 +278,7 @@ def test_criterion_6_group2_pipeline(group2_run):
 
 def test_criterion_7_group1_pipeline(group1_run):
     out, elapsed = group1_run
-    mask = fusion.load_mask(out / "mask.txt")
+    mask = read_mask(out)
     import json
 
     accuracy = json.loads((out / "train_manifest.json").read_text())["test_accuracy"]
@@ -349,7 +356,7 @@ def test_criterion_10_mask_ground_truth(group1_run, group2_run):
             for channel_lines in profile.lines_per_channel.values()
             for line in channel_lines
         }
-        kept = fusion.load_mask(out / "mask.txt").kept
+        kept = read_mask(out)
         near = sum(any(abs(k - f) <= 1 for f in lines) for k in kept)
         covered = sum(any(abs(k - f) <= 1 for k in kept) for f in lines)
         ok = ok and near == len(kept) and covered == len(lines)

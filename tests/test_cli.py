@@ -1,6 +1,9 @@
+import io
 import json
+import math
 import re
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -235,69 +238,182 @@ def test_corrupt_synth_manifest_is_data_error(smoke, tmp_path, capsys, command, 
 SMOKE_LABELS = ["AllQuiet", "HondaGenerator", "FordF150", "Saab83"]
 
 
-def _truncate_at(cut):
-    return lambda raw: raw[:cut]
+def _save_smoke_checkpoint(path):
+    dnn.save_checkpoint(path, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
 
 
-def _hidden_width_off_by_one(raw):
-    d = int.from_bytes(raw[8:12], "little")
-    return raw[:12] + (d + 1).to_bytes(4, "little") + raw[16:]
+def _one_error_line(capsys, path, message):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and message in err[0], err
 
 
-def _extra_outputs(k):
-    # c grows by k: k zero rows of d = 3 weights after w3, which ends at
-    # byte 367, and k zero biases after b3
-    def corrupt(raw):
-        c = int.from_bytes(raw[16:20], "little")
-        body = raw[20:367] + b"\0" * 24 * k + raw[367:] + b"\0" * 8 * k
-        return raw[:16] + (c + k).to_bytes(4, "little") + body
+# Corruption cases for the two .npz stores, the rows store and the checkpoint.
+# A case maps a genuine store's bytes and its {name: array} members to the
+# bytes of a corrupt one.
+
+def _corrupt_file(path, corrupt):
+    raw = path.read_bytes()
+    with np.load(path, allow_pickle=False) as store:
+        members = {name: store[name] for name in store.files}
+    path.write_bytes(corrupt(raw, members))
+
+
+def _archive(save, **arrays):
+    buf = io.BytesIO()
+    save(buf, **arrays)
+    return buf.getvalue()
+
+
+def _members(**edits):
+    """A hand-made archive of the genuine members, where name=f stores f(member)
+    in place of that member and name=None leaves it out."""
+    def corrupt(raw, members):
+        kept = [name for name in members if name not in edits or edits[name] is not None]
+        return _archive(np.savez, **{name: edits.get(name, np.asarray)(members[name]) for name in kept})
     return corrupt
 
 
-def _mask_bins(*bins):
-    # the three u16 mask bins sit at bytes 24..30, after their count
-    return lambda raw: raw[:24] + b"".join(b.to_bytes(2, "little") for b in bins) + raw[30:]
+def _flip(name):
+    """One byte flipped in the middle of a member's payload, which its CRC covers."""
+    def corrupt(raw, members):
+        payload = members[name].tobytes()
+        i = raw.index(payload) + len(payload) // 2
+        return raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :]
+    return corrupt
 
 
-def _two_mask_bins(raw):
-    # a mask count of 2 and only [3, 17]: consistent bytes, one bin short of d = 3
-    return raw[:20] + (2).to_bytes(4, "little") + raw[24:28] + raw[30:]
+def _huge_shape(name, shape, huge):
+    """A hand-made archive whose member name's npy header claims the huge shape
+    (its CRC matches, so the claim itself is what gets read)."""
+    def corrupt(raw, members):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as archive:
+            for key, a in members.items():
+                npy = _archive(np.save, arr=a)
+                if key == name:
+                    old, new = repr(shape).encode(), repr(huge).encode()
+                    i, end = npy.index(old), npy.index(b"\n")  # keep the header length: drop pad spaces
+                    npy = npy[:i] + new + npy[i + len(old) : end - len(new) + len(old)] + npy[end:]
+                archive.writestr(f"{key}.npy", npy)
+        return buf.getvalue()
+    return corrupt
 
 
-def _huge_widths(raw):
-    # d * d overflows a 64-bit integer, so the size must be computed exactly
-    return raw[:8] + (2**32 - 1).to_bytes(4, "little") * 2 + raw[16:]
+def _npz_cases(what, names, text_name, cuts):
+    """The cases that every .npz store fails alike; names are its members, text_name its text one."""
+    return [
+        *[pytest.param(lambda raw, members, cut=cut: raw[:cut], f"not a {what}", id=f"cut{cut}")
+          for cut in cuts],
+        pytest.param(_flip(names[0]), f"Bad CRC-32 for file '{names[0]}.npy'", id="crc"),
+        pytest.param(lambda raw, members: raw + b"\0", "bytes after the archive's end record", id="trailing"),
+        pytest.param(lambda raw, members: _archive(np.save, arr=members[names[0]]),
+                     f"a bare array, not a {what}", id="npy"),
+        *[pytest.param(_members(**{name: None}), f"{name} is not a file in the archive", id=f"no-{name}")
+          for name in names],
+        pytest.param(_members(**{text_name: lambda a: a.astype(object)}), "allow_pickle=False",
+                     id=f"object-{text_name}"),
+    ]
 
 
-# header: magic 8, sizes 12, mask 4+6, vocab 4+10+16+10+8, flag 1 -> 79 bytes;
-# then 40 float64 parameters -> 399 bytes
+def _flat_params(d, hidden, c):
+    """The flat parameter vector of a d-input network with the given hidden width and c outputs."""
+    shapes = [(hidden, d), (hidden,), (hidden, hidden), (hidden,), (c, hidden), (c,)]
+    return np.zeros(sum(math.prod(s) for s in shapes))
+
+
+_BAD_MASK = "the mask must hold strictly ascending bins in 1..300, at least one"
+_BAD_MEMBERS = "expected mask 1-D int, vocab 1-D text, normalize one bool, params 1-D float64"
+
+
+# the smoke checkpoint: d = 3 bins, c = 4 labels, 40 parameters
 @pytest.mark.parametrize("corrupt, message", [
-    *[pytest.param(_truncate_at(cut), "truncated", id=f"cut{cut}")
-      for cut in (12, 22, 30, 50, 78, 79, 200, 398)],
-    pytest.param(lambda raw: raw + b"\0", "trailing", id="trailing"),
-    pytest.param(_hidden_width_off_by_one, "hidden width", id="hidden"),
-    pytest.param(_huge_widths, "truncated", id="huge"),
-    # the first byte of the first label
-    pytest.param(lambda raw: raw[:36] + b"\xff" + raw[37:], "UTF-8", id="label"),
-    pytest.param(_extra_outputs(1), "4 labels for 5 outputs", id="outputs5"),
-    pytest.param(_extra_outputs(2), "4 labels for 6 outputs", id="outputs6"),
-    *[pytest.param(_mask_bins(*bins), "must hold 3 strictly ascending bins in 1..300", id=name)
-      for name, bins in [("unsorted", (17, 3, 120)), ("repeated", (3, 3, 120)),
-                         ("bin0", (0, 17, 120)), ("bin301", (3, 17, 301))]],
-    pytest.param(_two_mask_bins, "must hold 3 strictly ascending bins", id="mask-short"),
+    *_npz_cases("model checkpoint", ["params", "mask", "vocab", "normalize"], "vocab",
+                (0, 12, 22, 30, 50, 78, 79, 200, 398, -1)),
+    # 2.4e14 bytes, more than a 47-bit address space
+    pytest.param(_huge_shape("params", (40,), (3 * 10**13,)), "Unable to allocate", id="huge"),
+    # the hand-packed layout that checkpoints had before, which has no reader now
+    pytest.param(lambda raw, members: b"SIGCKPT1" + bytes(391), "not a model checkpoint", id="old-format"),
+    *[pytest.param(_members(mask=lambda a, bins=bins: np.array(bins, dtype=int)), _BAD_MASK, id=name)
+      for name, bins in [("unsorted", [17, 3, 120]), ("repeated", [3, 3, 120]), ("bin0", [0, 17, 120]),
+                         ("bin301", [3, 17, 301]), ("mask-empty", [])]],
+    # d comes from the mask and c from the labels, so the parameter count is off
+    pytest.param(_members(mask=lambda a: a[:2]), "40 parameters; 2 bins and 4 labels need 24", id="mask-short"),
+    pytest.param(_members(params=lambda a: a[:-1]), "39 parameters; 3 bins and 4 labels need 40",
+                 id="params-short"),
+    pytest.param(_members(params=lambda a: np.append(a, 0.0)), "41 parameters", id="params-long"),
+    pytest.param(_members(params=lambda a: _flat_params(3, 4, 4)), "56 parameters", id="hidden"),
+    pytest.param(_members(params=lambda a: _flat_params(3, 3, 5)), "44 parameters", id="outputs5"),
+    pytest.param(_members(params=lambda a: _flat_params(3, 3, 6)), "48 parameters", id="outputs6"),
+    pytest.param(_members(vocab=lambda a: np.array(["AllQuiet", "\ud800", "FordF150", "Saab83"])),
+                 "label '\\ud800' must be", id="label"),
+    # output 1 would be reported under the label of output 2
+    pytest.param(_members(vocab=lambda a: np.array(["AllQuiet", "FordF150", "FordF150", "Saab83"])),
+                 "repeat one", id="repeated-label"),
+    pytest.param(_members(mask=lambda a: a.astype(float)), _BAD_MEMBERS, id="mask-float"),
+    pytest.param(_members(normalize=lambda a: a.reshape(1)), _BAD_MEMBERS, id="normalize-vector"),
+    pytest.param(_members(params=lambda a: a.astype(np.float32)), _BAD_MEMBERS, id="params-float32"),
+    pytest.param(_members(params=lambda a: a.reshape(-1, 1)), _BAD_MEMBERS, id="params-2d"),
 ])
 def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, message):
     cfg_path, out = smoke
     ckpt = tmp_path / "model.bin"
-    dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
-    assert len(ckpt.read_bytes()) == 399
+    _save_smoke_checkpoint(ckpt)
     argv = ["eval", "--checkpoint", str(ckpt), "--rows", str(out / "rows.npz")]
-    assert run(cfg_path, tmp_path / "o", *argv) == 0
+    assert run(cfg_path, tmp_path / "genuine", *argv) == 0
     capsys.readouterr()
-    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+    _corrupt_file(ckpt, corrupt)
     assert run(cfg_path, tmp_path / "o", *argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    _one_error_line(capsys, ckpt, message)
+    assert not (tmp_path / "o").exists()
+
+
+def _old_csv(raw, members):
+    return "".join(",".join(map(repr, r.tolist())) + f",{label}\n"
+                   for r, label in zip(members["x"], members["labels"])).encode()
+
+
+# the smoke rows store: 40 rows; nan and inf magnitudes: test_non_finite_rows_is_data_error
+@pytest.mark.parametrize("corrupt, message", [
+    *_npz_cases("rows store", ["x", "labels"], "labels", (0, 30, 5000, 60000, -200, -1)),
+    pytest.param(_huge_shape("x", (40, 300), (10**11, 300)), "Unable to allocate", id="huge-shape"),
+    pytest.param(_old_csv, "not a rows store", id="old-csv"),
+    pytest.param(_members(x=lambda a: a[:, 1:]), "x is float64 (40, 299)", id="299-columns"),
+    pytest.param(_members(x=lambda a: a.astype(np.int64)), "x is int64 (40, 300)", id="int"),
+    pytest.param(_members(labels=lambda a: np.where(np.arange(40) == 6, "", a)),
+                 "row 7: label '' must be", id="empty-label"),
+    pytest.param(_members(x=lambda a: a[:0], labels=lambda a: a[:0]), "no data rows", id="zero-rows"),
+])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_corrupt_rows_store_is_data_error(smoke, tmp_path, capsys, command, corrupt, message):
+    cfg_path, out = smoke
+    rows_path, ckpt = tmp_path / "rows.npz", tmp_path / "model.bin"
+    shutil.copyfile(out / "rows.npz", rows_path)
+    _corrupt_file(rows_path, corrupt)
+    _save_smoke_checkpoint(ckpt)
+    argv = [command, "--rows", str(rows_path)]
+    if command == "eval":
+        argv += ["--checkpoint", str(ckpt)]
+    assert run(cfg_path, tmp_path / "o", *argv) == 2
+    _one_error_line(capsys, rows_path, message)
+    assert not (tmp_path / "o").exists()
+
+
+# a comma split the confusion header and the selection report rows, and a lone
+# surrogate failed to encode after mask.txt was written
+@pytest.mark.parametrize("label", ["Saab,83", "\ud800"], ids=["comma", "surrogate"])
+@pytest.mark.parametrize("command, store", [("train", "rows"), ("eval", "rows"), ("eval", "checkpoint")],
+                         ids=["train-rows", "eval-rows", "checkpoint"])
+def test_label_breaking_the_rule_is_data_error(smoke, tmp_path, capsys, command, store, label):
+    cfg_path, out = smoke
+    rows_path, ckpt = tmp_path / "rows.npz", tmp_path / "model.bin"
+    shutil.copyfile(out / "rows.npz", rows_path)
+    _save_smoke_checkpoint(ckpt)
+    bad, name = (rows_path, "labels") if store == "rows" else (ckpt, "vocab")
+    _corrupt_file(bad, _members(**{name: lambda a: np.where(a == "Saab83", label, a)}))
+    argv = [command, "--rows", str(rows_path)] + (["--checkpoint", str(ckpt)] if command == "eval" else [])
+    assert run(cfg_path, tmp_path / "o", *argv) == 2
+    _one_error_line(capsys, bad, f"label {label!r} must be a non-empty")
+    assert not (tmp_path / "o").exists()
 
 
 def _edit_header(edit):
@@ -336,90 +452,13 @@ def test_non_finite_rows_is_data_error(smoke, tmp_path, capsys, command, token):
     rows_path = tmp_path / "rows.npz"
     trainer.save_rows(rows_path, x, [r.label for r in ds.rows])
     ckpt = tmp_path / "model.bin"
-    dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
+    _save_smoke_checkpoint(ckpt)
     argv = [command, "--rows", str(rows_path)]
     if command == "eval":
         argv += ["--checkpoint", str(ckpt)]
     assert run(cfg_path, tmp_path / "o", *argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0] == f"error: {rows_path}: row 4: non-finite magnitude (nan or inf)"
-
-
-def _hand_store(**arrays):
-    """Writes np.savez of arrays made from the smoke (x, labels), as a hand-made store."""
-    def write(path, x, labels):
-        with open(path, "wb") as fh:
-            np.savez(fh, **{name: make(x, labels) for name, make in arrays.items()})
-    return write
-
-
-def _edit_store(edit):
-    def write(path, x, labels):
-        trainer.save_rows(path, x, labels)
-        path.write_bytes(edit(path.read_bytes()))
-    return write
-
-
-def _flip_payload(raw):
-    i = len(raw) // 2  # inside x's float64 payload
-    return raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :]
-
-
-def _huge_shape(raw):
-    # x's npy header claims 10**11 rows, 2.4e14 bytes: more than any address space
-    i, end = raw.index(b"(40, 300)"), raw.index(b"\n", raw.index(b"(40, 300)"))
-    return raw[:i] + b"(100000000000, 300)" + raw[i + 9 : end - 10] + raw[end:]
-
-
-def _old_csv(path, x, labels):
-    path.write_text("".join(",".join(map(repr, r.tolist())) + f",{l}\n" for r, l in zip(x, labels)))
-
-
-def _bare_npy(path, x, labels):
-    with open(path, "wb") as fh:
-        np.save(fh, x)
-
-
-_X, _LABELS = (lambda x, labels: x), (lambda x, labels: labels)
-
-
-# nan and inf magnitudes: test_non_finite_rows_is_data_error
-@pytest.mark.parametrize("write, message", [
-    *[pytest.param(_edit_store(lambda raw, cut=cut: raw[:cut]), "not a rows store", id=f"cut{cut}")
-      for cut in (0, 30, 5000, 60000, -200, -1)],
-    pytest.param(_edit_store(_flip_payload), "Bad CRC-32 for file 'x.npy'", id="crc"),
-    pytest.param(_edit_store(_huge_shape), "Unable to allocate", id="huge-shape"),
-    pytest.param(_old_csv, "not a rows store", id="old-csv"),
-    pytest.param(_bare_npy, "a bare array, not a rows store", id="npy"),
-    pytest.param(_hand_store(labels=_LABELS), "x is not a file in the archive", id="no-x"),
-    pytest.param(_hand_store(x=_X), "labels is not a file in the archive", id="no-labels"),
-    pytest.param(_hand_store(x=lambda x, labels: x[:, 1:], labels=_LABELS),
-                 "x is float64 (40, 299)", id="299-columns"),
-    pytest.param(_hand_store(x=lambda x, labels: x.astype(np.int64), labels=_LABELS),
-                 "x is int64 (40, 300)", id="int"),
-    pytest.param(_hand_store(x=_X, labels=lambda x, labels: labels.astype(object)),
-                 "allow_pickle=False", id="object-labels"),
-    pytest.param(_hand_store(x=_X, labels=lambda x, labels: np.where(np.arange(40) == 6, "", labels)),
-                 "row 7: empty label", id="empty-label"),
-    pytest.param(_hand_store(x=lambda x, labels: x[:0], labels=lambda x, labels: labels[:0]),
-                 "no data rows", id="zero-rows"),
-])
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_corrupt_rows_store_is_data_error(smoke, tmp_path, capsys, command, write, message):
-    cfg_path, out = smoke
-    with np.load(out / "rows.npz", allow_pickle=False) as store:
-        x, labels = store["x"], store["labels"]
-    rows_path = tmp_path / ("rows.csv" if write is _old_csv else "rows.npz")
-    write(rows_path, x, labels)
-    ckpt = tmp_path / "model.bin"
-    dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
-    argv = [command, "--rows", str(rows_path)]
-    if command == "eval":
-        argv += ["--checkpoint", str(ckpt)]
-    assert run(cfg_path, tmp_path / "o", *argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {rows_path}: ") and message in err[0]
-    assert not (tmp_path / "o").exists()
 
 
 def test_train_manifest_records_guard_from_rows(tmp_path):
@@ -602,7 +641,7 @@ def test_unreadable_input_is_data_error(smoke, tmp_path, capsys, case, message):
     cfg_path, out = smoke
     rows, ckpt, folder = tmp_path / "rows.csv", tmp_path / "model.bin", tmp_path / "folder"
     rows.write_bytes(b"1.0,2.0,A\n\xff\n")
-    dnn.save_checkpoint(ckpt, dnn.init_network(3, 4, seed=1), [3, 17, 120], SMOKE_LABELS, True)
+    _save_smoke_checkpoint(ckpt)
     folder.mkdir()
     profiles = tmp_path / "profiles.txt"
     profiles.write_bytes(b"profile A\nline geo_front_10m 45 1.5 0.0\n\xff\n")

@@ -4,7 +4,7 @@ import pytest
 from sigclass import dnn, trainer
 from sigclass.config import PipelineConfig
 from sigclass.dnn import AdamState, UNCLASSIFIED
-from sigclass.errors import NumericalError, ValidationError
+from sigclass.errors import NumericalError, ParseError, ValidationError
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.spectral import N_BINS
 from sigclass.trainer import Dataset
@@ -433,7 +433,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "weird.bin"
     path.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match="not a model checkpoint"):
         dnn.load_checkpoint(path)
 
 
@@ -446,17 +446,22 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 
 
 def test_checkpoint_golden_bytes(tmp_path):
-    # sha256 recorded before the network became a plain list of arrays; the
-    # checkpoint format and the init draws must not change
     import hashlib
 
     p = dnn.init_network(3, 4, seed=21)
+    # the init draws: the sha256 of the last 320 bytes of the earlier hand-packed
+    # checkpoint of this network, which were its 40 parameters as <f8
+    draws = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in p)
+    assert hashlib.sha256(draws).hexdigest() == (
+        "3788856c16085e92c0ccc8261c80baebfced80cd8ae3d441f34f1f73a1bd1385"
+    )
+    # the .npz format
     path = tmp_path / "model.bin"
     dnn.save_checkpoint(path, p, [3, 17, 120], ["AllQuiet", "TruckA", "CarB", "Gen"], True)
     raw = path.read_bytes()
-    assert len(raw) == 384
+    assert len(raw) == 1471
     assert hashlib.sha256(raw).hexdigest() == (
-        "2d6fe6270ab9e1856e45cf50f333de3f90ecd0a8c77794f664d19103c2f26166"
+        "19b13818f18e26fbd343d3299f2a59638bc510c1df2aa3e3d2944a4dba9adc11"
     )
     loaded, mask, vocab, normalize = dnn.load_checkpoint(path)
     again = tmp_path / "again.bin"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigclass import fusion
-from sigclass.errors import ConfigurationError, ParseError, SelectionError, ValidationError
+from sigclass.errors import ConfigurationError, SelectionError, ValidationError
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.spectral import N_BINS
 
@@ -258,34 +258,6 @@ def test_mask_validates_and_sorts():
         FeatureMask(kept=[0, 5])
     with pytest.raises(ValidationError):
         FeatureMask(kept=[301])
-
-
-def test_mask_file_roundtrip(tmp_path):
-    m = FeatureMask(kept=[5, 17, 250])
-    path = tmp_path / "mask.txt"
-    fusion.write_mask(path, m)
-    assert fusion.load_mask(path).kept == [5, 17, 250]
-
-
-def test_mask_file_non_integer_names_line(tmp_path):
-    path = tmp_path / "mask.txt"
-    path.write_text("5\n17\n2.5\n")
-    with pytest.raises(ParseError, match="line 3: .*'2.5' is not an integer"):
-        fusion.load_mask(path)
-
-
-@pytest.mark.parametrize("raw, message", [
-    pytest.param(b"3\n\xc3\xa9\n", "line 2: .*'\u00e9' is not an integer", id="e-acute"),
-    pytest.param("3\n\u0663\n".encode("utf-8"), "line 2: .*'\u0663' is not an integer", id="arabic-indic-3"),
-    pytest.param(b"3\n\xff\n", "not UTF-8 text", id="not-utf8"),
-    pytest.param(b"3\n1_0\n", "line 2: .*'1_0' is not an integer", id="underscore"),
-    pytest.param(b"3\n+4\n", "line 2: .*'\\+4' is not an integer", id="plus"),
-])
-def test_mask_file_non_digit_token_is_parse_error(tmp_path, raw, message):
-    path = tmp_path / "mask.txt"
-    path.write_bytes(raw)
-    with pytest.raises(ParseError, match=message):
-        fusion.load_mask(path)
 
 
 def test_selection_report_csv(tmp_path):
