@@ -1,18 +1,20 @@
 """Three-layer fully connected network built from first principles.
 
-The network is the list [w1, b1, w2, b2, w3, b3]; weight k is (n_out, n_in).
-Layers 1 and 2 are sigmoid layers of width d (the feature count), layer 3 is
-a plain affine map onto the c class outputs.  Training uses per-class sigmoid
-cross-entropy on the raw output logits, analytic backpropagation, and Adam,
-in float64 numpy; no autograd.  `sigmoid` and `forward` keep a float32 input
-in float32 (any other input becomes float64), which the training loop uses
-for its per-run scoring pass over float32 copies of the parameters.
-A checkpoint is an uncompressed .npz of the model and what `eval` needs
-to feed it: the kept bins, the labels and the row-normalization flag.
+The parameters are one flat float64 vector theta, the checkpoint's `params`:
+w1, b1, w2, b2, w3 and b3, each row-major, which `unflatten` views as six
+arrays; weight k is (n_out, n_in).  Layers 1 and 2 are sigmoid layers of
+width d (the feature count), layer 3 is a plain affine map onto the c class
+outputs.  Training uses per-class sigmoid cross-entropy on the raw output
+logits, analytic backpropagation, and Adam, in float64 numpy; no autograd.
+What a training run calls writes into arrays passed as `out` (new ones when
+it is None), and `adam_update` works in place.  `sigmoid` and `forward` keep
+a float32 input in float32 (any other becomes float64) for the per-run
+scoring pass over a float32 copy of theta.  A checkpoint is an uncompressed
+.npz of the model and what `eval` needs to feed it: the kept bins, the
+labels and the row-normalization flag.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,38 +30,43 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
-@dataclass
-class AdamState:
-    """Adam's first/second moments, one array per parameter array, and step count."""
-
-    m: list
-    v: list
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params):
-        zeros = lambda: [np.zeros_like(p, dtype=float) for p in params]
-        return cls(m=zeros(), v=zeros())
-
-
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Numerically stable logistic function, elementwise.
 
-    exp(min(z, 0)) / (1 + exp(-|z|)) needs no branch.  For z >= 0 the
-    numerator is exp(0) = 1 exactly, leaving 1 / (1 + exp(-z)); for z < 0 both
-    exponentials are exp(z), leaving exp(z) / (1 + exp(z)).  These are the
-    IEEE operations of the usual two-branch stable form, so each result is bit
-    for bit the same as there, and no exponential can overflow.  A float32 z
-    gives a float32 result; any other z is computed in float64.
+    With e = exp(min(z, -z)) = exp(-|z|), maximum(e, z >= 0) / (1 + e) is
+    1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0: the IEEE operations of
+    the usual two-branch stable form, so each result (a NaN's sign too) is
+    bit for bit the same, from one exponential that cannot overflow.  A
+    float32 z gives a float32 result; any other z is computed in float64.
+    With `out` the result goes there and z is overwritten as scratch.
     """
     z = _floats(z)
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+    if out is None:
+        z, out = z.copy(), np.empty_like(z)
+    e = np.exp(np.minimum(z, np.negative(z, out=out), out=out), out=out)
+    numerator = np.maximum(e, np.greater_equal(z, 0.0, out=z), out=z)
+    return np.divide(numerator, np.add(e, 1.0, out=e), out=out)
 
 
 def _floats(a):
     """a as an array: float32 stays float32, anything else becomes float64."""
     a = np.asarray(a)
     return a if a.dtype == np.float32 else a.astype(float, copy=False)
+
+
+def unflatten(theta, d, c):
+    """The six arrays [w1, b1, w2, b2, w3, b3] as views of the flat vector theta."""
+    shapes = [(d, d), (d,), (d, d), (d,), (c, d), (c,)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(theta, ends[:-1]), shapes)]
+
+
+def buffers(rows, d, c, dtype=np.float64):
+    """Arrays for `forward` and `backward` on `rows` rows: (a1, a2, logits, h, delta).
+
+    a1, a2 and h are (rows, d), logits and delta (rows, c); h and delta are scratch.
+    """
+    return tuple(np.empty((rows, width), dtype) for width in (d, d, c, d, c))
 
 
 def init_network(d, c, seed):
@@ -78,13 +85,14 @@ def init_network(d, c, seed):
     return params
 
 
-def forward(params, x):
+def forward(params, x, out=None):
     """Run a batch through the net; returns (logits, trace).
 
-    x has shape (batch, d).  The first two layers apply the sigmoid to their
-    affine outputs; the third returns the affine output directly.  trace is
-    the tuple (x, a1, a2, logits) that backward needs.  A float32 x with
-    float32 params gives float32 logits; any other x is taken as float64.
+    x has shape (batch, d).  Layers 1 and 2 apply the sigmoid to their affine
+    outputs, layer 3 returns its affine output.  They go into out, a `buffers`
+    tuple (new arrays when it is None); trace is (x, a1, a2, logits, h,
+    delta), what backward needs and its scratch.  A float32 x with float32
+    params gives float32 logits; any other x is taken as float64.
     """
     w1, b1, w2, b2, w3, b3 = params
     x = np.atleast_2d(_floats(x))
@@ -92,60 +100,74 @@ def forward(params, x):
         raise ValidationError(
             f"input width {x.shape[1]} does not match network d={w1.shape[1]}"
         )
-    a1 = sigmoid(x @ w1.T + b1)
-    a2 = sigmoid(a1 @ w2.T + b2)
-    z3 = a2 @ w3.T + b3
-    return z3, (x, a1, a2, z3)
+    if out is None:
+        out = buffers(len(x), len(b1), len(b3), np.result_type(x, *params))
+    a1, a2, z3, h, _ = out
+    sigmoid(np.add(np.matmul(x, w1.T, out=h), b1, out=h), out=a1)
+    sigmoid(np.add(np.matmul(a1, w2.T, out=h), b2, out=h), out=a2)
+    np.add(np.matmul(a2, w3.T, out=z3), b3, out=z3)
+    return z3, (x, *out)
 
 
-def loss(logits, targets):
+def loss(logits, targets, out=None):
     """Mean stable sigmoid cross-entropy over all batch x class elements.
 
-    Per element: max(z, 0) - z*y + log(1 + exp(-|z|)), which equals
-    -y*log(sigmoid(z)) - (1-y)*log(1-sigmoid(z)) but never overflows.
+    Per element: max(z, 0) - z*y + log1p(exp(-|z|)), computed in float64,
+    which equals -y*log(sigmoid(z)) - (1-y)*log(1-sigmoid(z)) but never
+    overflows.  out is two float64 scratch arrays shaped as logits (new ones
+    when it is None).
     """
-    z = np.asarray(logits, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite([np.min(logits), np.max(logits)]).all():
         raise NumericalError("non-finite logits in loss")
-    per_element = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    per_element, part = np.empty((2, *np.shape(logits))) if out is None else out
+    np.maximum(logits, 0.0, out=per_element)
+    per_element -= np.multiply(logits, targets, out=part, dtype=float)
+    np.log1p(np.exp(np.negative(np.abs(logits, out=part), out=part), out=part), out=part)
+    per_element += part
     return float(np.mean(per_element))
 
 
-def backward(params, trace, targets):
+def backward(params, trace, targets, out=None):
     """Analytic gradients of the mean loss, in the order of params.
 
-    The output-layer delta is (sigmoid(logits) - targets) / (batch * c);
-    hidden deltas propagate through sigmoid'(z) = a * (1 - a).
+    They go into out, six arrays shaped as params (new ones when it is None),
+    which is returned; the trace's arrays serve as scratch.  The output-layer
+    delta is (sigmoid(logits) - targets) / (batch * c); hidden deltas
+    propagate through sigmoid'(z) = a * (1 - a).
     """
-    _, _, w2, _, w3, _ = params
-    x, a1, a2, z3 = trace
-    y = np.asarray(targets, dtype=float)
+    x, a1, a2, z3, h, d3 = trace
+    g = [np.empty_like(p) for p in params] if out is None else out
     batch, c = z3.shape
-    d3 = (sigmoid(z3) - y) / (batch * c)
-    d2 = (d3 @ w3) * a2 * (1.0 - a2)
-    d1 = (d2 @ w2) * a1 * (1.0 - a1)
-    return [d1.T @ x, d1.sum(axis=0), d2.T @ a1, d2.sum(axis=0), d3.T @ a2, d3.sum(axis=0)]
+    delta = np.subtract(sigmoid(z3, out=d3), targets, out=d3)
+    delta /= batch * c
+    for k, a, below in ((2, a2, h), (1, a1, a2)):  # layers 3 and 2, then the delta of the layer below
+        np.matmul(delta.T, a, out=g[2 * k])
+        np.sum(delta, axis=0, out=g[2 * k + 1])
+        delta = np.matmul(delta, params[2 * k], out=below)
+        delta *= a
+        delta *= np.subtract(1.0, a, out=a)
+    np.matmul(delta.T, x, out=g[0])
+    np.sum(delta, axis=0, out=g[1])
+    return g
 
 
-def adam_update(params, grads, state, alpha):
-    """One Adam step with learn rate alpha; returns (new_params, new_state).
+def adam_update(theta, grad, state, t, alpha):
+    """Adam step number t (from 1) with learn rate alpha, in place on theta.
 
-    t <- t+1; m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
+    theta and grad are flat vectors of P values, and grad is overwritten.
+    state is a (3, P) float64 array: m, v and scratch, zeros before step 1.
+    m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
     mhat = m/(1-b1^t); vhat = v/(1-b2^t); theta <- theta - alpha*mhat/(sqrt(vhat)+eps).
     epsilon sits outside the square root.
     """
-    t = state.t + 1
-    bc1 = 1.0 - BETA1**t
-    bc2 = 1.0 - BETA2**t
-    new_params, new_m, new_v = [], [], []
-    for theta, g, m_prev, v_prev in zip(params, grads, state.m, state.v):
-        m = BETA1 * m_prev + (1.0 - BETA1) * g
-        v = BETA2 * v_prev + (1.0 - BETA2) * g * g
-        new_params.append(theta - alpha * (m / bc1) / (np.sqrt(v / bc2) + EPSILON))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    m, v, s = state
+    v *= BETA2
+    v += np.multiply(np.multiply(grad, 1.0 - BETA2, out=s), grad, out=s)
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=grad)
+    np.add(np.sqrt(np.divide(v, 1.0 - BETA2**t, out=s), out=s), EPSILON, out=s)
+    step = np.multiply(np.divide(m, 1.0 - BETA1**t, out=grad), alpha, out=grad)
+    theta -= np.divide(step, s, out=step)
 
 
 def predict_batch(params, x):
@@ -153,13 +175,20 @@ def predict_batch(params, x):
     return decode(forward(params, x)[0])[1].astype(int)
 
 
-def decode(logits):
+def decode(logits, out=None):
     """(hot, preds): rounded outputs and the one-hot index or UNCLASSIFIED.
 
     sigmoid(z) >= 0.5 exactly when z >= 0, so hot = logits >= 0 per element.
+    out is a bool array shaped as logits and two int row vectors to write
+    into (new ones when it is None).
     """
-    hot = logits >= 0.0
-    preds = np.where(hot.sum(axis=1) == 1, hot.argmax(axis=1), UNCLASSIFIED)
+    hot, one, preds = (None, None, None) if out is None else out
+    hot = np.greater_equal(logits, 0.0, out=hot)
+    one = np.equal(np.sum(hot, axis=1, out=one), 1, out=one)  # 1 where one output is hot
+    preds = np.argmax(hot, axis=1, out=preds)
+    preds += 1  # the hot index where one output is hot, else UNCLASSIFIED = -1
+    preds *= one
+    preds -= 1
     return hot, preds
 
 
@@ -200,9 +229,8 @@ def load_checkpoint(path):
     if len(set(vocab)) < len(vocab):
         raise ParseError(f"{path}: the labels {vocab} repeat one")
     d, c = len(mask_bins), len(vocab)
-    shapes = [(d, d), (d,), (d, d), (d,), (c, d), (c,)]
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    if len(flat) != ends[-1]:
-        raise ParseError(f"{path}: {len(flat)} parameters; {d} bins and {c} labels need {ends[-1]}")
-    params = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    need = d * (2 * d + c + 2) + c
+    if len(flat) != need:
+        raise ParseError(f"{path}: {len(flat)} parameters; {d} bins and {c} labels need {need}")
+    params = unflatten(flat, d, c)
     return params, mask_bins, vocab, bool(normalize)

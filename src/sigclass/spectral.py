@@ -75,12 +75,24 @@ def write_heatmap_pgm(path, heatmap):
     """Binary PGM (P5) image of the heat map, one pixel row per heat-map row.
 
     Value 10 maps to pixel 255: each pixel is rint(v * 25.5), clipped to 0..255.
+    A value outside 0..10 or NaN (see `_in_ten_thousandths`) raises
+    ValidationError before the file is opened.
     """
+    for rows in heatmap.values():
+        _in_ten_thousandths(rows)
     n_rows = sum(len(rows) for rows in heatmap.values())
     with open(path, "wb") as fh:
         fh.write(f"P5\n{N_BINS} {n_rows}\n255\n".encode("ascii"))
         for rows in heatmap.values():
             fh.write(np.clip(np.rint(rows * 25.5), 0, 255).astype(np.uint8))
+
+
+def _in_ten_thousandths(rows):
+    """rint(rows * 1e4); a value outside 0..10 at that rounding, or NaN, raises ValidationError."""
+    scaled = np.rint(rows * 1e4)
+    if not np.all((scaled >= 0) & (scaled <= 100_000)):
+        raise ValidationError("heat-map value outside 0..10 or NaN; cannot write it")
+    return scaled
 
 
 def _four_decimal_lines(rows):
@@ -92,10 +104,7 @@ def _four_decimal_lines(rows):
     newline.  The ones digit 10 lands on ":", the byte after "9", which is then
     replaced by "10".  A v outside 0..10 or NaN raises ValidationError.
     """
-    scaled = np.rint(rows * 1e4)
-    if not np.all((scaled >= 0) & (scaled <= 100_000)):
-        raise ValidationError("heat-map value outside 0..10; cannot write it with four decimals")
-    q = scaled.astype(np.int32)
+    q = _in_ten_thousandths(rows).astype(np.int32)
     fields = np.empty(q.shape + (7,), dtype=np.uint8)
     fields[..., 0] = q // 10_000
     for col, place in zip((2, 3, 4, 5), (1000, 100, 10, 1)):

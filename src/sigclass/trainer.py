@@ -121,13 +121,6 @@ def features_matrix(rows, mask, normalize):
     return x
 
 
-def _scores(logits, y, y_hot):
-    """(row accuracy, bit accuracy) of rounded sigmoid outputs against the
-    class indices y and their boolean one-hots y_hot."""
-    hot, preds = dnn.decode(logits)
-    return float(np.mean(preds == y)), float(np.mean(hot == y_hot))
-
-
 def train(x_train, y_train, x_test, y_test, c, cfg):
     """The training loop: batch runs with Adam, scored after every step.
 
@@ -138,12 +131,14 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     accuracies of the updated parameters.  cfg is the PipelineConfig (its
     seed and training fields).  Returns the final parameters and the RunLog.
 
-    The batch forward, backward and Adam step run in float64, so the
-    parameters do not depend on the scoring.  Each run scores with one
-    float32 forward pass of float32 copies of the parameters over the train
-    and test rows stacked once before the loop; only the logged loss differs
-    from float64 scoring, in about its seventh significant digit.  Features
-    large enough to overflow that pass raise ValidationError.
+    The batch forward, backward and Adam step run in float64 on one flat
+    parameter vector (see `dnn`), so the parameters do not depend on the
+    scoring.  Each run scores with one float32 forward pass of a float32 copy
+    of that vector over the train and test rows stacked once before the loop,
+    and decodes the stacked logits once; only the logged loss differs from
+    float64 scoring, in about its seventh significant digit.  Every array a
+    run writes into is made before the loop.  Features large enough to
+    overflow the scoring pass raise ValidationError.
     """
     if cfg.batch_size > len(x_train):
         raise ValidationError(
@@ -152,7 +147,8 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     if len(x_test) == 0:
         raise ValidationError("the test split is empty; lower train_fraction")
     targets = np.eye(c)[y_train]  # float64 one-hots for backward and loss
-    hot_train, hot_test = np.eye(c, dtype=bool)[y_train], np.eye(c, dtype=bool)[y_test]
+    y_all = np.concatenate([y_train, y_test])
+    hot_all = np.eye(c, dtype=bool)[y_all]
     try:
         with np.errstate(over="raise"):
             x_score = np.concatenate([x_train, x_test], dtype=np.float32)
@@ -163,31 +159,40 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     # reach * max|w1| + max|b1|; that bound is checked each run, because numpy
     # does not see an overflow inside a BLAS worker thread
     reach = float(np.abs(x_score).sum(axis=1, dtype=float).max())
-    n_train = len(x_train)
+    (n_train, d), n, batch = x_train.shape, len(y_all), cfg.batch_size
+    halves = slice(n_train), slice(n_train, None)
 
     init_seed = derive_rng(cfg.seed, "init").integers(2**32)
-    params = dnn.init_network(x_train.shape[1], c, seed=init_seed)
-    state = dnn.AdamState.for_params(params)
+    theta = np.concatenate([np.ravel(p) for p in dnn.init_network(d, c, seed=init_seed)])
+    theta32, grad, state = np.empty(len(theta), np.float32), np.empty_like(theta), np.zeros((3, len(theta)))
+    params, params32, grads = (dnn.unflatten(v, d, c) for v in (theta, theta32, grad))
+    w1, b1 = params[:2]
+    batch_out, score_out = dnn.buffers(batch, d, c), dnn.buffers(n, d, c, np.float32)
+    x_batch, t_batch, loss_out = np.empty((batch, d), x_train.dtype), np.empty((batch, c)), np.empty((2, n_train, c))
+    decoded = np.empty((n, c), bool), np.empty(n, int), np.empty(n, int)
+    right, bits = np.empty(n, bool), np.empty((n, c), bool)
     batch_rng = derive_rng(cfg.seed, "batches")
 
     log = RunLog()
     for run in range(1, cfg.runs + 1):
-        idx = batch_rng.choice(len(x_train), size=cfg.batch_size, replace=False)
-        _, trace = dnn.forward(params, x_train[idx])
-        grads = dnn.backward(params, trace, targets[idx])
-        params, state = dnn.adam_update(params, grads, state, cfg.learn_rate)
+        idx = batch_rng.choice(n_train, size=batch, replace=False)
+        np.take(x_train, idx, axis=0, out=x_batch, mode="clip")  # idx is in range; "raise" copies via a buffer
+        np.take(targets, idx, axis=0, out=t_batch, mode="clip")
+        _, trace = dnn.forward(params, x_batch, batch_out)
+        dnn.backward(params, trace, t_batch, grads)
+        dnn.adam_update(theta, grad, state, run, cfg.learn_rate)
 
-        if reach * np.abs(params[0]).max() + np.abs(params[1]).max() > _FLOAT32_HALF:
+        if reach * max(w1.max(), -w1.min()) + max(b1.max(), -b1.min()) > _FLOAT32_HALF:
             raise ValidationError(f"run {run}: the feature magnitudes can overflow the float32 "
                                   "scoring pass; set normalize_rows = true")
-        logits = dnn.forward([p.astype(np.float32) for p in params], x_score)[0]
-        train_logits, test_logits = logits[:n_train], logits[n_train:]
-        train_loss = dnn.loss(train_logits, targets)
-        train_acc, train_bit = _scores(train_logits, y_train, hot_train)
-        test_acc, test_bit = _scores(test_logits, y_test, hot_test)
-        log.records.append(
-            RunRecord(run, train_loss, train_acc, test_acc, train_bit, test_bit)
-        )
+        theta32[:] = theta
+        logits = dnn.forward(params32, x_score, score_out)[0]
+        train_loss = dnn.loss(logits[:n_train], targets, loss_out)
+        hot, preds = dnn.decode(logits, decoded)
+        np.equal(preds, y_all, out=right)
+        np.equal(hot, hot_all, out=bits)
+        scores = [float(np.count_nonzero(a[half]) / a[half].size) for a in (right, bits) for half in halves]
+        log.records.append(RunRecord(run, train_loss, *scores))
     return params, log
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from sigclass import cli, dnn, fusion, synthgen, trainer
-from sigclass.dnn import AdamState
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.config import PipelineConfig
 from sigclass.spectral import N_BINS, magnitude_spectrum
@@ -185,17 +184,16 @@ def test_criterion_4_adam_references():
     # first step magnitude
     rng = np.random.default_rng(4)
     g_vals = rng.uniform(1e-3, 5.0, size=200) * rng.choice([-1.0, 1.0], size=200)
-    params = [np.zeros((1, 200)), np.zeros(1)]
-    grads = [g_vals.reshape(1, -1).copy(), np.zeros(1)]
-    stepped, state1 = dnn.adam_update(params, grads, AdamState.for_params(params), 0.005)
-    moved = np.abs(stepped[0] - params[0]).ravel()
+    stepped = np.zeros(201)  # 200 weights and one bias with a zero gradient
+    dnn.adam_update(stepped, np.append(g_vals, 0.0), np.zeros((3, 201)), 1, 0.005)
+    moved = np.abs(stepped[:200])  # each weight started at 0
     expected = 0.005 * np.abs(g_vals) / (np.abs(g_vals) + 1e-8)
     first_ok = np.max(np.abs(moved - expected)) < 1e-12 and np.max(np.abs(moved - 0.005)) < 1e-6
 
     # zero gradient leaves parameters fixed
-    zeros = [np.zeros((1, 200)), np.zeros(1)]
-    frozen, _ = dnn.adam_update(params, zeros, AdamState.for_params(params), 0.005)
-    zero_ok = np.array_equal(frozen[0], params[0])
+    frozen = np.zeros(201)
+    dnn.adam_update(frozen, np.zeros(201), np.zeros((3, 201)), 1, 0.005)
+    zero_ok = np.array_equal(frozen, np.zeros(201))
 
     # two-step scalar recurrence against hand computation
     alpha, b1, b2, eps = 0.005, 0.9, 0.999, 1e-8
@@ -206,13 +204,11 @@ def test_criterion_4_adam_references():
     m2 = b1 * m + (1 - b1) * g
     v2 = b2 * v + (1 - b2) * g * g
     t2 = t1 - alpha * (m2 / (1 - b1**2)) / (np.sqrt(v2 / (1 - b2**2)) + eps)
-    lay = [np.array([[theta]]), np.zeros(1)]
-    grd = [np.array([[g]]), np.zeros(1)]
-    st = AdamState.for_params(lay)
-    lay, st = dnn.adam_update(lay, grd, st, alpha)
-    step1_ok = abs(lay[0][0, 0] - t1) <= 1e-12
-    lay, st = dnn.adam_update(lay, grd, st, alpha)
-    step2_ok = abs(lay[0][0, 0] - t2) <= 1e-12
+    lay, st = np.array([theta, 0.0]), np.zeros((3, 2))
+    dnn.adam_update(lay, np.array([g, 0.0]), st, 1, alpha)
+    step1_ok = abs(lay[0] - t1) <= 1e-12
+    dnn.adam_update(lay, np.array([g, 0.0]), st, 2, alpha)
+    step2_ok = abs(lay[0] - t2) <= 1e-12
 
     check(4, first_ok and zero_ok and step1_ok and step2_ok,
           "first-step displacement is alpha*|g|/(|g|+eps), zero gradient is a "

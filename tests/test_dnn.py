@@ -3,7 +3,7 @@ import pytest
 
 from sigclass import dnn, trainer
 from sigclass.config import PipelineConfig
-from sigclass.dnn import AdamState, UNCLASSIFIED
+from sigclass.dnn import UNCLASSIFIED
 from sigclass.errors import NumericalError, ParseError, ValidationError
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.spectral import N_BINS
@@ -118,6 +118,31 @@ def test_sigmoid_never_overflows_or_goes_invalid():
     assert np.array_equal(out, [0.0, 5e-324, 1.0, 1.0, 0.0, 1.0])
 
 
+def test_sigmoid_bit_identical_on_random_float32_bit_patterns():
+    # 2^22 random bit patterns: about 1/256 of them NaN and 1/256 subnormal
+    bits = np.random.default_rng(8).integers(0, 2**32, size=2**22, dtype=np.uint32)
+    z = np.concatenate([bits.view(np.float32), np.float32(SIGMOID_EDGES + [1e-45, -1e-45])])
+    assert np.isnan(z).sum() > 10_000 and np.isinf(z).sum() == 2
+    assert ((np.abs(z) < np.finfo(np.float32).tiny) & (z != 0)).sum() > 10_000
+    with np.errstate(invalid="ignore"):  # signaling NaNs
+        expected = reference_sigmoid(z)
+        results = [dnn.sigmoid(z), dnn.sigmoid(z.copy(), out=np.empty_like(z))]
+    for got in results:
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.int32), expected.view(np.int32))  # NaNs included
+
+
+def test_sigmoid_out_overwrites_z_and_no_out_leaves_it():
+    z = np.random.default_rng(9).normal(scale=5.0, size=(7, 5))
+    before = z.copy()
+    expected = reference_sigmoid(z)
+    assert np.array_equal(dnn.sigmoid(z).view(np.int64), expected.view(np.int64))
+    assert np.array_equal(z, before)
+    out = np.empty_like(z)
+    assert dnn.sigmoid(z, out=out) is out
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
 def test_sigmoid_swap_leaves_training_bit_identical(monkeypatch):
     # random spectra keep the activations off 0 and 1, so every bit of the sigmoid counts
     rng = np.random.default_rng(11)
@@ -129,8 +154,20 @@ def test_sigmoid_swap_leaves_training_bit_identical(monkeypatch):
     y = trainer.label_index(ds.rows, ds.label_vocab)
     tr, te = trainer.split(y, cfg)
     p_new, log_new = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
-    monkeypatch.setattr(dnn, "sigmoid", reference_sigmoid)
+    calls = []
+
+    def swapped(z, out=None):
+        calls.append(np.shape(z))
+        if out is None:
+            return reference_sigmoid(z)
+        out[...] = reference_sigmoid(z)
+        return out
+
+    monkeypatch.setattr(dnn, "sigmoid", swapped)
     p_ref, log_ref = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
+    # the batch pass, backward and the scoring pass all go through the swapped sigmoid
+    assert len(calls) >= 3 * cfg.runs
+    assert {(12, 5), (12, 3), (len(x), 5)} <= set(calls)
     for a, b in zip(p_new, p_ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
     assert len(log_new.records) == len(log_ref.records) == 25
@@ -144,7 +181,7 @@ def test_sigmoid_swap_leaves_training_bit_identical(monkeypatch):
 
 def test_forward_zero_net_gives_half_activations():
     p = zero_net(4, 3)
-    logits, (_, a1, a2, _) = dnn.forward(p, np.zeros((2, 4)))
+    logits, (_, a1, a2, *_) = dnn.forward(p, np.zeros((2, 4)))
     assert np.all(a1 == 0.5)
     assert np.all(a2 == 0.5)
     assert np.all(logits == 0.0)
@@ -154,7 +191,7 @@ def test_forward_hand_evaluated_chain():
     # 1-wide net: W1=2, W2=1, W3=1, b3=1 applied to x=0
     p = [np.array([[2.0]]), np.array([0.0]), np.array([[1.0]]), np.array([0.0]),
          np.array([[1.0]]), np.array([1.0])]
-    logits, (_, a1, a2, _) = dnn.forward(p, np.array([[0.0]]))
+    logits, (_, a1, a2, *_) = dnn.forward(p, np.array([[0.0]]))
     assert a1[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert a2[0, 0] == pytest.approx(0.6224593312018546, abs=1e-12)
     assert logits[0, 0] == pytest.approx(1.6224593312018546, abs=1e-12)
@@ -163,7 +200,7 @@ def test_forward_hand_evaluated_chain():
 def test_forward_batch_shape():
     p = dnn.init_network(23, 4, seed=3)
     x = np.random.default_rng(0).normal(size=(150, 23))
-    logits, (_, a1, _, _) = dnn.forward(p, x)
+    logits, (_, a1, *_) = dnn.forward(p, x)
     assert logits.shape == (150, 4)
     assert a1.shape == (150, 23)
 
@@ -172,7 +209,7 @@ def test_forward_keeps_float32_and_widens_the_rest():
     p = dnn.init_network(6, 3, seed=4)
     x = np.random.default_rng(5).random((9, 6))
     p32 = [a.astype(np.float32) for a in p]
-    logits32, (x32, a1, a2, _) = dnn.forward(p32, x.astype(np.float32))
+    logits32, (x32, a1, a2, *_) = dnn.forward(p32, x.astype(np.float32))
     assert {a.dtype for a in (logits32, x32, a1, a2)} == {np.dtype(np.float32)}
     assert np.allclose(logits32, dnn.forward(p, x)[0], rtol=0, atol=1e-5)
     assert dnn.forward(p, x.tolist())[0].dtype == np.float64
@@ -244,6 +281,17 @@ def test_loss_rejects_nonfinite_logits():
         dnn.loss(np.array([[np.inf]]), np.array([[0.0]]))
 
 
+def test_loss_bit_identical_to_float64_expression():
+    rng = np.random.default_rng(10)
+    y = (rng.random((50, 3)) > 0.5).astype(float)
+    z = rng.normal(scale=8.0, size=(50, 3))
+    for logits in (z, z.astype(np.float32)):
+        z64 = logits.astype(float)
+        want = float(np.mean(np.maximum(z64, 0.0) - z64 * y + np.log1p(np.exp(-np.abs(z64)))))
+        assert dnn.loss(logits, y) == want
+        assert dnn.loss(logits, y, np.empty((2, 50, 3))) == want
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -304,35 +352,80 @@ def test_backward_zero_input_batch():
     assert np.any(grads[1] != 0.0)
 
 
+def reference_forward_backward(params, x, y):
+    """Logits and gradients as plain expressions with new arrays: the bitwise reference."""
+    w1, b1, w2, b2, w3, b3 = params
+    a1 = reference_sigmoid(x @ w1.T + b1)
+    a2 = reference_sigmoid(a1 @ w2.T + b2)
+    z3 = a2 @ w3.T + b3
+    d3 = (reference_sigmoid(z3) - y) / z3.size
+    d2 = (d3 @ w3) * a2 * (1.0 - a2)
+    d1 = (d2 @ w2) * a1 * (1.0 - a1)
+    return z3, [d1.T @ x, d1.sum(axis=0), d2.T @ a1, d2.sum(axis=0), d3.T @ a2, d3.sum(axis=0)]
+
+
+@pytest.mark.parametrize("d, c, batch", [(5, 3, 12), (13, 2, 40), (77, 4, 150)])
+def test_buffered_passes_bit_identical_to_expressions(d, c, batch):
+    rng = np.random.default_rng(d)
+    p = dnn.init_network(d, c, seed=d)
+    x = 0.1 + rng.random((batch, d))
+    y = np.eye(c)[rng.integers(0, c, batch)]
+    want_logits, want_grads = reference_forward_backward(p, x, y)
+    theta = flat(p)
+    params, grad = dnn.unflatten(theta, d, c), np.empty_like(theta)
+    assert all(np.shares_memory(a, theta) for a in params)
+    work = dnn.buffers(batch, d, c)
+    for _ in range(2):  # the same arrays serve every pass
+        logits, trace = dnn.forward(params, x, work)
+        assert logits is work[2]
+        assert np.array_equal(logits.view(np.int64), want_logits.view(np.int64))
+        dnn.backward(params, trace, y, dnn.unflatten(grad, d, c))
+        assert np.array_equal(grad.view(np.int64), flat(want_grads).view(np.int64))
+    # the float32 scoring pass
+    p32, x32 = [a.astype(np.float32) for a in p], x.astype(np.float32)
+    theta32 = theta.astype(np.float32)
+    got32 = dnn.forward(dnn.unflatten(theta32, d, c), x32, dnn.buffers(batch, d, c, np.float32))[0]
+    want32 = dnn.forward(p32, x32)[0]
+    w1, b1, w2, b2, w3, b3 = p32
+    expr32 = reference_sigmoid(reference_sigmoid(x32 @ w1.T + b1) @ w2.T + b2) @ w3.T + b3
+    assert got32.dtype == want32.dtype == expr32.dtype == np.float32
+    assert np.array_equal(got32.view(np.int32), want32.view(np.int32))
+    assert np.array_equal(got32.view(np.int32), expr32.view(np.int32))
+
+
 # ---------------------------------------------------------------------------
 # adam
 
+def flat(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
 def test_adam_first_step_moves_alpha_per_element():
     p = dnn.init_network(3, 2, seed=1)
-    state = AdamState.for_params(p)
     rng = np.random.default_rng(3)
     grads = [
         rng.uniform(1e-3, 2.0, a.shape) * rng.choice([-1, 1], a.shape) for a in p
     ]
-    new_p, new_state = dnn.adam_update(p, grads, state, 0.005)
-    assert new_state.t == 1
-    for b, a, gg in zip(p, new_p, grads):
-        step = np.abs(a - b)
-        expected = 0.005 * np.abs(gg) / (np.abs(gg) + dnn.EPSILON)
-        assert np.max(np.abs(step - expected)) < 1e-12
-        assert np.max(np.abs(step - 0.005)) < 1e-6  # |g| >= 1e-3 everywhere
-        # moves against the gradient
-        assert np.all(np.sign(a - b) == -np.sign(gg))
+    before, g = flat(p), flat(grads)
+    theta, state = before.copy(), np.zeros((3, len(before)))
+    dnn.adam_update(theta, g.copy(), state, 1, 0.005)
+    # the moments hold exactly one step's worth of g
+    assert np.array_equal(state[0], (1 - dnn.BETA1) * g)
+    assert np.array_equal(state[1], (1 - dnn.BETA2) * g * g)
+    step = np.abs(theta - before)
+    expected = 0.005 * np.abs(g) / (np.abs(g) + dnn.EPSILON)
+    assert np.max(np.abs(step - expected)) < 1e-12
+    assert np.max(np.abs(step - 0.005)) < 1e-6  # |g| >= 1e-3 everywhere
+    # moves against the gradient
+    assert np.all(np.sign(theta - before) == -np.sign(g))
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = dnn.init_network(4, 2, seed=2)
-    state = AdamState.for_params(p)
-    grads = [np.zeros_like(a) for a in p]
-    new_p, new_state = dnn.adam_update(p, grads, state, 0.005)
-    for before, after in zip(p, new_p):
-        assert np.array_equal(before, after)
-    assert new_state.t == 1
+    before = flat(dnn.init_network(4, 2, seed=2))
+    theta, state = before.copy(), np.zeros((3, len(before)))
+    dnn.adam_update(theta, np.zeros_like(theta), state, 1, 0.005)
+    assert np.array_equal(theta, before)
+    assert not state[:2].any()
 
 
 def test_adam_two_steps_match_scalar_recurrence():
@@ -347,14 +440,37 @@ def test_adam_two_steps_match_scalar_recurrence():
     theta2 = theta1 - alpha * (m2 / (1 - b1**2)) / (np.sqrt(v2 / (1 - b2**2)) + eps)
 
     assert (dnn.BETA1, dnn.BETA2, dnn.EPSILON) == (b1, b2, eps)
-    params = [np.array([[theta]]), np.zeros(1)]
-    grads = [np.array([[g]]), np.zeros(1)]
-    state = AdamState.for_params(params)
-    params, state = dnn.adam_update(params, grads, state, alpha)
-    assert params[0][0, 0] == pytest.approx(theta1, abs=1e-12)
-    params, state = dnn.adam_update(params, grads, state, alpha)
-    assert params[0][0, 0] == pytest.approx(theta2, abs=1e-12)
-    assert state.t == 2
+    params = np.array([theta, 0.0])
+    state = np.zeros((3, 2))
+    dnn.adam_update(params, np.array([g, 0.0]), state, 1, alpha)
+    assert params[0] == pytest.approx(theta1, abs=1e-12)
+    dnn.adam_update(params, np.array([g, 0.0]), state, 2, alpha)
+    assert params[0] == pytest.approx(theta2, abs=1e-12)
+    assert params[1] == 0.0
+
+
+def reference_adam(params, grads, m, v, t, alpha):
+    """The per-array Adam step with new arrays: the bitwise reference."""
+    bc1, bc2 = 1.0 - dnn.BETA1**t, 1.0 - dnn.BETA2**t
+    m = [dnn.BETA1 * mp + (1.0 - dnn.BETA1) * g for mp, g in zip(m, grads)]
+    v = [dnn.BETA2 * vp + (1.0 - dnn.BETA2) * g * g for vp, g in zip(v, grads)]
+    params = [p - alpha * (mi / bc1) / (np.sqrt(vi / bc2) + dnn.EPSILON)
+              for p, mi, vi in zip(params, m, v)]
+    return params, m, v
+
+
+def test_adam_in_place_bit_identical_to_per_array_reference():
+    rng = np.random.default_rng(6)
+    p = dnn.init_network(7, 3, seed=6)
+    theta, state = flat(p), np.zeros((3, len(flat(p))))
+    m, v = [np.zeros_like(a) for a in p], [np.zeros_like(a) for a in p]
+    for t in range(1, 6):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-9, 2), size=a.shape) for a in p]
+        grads[1][0] = 0.0
+        dnn.adam_update(theta, flat(grads), state, t, 0.01)
+        p, m, v = reference_adam(p, grads, m, v, t, 0.01)
+        for got, want in [(theta, p), (state[0], m), (state[1], v)]:
+            assert np.array_equal(got.view(np.int64), flat(want).view(np.int64))
 
 
 def test_adam_descends_on_convex_toy():
@@ -362,16 +478,15 @@ def test_adam_descends_on_convex_toy():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 3))
     y = (x @ np.array([[1.0, -2.0, 0.5], [-1.0, 1.0, 2.0]]).T > 0).astype(float)
-    params = [np.zeros((2, 3)), np.zeros(2)]
-    state = AdamState.for_params(params)
+    theta, state = np.zeros(8), np.zeros((3, 8))
+    w, bias = theta[:6].reshape(2, 3), theta[6:]
     losses = []
-    for _ in range(50):
-        z = x @ params[0].T + params[1]
+    for t in range(1, 51):
+        z = x @ w.T + bias
         losses.append(dnn.loss(z, y))
         delta = (dnn.sigmoid(z) - y) / z.size
-        grads = [delta.T @ x, delta.sum(axis=0)]
-        params, state = dnn.adam_update(params, grads, state, 0.005)
-    z = x @ params[0].T + params[1]
+        dnn.adam_update(theta, flat([delta.T @ x, delta.sum(axis=0)]), state, t, 0.005)
+    z = x @ w.T + bias
     losses.append(dnn.loss(z, y))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -411,6 +526,18 @@ def test_predict_matches_rounded_one_hot():
             expected = np.zeros(4, dtype=int)
             expected[pred] = 1
             assert np.array_equal(row, expected)
+
+
+def test_decode_matches_where_form_with_and_without_out():
+    logits = np.random.default_rng(12).normal(size=(500, 4)).astype(np.float32)
+    logits[::7, 0] = -0.0  # -0 >= 0: hot
+    hot_ref = logits >= 0.0
+    preds_ref = np.where(hot_ref.sum(axis=1) == 1, hot_ref.argmax(axis=1), UNCLASSIFIED)
+    assert {0, 1, 2, 3} <= set(hot_ref.sum(axis=1).tolist())
+    for out in (None, (np.empty((500, 4), bool), np.empty(500, int), np.empty(500, int))):
+        hot, preds = dnn.decode(logits, out)
+        assert np.array_equal(hot, hot_ref)
+        assert preds.dtype == preds_ref.dtype and np.array_equal(preds, preds_ref)
 
 
 # ---------------------------------------------------------------------------

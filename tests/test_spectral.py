@@ -238,6 +238,16 @@ def test_heatmap_csv_rejects_values_outside_zero_to_ten(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [-0.01, 10.001, float("nan"), float("inf")])
+def test_heatmap_pgm_rejects_values_outside_zero_to_ten(tmp_path, bad):
+    rows = np.full((2, N_BINS), 5.0)
+    rows[1, 7] = bad
+    path = tmp_path / "map.pgm"
+    with pytest.raises(ValidationError, match="outside 0..10"):  # checked before the file is opened
+        spectral.write_heatmap_pgm(path, {"a": np.full((1, N_BINS), 5.0), "b": rows})
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # the array path against a per-block reference
 

@@ -9,6 +9,7 @@ from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.rng import derive_rng
 from sigclass.spectral import N_BINS
 from sigclass.trainer import Dataset
+from test_dnn import reference_adam
 
 LN2 = 0.6931471805599453
 
@@ -301,14 +302,14 @@ def float64_scoring_train(x_train, y_train, x_test, y_test, c, cfg):
     """The training loop scored in float64, one forward pass per split: the reference."""
     targets = np.eye(c)[y_train]
     params = dnn.init_network(x_train.shape[1], c, seed=derive_rng(cfg.seed, "init").integers(2**32))
-    state = dnn.AdamState.for_params(params)
+    m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
     batch_rng = derive_rng(cfg.seed, "batches")
     records = []
     for run in range(1, cfg.runs + 1):
         idx = batch_rng.choice(len(x_train), size=cfg.batch_size, replace=False)
         _, trace = dnn.forward(params, x_train[idx])
         grads = dnn.backward(params, trace, targets[idx])
-        params, state = dnn.adam_update(params, grads, state, cfg.learn_rate)
+        params, m, v = reference_adam(params, grads, m, v, run, cfg.learn_rate)
         train_logits = dnn.forward(params, x_train)[0]
         scores = []
         for logits, y in [(train_logits, y_train), (dnn.forward(params, x_test)[0], y_test)]:
@@ -338,6 +339,111 @@ def test_float32_scoring_matches_float64_reference():
         assert r.train_loss == pytest.approx(ref.train_loss, rel=1e-6)
     # the accuracies move over the runs, so the equality above is not vacuous
     assert len({r.test_acc for r in ref_records}) > 2 and ref_records[-1].test_acc == 1.0
+
+
+def reference_train(x_train, y_train, x_test, y_test, c, cfg):
+    """The training loop with new arrays for every step: the bitwise reference.
+
+    It calls the dnn functions without `out` arrays, steps Adam per parameter
+    array, and scores with float32 copies of the parameters over the stacked
+    rows, decoding the train and test logits apart.
+    """
+    targets = np.eye(c)[y_train]
+    hot_train, hot_test = np.eye(c, dtype=bool)[y_train], np.eye(c, dtype=bool)[y_test]
+    x_score = np.concatenate([x_train, x_test], dtype=np.float32)
+    n_train = len(x_train)
+    params = dnn.init_network(x_train.shape[1], c, seed=derive_rng(cfg.seed, "init").integers(2**32))
+    m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    batch_rng = derive_rng(cfg.seed, "batches")
+    records = []
+    for run in range(1, cfg.runs + 1):
+        idx = batch_rng.choice(len(x_train), size=cfg.batch_size, replace=False)
+        _, trace = dnn.forward(params, x_train[idx])
+        grads = dnn.backward(params, trace, targets[idx])
+        params, m, v = reference_adam(params, grads, m, v, run, cfg.learn_rate)
+        logits = dnn.forward([p.astype(np.float32) for p in params], x_score)[0]
+        train_logits, test_logits = logits[:n_train], logits[n_train:]
+        scores = []
+        for split_logits, y, y_hot in [(train_logits, y_train, hot_train), (test_logits, y_test, hot_test)]:
+            hot, preds = dnn.decode(split_logits)
+            scores += [float(np.mean(preds == y)), float(np.mean(hot == y_hot))]
+        train_acc, train_bit, test_acc, test_bit = scores
+        loss = dnn.loss(train_logits, targets)
+        records.append(trainer.RunRecord(run, loss, train_acc, test_acc, train_bit, test_bit))
+    return params, records
+
+
+@pytest.mark.parametrize("n, d, c, batch, runs", [
+    (48, 5, 3, 12, 40),
+    (60, 13, 2, None, 30),  # None: the batch is the whole training split
+    (300, 77, 4, 150, 150),
+], ids=["d5-c3", "d13-c2-full-batch", "d77-c4"])
+def test_train_bit_identical_to_reference_loop(n, d, c, batch, runs):
+    rng = np.random.default_rng(d)
+    y = np.arange(n) % c
+    x = 0.1 + rng.random((n, d))
+    x[np.arange(n), y] += 2.0  # one bin per class stands out
+    x /= x.max(axis=1, keepdims=True)
+    cfg = PipelineConfig(runs=runs, batch_size=1, seed=d)
+    tr, te = trainer.split(y, cfg)
+    cfg.batch_size = batch or len(tr)
+    params, log = trainer.train(x[tr], y[tr], x[te], y[te], c, cfg)
+    ref_params, ref_records = reference_train(x[tr], y[tr], x[te], y[te], c, cfg)
+    assert [a.shape for a in params] == [a.shape for a in ref_params]
+    for a, b in zip(params, ref_params):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert len(log.records) == len(ref_records) == runs
+    for r, ref in zip(log.records, ref_records):
+        for name, value in vars(r).items():
+            assert type(value) is type(getattr(ref, name))  # runlog.csv writes their repr
+            assert np.float64(value).view(np.int64) == np.float64(getattr(ref, name)).view(np.int64)
+    # the scores move over the runs, so the equality above is not vacuous
+    assert len({r.train_loss for r in ref_records}) == runs
+    scores = [(r.train_acc, r.test_acc, r.train_bit_acc, r.test_bit_acc) for r in ref_records]
+    assert len(set(scores)) > 2
+
+
+def test_a_training_run_allocates_nothing_that_grows_with_rows_or_parameters(monkeypatch):
+    """Per tracemalloc, a run holds no more than a few Python objects beyond what it keeps.
+
+    Each window runs from one batch draw to the next, leaving out the draw
+    itself (numpy's choice keeps its own few-KB set of drawn indices).  With
+    numpy's casting buffers cut to 64 elements, one byte per row would show
+    as 8,000 bytes, a float per batch element as 20,480 and a float per
+    parameter as 27,224.
+    """
+    import tracemalloc
+
+    windows = []
+
+    class Measured:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def choice(self, *args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            windows.append(peak - current)
+            idx = self.rng.choice(*args, **kwargs)
+            tracemalloc.reset_peak()
+            return idx
+
+    derive = trainer.derive_rng
+    monkeypatch.setattr(trainer, "derive_rng", lambda seed, name: Measured(derive(seed, name)))
+    n, d, c = 8000, 40, 3
+    y = np.arange(n) % c
+    x = np.random.default_rng(1).random((n, d))
+    bufsize = np.setbufsize(64)
+    tracemalloc.start()
+    try:
+        trainer.train(x[:6400], y[:6400], x[6400:], y[6400:], c, PipelineConfig(runs=12, batch_size=64, seed=1))
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert len(windows) == 12
+    assert max(windows[1:]) < 4096, windows  # the first window is the setup
 
 
 def test_train_rejects_features_beyond_float32():
