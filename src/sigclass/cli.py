@@ -102,10 +102,13 @@ def _read_synth_manifest(cfg):
 
 
 def _entry_spectra(cfg, entry, stream, count, channels=None):
-    """One entry's {channel: spectra} for `count` blocks, offsets seeded by `stream`."""
-    rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"])
+    """One entry's {channel: spectra} for `count` blocks, offsets seeded by `stream`.
+
+    Only `channels` are read from the recording; None reads every channel.
+    """
+    rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"], channels)
     seed = derive_seed(cfg.seed, stream, entry["label"], entry["trial"])
-    blocks = spectral.extract_blocks(rec, channels or list(rec.samples), count, seed)
+    blocks = spectral.extract_blocks(rec, list(rec.samples), count, seed)
     return {cid: spectral.magnitude_spectrum(b) for cid, b in blocks.items()}
 
 

@@ -26,15 +26,20 @@ class SpectrumRow:
 
 @dataclass
 class FeatureMask:
-    """Sorted distinct 1-based bin indices retained for the classifier."""
+    """Sorted distinct 1-based bin indices retained for the classifier.
+
+    `index` holds the same bins 0-based, for indexing a row's bins.
+    """
 
     kept: list
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kept = sorted(set(int(b) for b in self.kept))
         if not kept or kept[0] < 1 or kept[-1] > N_BINS:
             raise ValidationError("mask must keep between 1 and 300 bins inside [1, 300]")
         self.kept = kept
+        self.index = np.array(kept) - 1
 
     def __len__(self):
         return len(self.kept)
@@ -145,8 +150,7 @@ def compute_selection(rows, threshold, max_classes_per_bin):
 
 def apply_mask(row, mask):
     """Project one fused row onto the kept bins, in ascending bin order."""
-    idx = np.asarray(mask.kept, dtype=int) - 1
-    return row.bins[idx].astype(float)
+    return row.bins[mask.index].astype(float, copy=False)
 
 
 def write_selection_report_csv(path, report):

@@ -4,9 +4,14 @@ Each target class is a TargetProfile: a set of spectral lines per sensor
 channel plus a white noise floor.  Recordings are sums of phase-continuous
 sinusoids whose frequency wobbles a little from second to second, emulating
 run-to-run engine variation, plus Gaussian noise.
+
+A recording file (.rec) is one ASCII header line, then each channel's samples
+as little-endian float64 in header order, channel after channel.  A stage
+reads only the channels it needs, each as a read-only view of its bytes.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,7 +19,7 @@ import numpy as np
 from .errors import LABEL_RULE, ConfigurationError, ParseError, ValidationError, is_label, text_lines
 from .rng import derive_rng
 
-RECORDING_MAGIC = "SIGREC1"
+RECORDING_MAGIC = "SIGREC2"  # channel-major; a sample-major SIGREC1 file is refused, never misread
 
 # The 13-channel measurement setup the synthetic data mirrors; each id's
 # prefix names its sensor: microphone, geophone, accelerometer, magnetometer.
@@ -124,21 +129,33 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
 
     rng = np.random.default_rng(seed)
     n_seconds = int(math.ceil(duration_s))
-    samples = {}
-    for cid in channels:
-        data = rng.normal(0.0, profile.noise_rms, size=n) if profile.noise_rms > 0 else np.zeros(n)
+    data = np.zeros((len(channels), n))
+    # each line's per-second frequencies, repeated per sample, and its phase:
+    # one buffer each, reused by every line
+    inst = np.empty((n_seconds, sample_rate_hz))
+    phase = np.empty(n)
+    for row, cid in zip(data, channels):
+        if profile.noise_rms > 0:
+            # rng.normal(0.0, noise_rms, n) computes 0.0 + noise_rms * z
+            rng.standard_normal(out=row)
+            row *= profile.noise_rms
+            row += 0.0
         for line in profile.lines_per_channel.get(cid, []):
             phase0 = rng.uniform(0.0, 2.0 * np.pi)
             wobble = rng.normal(0.0, line.jitter_hz, size=n_seconds) if line.jitter_hz > 0 else np.zeros(n_seconds)
-            inst = np.repeat(float(line.freq_hz) + wobble, sample_rate_hz)[:n]
+            inst[:] = (float(line.freq_hz) + wobble)[:, None]
             # phase[k] integrates the instantaneous frequency up to sample k,
             # so the waveform stays continuous across wobble boundaries
-            phase = np.empty(n)
             phase[0] = 0.0
-            np.cumsum(inst[:-1], out=phase[1:])
-            phase = phase0 + 2.0 * np.pi * phase / sample_rate_hz
-            data = data + line.amplitude * np.sin(phase)
-        samples[cid] = data
+            np.cumsum(inst.reshape(-1)[: n - 1], out=phase[1:])
+            # phase0 + 2.0 * np.pi * phase / rate, in that operation order
+            phase *= 2.0 * np.pi
+            phase /= sample_rate_hz
+            phase += phase0
+            np.sin(phase, out=phase)
+            phase *= line.amplitude
+            row += phase
+    samples = dict(zip(channels, data))
     return Recording(
         label=profile.label,
         sample_rate_hz=int(sample_rate_hz),
@@ -181,45 +198,60 @@ def build_group_profiles(cfg):
 # Persistence
 
 def save_recording(path, rec):
-    """Binary recording file: one ASCII header line, then float64 LE sample rows."""
-    ids = list(rec.samples)
+    """Binary recording file: one ASCII header line, then each channel's float64 LE samples in turn."""
     header = (
         f"{RECORDING_MAGIC} label={rec.label} rate={rec.sample_rate_hz} "
-        f"duration={rec.duration_s!r} channels={','.join(ids)}\n"
+        f"duration={rec.duration_s!r} channels={','.join(rec.samples)}\n"
     )
-    block = np.column_stack([rec.samples[cid] for cid in ids]).astype("<f8", copy=False)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(block)  # C-contiguous, so written straight from its buffer
+        for data in rec.samples.values():
+            fh.write(np.ascontiguousarray(data, dtype="<f8"))  # written straight from its buffer
 
 
-def load_recording(path):
-    """Read a recording file; a bad header or payload raises ParseError naming the file."""
+def load_recording(path, channels=None):
+    """Read the given channel ids (all, in header order, when None) of a recording file.
+
+    Each channel is a read-only float64 array over its own bytes.  A bad
+    header, a repeated channel id, a file length other than the header's
+    channels times samples, or a nan/inf sample in a channel read raises
+    ParseError naming the file; a channel the header lacks raises
+    ConfigurationError.
+    """
     with open(path, "rb") as fh:
         header = fh.readline()
-        payload = fh.read()
-    try:
-        fields = header.decode("ascii").split()
-        if not fields or fields[0] != RECORDING_MAGIC:
-            raise ParseError(f"{path}: not a recording file", line=1)
-        meta = dict(f.split("=", 1) for f in fields[1:])
-        label, ids = meta["label"], meta["channels"].split(",")
-        rate = int(meta["rate"])
-        duration = float(meta["duration"])
-        n = int(round(rate * duration))
-    except KeyError as exc:
-        raise ParseError(f"{path}: header has no {exc.args[0]!r} field", line=1) from None
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: bad header ({exc})", line=1) from None
-    if len(payload) % 8:
-        raise ParseError(f"{path}: payload of {len(payload)} bytes is not whole float64 values")
-    data = np.frombuffer(payload, dtype="<f8")
-    if data.size != n * len(ids):
-        raise ParseError(f"{path}: payload holds {data.size} values, expected {n * len(ids)}")
-    if not np.isfinite(data).all():
-        raise ParseError(f"{path}: payload holds non-finite samples")
-    block = data.reshape(n, len(ids))
-    samples = {cid: block[:, j].copy() for j, cid in enumerate(ids)}
+        payload = os.fstat(fh.fileno()).st_size - len(header)
+        try:
+            if not header.endswith(b"\n"):
+                raise ParseError(f"{path}: header line is cut")
+            fields = header.decode("ascii").split()
+            if not fields or fields[0] != RECORDING_MAGIC:
+                raise ParseError(f"{path}: not a {RECORDING_MAGIC} recording file")
+            meta = dict(f.split("=", 1) for f in fields[1:])
+            label, ids = meta["label"], meta["channels"].split(",")
+            rate = int(meta["rate"])
+            duration = float(meta["duration"])
+            n = int(round(rate * duration))
+        except KeyError as exc:
+            raise ParseError(f"{path}: header has no {exc.args[0]!r} field") from None
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: bad header ({exc})") from None
+        repeated = [cid for cid in dict.fromkeys(ids) if ids.count(cid) > 1]
+        if repeated:
+            raise ParseError(f"{path}: header repeats channel {repeated[0]!r}")
+        if payload != 8 * n * len(ids):
+            raise ParseError(f"{path}: payload of {payload} bytes, expected {8 * n * len(ids)} "
+                             f"({len(ids)} channels of {n} float64 samples)")
+        missing = [cid for cid in channels or () if cid not in ids]
+        if missing:
+            raise ConfigurationError(f"{path}: recording {label!r} has no channel {missing}")
+        samples = {}
+        for cid in ids if channels is None else channels:
+            fh.seek(len(header) + 8 * n * ids.index(cid))
+            data = np.frombuffer(fh.read(8 * n), dtype="<f8")
+            if not np.isfinite(data).all():
+                raise ParseError(f"{path}: channel {cid!r} holds non-finite samples")
+            samples[cid] = data
     return Recording(label=label, sample_rate_hz=rate, samples=samples, duration_s=duration)
 
 

@@ -416,6 +416,9 @@ def test_label_breaking_the_rule_is_data_error(smoke, tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+# Corruption cases for the recording format, each run against both stages
+# that read recordings.  The smoke recordings have 13 channels of 4000 samples.
+
 def _edit_header(edit):
     def corrupt(raw):
         header, payload = raw.split(b"\n", 1)
@@ -423,23 +426,77 @@ def _edit_header(edit):
     return corrupt
 
 
+def _cut_payload(keep):
+    """Keep the header and the first `keep` payload bytes (a negative keep drops bytes from the end)."""
+    def corrupt(raw):
+        header, payload = raw.split(b"\n", 1)
+        return header + b"\n" + payload[:keep]
+    return corrupt
+
+
+def _sample_major(raw):
+    """The same recording as an old SIGREC1 file: one row of 13 channels per sample."""
+    header, payload = raw.split(b"\n", 1)
+    block = np.frombuffer(payload, "<f8").reshape(13, -1)
+    return header.replace(b"SIGREC2", b"SIGREC1") + b"\n" + block.T.tobytes()
+
+
+def _set_sample(offset, value):
+    """Overwrite the payload's float64 sample at `offset` (counted in samples)."""
+    def corrupt(raw):
+        header, payload = raw.split(b"\n", 1)
+        data = np.frombuffer(payload, "<f8").copy()
+        data[offset] = value
+        return header + b"\n" + data.tobytes()
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     pytest.param(lambda raw: raw[:-3], "float64", id="cut"),
+    pytest.param(lambda raw: raw[:40], "header line is cut", id="cut-in-header"),
+    pytest.param(_cut_payload(0), "payload of 0 bytes", id="cut-at-payload-start"),
+    pytest.param(_cut_payload(1), "payload of 1 bytes", id="cut-after-one-byte"),
+    pytest.param(_cut_payload(8 * 4000), "13 channels of 4000 float64", id="cut-after-one-channel"),
+    pytest.param(_cut_payload(-8), "float64", id="cut-one-sample"),
+    pytest.param(lambda raw: raw + b"\0", f"payload of {13 * 4000 * 8 + 1} bytes", id="appended-byte"),
+    pytest.param(lambda raw: bytes([raw[0] ^ 1]) + raw[1:], "not a SIGREC2 recording", id="flipped-magic"),
+    pytest.param(_sample_major, "not a SIGREC2 recording", id="sample-major-sigrec1"),
+    pytest.param(_edit_header(lambda h: h.replace(b",mic_front_5m,", b",mic_front_10m,")),
+                 "header repeats channel 'mic_front_10m'", id="repeated-channel"),
     pytest.param(_edit_header(lambda h: h.replace(b" duration=2.0", b"")), "duration", id="no-duration"),
     pytest.param(_edit_header(lambda h: h.replace(b"rate=2000", b"rate=fast")), "fast", id="rate"),
     pytest.param(_edit_header(lambda h: h.replace(b"duration=2.0", b"duration=2s")), "2s", id="duration"),
-    pytest.param(lambda raw: raw[:-8] + np.array([np.nan], "<f8").tobytes(), "non-finite", id="nan"),
+    # the last channel, mag_z_side_10m, is one that Group2 fuses
+    pytest.param(lambda raw: raw[:-8] + np.array([np.nan], "<f8").tobytes(),
+                 "channel 'mag_z_side_10m' holds non-finite", id="nan"),
 ])
 def test_corrupt_recording_is_data_error(smoke, tmp_path, capsys, corrupt, message):
     cfg_path, out = smoke
     copy = tmp_path / "out"
-    shutil.copytree(out, copy)
+    shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_AllQuiet.*"))
     rec = copy / "recordings" / "AllQuiet_t1.rec"
     rec.write_bytes(corrupt(rec.read_bytes()))
     assert run(cfg_path, copy, "rows") == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "AllQuiet_t1.rec" in err[0] and message in err[0]
+    _one_error_line(capsys, rec, message)
+    assert run(cfg_path, copy, "heatmap", "AllQuiet") == 2
+    _one_error_line(capsys, rec, message)
+    assert not list(copy.glob("rows.npz")) + list(copy.glob("heatmap_AllQuiet.*"))
+
+
+def test_non_finite_sample_in_unfused_channel_fails_only_heatmap(smoke, tmp_path, capsys):
+    # rows reads only the fused channels, so a nan elsewhere never reaches
+    # rows.npz; heatmap reads every channel and rejects it
+    cfg_path, out = smoke
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_AllQuiet.*"))
+    rec = copy / "recordings" / "AllQuiet_t1.rec"
+    rec.write_bytes(_set_sample(5, np.nan)(rec.read_bytes()))  # mic_front_10m, not fused in Group2
+    assert run(cfg_path, copy, "rows") == 0
+    assert (copy / "rows.npz").read_bytes() == (out / "rows.npz").read_bytes()
+    capsys.readouterr()
+    assert run(cfg_path, copy, "heatmap", "AllQuiet") == 2
+    _one_error_line(capsys, rec, "channel 'mic_front_10m' holds non-finite")
+    assert not list(copy.glob("heatmap_AllQuiet.*"))
 
 
 @pytest.mark.parametrize("token", ["nan", "inf"])

@@ -188,18 +188,68 @@ def test_recording_file_has_ascii_header(tmp_path):
     path = tmp_path / "t.rec"
     synthgen.save_recording(path, rec)
     header = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
-    assert header.startswith("SIGREC1 ")
+    assert header.startswith("SIGREC2 ")
     assert "rate=1000" in header and "channels=mic,geo" in header
 
 
-def test_recording_bytes_are_header_then_sample_major_float64(tmp_path):
+def test_recording_bytes_are_header_then_channel_major_float64(tmp_path):
     p = profile({"mic": [SpectralLine(42, 1.1)], "geo": [SpectralLine(7, 0.3)]}, noise=0.4)
     rec = synthgen.synthesize_recording(p, ("mic", "geo", "accel"), 1.5, 1000, seed=4)
     path = tmp_path / "t.rec"
     synthgen.save_recording(path, rec)
-    header = b"SIGREC1 label=T rate=1000 duration=1.5 channels=mic,geo,accel\n"
-    payload = np.column_stack([rec.samples[c] for c in ("mic", "geo", "accel")]).astype("<f8")
-    assert path.read_bytes() == header + payload.tobytes()
+    header = b"SIGREC2 label=T rate=1000 duration=1.5 channels=mic,geo,accel\n"
+    payload = b"".join(rec.samples[c].astype("<f8").tobytes() for c in ("mic", "geo", "accel"))
+    assert path.read_bytes() == header + payload
+
+
+def test_load_recording_reads_only_the_given_channels_read_only(tmp_path):
+    p = profile({"mic": [SpectralLine(42, 1.1)], "geo": [SpectralLine(7, 0.3)]}, noise=0.4)
+    rec = synthgen.synthesize_recording(p, ("mic", "geo", "accel"), 1.5, 1000, seed=4)
+    path = tmp_path / "t.rec"
+    synthgen.save_recording(path, rec)
+    for channels in (["accel", "mic"], ["geo"], None):
+        loaded = synthgen.load_recording(path, channels)
+        assert list(loaded.samples) == (channels or ["mic", "geo", "accel"])
+        for cid, data in loaded.samples.items():
+            assert data.dtype == np.float64 and not data.flags.writeable
+            assert data.tobytes() == rec.samples[cid].tobytes()
+    with pytest.raises(ConfigurationError, match="has no channel"):
+        synthgen.load_recording(path, ["mic", "mag"])
+
+
+def reference_synthesize(profile, channels, duration_s, sample_rate_hz, seed):
+    """The allocating synthesis body that the in-place one must match bit for bit."""
+    n = int(round(duration_s * sample_rate_hz))
+    rng = np.random.default_rng(seed)
+    n_seconds = int(np.ceil(duration_s))
+    samples = {}
+    for cid in channels:
+        data = rng.normal(0.0, profile.noise_rms, size=n) if profile.noise_rms > 0 else np.zeros(n)
+        for line in profile.lines_per_channel.get(cid, []):
+            phase0 = rng.uniform(0.0, 2.0 * np.pi)
+            wobble = rng.normal(0.0, line.jitter_hz, size=n_seconds) if line.jitter_hz > 0 else np.zeros(n_seconds)
+            inst = np.repeat(float(line.freq_hz) + wobble, sample_rate_hz)[:n]
+            phase = np.empty(n)
+            phase[0] = 0.0
+            np.cumsum(inst[:-1], out=phase[1:])
+            phase = phase0 + 2.0 * np.pi * phase / sample_rate_hz
+            data = data + line.amplitude * np.sin(phase)
+        samples[cid] = data
+    return samples
+
+
+@pytest.mark.parametrize("group, noise_rms, jitter_hz", [
+    ("Group1", 3.5, 0.5), ("Group2", 3.5, 0.5), ("Group1", 0.0, 0.5), ("Group2", 0.7, 0.0),
+], ids=["group1", "group2", "no-noise", "no-jitter"])
+def test_synthesis_bit_identical_to_allocating_reference(group, noise_rms, jitter_hz):
+    cfg = PipelineConfig(group=group, seed=3, noise_rms=noise_rms, jitter_hz=jitter_hz)
+    # 2.5 s: the last second's frequency is cut at the last sample
+    for seed, p in enumerate(synthgen.build_group_profiles(cfg)):
+        rec = synthgen.synthesize_recording(p, synthgen.ROSTER, 2.5, 1000, seed)
+        expected = reference_synthesize(p, synthgen.ROSTER, 2.5, 1000, seed)
+        assert list(rec.samples) == list(expected)
+        for cid, data in expected.items():
+            assert rec.samples[cid].tobytes() == data.tobytes(), (p.label, cid)
 
 
 def test_load_recording_rejects_garbage(tmp_path):
