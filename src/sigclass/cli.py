@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     SelectionError,
     SigclassError,
+    ValidationError,
 )
 from .rng import derive_seed
 
@@ -40,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_manifest(command, cfg, extra):
-    payload = {"command": command, "config": dataclasses.asdict(cfg)}
+    config = dataclasses.asdict(cfg)
+    del config["out_dir"]  # the manifest lies in it; a path would tie the bytes to the checkout
+    payload = {"command": command, "config": config}
     payload.update(extra)
     path = Path(cfg.out_dir) / f"{command}_manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -163,18 +166,17 @@ def cmd_train(args):
     cfg = _load_config(args, runs=args.runs)
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
     ds = trainer.load_rows(rows_path)
-    vocab = ds.label_vocab
+    vocab, y = ds.label_vocab, ds.y
 
     guard = cfg.max_classes_per_bin or fusion.default_max_classes_per_bin(len(vocab))
     try:
-        mask, report = fusion.compute_selection(ds.rows, cfg.threshold, guard)
+        mask, report = fusion.compute_selection(ds.x, y, vocab, cfg.threshold, guard)
     except SelectionError as exc:
         _print_warnings(exc.report.warnings)
         raise
     _print_warnings(report.warnings)
 
     x = trainer.features_matrix(ds.rows, mask, cfg.normalize_rows)
-    y = trainer.label_index(ds.rows, vocab)
     train_idx, test_idx = trainer.split(y, cfg)
     missing = np.flatnonzero(np.bincount(y[train_idx], minlength=len(vocab)) == 0)
     _print_warnings(f"class {vocab[k]!r} absent from the training split" for k in missing)
@@ -192,7 +194,7 @@ def cmd_train(args):
     trainer.write_confusion_csv(out / "confusion.csv", vocab, counts)
     # the guard comes from the labels in the rows, which need not be the group's
     _write_manifest("train", dataclasses.replace(cfg, max_classes_per_bin=guard), {
-        "rows_file": str(rows_path),
+        "rows_file": args.rows or rows_path.name,
         "mask_size": len(mask),
         "test_rows": len(test_idx),
         "test_accuracy": accuracy,
@@ -209,15 +211,18 @@ def cmd_eval(args):
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(ckpt_path)
     ds = trainer.load_rows(rows_path)
-    y = trainer.label_index(ds.rows, vocab)
+    missing = [label for label in ds.label_vocab if label not in vocab]
+    if missing:
+        raise ValidationError(f"label {missing[0]!r} not in vocabulary {vocab}")
+    y = np.array([vocab.index(label) for label in ds.label_vocab])[ds.y]  # the checkpoint's indices
     x = trainer.features_matrix(ds.rows, fusion.FeatureMask(kept=mask_bins), normalize)
     accuracy, counts = trainer.evaluate(params, x, y, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trainer.write_confusion_csv(out / "eval_confusion.csv", vocab, counts)
     _write_manifest("eval", cfg, {
-        "checkpoint": str(ckpt_path),
-        "rows_file": str(rows_path),
+        "checkpoint": args.checkpoint or ckpt_path.name,
+        "rows_file": args.rows or rows_path.name,
         "accuracy": accuracy,
     })
     print(f"accuracy: {accuracy:.4f} on {len(y)} rows")

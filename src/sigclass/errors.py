@@ -20,12 +20,7 @@ class ConfigurationError(SigclassError):
 
 
 class ParseError(SigclassError):
-    """A data file could not be parsed; the message names the offending line."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A data file could not be parsed; the message names the file and, for text, the line."""
 
 
 class NumericalError(SigclassError):

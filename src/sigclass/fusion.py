@@ -1,7 +1,8 @@
 """Weighted sensor fusion and discriminative frequency selection.
 
 Fusion collapses the per-channel spectra of each time block into a single
-300-bin row via a normalized weighted average.  Selection then keeps the bins
+300-bin row via a normalized weighted average.  Selection then takes the
+(n, 300) matrix of fused rows and each row's class index, and keeps the bins
 where some class's mean response stands out against the grand mean across all
 classes, while dropping bins that are hot for too many classes at once (those
 cannot identify anything).
@@ -18,7 +19,7 @@ from .spectral import N_BINS
 
 @dataclass
 class SpectrumRow:
-    """One fused 300-bin magnitude row plus its class label."""
+    """One fused 300-bin magnitude row plus its class label, for `apply_mask`."""
 
     bins: np.ndarray
     label: str
@@ -47,11 +48,12 @@ class FeatureMask:
 
 @dataclass
 class SelectionReport:
-    """All selection intermediates, for inspection and the report CSV."""
+    """All selection intermediates, for inspection and the report CSV; row k of the arrays is labels[k]."""
 
-    class_means: dict
+    labels: list
+    class_means: np.ndarray
     global_mean: np.ndarray
-    ratios: dict
+    ratios: np.ndarray
     per_bin_class_counts: np.ndarray
     warnings: list = field(default_factory=list)
 
@@ -88,31 +90,27 @@ def default_max_classes_per_bin(n_classes):
     return max(1, math.ceil(n_classes / 2) - 1)
 
 
-def compute_selection(rows, threshold, max_classes_per_bin):
-    """Pick the discriminative frequency bins from labeled fused rows.
+def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
+    """Pick the discriminative frequency bins from fused rows x with class indices y.
 
-    Per class, the mean response at each bin is divided by the grand mean over
-    all rows; a bin is kept when at least one class ratio strictly exceeds
-    `threshold`, unless more than `max_classes_per_bin` classes exceed it
-    there (such bins identify nothing).  Bins whose grand mean is zero have
-    undefined ratios and are excluded with a warning.
+    y indexes vocab.  Per class, the mean response at each bin is divided by
+    the grand mean over all rows; a bin is kept when at least one class ratio
+    strictly exceeds `threshold`, unless more than `max_classes_per_bin`
+    classes exceed it there (such bins identify nothing).  Bins whose grand
+    mean is zero have undefined ratios and are excluded with a warning.
 
     Returns (FeatureMask, SelectionReport); raises SelectionError (with the
     report attached) when nothing survives.
     """
     if threshold <= 1:
         raise ValidationError("threshold must be > 1")
-    labels = np.array([row.label for row in rows])
-    vocab = list(dict.fromkeys(labels.tolist()))
     if len(vocab) < 2:
         raise ValidationError("selection needs at least 2 distinct labels")
-    x = np.stack([row.bins for row in rows])
-    class_means = {}
-    for label in vocab:
-        members = x[labels == label]
-        if len(members) < 10:
-            raise ValidationError(f"label {label!r} has {len(members)} rows; need >= 10")
-        class_means[label] = members.mean(axis=0)
+    sizes = np.bincount(y, minlength=len(vocab))
+    if sizes.min() < 10:
+        k = int(np.argmax(sizes < 10))  # the first class in vocab order
+        raise ValidationError(f"label {vocab[k]!r} has {sizes[k]} rows; need >= 10")
+    class_means = np.stack([x[y == k].mean(axis=0) for k in range(len(vocab))])
     global_mean = x.mean(axis=0)
 
     warnings = []
@@ -121,16 +119,13 @@ def compute_selection(rows, threshold, max_classes_per_bin):
         bins = [int(i) + 1 for i in np.flatnonzero(zero)]
         warnings.append(f"{len(bins)} bins have zero grand mean and were excluded: {bins[:10]}")
 
-    ratios = {}
-    counts = np.zeros(N_BINS, dtype=int)
-    for label, mean in class_means.items():
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(zero, np.nan, mean / np.where(zero, 1.0, global_mean))
-        ratios[label] = ratio
-        counts += ratio > threshold  # False where the ratio is nan
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = np.where(zero, np.nan, class_means / np.where(zero, 1.0, global_mean))
+    counts = np.count_nonzero(ratios > threshold, axis=0)  # False where the ratio is nan
 
     keep = (counts >= 1) & (counts <= max_classes_per_bin)
     report = SelectionReport(
+        labels=list(vocab),
         class_means=class_means,
         global_mean=global_mean,
         ratios=ratios,
@@ -139,10 +134,9 @@ def compute_selection(rows, threshold, max_classes_per_bin):
     )
     kept = [int(i) + 1 for i in np.flatnonzero(keep)]
     if not kept:
-        best = max(float(np.nanmax(r)) for r in ratios.values())
         raise SelectionError(
             f"no frequency bin exceeded threshold {threshold} for <= "
-            f"{max_classes_per_bin} classes (best ratio {best:.3f})",
+            f"{max_classes_per_bin} classes (best ratio {float(np.nanmax(ratios)):.3f})",
             report=report,
         )
     return FeatureMask(kept=kept), report
@@ -162,10 +156,8 @@ def write_selection_report_csv(path, report):
         return ",".join(map(repr, np.asarray(arr, dtype=float).tolist()))
 
     lines.append("global_mean," + fmt(report.global_mean))
-    for label in report.class_means:
-        lines.append(f"mean:{label}," + fmt(report.class_means[label]))
-    for label in report.ratios:
-        lines.append(f"ratio:{label}," + fmt(report.ratios[label]))
+    lines += [f"mean:{label}," + fmt(mean) for label, mean in zip(report.labels, report.class_means)]
+    lines += [f"ratio:{label}," + fmt(ratio) for label, ratio in zip(report.labels, report.ratios)]
     lines.append("superthreshold_classes," + ",".join(str(int(c)) for c in report.per_bin_class_counts))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -213,7 +213,8 @@ def load_recording(path, channels=None):
     """Read the given channel ids (all, in header order, when None) of a recording file.
 
     Each channel is a read-only float64 array over its own bytes.  A bad
-    header, a repeated channel id, a file length other than the header's
+    header, a rate below 600 Hz or fewer samples than one second, a repeated
+    channel id, a file length other than the header's
     channels times samples, or a nan/inf sample in a channel read raises
     ParseError naming the file; a channel the header lacks raises
     ConfigurationError.
@@ -236,6 +237,11 @@ def load_recording(path, channels=None):
             raise ParseError(f"{path}: header has no {exc.args[0]!r} field") from None
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: bad header ({exc})") from None
+        # a block is one second and must resolve 300 Hz, as synthesis requires
+        if rate < 600:
+            raise ParseError(f"{path}: rate {rate} Hz is below 600, the least that resolves 300 Hz")
+        if n < rate:
+            raise ParseError(f"{path}: {n} samples at {rate} Hz is shorter than one second")
         repeated = [cid for cid in dict.fromkeys(ids) if ids.count(cid) > 1]
         if repeated:
             raise ParseError(f"{path}: header repeats channel {repeated[0]!r}")
@@ -306,9 +312,9 @@ def load_profiles(path):
             else:
                 raise ValidationError(f"unknown directive {key!r}")
         except ValueError as exc:
-            raise ParseError(f"bad number in {key!r} line ({exc})", line=lineno) from None
+            raise ParseError(f"{path}:{lineno}: bad number in {key!r} line ({exc})") from None
         except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not profiles:
         raise ParseError(f"{path}: no profiles")
     return list(profiles.values())

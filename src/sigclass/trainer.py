@@ -3,10 +3,11 @@
 One "run" is one training cycle: sample a batch from the training rows, do a
 single backprop pass and Adam step, then score the updated parameters on the
 full training and test sets.  Rows live in one uncompressed .npz store: a
-float64 `x` of 300 fused magnitudes per row and a unicode `labels` array.
+float64 `x` of 300 fused magnitudes per row and a unicode `labels` array,
+which `load_rows` turns into class indices; the run log is one array row per run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,28 +25,19 @@ _FLOAT32_HALF = float(np.finfo(np.float32).max) / 2
 
 @dataclass
 class Dataset:
-    rows: list
+    """x (n, 300), y its class indices in label_vocab (first-appearance order), rows SpectrumRow views of x."""
+
+    x: np.ndarray
+    y: np.ndarray
     label_vocab: list
-
-    @classmethod
-    def from_rows(cls, rows):
-        """The vocabulary lists labels in order of first appearance."""
-        return cls(rows=rows, label_vocab=list(dict.fromkeys(row.label for row in rows)))
-
-
-@dataclass
-class RunRecord:
-    run: int
-    train_loss: float
-    train_acc: float
-    test_acc: float
-    train_bit_acc: float
-    test_bit_acc: float
+    rows: list
 
 
 @dataclass
 class RunLog:
-    records: list = field(default_factory=list)
+    """records[run - 1]: train loss, train and test accuracy, train and test bitwise accuracy."""
+
+    records: np.ndarray
 
 
 def load_rows(path):
@@ -65,25 +57,19 @@ def load_rows(path):
     if bad.any():
         raise ParseError(f"{path}: row {bad.argmax() + 1}: non-finite magnitude (nan or inf)")
     labels = labels.tolist()
-    bad = [label for label in dict.fromkeys(labels) if not is_label(label)]
+    vocab = list(dict.fromkeys(labels))
+    bad = [label for label in vocab if not is_label(label)]
     if bad:
         raise ParseError(f"{path}: row {labels.index(bad[0]) + 1}: label {bad[0]!r} {LABEL_RULE}")
-    return Dataset.from_rows([SpectrumRow(bins=row, label=label) for row, label in zip(x, labels)])
+    index = {label: k for k, label in enumerate(vocab)}
+    y = np.array([index[label] for label in labels])
+    return Dataset(x, y, vocab, [SpectrumRow(bins=row, label=label) for row, label in zip(x, labels)])
 
 
 def save_rows(path, x, labels):
     """Write the (n, 300) float64 rows x and their n labels as an uncompressed .npz store."""
     with open(path, "wb") as fh:  # a handle, so np.savez appends no .npz to the name
         np.savez(fh, x=np.asarray(x, dtype=np.float64), labels=np.array(labels, dtype=str))
-
-
-def label_index(rows, vocab):
-    """Each row's class index in vocab; a label outside vocab raises ValidationError."""
-    index = {label: i for i, label in enumerate(vocab)}
-    try:
-        return np.array([index[row.label] for row in rows], dtype=int)
-    except KeyError as exc:
-        raise ValidationError(f"label {exc.args[0]!r} not in vocabulary {vocab}") from None
 
 
 def split(y, cfg):
@@ -173,7 +159,7 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     right, bits = np.empty(n, bool), np.empty((n, c), bool)
     batch_rng = derive_rng(cfg.seed, "batches")
 
-    log = RunLog()
+    log = RunLog(np.empty((cfg.runs, 5)))
     for run in range(1, cfg.runs + 1):
         idx = batch_rng.choice(n_train, size=batch, replace=False)
         np.take(x_train, idx, axis=0, out=x_batch, mode="clip")  # idx is in range; "raise" copies via a buffer
@@ -191,8 +177,8 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
         hot, preds = dnn.decode(logits, decoded)
         np.equal(preds, y_all, out=right)
         np.equal(hot, hot_all, out=bits)
-        scores = [float(np.count_nonzero(a[half]) / a[half].size) for a in (right, bits) for half in halves]
-        log.records.append(RunRecord(run, train_loss, *scores))
+        scores = [np.count_nonzero(a[half]) / a[half].size for a in (right, bits) for half in halves]
+        log.records[run - 1] = train_loss, *scores
     return params, log
 
 
@@ -213,11 +199,7 @@ def evaluate(params, x, y, vocab):
 
 def write_runlog_csv(path, log):
     lines = ["run,train_loss,train_acc,test_acc,train_bit_acc,test_bit_acc"]
-    for r in log.records:
-        lines.append(
-            f"{r.run},{r.train_loss!r},{r.train_acc!r},{r.test_acc!r},"
-            f"{r.train_bit_acc!r},{r.test_bit_acc!r}"
-        )
+    lines += [f"{run}," + ",".join(map(repr, row)) for run, row in enumerate(log.records.tolist(), start=1)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

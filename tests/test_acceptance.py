@@ -5,13 +5,15 @@ PASS/FAIL line per criterion (use `pytest -s tests/test_acceptance.py` to see
 them in order).  Criteria 6, 7, 9 and 10 check the real CLI pipelines at full scale.
 """
 
+import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigclass import cli, dnn, fusion, synthgen, trainer
-from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.config import PipelineConfig
 from sigclass.spectral import N_BINS, magnitude_spectrum
 
@@ -219,26 +221,21 @@ def test_criterion_4_adam_references():
 # criterion 5: selection oracle
 
 def test_criterion_5_selection_oracle():
-    flat = np.ones(N_BINS)
-    hot = np.ones(N_BINS)
-    hot[49] = 10.0
-    rows = [SpectrumRow(bins=flat.copy(), label="A") for _ in range(10)]
-    rows += [SpectrumRow(bins=hot.copy(), label="B") for _ in range(10)]
-    mask, _ = fusion.compute_selection(rows, threshold=1.5, max_classes_per_bin=1)
+    # ten flat A rows, then ten B rows hot at bin 50
+    x, y = np.ones((20, N_BINS)), np.repeat([0, 1], 10)
+    x[y == 1, 49] = 10.0
+    mask, _ = fusion.compute_selection(x, y, ["A", "B"], threshold=1.5, max_classes_per_bin=1)
     exact_ok = mask.kept == [50]
 
-    scaled = [SpectrumRow(bins=r.bins * 1e3, label=r.label) for r in rows]
-    mask_scaled, _ = fusion.compute_selection(scaled, 1.5, 1)
+    mask_scaled, _ = fusion.compute_selection(x * 1e3, y, ["A", "B"], 1.5, 1)
     scale_ok = mask_scaled.kept == mask.kept
 
     # a bin super-threshold for 2 of 4 classes is dropped by the column guard
-    rows4 = []
-    for label, own_bin, shared in [("A", 30, 50.0), ("B", 40, 50.0), ("C", 60, 0.1), ("D", 70, 0.1)]:
-        bins = np.ones(N_BINS)
-        bins[6] = shared
-        bins[own_bin - 1] = 25.0
-        rows4 += [SpectrumRow(bins=bins.copy(), label=label) for _ in range(10)]
-    mask4, report4 = fusion.compute_selection(rows4, threshold=1.75, max_classes_per_bin=1)
+    x4, y4 = np.ones((40, N_BINS)), np.repeat(np.arange(4), 10)
+    for k, (own_bin, shared) in enumerate([(30, 50.0), (40, 50.0), (60, 0.1), (70, 0.1)]):
+        x4[y4 == k, 6] = shared
+        x4[y4 == k, own_bin - 1] = 25.0
+    mask4, report4 = fusion.compute_selection(x4, y4, list("ABCD"), threshold=1.75, max_classes_per_bin=1)
     guard_ok = 7 not in mask4.kept and report4.per_bin_class_counts[6] == 2
 
     check(5, exact_ok and scale_ok and guard_ok,
@@ -253,12 +250,10 @@ def test_criterion_6_group2_pipeline(group2_run):
     out, elapsed = group2_run
     mask = read_mask(out)
     records = read_runlog(out)
-    data_rows = trainer.load_rows(out / "rows.npz").rows
-    import json
-
+    n_rows = len(trainer.load_rows(out / "rows.npz").y)
     accuracy = json.loads((out / "train_manifest.json").read_text())["test_accuracy"]
     ok = (
-        len(data_rows) == 1000
+        n_rows == 1000
         and 20 <= len(mask) <= 125
         and len(records) == 200
         and accuracy >= 0.90
@@ -269,20 +264,35 @@ def test_criterion_6_group2_pipeline(group2_run):
           f"200 runs, test accuracy {accuracy:.3f} >= 0.90, {elapsed:.1f}s < 120s")
 
 
+def test_readme_library_use_block_runs(group2_run, tmp_path, monkeypatch):
+    """The README's `Library use` example runs as printed, with `out/` the default Group2 run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    out, _ = group2_run
+    (tmp_path / "out").symlink_to(out)
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert trainer.load_rows(tmp_path / "fused.npz").x.shape == (50, N_BINS)
+    # the example trains as the train stage does, at the same defaults and seed
+    assert scope["mask"].kept == read_mask(out)
+    assert scope["accuracy"] == json.loads((out / "train_manifest.json").read_text())["test_accuracy"]
+    trainer.write_runlog_csv(tmp_path / "runlog.csv", scope["log"])
+    assert (tmp_path / "runlog.csv").read_bytes() == (out / "runlog.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # criterion 7: Group-1-scale pipeline
 
 def test_criterion_7_group1_pipeline(group1_run):
     out, elapsed = group1_run
     mask = read_mask(out)
-    import json
-
     accuracy = json.loads((out / "train_manifest.json").read_text())["test_accuracy"]
     header, labels, counts = read_confusion(out)
 
     # row sums must equal the per-class counts of the deterministic test split
     ds = trainer.load_rows(out / "rows.npz")
-    y = trainer.label_index(ds.rows, ds.label_vocab)
+    y = ds.y
     _, test_idx = trainer.split(y, PipelineConfig(group="Group1", seed=0))
     per_class = {label: 0 for label in ds.label_vocab}
     for k in y[test_idx]:
@@ -290,7 +300,7 @@ def test_criterion_7_group1_pipeline(group1_run):
     sums_ok = all(counts[i].sum() == per_class[label] for i, label in enumerate(labels))
 
     ok = (
-        900 <= len(ds.rows) <= 1100
+        900 <= len(ds.y) <= 1100
         and accuracy >= 0.80
         and header[-1] == "Unclassified"
         and counts.shape == (7, 8)

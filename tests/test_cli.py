@@ -466,6 +466,11 @@ def _set_sample(offset, value):
     pytest.param(_edit_header(lambda h: h.replace(b" duration=2.0", b"")), "duration", id="no-duration"),
     pytest.param(_edit_header(lambda h: h.replace(b"rate=2000", b"rate=fast")), "fast", id="rate"),
     pytest.param(_edit_header(lambda h: h.replace(b"duration=2.0", b"duration=2s")), "2s", id="duration"),
+    # headers that parse but cannot give one 1-second block resolving 300 Hz
+    pytest.param(_edit_header(lambda h: h.replace(b"rate=2000", b"rate=500")),
+                 "rate 500 Hz is below 600", id="rate-below-600"),
+    pytest.param(_edit_header(lambda h: h.replace(b"duration=2.0", b"duration=0.5")),
+                 "1000 samples at 2000 Hz is shorter than one second", id="under-one-second"),
     # the last channel, mag_z_side_10m, is one that Group2 fuses
     pytest.param(lambda raw: raw[:-8] + np.array([np.nan], "<f8").tobytes(),
                  "channel 'mag_z_side_10m' holds non-finite", id="nan"),
@@ -609,16 +614,34 @@ def test_synth_and_rows_rerun_byte_identical(tmp_path):
         assert cli.main(["--config", str(cfg_path), "--out", str(out), "rows"]) == 0
         assert cli.main(["--config", str(cfg_path), "--out", str(out), "heatmap", "AllQuiet"]) == 0
         outs.append(out)
-    a, b = outs
-    for name in ("rows.npz", "heatmap_AllQuiet.pgm", "heatmap_AllQuiet.csv"):
+    # every file, the manifests included: none records the out dir's path
+    assert_same_files(*outs)
+
+
+def assert_same_files(a, b):
+    """The two directories hold the same relative file names with the same bytes."""
+    names = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
+    for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    # manifests must match except for the differing out_dir path itself
-    ma = json.loads((a / "synth_manifest.json").read_text())
-    mb = json.loads((b / "synth_manifest.json").read_text())
-    ma["config"].pop("out_dir"), mb["config"].pop("out_dir")
-    assert ma == mb
-    rec = "AllQuiet_t1.rec"
-    assert (a / "recordings" / rec).read_bytes() == (b / "recordings" / rec).read_bytes()
+
+
+def test_train_and_eval_manifests_name_inputs_as_given(smoke, tmp_path):
+    cfg_path, out = smoke
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for dest in outs:
+        dest.mkdir()
+        shutil.copy(out / "rows.npz", dest)
+        assert run(cfg_path, dest, "train") == 0
+        assert run(cfg_path, dest, "eval") == 0
+    assert_same_files(*outs)  # the default inputs are recorded by their bare names
+    eval_manifest = json.loads((outs[0] / "eval_manifest.json").read_text())
+    assert (eval_manifest["checkpoint"], eval_manifest["rows_file"]) == ("checkpoint.bin", "rows.npz")
+    assert "out_dir" not in eval_manifest["config"]
+
+    given = str(outs[0] / "rows.npz")
+    assert run(cfg_path, tmp_path / "three", "train", "--rows", given) == 0
+    assert json.loads((tmp_path / "three" / "train_manifest.json").read_text())["rows_file"] == given
 
 
 def test_single_profile_single_block_yields_one_row(tmp_path):
@@ -654,25 +677,25 @@ def test_seed_flag_overrides_config(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     pytest.param("profile A\nnoise_rms nan\nline geo_front_10m 45 1.5 0.0\n",
-                 "line 2: noise_rms", id="nan"),
+                 ":2: noise_rms", id="nan"),
     pytest.param("profile A\nnoise_rms -1\nline geo_front_10m 45 1.5 0.0\n",
-                 "line 2: noise_rms", id="-1"),
+                 ":2: noise_rms", id="-1"),
     pytest.param("profile A\nline geo_front_10m 45 1.5 0.0\nprofile B\nprofile A\n",
-                 "line 4: profile 'A' is defined twice", id="repeated"),
+                 ":4: profile 'A' is defined twice", id="repeated"),
     pytest.param("profile A\nline geo_front_10m 45 1.5 0.0\nline mic_front_1m 45 1.5 0.0\n",
-                 "line 3: unknown channel 'mic_front_1m'", id="channel"),
-    pytest.param("# no profiles\n", "profiles.txt: no profiles", id="empty"),
+                 ":3: unknown channel 'mic_front_1m'", id="channel"),
+    pytest.param("# no profiles\n", ": no profiles", id="empty"),
     pytest.param("profile A\nline geo_front_10m 500 1.5 0.0\n",
-                 "line 2: line frequency 500", id="freq"),
+                 ":2: line frequency 500", id="freq"),
     pytest.param("profile A\nline geo_front_10m 45 nan 0.0\n",
-                 "line 2: line amplitude nan", id="amp"),
-    pytest.param("profile A,B\n", "line 1: label 'A,B'", id="label"),
+                 ":2: line amplitude nan", id="amp"),
+    pytest.param("profile A,B\n", ":1: label 'A,B'", id="label"),
     pytest.param("profile ../escape\nline geo_front_10m 45 1.5 0.0\n",
-                 "line 1: label '../escape'", id="label-dotdot"),
-    pytest.param("profile a/b\n", "line 1: label 'a/b'", id="label-slash"),
-    pytest.param("profile a\\b\n", "line 1: label 'a\\\\b'", id="label-backslash"),
+                 ":1: label '../escape'", id="label-dotdot"),
+    pytest.param("profile a/b\n", ":1: label 'a/b'", id="label-slash"),
+    pytest.param("profile a\\b\n", ":1: label 'a\\\\b'", id="label-backslash"),
     pytest.param("profile A\nline geo_front_10m 4.5 1.5 0.0\n",
-                 "line 2: bad number", id="number"),
+                 ":2: bad number", id="number"),
 ])
 def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, text, message):
     profiles = tmp_path / "profiles.txt"
@@ -681,7 +704,7 @@ def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, text, messa
     cfg_path.write_text(f"profiles_file = {profiles}\ntrials = 1\nduration_s = 2.0\n")
     assert run(cfg_path, tmp_path / "out", "synth") == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {profiles}{message}")  # error: <path>:<line>: ...
     assert not (tmp_path / "out").exists()
 
 
@@ -782,3 +805,23 @@ def test_eval_rows_label_missing_from_checkpoint_is_data_error(smoke, tmp_path, 
     assert run(cfg_path, tmp_path / "o", *argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: label 'Saab83' not in vocabulary")
+
+
+def test_eval_maps_rows_into_a_checkpoint_vocabulary_of_another_order(smoke, tmp_path):
+    # the same model with its outputs and labels reordered scores the same rows the same way
+    cfg_path, out = smoke
+    rows = str(out / "rows.npz")
+    assert run(cfg_path, tmp_path / "a", "train", "--runs", "200", "--rows", rows) == 0
+    params, mask_bins, vocab, normalize = dnn.load_checkpoint(tmp_path / "a" / "checkpoint.bin")
+    assert vocab == SMOKE_LABELS  # the rows' first-appearance order
+    order = [2, 0, 3, 1]
+    w3, b3 = params[4][order], params[5][order]
+    dnn.save_checkpoint(tmp_path / "reordered.bin", [*params[:4], w3, b3], mask_bins,
+                        [vocab[k] for k in order], normalize)
+    assert run(cfg_path, tmp_path / "a", "eval", "--rows", rows) == 0
+    assert run(cfg_path, tmp_path / "b", "eval", "--checkpoint", str(tmp_path / "reordered.bin"),
+               "--rows", rows) == 0
+    counts = [np.loadtxt(tmp_path / d / "eval_confusion.csv", delimiter=",", skiprows=1,
+                         usecols=range(1, 6), dtype=int) for d in "ab"]
+    assert len(np.flatnonzero(counts[0][:, :4].sum(axis=0))) > 1  # more than one class predicted
+    assert np.array_equal(counts[1], counts[0][order][:, order + [4]])

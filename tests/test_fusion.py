@@ -15,6 +15,17 @@ def flat_rows(label, count, bins):
     return [SpectrumRow(bins=np.asarray(bins, float).copy(), label=label) for _ in range(count)]
 
 
+def select(rows, threshold, max_classes_per_bin):
+    """compute_selection on the rows' matrix, class indices and first-appearance vocabulary."""
+    vocab = list(dict.fromkeys(r.label for r in rows))
+    y = np.array([vocab.index(r.label) for r in rows])
+    return fusion.compute_selection(np.stack([r.bins for r in rows]), y, vocab, threshold, max_classes_per_bin)
+
+
+def ratio(report, label):
+    return report.ratios[report.labels.index(label)]
+
+
 # ---------------------------------------------------------------------------
 # fuse
 
@@ -92,10 +103,10 @@ def hot_bin_rows():
 
 
 def test_selection_keeps_exactly_the_hot_bin():
-    mask, report = fusion.compute_selection(hot_bin_rows(), threshold=1.5, max_classes_per_bin=1)
+    mask, report = select(hot_bin_rows(), threshold=1.5, max_classes_per_bin=1)
     assert mask.kept == [50]
     # B's ratio at bin 50 is 10 / 5.5
-    assert report.ratios["B"][49] == pytest.approx(10.0 / 5.5, rel=1e-12)
+    assert ratio(report, "B")[49] == pytest.approx(10.0 / 5.5, rel=1e-12)
     assert report.per_bin_class_counts[49] == 1
 
 
@@ -110,7 +121,9 @@ def test_matrix_selection_matches_per_label_stack_bit_for_bit():
     rng.shuffle(labels)
     scale = {l: 1.0 + 3.0 * rng.random(N_BINS) for l in "ABC"}
     rows = [SpectrumRow(bins=rng.random(N_BINS) * scale[l], label=l) for l in labels]
-    mask, report = fusion.compute_selection(rows, 1.15, 1)
+    vocab = list(dict.fromkeys(labels))
+    y = np.array([vocab.index(l) for l in labels])
+    mask, report = fusion.compute_selection(np.stack([r.bins for r in rows]), y, vocab, 1.15, 1)
 
     # the reference stacks each label's rows in row order, as the row-list code did
     by_label = {}
@@ -118,12 +131,13 @@ def test_matrix_selection_matches_per_label_stack_bit_for_bit():
         by_label.setdefault(r.label, []).append(r.bins)
     means = {l: np.mean(np.stack(stack), axis=0) for l, stack in by_label.items()}
     grand = np.mean(np.stack([r.bins for r in rows]), axis=0)
-    assert list(report.class_means) == list(by_label)
+    assert report.labels == list(by_label)
+    assert report.class_means.shape == report.ratios.shape == (3, N_BINS)
     assert np.array_equal(bits(report.global_mean), bits(grand))
     counts = np.zeros(N_BINS, dtype=int)
-    for l, mean in means.items():
-        assert np.array_equal(bits(report.class_means[l]), bits(mean))
-        assert np.array_equal(bits(report.ratios[l]), bits(mean / grand))
+    for k, (l, mean) in enumerate(means.items()):
+        assert np.array_equal(bits(report.class_means[k]), bits(mean))
+        assert np.array_equal(bits(report.ratios[k]), bits(mean / grand))
         counts += mean / grand > 1.15
     assert np.array_equal(report.per_bin_class_counts, counts)
     assert mask.kept == [int(i) + 1 for i in np.flatnonzero(counts == 1)]
@@ -132,22 +146,22 @@ def test_matrix_selection_matches_per_label_stack_bit_for_bit():
 def test_selection_mask_is_scale_free():
     rows = hot_bin_rows()
     scaled = [SpectrumRow(bins=r.bins * 1e3, label=r.label) for r in rows]
-    m1, _ = fusion.compute_selection(rows, 1.5, 1)
-    m2, _ = fusion.compute_selection(scaled, 1.5, 1)
+    m1, _ = select(rows, 1.5, 1)
+    m2, _ = select(scaled, 1.5, 1)
     assert m1.kept == m2.kept
 
 
 def test_selection_is_deterministic():
     rows = hot_bin_rows()
-    m1, _ = fusion.compute_selection(rows, 1.5, 1)
-    m2, _ = fusion.compute_selection(rows, 1.5, 1)
+    m1, _ = select(rows, 1.5, 1)
+    m2, _ = select(rows, 1.5, 1)
     assert m1.kept == m2.kept
 
 
 def test_identical_classes_fail_selection():
     rows = flat_rows("A", 10, np.ones(N_BINS)) + flat_rows("B", 10, np.ones(N_BINS))
     with pytest.raises(SelectionError) as err:
-        fusion.compute_selection(rows, 1.5, 1)
+        select(rows, 1.5, 1)
     assert err.value.report is not None
     assert np.all(err.value.report.per_bin_class_counts == 0)
 
@@ -162,7 +176,7 @@ def test_guard_drops_bin_hot_for_too_many_classes():
         bins[6] = seven
         bins[own_bin - 1] = 25.0
         rows.extend(flat_rows(label, 10, bins))
-    mask, report = fusion.compute_selection(rows, threshold=1.75, max_classes_per_bin=1)
+    mask, report = select(rows, threshold=1.75, max_classes_per_bin=1)
     assert report.per_bin_class_counts[6] == 2
     assert 7 not in mask.kept
     assert mask.kept == [30, 40, 50, 60]
@@ -176,7 +190,7 @@ def test_guard_wide_enough_keeps_shared_bin():
         bins[6] = seven
         bins[own_bin - 1] = 25.0
         rows.extend(flat_rows(label, 10, bins))
-    mask, _ = fusion.compute_selection(rows, threshold=1.75, max_classes_per_bin=2)
+    mask, _ = select(rows, threshold=1.75, max_classes_per_bin=2)
     assert 7 in mask.kept
 
 
@@ -189,30 +203,30 @@ def test_bin_equally_hot_for_every_class_never_selected():
         bins[6] = 80.0
         bins[own_bin - 1] = 25.0
         rows.extend(flat_rows(label, 10, bins))
-    mask, report = fusion.compute_selection(rows, threshold=1.5, max_classes_per_bin=2)
+    mask, report = select(rows, threshold=1.5, max_classes_per_bin=2)
     assert 7 not in mask.kept
-    assert all(report.ratios[l][6] == pytest.approx(1.0) for l in "ABC")
+    assert all(ratio(report, l)[6] == pytest.approx(1.0) for l in "ABC")
 
 
 def test_zero_mean_bin_excluded_with_warning():
     rows = hot_bin_rows()
     for r in rows:
         r.bins[199] = 0.0  # bin 200 dead in every row
-    mask, report = fusion.compute_selection(rows, 1.5, 1)
+    mask, report = select(rows, 1.5, 1)
     assert 200 not in mask.kept
     assert report.warnings and "zero grand mean" in report.warnings[0]
-    assert np.isnan(report.ratios["A"][199])
+    assert np.isnan(ratio(report, "A")[199])
 
 
 def test_selection_preconditions():
     rows = flat_rows("A", 10, np.ones(N_BINS))
     with pytest.raises(ValidationError):
-        fusion.compute_selection(rows, 1.5, 1)  # one label only
+        select(rows, 1.5, 1)  # one label only
     rows = flat_rows("A", 10, np.ones(N_BINS)) + flat_rows("B", 9, np.ones(N_BINS))
+    with pytest.raises(ValidationError, match="label 'B' has 9 rows; need >= 10"):
+        select(rows, 1.5, 1)  # too few B rows
     with pytest.raises(ValidationError):
-        fusion.compute_selection(rows, 1.5, 1)  # too few B rows
-    with pytest.raises(ValidationError):
-        fusion.compute_selection(hot_bin_rows(), 1.0, 1)  # threshold must be > 1
+        select(hot_bin_rows(), 1.0, 1)  # threshold must be > 1
 
 
 def test_threshold_strictly_greater():
@@ -222,7 +236,7 @@ def test_threshold_strictly_greater():
     hot[9] = 3.0  # B ratio at bin 10 = 3/2 = 1.5 exactly
     rows = flat_rows("A", 10, flat) + flat_rows("B", 10, hot)
     with pytest.raises(SelectionError):
-        fusion.compute_selection(rows, threshold=1.5, max_classes_per_bin=1)
+        select(rows, threshold=1.5, max_classes_per_bin=1)
 
 
 def test_default_guard_values():
@@ -261,7 +275,7 @@ def test_mask_validates_and_sorts():
 
 
 def test_selection_report_csv(tmp_path):
-    _, report = fusion.compute_selection(hot_bin_rows(), 1.5, 1)
+    _, report = select(hot_bin_rows(), 1.5, 1)
     path = tmp_path / "report.csv"
     fusion.write_selection_report_csv(path, report)
     lines = path.read_text().splitlines()
@@ -276,8 +290,8 @@ def test_selection_report_csv(tmp_path):
 def test_selection_report_text_matches_per_element_reference(tmp_path):
     awkward = np.resize(np.array([0.1, 1e-300, 5e-324, 10.0, 0.0, np.nan, 2.5e-310]), N_BINS)
     report = fusion.SelectionReport(
-        class_means={"A": awkward, "B": awkward[::-1]}, global_mean=awkward * 3,
-        ratios={"A": awkward / 7, "B": awkward}, per_bin_class_counts=np.arange(N_BINS) % 3)
+        labels=["A", "B"], class_means=np.stack([awkward, awkward[::-1]]), global_mean=awkward * 3,
+        ratios=np.stack([awkward / 7, awkward]), per_bin_class_counts=np.arange(N_BINS) % 3)
     path = tmp_path / "report.csv"
     fusion.write_selection_report_csv(path, report)
 

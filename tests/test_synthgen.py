@@ -275,4 +275,4 @@ def test_profiles_parse_error_names_line(tmp_path):
     path.write_text("profile A\nline mic notanumber 1.0 0.5\n")
     with pytest.raises(ParseError) as err:
         synthgen.load_profiles(path)
-    assert "line 2" in str(err.value)
+    assert str(err.value).startswith(f"{path}:2: ")

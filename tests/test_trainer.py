@@ -12,6 +12,8 @@ from sigclass.trainer import Dataset
 from test_dnn import reference_adam
 
 LN2 = 0.6931471805599453
+# the columns of RunLog.records
+LOSS, TRAIN_ACC, TEST_ACC, TRAIN_BIT, TEST_BIT = range(5)
 
 
 def row(label, hot_bins=(), value=5.0, base=0.1):
@@ -21,18 +23,27 @@ def row(label, hot_bins=(), value=5.0, base=0.1):
     return SpectrumRow(bins=bins, label=label)
 
 
+def dataset(rows):
+    """The Dataset that load_rows returns for a store of these rows."""
+    vocab = list(dict.fromkeys(r.label for r in rows))
+    return Dataset(np.stack([r.bins for r in rows]), np.array([vocab.index(r.label) for r in rows]), vocab, rows)
+
+
+def class_indices(rows, vocab):
+    return np.array([vocab.index(r.label) for r in rows])
+
+
 def toy_dataset(n_per_class=20, labels=("A", "B"), hot={"A": (10,), "B": (20,)}):
     rows = []
     for i in range(n_per_class):
         for label in labels:
             rows.append(row(label, hot[label], value=5.0 + 0.01 * i))
-    return Dataset.from_rows(rows)
+    return dataset(rows)
 
 
 def train_on(ds, mask, cfg):
     """trainer.train on the cfg split of ds, as the train stage runs it."""
-    x = trainer.features_matrix(ds.rows, mask, cfg.normalize_rows)
-    y = trainer.label_index(ds.rows, ds.label_vocab)
+    x, y = trainer.features_matrix(ds.rows, mask, cfg.normalize_rows), ds.y
     tr, te = trainer.split(y, cfg)
     return trainer.train(x[tr], y[tr], x[te], y[te], len(ds.label_vocab), cfg)
 
@@ -40,7 +51,7 @@ def train_on(ds, mask, cfg):
 def score(params, rows, mask, vocab):
     """trainer.evaluate on the normalized masked rows, as the eval stage runs it."""
     x = trainer.features_matrix(rows, mask, True)
-    return trainer.evaluate(params, x, trainer.label_index(rows, vocab), vocab)
+    return trainer.evaluate(params, x, class_indices(rows, vocab), vocab)
 
 
 def save_store(path, rows):
@@ -64,6 +75,7 @@ def test_load_rows_roundtrip(tmp_path):
     loaded = trainer.load_rows(path)
     assert len(loaded.rows) == len(ds.rows)
     assert loaded.label_vocab == ["A", "B"]
+    assert np.array_equal(loaded.x, ds.x) and np.array_equal(loaded.y, ds.y)
     for a, b in zip(ds.rows, loaded.rows):
         assert np.array_equal(a.bins, b.bins)
         assert a.label == b.label and type(b.label) is str
@@ -132,33 +144,30 @@ def test_load_rows_empty_file(tmp_path):
         trainer.load_rows(path)
 
 
-# ---------------------------------------------------------------------------
-# label_index
+def test_load_rows_y_indexes_the_first_appearance_vocab(tmp_path):
+    path = tmp_path / "rows.npz"
+    save_store(path, [row("C"), row("A"), row("D"), row("C")])
+    ds = trainer.load_rows(path)
+    assert ds.label_vocab == ["C", "A", "D"]
+    assert ds.y.tolist() == [0, 1, 2, 0]
 
-def test_label_index_vocab_order():
-    rows = [row("C"), row("A"), row("D"), row("C")]
-    idx = trainer.label_index(rows, ["A", "B", "C", "D"])
-    assert idx.tolist() == [2, 0, 3, 2]
 
-
-def test_label_index_one_per_row():
+def test_load_rows_y_one_per_row(tmp_path):
     vocab = [f"L{i}" for i in range(7)]
     rows = [row(label) for label in reversed(vocab)] + [row("L3")]
-    idx = trainer.label_index(rows, vocab)
-    assert idx.shape == (len(rows),)
-    assert [vocab[i] for i in idx] == [r.label for r in rows]
-
-
-def test_label_index_unknown_label():
-    with pytest.raises(ValidationError, match="'Z'"):
-        trainer.label_index([row("A"), row("Z")], ["A", "B"])
+    path = tmp_path / "rows.npz"
+    save_store(path, rows)
+    ds = trainer.load_rows(path)
+    assert ds.y.shape == (len(rows),) and ds.y.dtype.kind == "i"
+    assert [ds.label_vocab[i] for i in ds.y] == [r.label for r in rows]
+    assert [r.label for r in ds.rows] == [r.label for r in rows]
 
 
 # ---------------------------------------------------------------------------
 # split
 
 def labels_of(ds):
-    return trainer.label_index(ds.rows, ds.label_vocab)
+    return ds.y
 
 
 def test_split_sizes_and_disjointness():
@@ -190,7 +199,7 @@ def row_list_split(ds, cfg):
     rng = derive_rng(cfg.seed, "split")
     in_train = np.zeros(n, dtype=bool)
     if cfg.stratified:
-        labels = trainer.label_index(ds.rows, ds.label_vocab)
+        labels = class_indices(ds.rows, ds.label_vocab)
         for k in range(len(ds.label_vocab)):
             idx = np.flatnonzero(labels == k)
             perm = idx[rng.permutation(len(idx))]
@@ -210,7 +219,7 @@ def test_split_indices_match_row_list_split(stratified, seed):
     # three classes of unequal size, interleaved, so per-class draws matter
     sizes = {"A": 37, "B": 20, "C": 53}
     rows = [row(label) for i in range(53) for label in sizes if i < sizes[label]]
-    ds = Dataset.from_rows(rows)
+    ds = dataset(rows)
     cfg = PipelineConfig(seed=seed, stratified=stratified, train_fraction=0.7)
     train, test = trainer.split(labels_of(ds), cfg)
     ref_train, ref_test = row_list_split(ds, cfg)
@@ -252,9 +261,8 @@ def test_train_logs_one_record_per_run():
     ds = toy_dataset(20)
     cfg = PipelineConfig(runs=200, batch_size=16, seed=5)
     params, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
-    assert len(log.records) == 200
-    assert [r.run for r in log.records] == list(range(1, 201))
-    assert all(np.isfinite(r.train_loss) for r in log.records)
+    assert log.records.shape == (200, 5) and log.records.dtype == np.float64
+    assert np.isfinite(log.records).all()
 
 
 def test_train_single_run_zero_net_loss_near_ln2(monkeypatch):
@@ -266,7 +274,7 @@ def test_train_single_run_zero_net_loss_near_ln2(monkeypatch):
     cfg = PipelineConfig(runs=1, batch_size=16, seed=6)
     params, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
     # one 0.005-sized Adam step barely moves the logits away from 0
-    assert log.records[0].train_loss == pytest.approx(LN2, abs=0.05)
+    assert log.records[0, LOSS] == pytest.approx(LN2, abs=0.05)
 
 
 def test_train_deterministic():
@@ -274,7 +282,7 @@ def test_train_deterministic():
     cfg = PipelineConfig(runs=10, batch_size=16, seed=7)
     p1, log1 = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
     p2, log2 = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
-    assert log1.records == log2.records
+    assert np.array_equal(log1.records, log2.records)
     for a, b in zip(p1, p2):
         assert np.array_equal(a, b)
 
@@ -284,8 +292,8 @@ def test_train_zero_learn_rate_freezes_metrics():
     cfg = PipelineConfig(runs=8, batch_size=16, seed=8)
     cfg.learn_rate = 0.0  # a config rejects it; train itself must still hold still
     _, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
-    losses = {r.train_loss for r in log.records}
-    accs = {r.test_acc for r in log.records}
+    losses = set(log.records[:, LOSS].tolist())
+    accs = set(log.records[:, TEST_ACC].tolist())
     assert len(losses) == 1 and len(accs) == 1
 
 
@@ -293,9 +301,9 @@ def test_train_learns_separable_toy():
     ds = toy_dataset(30)
     cfg = PipelineConfig(runs=300, batch_size=24, seed=9)
     params, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
-    assert log.records[-1].test_acc == 1.0
-    assert log.records[-1].train_acc == 1.0
-    assert log.records[-1].train_loss < log.records[0].train_loss
+    assert log.records[-1, TEST_ACC] == 1.0
+    assert log.records[-1, TRAIN_ACC] == 1.0
+    assert log.records[-1, LOSS] < log.records[0, LOSS]
 
 
 def float64_scoring_train(x_train, y_train, x_test, y_test, c, cfg):
@@ -317,28 +325,24 @@ def float64_scoring_train(x_train, y_train, x_test, y_test, c, cfg):
             scores += [float(np.mean(preds == y)), float(np.mean(hot == np.eye(c, dtype=bool)[y]))]
         train_acc, train_bit, test_acc, test_bit = scores
         loss = dnn.loss(train_logits, targets)
-        records.append(trainer.RunRecord(run, loss, train_acc, test_acc, train_bit, test_bit))
-    return params, records
+        records.append((loss, train_acc, test_acc, train_bit, test_bit))
+    return params, np.array(records)
 
 
 def test_float32_scoring_matches_float64_reference():
     ds = toy_dataset(30, labels=("A", "B", "C"), hot={"A": (10,), "B": (20,), "C": (30,)})
     cfg = PipelineConfig(runs=600, batch_size=24, seed=12)
-    x = trainer.features_matrix(ds.rows, FeatureMask(kept=[10, 20, 30]), cfg.normalize_rows)
-    y = trainer.label_index(ds.rows, ds.label_vocab)
+    x, y = trainer.features_matrix(ds.rows, FeatureMask(kept=[10, 20, 30]), cfg.normalize_rows), ds.y
     tr, te = trainer.split(y, cfg)
     params, log = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
     ref_params, ref_records = float64_scoring_train(x[tr], y[tr], x[te], y[te], 3, cfg)
     for a, b in zip(params, ref_params):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert len(log.records) == len(ref_records) == 600
-    columns = ["train_acc", "test_acc", "train_bit_acc", "test_bit_acc"]
-    for r, ref in zip(log.records, ref_records):
-        assert r.run == ref.run
-        assert [getattr(r, k) for k in columns] == [getattr(ref, k) for k in columns]
-        assert r.train_loss == pytest.approx(ref.train_loss, rel=1e-6)
+    assert log.records.shape == ref_records.shape == (600, 5)
+    assert np.array_equal(log.records[:, TRAIN_ACC:], ref_records[:, TRAIN_ACC:])
+    assert log.records[:, LOSS] == pytest.approx(ref_records[:, LOSS], rel=1e-6)
     # the accuracies move over the runs, so the equality above is not vacuous
-    assert len({r.test_acc for r in ref_records}) > 2 and ref_records[-1].test_acc == 1.0
+    assert len(set(ref_records[:, TEST_ACC].tolist())) > 2 and ref_records[-1, TEST_ACC] == 1.0
 
 
 def reference_train(x_train, y_train, x_test, y_test, c, cfg):
@@ -369,8 +373,8 @@ def reference_train(x_train, y_train, x_test, y_test, c, cfg):
             scores += [float(np.mean(preds == y)), float(np.mean(hot == y_hot))]
         train_acc, train_bit, test_acc, test_bit = scores
         loss = dnn.loss(train_logits, targets)
-        records.append(trainer.RunRecord(run, loss, train_acc, test_acc, train_bit, test_bit))
-    return params, records
+        records.append((loss, train_acc, test_acc, train_bit, test_bit))
+    return params, np.array(records)
 
 
 @pytest.mark.parametrize("n, d, c, batch, runs", [
@@ -378,7 +382,7 @@ def reference_train(x_train, y_train, x_test, y_test, c, cfg):
     (60, 13, 2, None, 30),  # None: the batch is the whole training split
     (300, 77, 4, 150, 150),
 ], ids=["d5-c3", "d13-c2-full-batch", "d77-c4"])
-def test_train_bit_identical_to_reference_loop(n, d, c, batch, runs):
+def test_train_bit_identical_to_reference_loop(tmp_path, n, d, c, batch, runs):
     rng = np.random.default_rng(d)
     y = np.arange(n) % c
     x = 0.1 + rng.random((n, d))
@@ -392,15 +396,16 @@ def test_train_bit_identical_to_reference_loop(n, d, c, batch, runs):
     assert [a.shape for a in params] == [a.shape for a in ref_params]
     for a, b in zip(params, ref_params):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert len(log.records) == len(ref_records) == runs
-    for r, ref in zip(log.records, ref_records):
-        for name, value in vars(r).items():
-            assert type(value) is type(getattr(ref, name))  # runlog.csv writes their repr
-            assert np.float64(value).view(np.int64) == np.float64(getattr(ref, name)).view(np.int64)
+    assert log.records.shape == ref_records.shape == (runs, 5)
+    assert np.array_equal(log.records.view(np.int64), ref_records.view(np.int64))
+    # runlog.csv writes the repr of each value as a Python float
+    trainer.write_runlog_csv(tmp_path / "runlog.csv", log)
+    lines = [f"{run},{loss!r},{train_acc!r},{test_acc!r},{train_bit!r},{test_bit!r}"
+             for run, (loss, train_acc, test_acc, train_bit, test_bit) in enumerate(ref_records.tolist(), start=1)]
+    assert (tmp_path / "runlog.csv").read_text().splitlines()[1:] == lines
     # the scores move over the runs, so the equality above is not vacuous
-    assert len({r.train_loss for r in ref_records}) == runs
-    scores = [(r.train_acc, r.test_acc, r.train_bit_acc, r.test_bit_acc) for r in ref_records]
-    assert len(set(scores)) > 2
+    assert len(set(ref_records[:, LOSS].tolist())) == runs
+    assert len({tuple(r) for r in ref_records[:, TRAIN_ACC:].tolist()}) > 2
 
 
 def test_a_training_run_allocates_nothing_that_grows_with_rows_or_parameters(monkeypatch):
@@ -543,7 +548,7 @@ def test_runlog_csv_format(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "1"
-    assert float(first[1]) == pytest.approx(log.records[0].train_loss)
+    assert float(first[1]) == pytest.approx(log.records[0, LOSS])
 
 
 def test_confusion_csv_format(tmp_path):
