@@ -97,6 +97,8 @@ def _read_synth_manifest(cfg):
         raise ParseError(f"{path}: not a synth manifest ({type(exc).__name__}: {exc})") from None
     if bad:
         raise ParseError(f"{path}: recording entry {bad[0]} needs text file and label, integer trial")
+    if not entries:
+        raise ParseError(f"{path}: lists no recordings")
     # rows and heatmap open recordings/<file>, so it must be the bare name synth writes
     bad = [e for e in entries if not e["file"] == Path(e["file"]).name == f"{e['label']}_t{e['trial']}.rec"]
     if bad:
@@ -111,7 +113,7 @@ def _entry_spectra(cfg, entry, stream, count, channels=None):
     """
     rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"], channels)
     seed = derive_seed(cfg.seed, stream, entry["label"], entry["trial"])
-    blocks = spectral.extract_blocks(rec, list(rec.samples), count, seed)
+    blocks = spectral.extract_blocks(rec, count, seed)
     return {cid: spectral.magnitude_spectrum(b) for cid, b in blocks.items()}
 
 
@@ -139,13 +141,12 @@ def cmd_heatmap(args):
     if not entries:
         raise ConfigurationError(f"no recordings for label {args.label!r}")
 
-    spectra_by_channel = {}
-    for entry in entries:
-        for cid, spectra in _entry_spectra(cfg, entry, "heatmap", cfg.heatmap_blocks).items():
-            spectra_by_channel.setdefault(cid, []).append(spectra)
-    heatmap = spectral.build_heatmap(
-        {cid: np.concatenate(specs) for cid, specs in spectra_by_channel.items()}
-    )
+    per_entry = [_entry_spectra(cfg, entry, "heatmap", cfg.heatmap_blocks) for entry in entries]
+    # each channel's rows are stacked trial after trial, so every recording must hold them all
+    for entry, spectra in zip(entries, per_entry):
+        if spectra.keys() != per_entry[0].keys():
+            raise ParseError(f"recording {entry['file']} holds other channels than {entries[0]['file']}")
+    heatmap = spectral.build_heatmap({cid: np.concatenate([s[cid] for s in per_entry]) for cid in per_entry[0]})
     n_rows = sum(len(rows) for rows in heatmap.values())
     pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"

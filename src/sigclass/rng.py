@@ -11,14 +11,16 @@ import zlib
 import numpy as np
 
 
+def _sequence(seed, parts):
+    """The SeedSequence keyed on `seed` and the CRC-32 of each stage/name token in `parts`."""
+    return np.random.SeedSequence([int(seed), *(zlib.crc32(str(p).encode("utf-8")) for p in parts)])
+
+
 def derive_rng(seed, *parts):
     """Child generator keyed on `seed` and the stage/name tokens in `parts`."""
-    words = [zlib.crc32(str(p).encode("utf-8")) for p in parts]
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))
+    return np.random.default_rng(_sequence(seed, parts))
 
 
 def derive_seed(seed, *parts):
     """Plain integer seed derived the same way, for APIs that take one."""
-    words = [zlib.crc32(str(p).encode("utf-8")) for p in parts]
-    state = np.random.SeedSequence([int(seed), *words]).generate_state(1, np.uint64)
-    return int(state[0])
+    return int(_sequence(seed, parts).generate_state(1, np.uint64)[0])

@@ -2,44 +2,39 @@
 
 Blocks are exactly one second long, so FFT bin i sits at exactly i Hz at any
 sample rate; only bins 1..300 are kept (DC excluded).  Everything here works
-on arrays: a channel's blocks are one (count, rate) matrix and its spectra one
-(count, 300) matrix.  Heat maps rescale each spectrum row to [0, 10] with the
-row peak at 10, for visual comparison of per-channel signatures.  They are
-written as a binary P5 PGM image and a CSV with four decimals per value, both
-from whole arrays, so no value is formatted on its own in Python.
+on arrays: the blocks of every channel of a recording are cut by one index
+into its (channels, n) matrix, and each channel's spectra are one (count, 300)
+matrix.  Heat maps rescale each spectrum row to [0, 10] with the row peak at
+10, for visual comparison of per-channel signatures.  They are written as a
+binary P5 PGM image and a CSV with four decimals per value, both from whole
+arrays, so no value is formatted on its own in Python.
 """
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 
 N_BINS = 300
 
 
-def extract_blocks(rec, channels, count, seed):
-    """Cut `count` random 1-second blocks out of each channel in `channels`.
+def extract_blocks(rec, count, seed):
+    """Cut `count` random 1-second blocks out of every channel of `rec`.
 
     Start offsets are drawn uniformly over all valid sample positions and are
     shared across channels, so the k-th block of every channel covers the same
     time span (fused spectra must be time-aligned).  Blocks may overlap.  The
-    offsets do not depend on which channels are cut.  Returns
-    {channel_id: (count, rate) array} in `channels` order; row k is block k.
+    offsets do not depend on which channels the recording holds.  Returns
+    {channel_id: (count, rate) array} in `rec.channels` order; row k is block k.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    missing = [cid for cid in channels if cid not in rec.samples]
-    if missing:
-        raise ConfigurationError(f"recording {rec.label!r} has no channel {missing}")
     rate = rec.sample_rate_hz
-    n = rec.n_samples
+    n = rec.samples.shape[1]
     if n < rate:
         raise ValidationError("recording is shorter than 1 second")
-    rng = np.random.default_rng(seed)
-    offsets = rng.integers(0, n - rate + 1, size=count)
-    return {
-        cid: np.lib.stride_tricks.sliding_window_view(rec.samples[cid], rate)[offsets]
-        for cid in channels
-    }
+    offsets = np.random.default_rng(seed).integers(0, n - rate + 1, size=count)
+    blocks = np.lib.stride_tricks.sliding_window_view(rec.samples, rate, axis=1)[:, offsets]
+    return dict(zip(rec.channels, blocks))
 
 
 def magnitude_spectrum(blocks):

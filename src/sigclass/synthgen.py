@@ -5,9 +5,10 @@ channel plus a white noise floor.  Recordings are sums of phase-continuous
 sinusoids whose frequency wobbles a little from second to second, emulating
 run-to-run engine variation, plus Gaussian noise.
 
-A recording file (.rec) is one ASCII header line, then each channel's samples
-as little-endian float64 in header order, channel after channel.  A stage
-reads only the channels it needs, each as a read-only view of its bytes.
+A Recording holds one (channels, n) float64 matrix beside its channel ids,
+row i being channel i.  A recording file (.rec) is one ASCII header line, then
+that matrix as little-endian float64, channel after channel.  A stage reads
+only the channels it needs, into the rows of one read-only matrix.
 """
 
 import math
@@ -69,12 +70,9 @@ class Recording:
 
     label: str
     sample_rate_hz: int
-    samples: dict  # channel id -> float64 array
+    channels: tuple  # channel ids, one per row of samples
+    samples: np.ndarray  # (len(channels), n) float64
     duration_s: float
-
-    @property
-    def n_samples(self):
-        return next(iter(self.samples.values())).shape[0]
 
 
 GROUP1_LABELS = [
@@ -155,13 +153,8 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
             np.sin(phase, out=phase)
             phase *= line.amplitude
             row += phase
-    samples = dict(zip(channels, data))
-    return Recording(
-        label=profile.label,
-        sample_rate_hz=int(sample_rate_hz),
-        samples=samples,
-        duration_s=float(duration_s),
-    )
+    return Recording(label=profile.label, sample_rate_hz=int(sample_rate_hz), channels=tuple(channels),
+                     samples=data, duration_s=float(duration_s))
 
 
 def build_group_profiles(cfg):
@@ -198,25 +191,24 @@ def build_group_profiles(cfg):
 # Persistence
 
 def save_recording(path, rec):
-    """Binary recording file: one ASCII header line, then each channel's float64 LE samples in turn."""
+    """Binary recording file: one ASCII header line, then the channel-major float64 LE samples."""
     header = (
         f"{RECORDING_MAGIC} label={rec.label} rate={rec.sample_rate_hz} "
-        f"duration={rec.duration_s!r} channels={','.join(rec.samples)}\n"
+        f"duration={rec.duration_s!r} channels={','.join(rec.channels)}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for data in rec.samples.values():
-            fh.write(np.ascontiguousarray(data, dtype="<f8"))  # written straight from its buffer
+        fh.write(np.ascontiguousarray(rec.samples, dtype="<f8"))  # written straight from its buffer
 
 
 def load_recording(path, channels=None):
     """Read the given channel ids (all, in header order, when None) of a recording file.
 
-    Each channel is a read-only float64 array over its own bytes.  A bad
+    Each channel is read into its row of one read-only float64 matrix.  A bad
     header, a rate below 600 Hz or fewer samples than one second, a repeated
-    channel id, a file length other than the header's
-    channels times samples, or a nan/inf sample in a channel read raises
-    ParseError naming the file; a channel the header lacks raises
+    channel id, a file length other than the header's channels times samples,
+    or a nan/inf sample in a channel read raises ParseError naming the file
+    and the first such channel; a channel the header lacks raises
     ConfigurationError.
     """
     with open(path, "rb") as fh:
@@ -248,17 +240,19 @@ def load_recording(path, channels=None):
         if payload != 8 * n * len(ids):
             raise ParseError(f"{path}: payload of {payload} bytes, expected {8 * n * len(ids)} "
                              f"({len(ids)} channels of {n} float64 samples)")
-        missing = [cid for cid in channels or () if cid not in ids]
+        chosen = tuple(ids if channels is None else channels)
+        missing = [cid for cid in chosen if cid not in ids]
         if missing:
             raise ConfigurationError(f"{path}: recording {label!r} has no channel {missing}")
-        samples = {}
-        for cid in ids if channels is None else channels:
+        samples = np.empty((len(chosen), n), dtype="<f8")
+        for row, cid in zip(samples, chosen):
             fh.seek(len(header) + 8 * n * ids.index(cid))
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            if not np.isfinite(data).all():
-                raise ParseError(f"{path}: channel {cid!r} holds non-finite samples")
-            samples[cid] = data
-    return Recording(label=label, sample_rate_hz=rate, samples=samples, duration_s=duration)
+            fh.readinto(row)
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: channel {chosen[np.argmin(finite)]!r} holds non-finite samples")
+    samples.flags.writeable = False
+    return Recording(label=label, sample_rate_hz=rate, channels=chosen, samples=samples, duration_s=duration)
 
 
 def save_profiles(path, profiles):

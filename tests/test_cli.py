@@ -8,7 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from sigclass import cli, dnn, fusion, trainer
+from sigclass import cli, dnn, fusion, synthgen, trainer
 from sigclass.spectral import N_BINS
 
 SMOKE_CONFIG = """
@@ -133,6 +133,20 @@ def test_heatmap_unknown_label_usage_error(smoke, capsys):
     assert "no recordings" in capsys.readouterr().err
 
 
+def test_heatmap_recordings_with_other_channels_is_data_error(smoke, tmp_path, capsys):
+    # heatmap stacks each channel's rows trial after trial, so a recording
+    # that lacks channels would shift later trials' rows into earlier ones
+    cfg_path, out = smoke
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_*"))
+    rec_path = copy / "recordings" / "AllQuiet_t2.rec"
+    synthgen.save_recording(rec_path, synthgen.load_recording(rec_path, synthgen.ROSTER[:5]))
+    assert run(cfg_path, copy, "heatmap", "AllQuiet") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: recording AllQuiet_t2.rec holds other channels than AllQuiet_t1.rec"]
+    assert not list(copy.glob("heatmap_*"))
+
+
 def test_rows_before_synth_is_data_error(tmp_path, capsys):
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text(SMOKE_CONFIG)
@@ -212,6 +226,7 @@ def _edit_first_entry(edit):
     pytest.param(lambda text: text[:100], id="cut100"),
     pytest.param(lambda text: json.dumps({"command": "synth"}), id="no-recordings"),
     pytest.param(lambda text: json.dumps({"recordings": 5}), id="recordings-not-list"),
+    pytest.param(lambda text: json.dumps({"recordings": []}), id="recordings-empty"),
     *[pytest.param(_edit_first_entry(lambda e, key=key: e.pop(key)), id=f"no-{key}")
       for key in ("file", "label", "trial")],
     pytest.param(_edit_first_entry(lambda e: e.update(file=5)), id="file-not-text"),

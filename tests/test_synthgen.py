@@ -45,27 +45,27 @@ def test_label_must_be_token():
 
 def test_silence_profile_gives_zero_samples():
     rec = synthgen.synthesize_recording(profile({}), SETUP, 2.0, 1000, seed=0)
-    for arr in rec.samples.values():
-        assert np.all(arr == 0.0)
-    assert rec.n_samples == 2000
+    assert rec.channels == SETUP
+    assert np.all(rec.samples == 0.0)
+    assert rec.samples.shape == (2, 2000)
 
 
 def test_pure_sinusoid_rms_closed_form():
     p = profile({"mic": [SpectralLine(100, 1.0, jitter_hz=0.0)]})
     rec = synthgen.synthesize_recording(p, SETUP, 1.0, 1000, seed=4)
-    rms = float(np.sqrt(np.mean(rec.samples["mic"] ** 2)))
+    mic, geo = rec.samples
+    rms = float(np.sqrt(np.mean(mic**2)))
     assert rms == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
-    assert np.all(rec.samples["geo"] == 0.0)
+    assert np.all(geo == 0.0)
 
 
 def test_same_seed_bit_identical():
     p = profile({"mic": [SpectralLine(60, 1.5), SpectralLine(90, 0.5)]}, noise=0.7)
     a = synthgen.synthesize_recording(p, SETUP, 3.0, 2000, seed=9)
     b = synthgen.synthesize_recording(p, SETUP, 3.0, 2000, seed=9)
-    for cid in ("mic", "geo"):
-        assert np.array_equal(a.samples[cid], b.samples[cid])
+    assert np.array_equal(a.samples, b.samples)
     c = synthgen.synthesize_recording(p, SETUP, 3.0, 2000, seed=10)
-    assert not np.array_equal(a.samples["mic"], c.samples["mic"])
+    assert not np.array_equal(a.samples[0], c.samples[0])  # mic
 
 
 def test_unknown_channel_is_configuration_error():
@@ -93,7 +93,7 @@ def test_channel_energy_matches_line_and_noise_power():
     for seed in (1, 2):
         rec = synthgen.synthesize_recording(p, SETUP, 12.0, 2000, seed=seed)
         expected = (1.2**2 + 0.7**2) / 2.0 + 0.8**2
-        got = float(np.mean(rec.samples["mic"] ** 2))
+        got = float(np.mean(rec.samples[0] ** 2))  # mic
         assert got == pytest.approx(expected, rel=0.05)
 
 
@@ -102,7 +102,7 @@ def test_noise_free_lines_peak_at_their_bins():
         "mic": [SpectralLine(37, 1.0, jitter_hz=0.0), SpectralLine(120, 0.8, jitter_hz=0.0)],
     })
     rec = synthgen.synthesize_recording(p, SETUP, 4.0, 2000, seed=3)
-    blocks = spectral.extract_blocks(rec, ["mic"], 4, seed=5)
+    blocks = spectral.extract_blocks(rec, 4, seed=5)
     for bins in spectral.magnitude_spectrum(blocks["mic"]):
         assert int(np.argmax(bins)) + 1 == 37
         # the weaker line still dominates its own neighborhood
@@ -178,9 +178,8 @@ def test_recording_roundtrip(tmp_path):
     assert loaded.label == rec.label
     assert loaded.sample_rate_hz == rec.sample_rate_hz
     assert loaded.duration_s == rec.duration_s
-    assert list(loaded.samples) == list(rec.samples)
-    for cid in rec.samples:
-        assert np.array_equal(loaded.samples[cid], rec.samples[cid])
+    assert loaded.channels == rec.channels
+    assert np.array_equal(loaded.samples, rec.samples)
 
 
 def test_recording_file_has_ascii_header(tmp_path):
@@ -198,7 +197,7 @@ def test_recording_bytes_are_header_then_channel_major_float64(tmp_path):
     path = tmp_path / "t.rec"
     synthgen.save_recording(path, rec)
     header = b"SIGREC2 label=T rate=1000 duration=1.5 channels=mic,geo,accel\n"
-    payload = b"".join(rec.samples[c].astype("<f8").tobytes() for c in ("mic", "geo", "accel"))
+    payload = rec.samples.astype("<f8").tobytes()  # rows in channel order
     assert path.read_bytes() == header + payload
 
 
@@ -209,10 +208,10 @@ def test_load_recording_reads_only_the_given_channels_read_only(tmp_path):
     synthgen.save_recording(path, rec)
     for channels in (["accel", "mic"], ["geo"], None):
         loaded = synthgen.load_recording(path, channels)
-        assert list(loaded.samples) == (channels or ["mic", "geo", "accel"])
-        for cid, data in loaded.samples.items():
-            assert data.dtype == np.float64 and not data.flags.writeable
-            assert data.tobytes() == rec.samples[cid].tobytes()
+        assert loaded.channels == tuple(channels or ["mic", "geo", "accel"])
+        assert loaded.samples.dtype == np.float64 and not loaded.samples.flags.writeable
+        rows = [rec.channels.index(cid) for cid in loaded.channels]
+        assert loaded.samples.tobytes() == rec.samples[rows].tobytes()
     with pytest.raises(ConfigurationError, match="has no channel"):
         synthgen.load_recording(path, ["mic", "mag"])
 
@@ -247,9 +246,9 @@ def test_synthesis_bit_identical_to_allocating_reference(group, noise_rms, jitte
     for seed, p in enumerate(synthgen.build_group_profiles(cfg)):
         rec = synthgen.synthesize_recording(p, synthgen.ROSTER, 2.5, 1000, seed)
         expected = reference_synthesize(p, synthgen.ROSTER, 2.5, 1000, seed)
-        assert list(rec.samples) == list(expected)
-        for cid, data in expected.items():
-            assert rec.samples[cid].tobytes() == data.tobytes(), (p.label, cid)
+        assert rec.channels == tuple(expected)
+        for row, (cid, data) in zip(rec.samples, expected.items()):
+            assert row.tobytes() == data.tobytes(), (p.label, cid)
 
 
 def test_load_recording_rejects_garbage(tmp_path):
