@@ -103,30 +103,33 @@ def _read_synth_manifest(cfg):
     bad = [e for e in entries if not e["file"] == Path(e["file"]).name == f"{e['label']}_t{e['trial']}.rec"]
     if bad:
         raise ParseError(f"{path}: recording entry {bad[0]} needs file <label>_t<trial>.rec")
+    # a repeat would write its rows twice, maybe into both splits; a file names one label and trial
+    repeated = [e for k, e in enumerate(entries) if e["file"] in [d["file"] for d in entries[:k]]]
+    if repeated:
+        raise ParseError(f"{path}: recording entry {repeated[0]} repeats an earlier label and trial")
     return entries
 
 
 def _entry_spectra(cfg, entry, stream, count, channels=None):
-    """One entry's {channel: spectra} for `count` blocks, offsets seeded by `stream`.
+    """One entry's channel ids and (channels, count, 300) spectra, offsets seeded by `stream`.
 
-    Only `channels` are read from the recording; None reads every channel.
+    Only `channels` are read, in that order, row i of the spectra being id i; None reads all.
     """
     rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"], channels)
     seed = derive_seed(cfg.seed, stream, entry["label"], entry["trial"])
     blocks = spectral.extract_blocks(rec, count, seed)
-    return {cid: spectral.magnitude_spectrum(b) for cid, b in blocks.items()}
+    return rec.channels, np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
 
 
 def cmd_rows(args):
     cfg = _load_config(args)
     entries = _read_synth_manifest(cfg)
-    weights = dict(zip(cfg.fusion_channels, cfg.fusion_weights))
     n = cfg.blocks_per_recording
 
     x = np.empty((len(entries) * n, spectral.N_BINS))
     for i, entry in enumerate(entries):
-        spectra = _entry_spectra(cfg, entry, "blocks", n, cfg.fusion_channels)
-        x[i * n : (i + 1) * n] = fusion.fuse(spectra, weights)
+        _, spectra = _entry_spectra(cfg, entry, "blocks", n, cfg.fusion_channels)
+        x[i * n : (i + 1) * n] = fusion.fuse(spectra, cfg.fusion_weights)
     labels = np.repeat([e["label"] for e in entries], n)
     rows_path = Path(cfg.out_dir) / "rows.npz"
     trainer.save_rows(rows_path, x, labels)
@@ -141,17 +144,18 @@ def cmd_heatmap(args):
     if not entries:
         raise ConfigurationError(f"no recordings for label {args.label!r}")
 
-    per_entry = [_entry_spectra(cfg, entry, "heatmap", cfg.heatmap_blocks) for entry in entries]
-    # each channel's rows are stacked trial after trial, so every recording must hold them all
-    for entry, spectra in zip(entries, per_entry):
-        if spectra.keys() != per_entry[0].keys():
-            raise ParseError(f"recording {entry['file']} holds other channels than {entries[0]['file']}")
-    heatmap = spectral.build_heatmap({cid: np.concatenate([s[cid] for s in per_entry]) for cid in per_entry[0]})
-    n_rows = sum(len(rows) for rows in heatmap.values())
+    ids, spectra = zip(*[_entry_spectra(cfg, entry, "heatmap", cfg.heatmap_blocks) for entry in entries])
+    # row i of every recording's spectra must be the same channel, so they stack trial after trial
+    bad = [entry for entry, channels in zip(entries, ids) if channels != ids[0]]
+    if bad:
+        raise ParseError(f"recording {bad[0]['file']} holds other channels than {entries[0]['file']}")
+    heatmap = spectral.build_heatmap(np.concatenate(spectra, axis=1))
+    del spectra  # the writers' whole-map temporaries then reuse the per-recording arrays' memory
+    n_rows = heatmap.shape[0] * heatmap.shape[1]
     pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
     # the CSV first: it rejects a value outside 0..10 before either file exists
-    spectral.write_heatmap_csv(csv, heatmap, [e["trial"] for e in entries])
+    spectral.write_heatmap_csv(csv, heatmap, ids[0], [e["trial"] for e in entries])
     spectral.write_heatmap_pgm(pgm, heatmap)
     _write_manifest("heatmap", cfg, {"label": args.label, "rows": n_rows})
     print(f"wrote {pgm} and {csv} ({n_rows} rows)")

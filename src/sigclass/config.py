@@ -139,8 +139,8 @@ def _parse_value(key, value):
 
 
 def read_config_file(path):
-    """Parse 'key = value' lines; '#' starts a comment, blank lines are fine."""
-    values = {}
+    """Parse 'key = value' lines; '#' starts a comment, blank lines are fine, a key may appear once."""
+    values, first = {}, {}
     for lineno, raw in text_lines(path):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -150,7 +150,9 @@ def read_config_file(path):
         key, value = (t.strip() for t in text.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: config key {key!r} is set twice (first on line {first[key]})")
+        values[key], first[key] = value, lineno
     return values
 
 

@@ -1,11 +1,11 @@
 """Weighted sensor fusion and discriminative frequency selection.
 
-Fusion collapses the per-channel spectra of each time block into a single
-300-bin row via a normalized weighted average.  Selection then takes the
-(n, 300) matrix of fused rows and each row's class index, and keeps the bins
-where some class's mean response stands out against the grand mean across all
-classes, while dropping bins that are hot for too many classes at once (those
-cannot identify anything).
+Fusion collapses a recording's (channels, blocks, 300) spectra into one
+300-bin row per time block via a normalized weighted average, one weight per
+channel row.  Selection then takes the (n, 300) matrix of fused rows and each
+row's class index, and keeps the bins where some class's mean response stands
+out against the grand mean across all classes, while dropping bins that are
+hot for too many classes at once (those cannot identify anything).
 """
 
 import math
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SelectionError, ValidationError
+from .errors import SelectionError, ValidationError
 from .spectral import N_BINS
 
 
@@ -61,28 +61,18 @@ class SelectionReport:
 def fuse(spectra, weights):
     """Weighted average of per-channel magnitudes at each frequency.
 
-    `spectra` maps channel ids to equally shaped arrays, e.g. (blocks, 300)
-    with row k of every channel from the same time block.  `weights` is an
-    ordered {channel id: w_j} dict.  Returns
-    bins[..., i] = sum_j w_j * |S_ij| / sum_j w_j, summed in `weights` order.
+    `spectra` is a (channels, ...) array, e.g. (channels, blocks, 300) with
+    block k of every channel from the same time span; `weights` holds one w_j
+    per row.  Returns bins[..., i] = sum_j w_j * |S_ij| / sum_j w_j, in row order.
     """
-    total = 0.0
-    acc = None
-    for cid, w in weights.items():
-        spec = spectra.get(cid)
-        if spec is None:
-            raise ConfigurationError(f"fusion needs channel {cid!r} but it is missing")
-        if acc is None:
-            acc = np.zeros(spec.shape)
-        elif spec.shape != acc.shape:
-            raise ValidationError(
-                f"channel {cid!r} spectra have shape {spec.shape}, expected {acc.shape}"
-            )
-        acc += w * spec
-        total += w
-    if total <= 0:
+    if len(weights) != len(spectra):
+        raise ValidationError(f"{len(weights)} fusion weights for {len(spectra)} channels")
+    if sum(weights) <= 0:
         raise ValidationError("total fusion weight must be > 0")
-    return acc / total
+    acc = np.zeros(spectra.shape[1:])
+    for w, spec in zip(weights, spectra):
+        acc += w * spec  # in place: a fresh sum per channel fragments the heap and raises peak RSS
+    return acc / sum(weights)
 
 
 def default_max_classes_per_bin(n_classes):

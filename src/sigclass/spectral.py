@@ -3,11 +3,11 @@
 Blocks are exactly one second long, so FFT bin i sits at exactly i Hz at any
 sample rate; only bins 1..300 are kept (DC excluded).  Everything here works
 on arrays: the blocks of every channel of a recording are cut by one index
-into its (channels, n) matrix, and each channel's spectra are one (count, 300)
-matrix.  Heat maps rescale each spectrum row to [0, 10] with the row peak at
-10, for visual comparison of per-channel signatures.  They are written as a
-binary P5 PGM image and a CSV with four decimals per value, both from whole
-arrays, so no value is formatted on its own in Python.
+into its (channels, n) matrix, and its spectra are one (channels, count, 300)
+array, row i its channel i.  Heat maps rescale each spectrum to [0, 10] with
+its peak at 10, for visual comparison of per-channel signatures.  They are
+written as a binary P5 PGM image and a CSV with four decimals per value, both
+from whole arrays, so no value is formatted on its own in Python.
 """
 
 import numpy as np
@@ -52,34 +52,28 @@ def magnitude_spectrum(blocks):
     return np.abs(np.fft.rfft(samples, axis=-1)[..., 1 : N_BINS + 1])
 
 
-def build_heatmap(spectra_by_channel):
+def build_heatmap(spectra):
     """Normalize spectra onto a 0..10 scale, one heat-map row per spectrum.
 
-    Input is {channel_id: (rows, 300) array}; the result has the same keys and
-    shapes.  Each row is scaled by 10/max(row); an all-zero row stays zero.
+    Input is a (channels, rows, 300) array; the result has its shape.  Each
+    row is scaled by 10/max(row); an all-zero row stays zero.
     """
-    heatmap = {}
-    for cid, spectra in spectra_by_channel.items():
-        peaks = spectra.max(axis=1, keepdims=True)
-        scale = 10.0 / np.where(peaks > 0, peaks, 1.0)
-        heatmap[cid] = np.where(peaks > 0, spectra * scale, 0.0)
-    return heatmap
+    peaks = spectra.max(axis=-1, keepdims=True)
+    scale = 10.0 / np.where(peaks > 0, peaks, 1.0)
+    return np.multiply(spectra, scale, out=np.zeros_like(spectra), where=peaks > 0)
 
 
 def write_heatmap_pgm(path, heatmap):
-    """Binary PGM (P5) image of the heat map, one pixel row per heat-map row.
+    """Binary PGM (P5) image of a (channels, rows, 300) heat map, one pixel row per heat-map row.
 
     Value 10 maps to pixel 255: each pixel is rint(v * 25.5), clipped to 0..255.
     A value outside 0..10 or NaN (see `_in_ten_thousandths`) raises
     ValidationError before the file is opened.
     """
-    for rows in heatmap.values():
-        _in_ten_thousandths(rows)
-    n_rows = sum(len(rows) for rows in heatmap.values())
+    _in_ten_thousandths(heatmap)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{N_BINS} {n_rows}\n255\n".encode("ascii"))
-        for rows in heatmap.values():
-            fh.write(np.clip(np.rint(rows * 25.5), 0, 255).astype(np.uint8))
+        fh.write(f"P5\n{N_BINS} {heatmap.size // N_BINS}\n255\n".encode("ascii"))
+        fh.write(np.clip(np.rint(heatmap * 25.5), 0, 255).astype(np.uint8))
 
 
 def _in_ten_thousandths(rows):
@@ -111,9 +105,10 @@ def _four_decimal_lines(rows):
     return fields.tobytes().replace(b":", b"10").splitlines(keepends=True)
 
 
-def write_heatmap_csv(path, heatmap, trials):
+def write_heatmap_csv(path, heatmap, channels, trials):
     """One CSV line per heat-map row: channel, trial, block, hz_1..hz_300.
 
+    Row i of the (channels, rows, 300) heat map is channel `channels[i]`.
     `trials` lists the 1-based trial of each stacked recording, which all gave
     the same number of blocks; `block` is 0-based within the trial.  Values
     have four decimals (see `_four_decimal_lines`); one outside 0..10 raises
@@ -121,8 +116,8 @@ def write_heatmap_csv(path, heatmap, trials):
     """
     header = "channel,trial,block," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))
     parts = [header.encode("ascii") + b"\n"]
-    for cid, rows in heatmap.items():
-        per_trial = len(rows) // len(trials)
+    per_trial = heatmap.shape[1] // len(trials)
+    for cid, rows in zip(channels, heatmap):  # a channel at a time keeps the text buffers small
         for i, values in enumerate(_four_decimal_lines(rows)):
             parts += [f"{cid},{trials[i // per_trial]},{i % per_trial},".encode("utf-8"), values]
     with open(path, "wb") as fh:

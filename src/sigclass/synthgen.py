@@ -207,9 +207,8 @@ def load_recording(path, channels=None):
     Each channel is read into its row of one read-only float64 matrix.  A bad
     header, a rate below 600 Hz or fewer samples than one second, a repeated
     channel id, a file length other than the header's channels times samples,
-    or a nan/inf sample in a channel read raises ParseError naming the file
-    and the first such channel; a channel the header lacks raises
-    ConfigurationError.
+    a channel the header lacks, or a nan/inf sample in a channel read raises
+    ParseError naming the file and the first such channel.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -243,7 +242,7 @@ def load_recording(path, channels=None):
         chosen = tuple(ids if channels is None else channels)
         missing = [cid for cid in chosen if cid not in ids]
         if missing:
-            raise ConfigurationError(f"{path}: recording {label!r} has no channel {missing}")
+            raise ParseError(f"{path}: recording {label!r} has no channel {missing}")
         samples = np.empty((len(chosen), n), dtype="<f8")
         for row, cid in zip(samples, chosen):
             fh.seek(len(header) + 8 * n * ids.index(cid))

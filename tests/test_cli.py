@@ -204,6 +204,7 @@ def test_bad_config_value_is_usage_error(tmp_path):
     ("min_line_spacing_hz = 100", "rows"),
     ("min_line_spacing_hz = 100", "train"),
     ("min_line_spacing_hz = 100", "eval"),
+    pytest.param("runs = 5\nruns = 7", "train", id="runs-set-twice-train"),
 ])
 def test_config_range_error_is_usage_error(tmp_path, capsys, line, command):
     cfg_path = tmp_path / "config.txt"
@@ -222,6 +223,12 @@ def _edit_first_entry(edit):
     return corrupt
 
 
+def _repeat_first_entry(text):
+    manifest = json.loads(text)
+    manifest["recordings"].append(manifest["recordings"][0])
+    return json.dumps(manifest)
+
+
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda text: text[:100], id="cut100"),
     pytest.param(lambda text: json.dumps({"command": "synth"}), id="no-recordings"),
@@ -236,6 +243,8 @@ def _edit_first_entry(edit):
     pytest.param(_edit_first_entry(lambda e: e.update(file="AllQuiet_t2.rec")), id="file-not-entry"),
     pytest.param(_edit_first_entry(lambda e: e.update(label="../x", file=f"../x_t{e['trial']}.rec")),
                  id="label-escapes"),
+    # its rows would be written twice, maybe into both the train and the test split
+    pytest.param(_repeat_first_entry, id="repeated-entry"),
 ])
 @pytest.mark.parametrize("command", ["rows", "heatmap AllQuiet"])
 def test_corrupt_synth_manifest_is_data_error(smoke, tmp_path, capsys, command, corrupt):
@@ -500,6 +509,22 @@ def test_corrupt_recording_is_data_error(smoke, tmp_path, capsys, corrupt, messa
     _one_error_line(capsys, rec, message)
     assert run(cfg_path, copy, "heatmap", "AllQuiet") == 2
     _one_error_line(capsys, rec, message)
+    assert not list(copy.glob("rows.npz")) + list(copy.glob("heatmap_AllQuiet.*"))
+
+
+def test_recording_without_a_fused_channel_is_data_error(smoke, tmp_path, capsys):
+    # synth writes every roster channel, so a header without a fused one is a damaged file
+    cfg_path, out = smoke
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_AllQuiet.*"))
+    rec = copy / "recordings" / "AllQuiet_t1.rec"
+    rec.write_bytes(_edit_header(lambda h: h.replace(b"mag_z_side_10m", b"mag_z_side_11m"))(rec.read_bytes()))
+    assert run(cfg_path, copy, "rows") == 2
+    _one_error_line(capsys, rec, "recording 'AllQuiet' has no channel ['mag_z_side_10m']")
+    # heatmap reads every channel a header names, so it finds that the trials' channels differ
+    assert run(cfg_path, copy, "heatmap", "AllQuiet") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: recording AllQuiet_t2.rec holds other channels than AllQuiet_t1.rec"]
     assert not list(copy.glob("rows.npz")) + list(copy.glob("heatmap_AllQuiet.*"))
 
 

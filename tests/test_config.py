@@ -75,6 +75,14 @@ def test_unknown_key_rejected(tmp_path):
         read_config_file(path)
 
 
+def test_key_set_twice_rejected(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("runs = 5\n# the last value must not win silently\nruns = 7\n")
+    with pytest.raises(ConfigurationError) as err:
+        read_config_file(path)
+    assert str(err.value) == f"{path}:3: config key 'runs' is set twice (first on line 1)"
+
+
 def test_bad_value_rejected(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("runs = many\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigclass import fusion
-from sigclass.errors import ConfigurationError, SelectionError, ValidationError
+from sigclass.errors import SelectionError, ValidationError
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.spectral import N_BINS
 
@@ -31,52 +31,36 @@ def ratio(report, label):
 
 def test_single_channel_unit_weight_is_identity():
     bins = np.random.default_rng(0).random(N_BINS)
-    w = {"a": 1.0}
-    row = fusion.fuse({"a": spec(bins)}, w)
+    row = fusion.fuse(spec([bins]), [1.0])
     assert np.array_equal(row, bins)
 
 
 def test_equal_weights_average():
-    w = {"a": 1.0, "b": 1.0}
-    row = fusion.fuse(
-        {"a": spec(np.full(N_BINS, 2.0)), "b": spec(np.full(N_BINS, 4.0))}, w
-    )
+    row = fusion.fuse(spec([np.full(N_BINS, 2.0), np.full(N_BINS, 4.0)]), [1.0, 1.0])
     assert np.all(row == 3.0)
 
 
 def test_unequal_weights_average():
-    w = {"a": 1.0, "b": 3.0}
-    row = fusion.fuse(
-        {"a": spec(np.full(N_BINS, 2.0)), "b": spec(np.full(N_BINS, 4.0))}, w
-    )
+    row = fusion.fuse(spec([np.full(N_BINS, 2.0), np.full(N_BINS, 4.0)]), [1.0, 3.0])
     # (1*2 + 3*4) / 4
     assert np.all(row == 3.5)
 
 
-def test_missing_channel_is_configuration_error():
-    w = {"a": 1.0, "b": 1.0}
-    with pytest.raises(ConfigurationError):
-        fusion.fuse({"a": spec(np.ones(N_BINS))}, w)
-
-
 def test_zero_total_weight_rejected():
-    w = {"a": 0.0}
     with pytest.raises(ValidationError):
-        fusion.fuse({"a": spec(np.ones(N_BINS))}, w)
+        fusion.fuse(spec([np.ones(N_BINS)]), [0.0])
 
 
-def test_shape_mismatch_rejected():
-    # broadcasting one row against a block stack would silently mix blocks
-    w = {"a": 1.0, "b": 1.0}
-    with pytest.raises(ValidationError):
-        fusion.fuse({"a": np.ones((1, N_BINS)), "b": np.ones((250, N_BINS))}, w)
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0]])
+def test_weight_count_must_match_channels(weights):
+    with pytest.raises(ValidationError, match=f"{len(weights)} fusion weights for 2 channels"):
+        fusion.fuse(np.ones((2, 4, N_BINS)), weights)
 
 
 def test_fusion_stays_between_channel_extremes():
     rng = np.random.default_rng(4)
     sa, sb, sc = rng.random(N_BINS), rng.random(N_BINS) * 3, rng.random(N_BINS) * 0.2
-    w = {"a": 0.3, "b": 1.2, "c": 2.0}
-    row = fusion.fuse({"a": spec(sa), "b": spec(sb), "c": spec(sc)}, w)
+    row = fusion.fuse(spec([sa, sb, sc]), [0.3, 1.2, 2.0])
     lo = np.min([sa, sb, sc], axis=0)
     hi = np.max([sa, sb, sc], axis=0)
     assert np.all(row >= lo - 1e-12) and np.all(row <= hi + 1e-12)
@@ -85,9 +69,8 @@ def test_fusion_stays_between_channel_extremes():
 def test_fusion_scale_equivariant():
     rng = np.random.default_rng(5)
     sa, sb = rng.random(N_BINS), rng.random(N_BINS)
-    w = {"a": 1.0, "b": 1.0}
-    base = fusion.fuse({"a": spec(sa), "b": spec(sb)}, w)
-    scaled = fusion.fuse({"a": spec(sa * 7.0), "b": spec(sb * 7.0)}, w)
+    base = fusion.fuse(spec([sa, sb]), [1.0, 1.0])
+    scaled = fusion.fuse(spec([sa * 7.0, sb * 7.0]), [1.0, 1.0])
     assert np.allclose(scaled, base * 7.0, rtol=1e-12)
 
 

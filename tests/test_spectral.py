@@ -138,39 +138,40 @@ def test_rejects_short_block():
 # heat maps
 
 def spectra_of(*rows):
-    return np.array(rows, dtype=float)
+    """One channel's (1, rows, 300) spectra."""
+    return np.array([rows], dtype=float)
 
 
 def test_heatmap_scales_rows_to_ten():
     row = np.zeros(N_BINS)
     row[10] = 5.0
     row[20] = 2.5
-    hm = spectral.build_heatmap({"ch": spectra_of(row)})
-    assert hm["ch"][0][10] == pytest.approx(10.0)
-    assert hm["ch"][0][20] == pytest.approx(5.0)
+    hm = spectral.build_heatmap(spectra_of(row))
+    assert hm[0][0][10] == pytest.approx(10.0)
+    assert hm[0][0][20] == pytest.approx(5.0)
 
 
 def test_heatmap_zero_row_stays_zero():
-    hm = spectral.build_heatmap({"ch": spectra_of(np.zeros(N_BINS))})
-    assert np.all(hm["ch"][0] == 0.0)
+    hm = spectral.build_heatmap(spectra_of(np.zeros(N_BINS)))
+    assert np.all(hm[0][0] == 0.0)
 
 
 def test_heatmap_one_row_per_spectrum_and_range():
     rng = np.random.default_rng(9)
-    spectra = {
-        "a": spectra_of(*[rng.random(N_BINS) * 50 for _ in range(60)]),
-        "b": spectra_of(*[rng.random(N_BINS) * 3 for _ in range(40)]),
-    }
+    spectra = np.concatenate([
+        spectra_of(*[rng.random(N_BINS) * 50 for _ in range(50)]),
+        spectra_of(*[rng.random(N_BINS) * 3 for _ in range(50)]),
+    ])
     hm = spectral.build_heatmap(spectra)
-    assert sum(len(rows) for rows in hm.values()) == 100
-    for row in np.concatenate(list(hm.values())):
+    assert hm.shape == (2, 50, N_BINS)
+    for row in hm.reshape(-1, N_BINS):
         assert np.all(row >= 0.0) and np.all(row <= 10.0)
         assert row.max() == pytest.approx(10.0)
 
 
 def test_heatmap_pgm_format(tmp_path):
     row = np.linspace(0, 10, N_BINS)
-    hm = spectral.build_heatmap({"ch": spectra_of(row)})
+    hm = spectral.build_heatmap(spectra_of(row))
     path = tmp_path / "map.pgm"
     spectral.write_heatmap_pgm(path, hm)
     header = f"P5\n{N_BINS} 1\n255\n".encode("ascii")
@@ -183,9 +184,9 @@ def test_heatmap_pgm_format(tmp_path):
 
 def test_heatmap_csv_roundtrip_shape(tmp_path):
     rng = np.random.default_rng(2)
-    hm = spectral.build_heatmap({"ch": spectra_of(*[rng.random(N_BINS) for _ in range(3)])})
+    hm = spectral.build_heatmap(spectra_of(*[rng.random(N_BINS) for _ in range(3)]))
     path = tmp_path / "map.csv"
-    spectral.write_heatmap_csv(path, hm, [4])  # three blocks of trial 4
+    spectral.write_heatmap_csv(path, hm, ["ch"], [4])  # three blocks of trial 4
     lines = path.read_text().splitlines()
     assert len(lines) == 4  # header + 3 rows
     assert lines[0].split(",")[:4] == ["channel", "trial", "block", "hz_1"]
@@ -208,8 +209,8 @@ def four_decimals(v):
 def test_heatmap_text_matches_per_element_reference(tmp_path):
     rows = np.resize(np.array(AWKWARD), (4, N_BINS))
     rows[1] = rows[1][::-1]
-    hm = {"a": rows[:2], "b": rows[2:]}
-    spectral.write_heatmap_csv(tmp_path / "map.csv", hm, [1, 2])
+    hm = rows.reshape(2, 2, N_BINS)  # channels a, b; one block of trials 1, 2
+    spectral.write_heatmap_csv(tmp_path / "map.csv", hm, ["a", "b"], [1, 2])
     expected = ["channel,trial,block," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))]
     for cid, trial, block, row in [("a", 1, 0, rows[0]), ("a", 2, 0, rows[1]),
                                    ("b", 1, 0, rows[2]), ("b", 2, 0, rows[3])]:
@@ -230,7 +231,7 @@ def test_heatmap_csv_rejects_values_outside_zero_to_ten(tmp_path, bad):
     rows[1, 7] = bad
     path = tmp_path / "map.csv"
     with pytest.raises(ValidationError, match="outside 0..10"):
-        spectral.write_heatmap_csv(path, {"ch": rows}, [1])
+        spectral.write_heatmap_csv(path, rows[None], ["ch"], [1])
     assert not path.exists()
 
 
@@ -240,7 +241,7 @@ def test_heatmap_pgm_rejects_values_outside_zero_to_ten(tmp_path, bad):
     rows[1, 7] = bad
     path = tmp_path / "map.pgm"
     with pytest.raises(ValidationError, match="outside 0..10"):  # checked before the file is opened
-        spectral.write_heatmap_pgm(path, {"a": np.full((1, N_BINS), 5.0), "b": rows})
+        spectral.write_heatmap_pgm(path, np.stack([np.full((2, N_BINS), 5.0), rows]))
     assert not path.exists()
 
 
@@ -256,8 +257,8 @@ def test_array_path_matches_per_block_reference():
         "b": rng.normal(size=5500) + np.sin(2 * np.pi * 40 * np.arange(5500) / rate),
         "dead": np.zeros(5500),  # all-zero spectra, so all-zero heat-map rows
     }
-    rec = make_recording(arrays, rate=rate)
     weights = {"b": 1.7, "dead": 2.0, "a": 0.3}  # summed in this order
+    rec = make_recording({cid: arrays[cid] for cid in weights}, rate=rate)
 
     offsets = np.random.default_rng(seed).integers(0, 5500 - rate + 1, size=count)
     ref_spectra = {
@@ -277,12 +278,13 @@ def test_array_path_matches_per_block_reference():
     }
 
     blocks = spectral.extract_blocks(rec, count, seed)
-    spectra = {cid: spectral.magnitude_spectrum(b) for cid, b in blocks.items()}
-    fused = fusion.fuse(spectra, weights)
+    spectra = np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
+    fused = fusion.fuse(spectra, list(weights.values()))
     heat = spectral.build_heatmap(spectra)
 
-    for cid in arrays:
-        assert np.array_equal(spectra[cid], np.stack(ref_spectra[cid]))
-        assert np.array_equal(heat[cid], np.stack(ref_heat[cid]))
-    assert np.all(heat["dead"] == 0.0)
+    assert rec.channels == tuple(weights)  # row i of spectra and heat is channel rec.channels[i]
+    for i, cid in enumerate(rec.channels):
+        assert np.array_equal(spectra[i], np.stack(ref_spectra[cid]))
+        assert np.array_equal(heat[i], np.stack(ref_heat[cid]))
+    assert np.all(heat[rec.channels.index("dead")] == 0.0)
     assert np.array_equal(fused, np.stack(ref_fused))

@@ -212,7 +212,7 @@ def test_load_recording_reads_only_the_given_channels_read_only(tmp_path):
         assert loaded.samples.dtype == np.float64 and not loaded.samples.flags.writeable
         rows = [rec.channels.index(cid) for cid in loaded.channels]
         assert loaded.samples.tobytes() == rec.samples[rows].tobytes()
-    with pytest.raises(ConfigurationError, match="has no channel"):
+    with pytest.raises(ParseError, match="has no channel"):
         synthgen.load_recording(path, ["mic", "mag"])
 
 
