@@ -7,11 +7,10 @@ width d (the feature count), layer 3 is a plain affine map onto the c class
 outputs.  Training uses per-class sigmoid cross-entropy on the raw output
 logits, analytic backpropagation, and Adam, in float64 numpy; no autograd.
 What a training run calls writes into arrays passed as `out` (new ones when
-it is None), and `adam_update` works in place.  `sigmoid` and `forward` keep
-a float32 input in float32 (any other becomes float64) for the per-run
-scoring pass over a float32 copy of theta.  A checkpoint is an uncompressed
-.npz of the model and what `eval` needs to feed it: the kept bins, the
-labels and the row-normalization flag.
+it is None), and `adam_update` works in place.  `score` gives the same
+logits from a float32 tanh form of the net, for the per-run scoring pass.
+A checkpoint is an uncompressed .npz of the model and what `eval` needs to
+feed it: the kept bins, the labels and the row-normalization flag.
 """
 
 import math
@@ -36,22 +35,16 @@ def sigmoid(z, out=None):
     With e = exp(min(z, -z)) = exp(-|z|), maximum(e, z >= 0) / (1 + e) is
     1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0: the IEEE operations of
     the usual two-branch stable form, so each result (a NaN's sign too) is
-    bit for bit the same, from one exponential that cannot overflow.  A
-    float32 z gives a float32 result; any other z is computed in float64.
-    With `out` the result goes there and z is overwritten as scratch.
+    bit for bit the same, from one exponential that cannot overflow.  It is
+    computed in float64.  With `out` the result goes there and z is
+    overwritten as scratch.
     """
-    z = _floats(z)
+    z = np.asarray(z, dtype=float)
     if out is None:
         z, out = z.copy(), np.empty_like(z)
     e = np.exp(np.minimum(z, np.negative(z, out=out), out=out), out=out)
     numerator = np.maximum(e, np.greater_equal(z, 0.0, out=z), out=z)
     return np.divide(numerator, np.add(e, 1.0, out=e), out=out)
-
-
-def _floats(a):
-    """a as an array: float32 stays float32, anything else becomes float64."""
-    a = np.asarray(a)
-    return a if a.dtype == np.float32 else a.astype(float, copy=False)
 
 
 def unflatten(theta, d, c):
@@ -61,12 +54,23 @@ def unflatten(theta, d, c):
     return [part.reshape(shape) for part, shape in zip(np.split(theta, ends[:-1]), shapes)]
 
 
-def buffers(rows, d, c, dtype=np.float64):
+def buffers(rows, d, c):
     """Arrays for `forward` and `backward` on `rows` rows: (a1, a2, logits, h, delta).
 
     a1, a2 and h are (rows, d), logits and delta (rows, c); h and delta are scratch.
     """
-    return tuple(np.empty((rows, width), dtype) for width in (d, d, c, d, c))
+    return tuple(np.empty((rows, width)) for width in (d, d, c, d, c))
+
+
+def score_buffers(rows, d, c):
+    """Arrays for `score` on `rows` rows: (folded, folded32, t1, t2, logits).
+
+    folded and folded32 are the six parameter arrays of a float64 and of a
+    float32 flat vector; t1 and t2 are float32 (rows, d), logits (rows, c).
+    """
+    size = d * (2 * d + c + 2) + c
+    folded, folded32 = (unflatten(np.empty(size, dtype), d, c) for dtype in (np.float64, np.float32))
+    return (folded, folded32, *(np.empty((rows, width), np.float32) for width in (d, d, c)))
 
 
 def init_network(d, c, seed):
@@ -91,22 +95,58 @@ def forward(params, x, out=None):
     x has shape (batch, d).  Layers 1 and 2 apply the sigmoid to their affine
     outputs, layer 3 returns its affine output.  They go into out, a `buffers`
     tuple (new arrays when it is None); trace is (x, a1, a2, logits, h,
-    delta), what backward needs and its scratch.  A float32 x with float32
-    params gives float32 logits; any other x is taken as float64.
+    delta), what backward needs and its scratch.  It is computed in float64.
     """
     w1, b1, w2, b2, w3, b3 = params
-    x = np.atleast_2d(_floats(x))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != w1.shape[1]:
         raise ValidationError(
             f"input width {x.shape[1]} does not match network d={w1.shape[1]}"
         )
     if out is None:
-        out = buffers(len(x), len(b1), len(b3), np.result_type(x, *params))
+        out = buffers(len(x), len(b1), len(b3))
     a1, a2, z3, h, _ = out
     sigmoid(np.add(np.matmul(x, w1.T, out=h), b1, out=h), out=a1)
     sigmoid(np.add(np.matmul(a1, w2.T, out=h), b2, out=h), out=a2)
     np.add(np.matmul(a2, w3.T, out=z3), b3, out=z3)
     return z3, (x, *out)
+
+
+def score(params, x, out=None):
+    """The logits of the float64 params over the float32 rows x, from a float32 tanh net.
+
+    With sigmoid(z) = (1 + tanh(z/2)) / 2, the hidden layers' outputs are
+    a1 = (1 + t1)/2 and a2 = (1 + t2)/2, where t1 = tanh(v1 x + c1) and
+    t2 = tanh(v2 t1 + c2), and the logits are v3 t2 + c3, for v1 = w1/2,
+    c1 = b1/2, v2 = w2/4, c2 = (rowsum(w2)/2 + b2)/2, v3 = w3/2 and
+    c3 = rowsum(w3)/2 + b3.  Those are folded in float64 and rounded once to
+    float32; then each layer is one matmul and a bias add, and each hidden
+    layer one tanh.  The logits differ from `forward`'s by float32 rounding
+    only.  out is a `score_buffers` tuple (new arrays when it is None), and
+    the logits are its last array.
+    """
+    w1, b1, w2, b2, w3, b3 = params
+    if out is None:
+        out = score_buffers(len(x), len(b1), len(b3))
+    folded, folded32, t1, t2, z3 = out
+    v1, c1, v2, c2, v3, c3 = folded
+    np.multiply(w1, 0.5, out=v1)
+    np.multiply(b1, 0.5, out=c1)
+    np.multiply(w2, 0.25, out=v2)
+    np.sum(w2, axis=1, out=c2)
+    c2 *= 0.5
+    c2 += b2
+    c2 *= 0.5
+    np.multiply(w3, 0.5, out=v3)
+    np.sum(w3, axis=1, out=c3)
+    c3 *= 0.5
+    c3 += b3
+    for a, a32 in zip(folded, folded32):
+        np.copyto(a32, a)
+    v1, c1, v2, c2, v3, c3 = folded32
+    np.tanh(np.add(np.matmul(x, v1.T, out=t1), c1, out=t1), out=t1)
+    np.tanh(np.add(np.matmul(t1, v2.T, out=t2), c2, out=t2), out=t2)
+    return np.add(np.matmul(t2, v3.T, out=z3), c3, out=z3)
 
 
 def loss(logits, targets, out=None):
@@ -179,16 +219,21 @@ def decode(logits, out=None):
     """(hot, preds): rounded outputs and the one-hot index or UNCLASSIFIED.
 
     sigmoid(z) >= 0.5 exactly when z >= 0, so hot = logits >= 0 per element.
-    out is a bool array shaped as logits and two int row vectors to write
-    into (new ones when it is None).
+    One float32 matmul of the 0/1 outputs by the columns [1, k + 1] gives
+    each row's hot count and, where one output k is hot, k + 1; its integer
+    sums are exact while the class count c stays below 2**24.  out is a bool
+    and a float32 array shaped as logits, a (rows, 2) float32 array and an
+    int row vector to write into (new ones when it is None).
     """
-    hot, one, preds = (None, None, None) if out is None else out
-    hot = np.greater_equal(logits, 0.0, out=hot)
-    one = np.equal(np.sum(hot, axis=1, out=one), 1, out=one)  # 1 where one output is hot
-    preds = np.argmax(hot, axis=1, out=preds)
-    preds += 1  # the hot index where one output is hot, else UNCLASSIFIED = -1
-    preds *= one
-    preds -= 1
+    rows, c = logits.shape
+    hot, ones, tally, preds = (np.empty((rows, c), bool), np.empty((rows, c), np.float32),
+                               np.empty((rows, 2), np.float32), np.empty(rows, int)) if out is None else out
+    np.greater_equal(logits, 0.0, out=hot)
+    np.copyto(ones, hot)
+    count, index = np.matmul(ones, np.array([np.ones(c), np.arange(1, c + 1)], np.float32).T, out=tally).T
+    np.equal(count, 1.0, out=count)  # 1 where one output is hot
+    np.multiply(count, index, out=preds, casting="unsafe")
+    preds -= 1  # the hot index where one output is hot, else UNCLASSIFIED = -1
     return hot, preds
 
 

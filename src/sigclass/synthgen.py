@@ -206,9 +206,10 @@ def load_recording(path, channels=None):
 
     Each channel is read into its row of one read-only float64 matrix.  A bad
     header, a rate below 600 Hz or fewer samples than one second, a repeated
-    channel id, a file length other than the header's channels times samples,
-    a channel the header lacks, or a nan/inf sample in a channel read raises
-    ParseError naming the file and the first such channel.
+    channel id or one outside ROSTER, a file length other than the header's
+    channels times samples, a channel the header lacks, or a nan/inf sample
+    in a channel read raises ParseError naming the file and the first such
+    channel.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -236,6 +237,9 @@ def load_recording(path, channels=None):
         repeated = [cid for cid in dict.fromkeys(ids) if ids.count(cid) > 1]
         if repeated:
             raise ParseError(f"{path}: header repeats channel {repeated[0]!r}")
+        unknown = [cid for cid in ids if cid not in ROSTER]
+        if unknown:
+            raise ParseError(f"{path}: header names channel {unknown[0]!r}, which is not in the roster")
         if payload != 8 * n * len(ids):
             raise ParseError(f"{path}: payload of {payload} bytes, expected {8 * n * len(ids)} "
                              f"({len(ids)} channels of {n} float64 samples)")

@@ -119,9 +119,9 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
 
     The batch forward, backward and Adam step run in float64 on one flat
     parameter vector (see `dnn`), so the parameters do not depend on the
-    scoring.  Each run scores with one float32 forward pass of a float32 copy
-    of that vector over the train and test rows stacked once before the loop,
-    and decodes the stacked logits once; only the logged loss differs from
+    scoring.  Each run scores with one `dnn.score` pass, the net as a float32
+    tanh net, over the train and test rows stacked once before the loop, and
+    decodes the stacked logits once; only the logged loss differs from
     float64 scoring, in about its seventh significant digit.  Every array a
     run writes into is made before the loop.  Features large enough to
     overflow the scoring pass raise ValidationError.
@@ -141,21 +141,21 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     except FloatingPointError:
         raise ValidationError("a feature magnitude exceeds float32, which the scoring pass "
                               "uses; set normalize_rows = true") from None
-    # every partial sum of the scoring pass's first layer is within
-    # reach * max|w1| + max|b1|; that bound is checked each run, because numpy
-    # does not see an overflow inside a BLAS worker thread
+    # the scoring pass's first layer sees w1/2 and b1/2, so each of its partial
+    # sums is within reach * max|w1| + max|b1|; that bound is checked each run,
+    # because numpy does not see an overflow inside a BLAS worker thread
     reach = float(np.abs(x_score).sum(axis=1, dtype=float).max())
     (n_train, d), n, batch = x_train.shape, len(y_all), cfg.batch_size
     halves = slice(n_train), slice(n_train, None)
 
     init_seed = derive_rng(cfg.seed, "init").integers(2**32)
     theta = np.concatenate([np.ravel(p) for p in dnn.init_network(d, c, seed=init_seed)])
-    theta32, grad, state = np.empty(len(theta), np.float32), np.empty_like(theta), np.zeros((3, len(theta)))
-    params, params32, grads = (dnn.unflatten(v, d, c) for v in (theta, theta32, grad))
+    grad, state = np.empty_like(theta), np.zeros((3, len(theta)))
+    params, grads = dnn.unflatten(theta, d, c), dnn.unflatten(grad, d, c)
     w1, b1 = params[:2]
-    batch_out, score_out = dnn.buffers(batch, d, c), dnn.buffers(n, d, c, np.float32)
+    batch_out, score_out = dnn.buffers(batch, d, c), dnn.score_buffers(n, d, c)
     x_batch, t_batch, loss_out = np.empty((batch, d), x_train.dtype), np.empty((batch, c)), np.empty((2, n_train, c))
-    decoded = np.empty((n, c), bool), np.empty(n, int), np.empty(n, int)
+    decoded = np.empty((n, c), bool), np.empty((n, c), np.float32), np.empty((n, 2), np.float32), np.empty(n, int)
     right, bits = np.empty(n, bool), np.empty((n, c), bool)
     batch_rng = derive_rng(cfg.seed, "batches")
 
@@ -171,8 +171,7 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
         if reach * max(w1.max(), -w1.min()) + max(b1.max(), -b1.min()) > _FLOAT32_HALF:
             raise ValidationError(f"run {run}: the feature magnitudes can overflow the float32 "
                                   "scoring pass; set normalize_rows = true")
-        theta32[:] = theta
-        logits = dnn.forward(params32, x_score, score_out)[0]
+        logits = dnn.score(params, x_score, score_out)
         train_loss = dnn.loss(logits[:n_train], targets, loss_out)
         hot, preds = dnn.decode(logits, decoded)
         np.equal(preds, y_all, out=right)

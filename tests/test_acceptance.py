@@ -369,3 +369,23 @@ def test_criterion_10_mask_ground_truth(group1_run, group2_run):
         details.append(f"{group} {near}/{len(kept)} kept bins within 1 Hz of a line, "
                        f"{covered}/{len(lines)} lines with a kept bin within 1 Hz")
     check(10, ok, "; ".join(details))
+
+
+# ---------------------------------------------------------------------------
+# recordings the model never saw: new recordings of the same profiles
+
+def test_checkpoint_classifies_new_recordings_of_its_profiles(group1_run, tmp_path):
+    out, _ = group1_run
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(f"group = Group1\nprofiles_file = {out / 'profiles.txt'}\n")
+    fresh = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(fresh), "--seed", "1"]  # the fixture used seed 0
+    assert cli.main(args + ["synth"]) == 0
+    assert cli.main(args + ["rows"]) == 0
+    assert cli.main(args + ["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                            "--rows", str(fresh / "rows.npz")]) == 0
+    accuracy = json.loads((fresh / "eval_manifest.json").read_text())["accuracy"]
+    rows = len(trainer.load_rows(fresh / "rows.npz").y)
+    check("new recordings", accuracy >= 0.80,
+          f"the Group1 checkpoint scores {accuracy:.4f} >= 0.80 on {rows} rows of "
+          "new seed-1 recordings of its profiles")

@@ -487,6 +487,8 @@ def _set_sample(offset, value):
     pytest.param(_sample_major, "not a SIGREC2 recording", id="sample-major-sigrec1"),
     pytest.param(_edit_header(lambda h: h.replace(b",mic_front_5m,", b",mic_front_10m,")),
                  "header repeats channel 'mic_front_10m'", id="repeated-channel"),
+    pytest.param(_edit_header(lambda h: h.replace(b"mic_front_10m", b"bogus_id")),
+                 "header names channel 'bogus_id', which is not in the roster", id="unknown-channel"),
     pytest.param(_edit_header(lambda h: h.replace(b" duration=2.0", b"")), "duration", id="no-duration"),
     pytest.param(_edit_header(lambda h: h.replace(b"rate=2000", b"rate=fast")), "fast", id="rate"),
     pytest.param(_edit_header(lambda h: h.replace(b"duration=2.0", b"duration=2s")), "2s", id="duration"),
@@ -520,11 +522,11 @@ def test_recording_without_a_fused_channel_is_data_error(smoke, tmp_path, capsys
     rec = copy / "recordings" / "AllQuiet_t1.rec"
     rec.write_bytes(_edit_header(lambda h: h.replace(b"mag_z_side_10m", b"mag_z_side_11m"))(rec.read_bytes()))
     assert run(cfg_path, copy, "rows") == 2
-    _one_error_line(capsys, rec, "recording 'AllQuiet' has no channel ['mag_z_side_10m']")
-    # heatmap reads every channel a header names, so it finds that the trials' channels differ
+    # the new id is outside the roster, which both stages check before the fused channels
+    _one_error_line(capsys, rec, "header names channel 'mag_z_side_11m', which is not in the roster")
     assert run(cfg_path, copy, "heatmap", "AllQuiet") == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: recording AllQuiet_t2.rec holds other channels than AllQuiet_t1.rec"]
+    assert err == [f"error: {rec}: header names channel 'mag_z_side_11m', which is not in the roster"]
     assert not list(copy.glob("rows.npz")) + list(copy.glob("heatmap_AllQuiet.*"))
 
 

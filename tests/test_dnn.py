@@ -59,12 +59,8 @@ def test_init_rejects_degenerate_sizes():
 # sigmoid
 
 def reference_sigmoid(z):
-    """The two-branch stable sigmoid, with boolean masks: the bitwise reference.
-
-    A floating z keeps its dtype, as in dnn.sigmoid; anything else becomes float64.
-    """
-    z = np.asarray(z)
-    z = z if z.dtype.kind == "f" else z.astype(float)
+    """The two-branch stable sigmoid in float64, with boolean masks: the bitwise reference."""
+    z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -85,13 +81,6 @@ def test_sigmoid_bit_identical_to_branched_reference():
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     x = np.random.default_rng(4).normal(scale=6.0, size=(37, 11))
     assert np.array_equal(dnn.sigmoid(x).view(np.int64), reference_sigmoid(x).view(np.int64))
-    # float32, as in the training loop's scoring pass
-    z32 = np.concatenate([np.linspace(-200.0, 200.0, 200_001), SIGMOID_EDGES]).astype(np.float32)
-    with np.errstate(under="ignore"):
-        expected32 = reference_sigmoid(z32)
-        got32 = dnn.sigmoid(z32)
-    assert got32.dtype == expected32.dtype == np.float32
-    assert np.array_equal(got32.view(np.int32), expected32.view(np.int32))
 
 
 def test_sigmoid_matches_mpmath_oracle():
@@ -115,20 +104,6 @@ def test_sigmoid_never_overflows_or_goes_invalid():
         out = dnn.sigmoid(z)
     # exp(-745) rounds to the smallest subnormal, 5e-324
     assert np.array_equal(out, [0.0, 5e-324, 1.0, 1.0, 0.0, 1.0])
-
-
-def test_sigmoid_bit_identical_on_random_float32_bit_patterns():
-    # 2^22 random bit patterns: about 1/256 of them NaN and 1/256 subnormal
-    bits = np.random.default_rng(8).integers(0, 2**32, size=2**22, dtype=np.uint32)
-    z = np.concatenate([bits.view(np.float32), np.float32(SIGMOID_EDGES + [1e-45, -1e-45])])
-    assert np.isnan(z).sum() > 10_000 and np.isinf(z).sum() == 2
-    assert ((np.abs(z) < np.finfo(np.float32).tiny) & (z != 0)).sum() > 10_000
-    with np.errstate(invalid="ignore"):  # signaling NaNs
-        expected = reference_sigmoid(z)
-        results = [dnn.sigmoid(z), dnn.sigmoid(z.copy(), out=np.empty_like(z))]
-    for got in results:
-        assert got.dtype == np.float32
-        assert np.array_equal(got.view(np.int32), expected.view(np.int32))  # NaNs included
 
 
 def test_sigmoid_out_overwrites_z_and_no_out_leaves_it():
@@ -163,9 +138,9 @@ def test_sigmoid_swap_leaves_training_bit_identical(monkeypatch):
 
     monkeypatch.setattr(dnn, "sigmoid", swapped)
     p_ref, log_ref = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
-    # the batch pass, backward and the scoring pass all go through the swapped sigmoid
-    assert len(calls) >= 3 * cfg.runs
-    assert {(12, 5), (12, 3), (len(x), 5)} <= set(calls)
+    # the batch pass and backward go through the swapped sigmoid; the scoring pass uses tanh
+    assert len(calls) == 3 * cfg.runs
+    assert set(calls) == {(12, 5), (12, 3)}
     for a, b in zip(p_new, p_ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
     assert log_new.records.shape == log_ref.records.shape == (25, 5)
@@ -199,18 +174,6 @@ def test_forward_batch_shape():
     logits, (_, a1, *_) = dnn.forward(p, x)
     assert logits.shape == (150, 4)
     assert a1.shape == (150, 23)
-
-
-def test_forward_keeps_float32_and_widens_the_rest():
-    p = dnn.init_network(6, 3, seed=4)
-    x = np.random.default_rng(5).random((9, 6))
-    p32 = [a.astype(np.float32) for a in p]
-    logits32, (x32, a1, a2, *_) = dnn.forward(p32, x.astype(np.float32))
-    assert {a.dtype for a in (logits32, x32, a1, a2)} == {np.dtype(np.float32)}
-    assert np.allclose(logits32, dnn.forward(p, x)[0], rtol=0, atol=1e-5)
-    assert dnn.forward(p, x.tolist())[0].dtype == np.float64
-    assert dnn.forward(p, np.ones((2, 6), dtype=int))[0].dtype == np.float64
-    assert dnn.forward(p, [1] * 6)[1][0].dtype == np.float64
 
 
 def test_forward_rejects_wrong_width():
@@ -377,16 +340,37 @@ def test_buffered_passes_bit_identical_to_expressions(d, c, batch):
         assert np.array_equal(logits.view(np.int64), want_logits.view(np.int64))
         dnn.backward(params, trace, y, dnn.unflatten(grad, d, c))
         assert np.array_equal(grad.view(np.int64), flat(want_grads).view(np.int64))
-    # the float32 scoring pass
-    p32, x32 = [a.astype(np.float32) for a in p], x.astype(np.float32)
-    theta32 = theta.astype(np.float32)
-    got32 = dnn.forward(dnn.unflatten(theta32, d, c), x32, dnn.buffers(batch, d, c, np.float32))[0]
-    want32 = dnn.forward(p32, x32)[0]
-    w1, b1, w2, b2, w3, b3 = p32
-    expr32 = reference_sigmoid(reference_sigmoid(x32 @ w1.T + b1) @ w2.T + b2) @ w3.T + b3
-    assert got32.dtype == want32.dtype == expr32.dtype == np.float32
-    assert np.array_equal(got32.view(np.int32), want32.view(np.int32))
-    assert np.array_equal(got32.view(np.int32), expr32.view(np.int32))
+
+
+# ---------------------------------------------------------------------------
+# score
+
+def reference_score(params, x):
+    """Scoring logits as plain expressions with new arrays: the bitwise reference for dnn.score."""
+    w1, b1, w2, b2, w3, b3 = params
+    folded = [w1 / 2, b1 / 2, w2 / 4, (w2.sum(axis=1) / 2 + b2) / 2, w3 / 2, w3.sum(axis=1) / 2 + b3]
+    v1, c1, v2, c2, v3, c3 = [a.astype(np.float32) for a in folded]
+    t1 = np.tanh(x @ v1.T + c1)
+    t2 = np.tanh(t1 @ v2.T + c2)
+    return t2 @ v3.T + c3
+
+
+@pytest.mark.parametrize("d, c, rows", [(5, 3, 12), (58, 4, 600), (77, 7, 1015), (125, 7, 300)])
+def test_score_bit_identical_to_expressions_and_near_float64_forward(d, c, rows):
+    rng = np.random.default_rng(d)
+    x = rng.random((rows, d)).astype(np.float32)
+    theta = flat(dnn.init_network(d, c, seed=d))
+    theta += rng.normal(scale=0.5, size=theta.shape)  # nonzero biases and weights past init's range
+    params = dnn.unflatten(theta, d, c)
+    want = reference_score(params, x)
+    out = dnn.score_buffers(rows, d, c)
+    for got in (dnn.score(params, x), dnn.score(params, x, out), dnn.score(params, x, out)):
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got.view(np.int32), want.view(np.int32))
+    assert got is out[-1]
+    z = dnn.forward(params, x)[0]
+    assert np.abs(z).max() > 1.0  # the logits reach past the bound's constant term
+    assert np.all(np.abs(got - z) <= 1e-5 * (1.0 + np.abs(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +509,21 @@ def test_predict_matches_rounded_one_hot():
 
 
 def test_decode_matches_where_form_with_and_without_out():
-    logits = np.random.default_rng(12).normal(size=(500, 4)).astype(np.float32)
-    logits[::7, 0] = -0.0  # -0 >= 0: hot
-    hot_ref = logits >= 0.0
-    preds_ref = np.where(hot_ref.sum(axis=1) == 1, hot_ref.argmax(axis=1), UNCLASSIFIED)
-    assert {0, 1, 2, 3} <= set(hot_ref.sum(axis=1).tolist())
-    for out in (None, (np.empty((500, 4), bool), np.empty(500, int), np.empty(500, int))):
-        hot, preds = dnn.decode(logits, out)
-        assert np.array_equal(hot, hot_ref)
-        assert preds.dtype == preds_ref.dtype and np.array_equal(preds, preds_ref)
+    # with 12 classes, the shift makes rows with no, one and several hot outputs all common
+    for c, shift in [(4, 0.0), (12, -1.3)]:
+        logits = (np.random.default_rng(12).normal(size=(500, c)) + shift).astype(np.float32)
+        logits[::7, 0] = -0.0  # -0 >= 0: hot
+        hot_ref = logits >= 0.0
+        preds_ref = np.where(hot_ref.sum(axis=1) == 1, hot_ref.argmax(axis=1), UNCLASSIFIED)
+        counts = set(hot_ref.sum(axis=1).tolist())
+        assert {0, 1, 2} <= counts and max(counts) >= 3
+        assert len(set(preds_ref[preds_ref != UNCLASSIFIED].tolist())) == c
+        out = (np.empty((500, c), bool), np.empty((500, c), np.float32), np.empty((500, 2), np.float32),
+               np.empty(500, int))
+        for buffers in (None, out):
+            hot, preds = dnn.decode(logits, buffers)
+            assert np.array_equal(hot, hot_ref) and hot.dtype == bool
+            assert preds.dtype == preds_ref.dtype and np.array_equal(preds, preds_ref)
 
 
 # ---------------------------------------------------------------------------

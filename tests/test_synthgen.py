@@ -170,8 +170,9 @@ def test_unknown_group_rejected():
 # persistence
 
 def test_recording_roundtrip(tmp_path):
-    p = profile({"mic": [SpectralLine(42, 1.1)]}, noise=0.4)
-    rec = synthgen.synthesize_recording(p, SETUP, 2.0, 2000, seed=12)
+    # load_recording takes roster ids only
+    p = profile({"mic_front_10m": [SpectralLine(42, 1.1)]}, noise=0.4)
+    rec = synthgen.synthesize_recording(p, ("mic_front_10m", "geo_front_10m"), 2.0, 2000, seed=12)
     path = tmp_path / "t.rec"
     synthgen.save_recording(path, rec)
     loaded = synthgen.load_recording(path)
@@ -202,18 +203,19 @@ def test_recording_bytes_are_header_then_channel_major_float64(tmp_path):
 
 
 def test_load_recording_reads_only_the_given_channels_read_only(tmp_path):
-    p = profile({"mic": [SpectralLine(42, 1.1)], "geo": [SpectralLine(7, 0.3)]}, noise=0.4)
-    rec = synthgen.synthesize_recording(p, ("mic", "geo", "accel"), 1.5, 1000, seed=4)
+    mic, geo, accel = "mic_front_10m", "geo_front_10m", "accel_engine"  # load_recording takes roster ids only
+    p = profile({mic: [SpectralLine(42, 1.1)], geo: [SpectralLine(7, 0.3)]}, noise=0.4)
+    rec = synthgen.synthesize_recording(p, (mic, geo, accel), 1.5, 1000, seed=4)
     path = tmp_path / "t.rec"
     synthgen.save_recording(path, rec)
-    for channels in (["accel", "mic"], ["geo"], None):
+    for channels in ([accel, mic], [geo], None):
         loaded = synthgen.load_recording(path, channels)
-        assert loaded.channels == tuple(channels or ["mic", "geo", "accel"])
+        assert loaded.channels == tuple(channels or [mic, geo, accel])
         assert loaded.samples.dtype == np.float64 and not loaded.samples.flags.writeable
         rows = [rec.channels.index(cid) for cid in loaded.channels]
         assert loaded.samples.tobytes() == rec.samples[rows].tobytes()
     with pytest.raises(ParseError, match="has no channel"):
-        synthgen.load_recording(path, ["mic", "mag"])
+        synthgen.load_recording(path, [mic, "mag_x_side_10m"])
 
 
 def reference_synthesize(profile, channels, duration_s, sample_rate_hz, seed):

@@ -9,7 +9,7 @@ from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.rng import derive_rng
 from sigclass.spectral import N_BINS
 from sigclass.trainer import Dataset
-from test_dnn import reference_adam
+from test_dnn import reference_adam, reference_score
 
 LN2 = 0.6931471805599453
 # the columns of RunLog.records
@@ -349,8 +349,8 @@ def reference_train(x_train, y_train, x_test, y_test, c, cfg):
     """The training loop with new arrays for every step: the bitwise reference.
 
     It calls the dnn functions without `out` arrays, steps Adam per parameter
-    array, and scores with float32 copies of the parameters over the stacked
-    rows, decoding the train and test logits apart.
+    array, and scores with the plain-expression tanh net (`reference_score`)
+    over the stacked rows, decoding the train and test logits apart.
     """
     targets = np.eye(c)[y_train]
     hot_train, hot_test = np.eye(c, dtype=bool)[y_train], np.eye(c, dtype=bool)[y_test]
@@ -365,7 +365,7 @@ def reference_train(x_train, y_train, x_test, y_test, c, cfg):
         _, trace = dnn.forward(params, x_train[idx])
         grads = dnn.backward(params, trace, targets[idx])
         params, m, v = reference_adam(params, grads, m, v, run, cfg.learn_rate)
-        logits = dnn.forward([p.astype(np.float32) for p in params], x_score)[0]
+        logits = reference_score(params, x_score)
         train_logits, test_logits = logits[:n_train], logits[n_train:]
         scores = []
         for split_logits, y, y_hot in [(train_logits, y_train, hot_train), (test_logits, y_test, hot_test)]:
