@@ -182,6 +182,7 @@ def cmd_train(args):
     _print_warnings(report.warnings)
 
     x = trainer.features_matrix(ds.rows, mask, cfg.normalize_rows)
+    del ds  # frees the (n, 300) rows and their views before training
     train_idx, test_idx = trainer.split(y, cfg)
     missing = np.flatnonzero(np.bincount(y[train_idx], minlength=len(vocab)) == 0)
     _print_warnings(f"class {vocab[k]!r} absent from the training split" for k in missing)
@@ -221,6 +222,7 @@ def cmd_eval(args):
         raise ValidationError(f"label {missing[0]!r} not in vocabulary {vocab}")
     y = np.array([vocab.index(label) for label in ds.label_vocab])[ds.y]  # the checkpoint's indices
     x = trainer.features_matrix(ds.rows, fusion.FeatureMask(kept=mask_bins), normalize)
+    del ds  # frees the (n, 300) rows and their views before scoring
     accuracy, counts = trainer.evaluate(params, x, y, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,9 @@ outputs.  Training uses per-class sigmoid cross-entropy on the raw output
 logits, analytic backpropagation, and Adam, in float64 numpy; no autograd.
 What a training run calls writes into arrays passed as `out` (new ones when
 it is None), and `adam_update` works in place.  `score` gives the same
-logits from a float32 tanh form of the net, for the per-run scoring pass.
+logits from a float32 tanh form of the net, for the per-run scoring pass;
+it works feature-major, on the rows as columns, so its logits are
+(classes, rows), the layout `loss` and `decode` take as well.
 A checkpoint is an uncompressed .npz of the model and what `eval` needs to
 feed it: the kept bins, the labels and the row-normalization flag.
 """
@@ -65,12 +67,13 @@ def buffers(rows, d, c):
 def score_buffers(rows, d, c):
     """Arrays for `score` on `rows` rows: (folded, folded32, t1, t2, logits).
 
-    folded and folded32 are the six parameter arrays of a float64 and of a
-    float32 flat vector; t1 and t2 are float32 (rows, d), logits (rows, c).
+    folded and folded32 are the float64 and float32 augmented weights, each
+    one (2d + c, d + 1) matrix: rows :d are layer 1, d:2d layer 2 and 2d:
+    layer 3, each with its bias as the last column.  t1 and t2 are float32
+    (d + 1, rows) with their last row set to ones, logits float32 (c, rows).
     """
-    size = d * (2 * d + c + 2) + c
-    folded, folded32 = (unflatten(np.empty(size, dtype), d, c) for dtype in (np.float64, np.float32))
-    return (folded, folded32, *(np.empty((rows, width), np.float32) for width in (d, d, c)))
+    folded, folded32 = (np.empty((2 * d + c, d + 1), dtype) for dtype in (np.float64, np.float32))
+    return (folded, folded32, *np.ones((2, d + 1, rows), np.float32), np.empty((c, rows), np.float32))
 
 
 def init_network(d, c, seed):
@@ -112,56 +115,54 @@ def forward(params, x, out=None):
     return z3, (x, *out)
 
 
-def score(params, x, out=None):
-    """The logits of the float64 params over the float32 rows x, from a float32 tanh net.
+def score(params, a, out=None):
+    """The (c, rows) logits of the float64 params over the float32 columns of a, from a float32 tanh net.
 
-    With sigmoid(z) = (1 + tanh(z/2)) / 2, the hidden layers' outputs are
+    a is (d + 1, rows): the rows as columns over a last row of ones.  With
+    sigmoid(z) = (1 + tanh(z/2)) / 2, the hidden layers' outputs are
     a1 = (1 + t1)/2 and a2 = (1 + t2)/2, where t1 = tanh(v1 x + c1) and
     t2 = tanh(v2 t1 + c2), and the logits are v3 t2 + c3, for v1 = w1/2,
     c1 = b1/2, v2 = w2/4, c2 = (rowsum(w2)/2 + b2)/2, v3 = w3/2 and
-    c3 = rowsum(w3)/2 + b3.  Those are folded in float64 and rounded once to
-    float32; then each layer is one matmul and a bias add, and each hidden
-    layer one tanh.  The logits differ from `forward`'s by float32 rounding
-    only.  out is a `score_buffers` tuple (new arrays when it is None), and
-    the logits are its last array.
+    c3 = rowsum(w3)/2 + b3.  Those are folded in float64 into the augmented
+    matrices [v1 c1], [v2 c2] and [v3 c3] and rounded once to float32; the
+    ones rows of a, t1 and t2 then carry the biases, so each layer is one
+    matmul, and each hidden layer one tanh.  The logits differ from
+    `forward`'s by float32 rounding only.  out is a `score_buffers` tuple
+    (new arrays when it is None), and the logits are its last array.
     """
     w1, b1, w2, b2, w3, b3 = params
+    d = len(b1)
     if out is None:
-        out = score_buffers(len(x), len(b1), len(b3))
+        out = score_buffers(a.shape[1], d, len(b3))
     folded, folded32, t1, t2, z3 = out
-    v1, c1, v2, c2, v3, c3 = folded
-    np.multiply(w1, 0.5, out=v1)
-    np.multiply(b1, 0.5, out=c1)
-    np.multiply(w2, 0.25, out=v2)
-    np.sum(w2, axis=1, out=c2)
-    c2 *= 0.5
-    c2 += b2
-    c2 *= 0.5
-    np.multiply(w3, 0.5, out=v3)
-    np.sum(w3, axis=1, out=c3)
-    c3 *= 0.5
-    c3 += b3
-    for a, a32 in zip(folded, folded32):
-        np.copyto(a32, a)
-    v1, c1, v2, c2, v3, c3 = folded32
-    np.tanh(np.add(np.matmul(x, v1.T, out=t1), c1, out=t1), out=t1)
-    np.tanh(np.add(np.matmul(t1, v2.T, out=t2), c2, out=t2), out=t2)
-    return np.add(np.matmul(t2, v3.T, out=z3), c3, out=z3)
+    np.multiply(w1, 0.5, out=folded[:d, :d])
+    np.multiply(b1, 0.5, out=folded[:d, d])
+    np.multiply(w2, 0.5, out=folded[d:2 * d, :d])
+    np.multiply(w3, 0.5, out=folded[2 * d:, :d])
+    np.sum(folded[d:, :d], axis=1, out=folded[d:, d])  # rowsum(w)/2 for layers 2 and 3
+    folded[d:2 * d, d] += b2
+    folded[2 * d:, d] += b3
+    folded[d:2 * d] *= 0.5
+    np.copyto(folded32, folded)
+    h1, h2 = t1[:d], t2[:d]
+    np.tanh(np.matmul(folded32[:d], a, out=h1), out=h1)
+    np.tanh(np.matmul(folded32[d:2 * d], t1, out=h2), out=h2)
+    return np.matmul(folded32[2 * d:], t2, out=z3)
 
 
 def loss(logits, targets, out=None):
-    """Mean stable sigmoid cross-entropy over all batch x class elements.
+    """Mean stable sigmoid cross-entropy over all elements of logits and targets.
 
-    Per element: max(z, 0) - z*y + log1p(exp(-|z|)), computed in float64,
-    which equals -y*log(sigmoid(z)) - (1-y)*log(1-sigmoid(z)) but never
-    overflows.  out is two float64 scratch arrays shaped as logits (new ones
-    when it is None).
+    Per element: max(z, 0) - z*y + log1p(exp(-|z|)), which equals
+    -y*log(sigmoid(z)) - (1-y)*log(1-sigmoid(z)) but never overflows.  It
+    is computed in the dtype of out, two scratch arrays shaped as logits, or
+    in float64 when out is None.
     """
     if not np.isfinite([np.min(logits), np.max(logits)]).all():
         raise NumericalError("non-finite logits in loss")
     per_element, part = np.empty((2, *np.shape(logits))) if out is None else out
     np.maximum(logits, 0.0, out=per_element)
-    per_element -= np.multiply(logits, targets, out=part, dtype=float)
+    per_element -= np.multiply(logits, targets, out=part, dtype=part.dtype)
     np.log1p(np.exp(np.negative(np.abs(logits, out=part), out=part), out=part), out=part)
     per_element += part
     return float(np.mean(per_element))
@@ -212,25 +213,25 @@ def adam_update(theta, grad, state, t, alpha):
 
 def predict_batch(params, x):
     """Class index or UNCLASSIFIED (see decode) for each row of a (batch, d) matrix."""
-    return decode(forward(params, x)[0])[1].astype(int)
+    return decode(forward(params, x)[0].T)[1].astype(int)
 
 
 def decode(logits, out=None):
-    """(hot, preds): rounded outputs and the one-hot index or UNCLASSIFIED.
+    """(hot, preds) of (c, rows) logits: rounded outputs and the one-hot index or UNCLASSIFIED.
 
     sigmoid(z) >= 0.5 exactly when z >= 0, so hot = logits >= 0 per element.
-    One float32 matmul of the 0/1 outputs by the columns [1, k + 1] gives
-    each row's hot count and, where one output k is hot, k + 1; its integer
+    One float32 matmul of the rows [1, k + 1] by the 0/1 outputs gives each
+    column's hot count and, where one output k is hot, k + 1; its integer
     sums are exact while the class count c stays below 2**24.  out is a bool
-    and a float32 array shaped as logits, a (rows, 2) float32 array and an
-    int row vector to write into (new ones when it is None).
+    and a float32 array shaped as logits, a (2, rows) float32 array and an
+    int vector of rows to write into (new ones when it is None).
     """
-    rows, c = logits.shape
-    hot, ones, tally, preds = (np.empty((rows, c), bool), np.empty((rows, c), np.float32),
-                               np.empty((rows, 2), np.float32), np.empty(rows, int)) if out is None else out
+    c, rows = logits.shape
+    hot, ones, tally, preds = (np.empty((c, rows), bool), np.empty((c, rows), np.float32),
+                               np.empty((2, rows), np.float32), np.empty(rows, int)) if out is None else out
     np.greater_equal(logits, 0.0, out=hot)
     np.copyto(ones, hot)
-    count, index = np.matmul(ones, np.array([np.ones(c), np.arange(1, c + 1)], np.float32).T, out=tally).T
+    count, index = np.matmul(np.array([np.ones(c), np.arange(1, c + 1)], np.float32), ones, out=tally)
     np.equal(count, 1.0, out=count)  # 1 where one output is hot
     np.multiply(count, index, out=preds, casting="unsafe")
     preds -= 1  # the hot index where one output is hot, else UNCLASSIFIED = -1

@@ -73,12 +73,14 @@ def write_heatmap_pgm(path, heatmap):
     _in_ten_thousandths(heatmap)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{N_BINS} {heatmap.size // N_BINS}\n255\n".encode("ascii"))
-        fh.write(np.clip(np.rint(heatmap * 25.5), 0, 255).astype(np.uint8))
+        pixels = heatmap * 25.5
+        fh.write(np.clip(np.rint(pixels, out=pixels), 0, 255, out=pixels).astype(np.uint8))
 
 
 def _in_ten_thousandths(rows):
     """rint(rows * 1e4); a value outside 0..10 at that rounding, or NaN, raises ValidationError."""
-    scaled = np.rint(rows * 1e4)
+    scaled = rows * 1e4
+    np.rint(scaled, out=scaled)
     if not np.all((scaled >= 0) & (scaled <= 100_000)):
         raise ValidationError("heat-map value outside 0..10 or NaN; cannot write it")
     return scaled

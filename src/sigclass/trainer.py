@@ -120,11 +120,13 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     The batch forward, backward and Adam step run in float64 on one flat
     parameter vector (see `dnn`), so the parameters do not depend on the
     scoring.  Each run scores with one `dnn.score` pass, the net as a float32
-    tanh net, over the train and test rows stacked once before the loop, and
-    decodes the stacked logits once; only the logged loss differs from
-    float64 scoring, in about its seventh significant digit.  Every array a
-    run writes into is made before the loop.  Features large enough to
-    overflow the scoring pass raise ValidationError.
+    tanh net, over the train and test rows stacked once before the loop as
+    the columns of a (d + 1, n) matrix over a row of ones, and decodes the
+    (c, n) logits once.  The logged loss is the float32 `dnn.loss` of the
+    train columns; only it differs from float64 scoring, in about its seventh
+    significant digit.  Every array a run writes into is made before the
+    loop.  Features large enough to overflow the scoring pass raise
+    ValidationError.
     """
     if cfg.batch_size > len(x_train):
         raise ValidationError(
@@ -132,20 +134,23 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
         )
     if len(x_test) == 0:
         raise ValidationError("the test split is empty; lower train_fraction")
-    targets = np.eye(c)[y_train]  # float64 one-hots for backward and loss
+    (n_train, d), batch = x_train.shape, cfg.batch_size
     y_all = np.concatenate([y_train, y_test])
-    hot_all = np.eye(c, dtype=bool)[y_all]
+    n = len(y_all)
+    targets = np.eye(c)[y_train]  # float64 one-hots for backward
+    targets32 = np.eye(c, dtype=np.float32)[:, y_train]  # (c, n_train) for the logged loss
+    hot_all = np.eye(c, dtype=bool)[:, y_all]
+    scored = np.ones((d + 1, n), np.float32)  # the rows as columns over a row of ones
     try:
         with np.errstate(over="raise"):
-            x_score = np.concatenate([x_train, x_test], dtype=np.float32)
+            np.concatenate([x_train, x_test], out=scored[:d].T)
     except FloatingPointError:
         raise ValidationError("a feature magnitude exceeds float32, which the scoring pass "
                               "uses; set normalize_rows = true") from None
     # the scoring pass's first layer sees w1/2 and b1/2, so each of its partial
     # sums is within reach * max|w1| + max|b1|; that bound is checked each run,
     # because numpy does not see an overflow inside a BLAS worker thread
-    reach = float(np.abs(x_score).sum(axis=1, dtype=float).max())
-    (n_train, d), n, batch = x_train.shape, len(y_all), cfg.batch_size
+    reach = float(np.abs(scored[:d]).sum(axis=0, dtype=float).max())
     halves = slice(n_train), slice(n_train, None)
 
     init_seed = derive_rng(cfg.seed, "init").integers(2**32)
@@ -154,9 +159,10 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     params, grads = dnn.unflatten(theta, d, c), dnn.unflatten(grad, d, c)
     w1, b1 = params[:2]
     batch_out, score_out = dnn.buffers(batch, d, c), dnn.score_buffers(n, d, c)
-    x_batch, t_batch, loss_out = np.empty((batch, d), x_train.dtype), np.empty((batch, c)), np.empty((2, n_train, c))
-    decoded = np.empty((n, c), bool), np.empty((n, c), np.float32), np.empty((n, 2), np.float32), np.empty(n, int)
-    right, bits = np.empty(n, bool), np.empty((n, c), bool)
+    x_batch, t_batch = np.empty((batch, d), x_train.dtype), np.empty((batch, c))
+    loss_out = np.empty((2, c, n_train), np.float32)
+    decoded = np.empty((c, n), bool), np.empty((c, n), np.float32), np.empty((2, n), np.float32), np.empty(n, int)
+    right, bits = np.empty(n, bool), np.empty((c, n), bool)
     batch_rng = derive_rng(cfg.seed, "batches")
 
     log = RunLog(np.empty((cfg.runs, 5)))
@@ -171,12 +177,12 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
         if reach * max(w1.max(), -w1.min()) + max(b1.max(), -b1.min()) > _FLOAT32_HALF:
             raise ValidationError(f"run {run}: the feature magnitudes can overflow the float32 "
                                   "scoring pass; set normalize_rows = true")
-        logits = dnn.score(params, x_score, score_out)
-        train_loss = dnn.loss(logits[:n_train], targets, loss_out)
+        logits = dnn.score(params, scored, score_out)
+        train_loss = dnn.loss(logits[:, :n_train], targets32, loss_out)
         hot, preds = dnn.decode(logits, decoded)
         np.equal(preds, y_all, out=right)
         np.equal(hot, hot_all, out=bits)
-        scores = [np.count_nonzero(a[half]) / a[half].size for a in (right, bits) for half in halves]
+        scores = [np.count_nonzero(a[..., half]) / a[..., half].size for a in (right, bits) for half in halves]
         log.records[run - 1] = train_loss, *scores
     return params, log
 

@@ -530,6 +530,31 @@ def test_recording_without_a_fused_channel_is_data_error(smoke, tmp_path, capsys
     assert not list(copy.glob("rows.npz")) + list(copy.glob("heatmap_AllQuiet.*"))
 
 
+def _drop_channel(cid):
+    """Drop channel `cid` from the header's channel list, its last field, and its samples from the payload."""
+    def corrupt(raw):
+        header, payload = raw.split(b"\n", 1)
+        head, ids = header.rsplit(b"channels=", 1)
+        ids = ids.split(b",")
+        keep = [k for k, other in enumerate(ids) if other != cid]
+        samples = np.frombuffer(payload, "<f8").reshape(len(ids), -1)[keep]
+        return head + b"channels=" + b",".join(ids[k] for k in keep) + b"\n" + samples.tobytes()
+    return corrupt
+
+
+def test_recording_that_lacks_a_fused_channel_fails_rows(smoke, tmp_path, capsys):
+    # a consistent file of 12 roster channels, without one that Group2 fuses
+    cfg_path, out = smoke
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_AllQuiet.*"))
+    rec = copy / "recordings" / "AllQuiet_t1.rec"
+    rec.write_bytes(_drop_channel(b"mag_z_side_10m")(rec.read_bytes()))
+    assert len(synthgen.load_recording(rec).channels) == len(synthgen.ROSTER) - 1 == 12
+    assert run(cfg_path, copy, "rows") == 2
+    _one_error_line(capsys, rec, "recording 'AllQuiet' has no channel ['mag_z_side_10m']")
+    assert not (copy / "rows.npz").exists()
+
+
 def test_non_finite_sample_in_unfused_channel_fails_only_heatmap(smoke, tmp_path, capsys):
     # rows reads only the fused channels, so a nan elsewhere never reaches
     # rows.npz; heatmap reads every channel and rejects it

@@ -240,6 +240,17 @@ def test_loss_rejects_nonfinite_logits():
         dnn.loss(np.array([[np.inf]]), np.array([[0.0]]))
 
 
+def test_loss_in_float32_out_near_float64_expression():
+    rng = np.random.default_rng(10)
+    y = (rng.random((7, 1015)) > 0.5).astype(np.float32)
+    z = rng.normal(scale=8.0, size=(7, 1015)).astype(np.float32)
+    z64, y64 = z.astype(float), y.astype(float)
+    want = float(np.mean(np.maximum(z64, 0.0) - z64 * y64 + np.log1p(np.exp(-np.abs(z64)))))
+    got = dnn.loss(z, y, np.empty((2, 7, 1015), np.float32))
+    assert got == pytest.approx(want, rel=1e-6)
+    assert got != dnn.loss(z, y)  # the float32 path is a different computation
+
+
 def test_loss_bit_identical_to_float64_expression():
     rng = np.random.default_rng(10)
     y = (rng.random((50, 3)) > 0.5).astype(float)
@@ -345,14 +356,20 @@ def test_buffered_passes_bit_identical_to_expressions(d, c, batch):
 # ---------------------------------------------------------------------------
 # score
 
-def reference_score(params, x):
-    """Scoring logits as plain expressions with new arrays: the bitwise reference for dnn.score."""
+def augmented(x):
+    """The float32 (d + 1, rows) scoring input: the rows of x as columns over a row of ones."""
+    return np.vstack([x.T, np.ones((1, len(x)))]).astype(np.float32)
+
+
+def reference_score(params, a):
+    """Scoring logits of the augmented net as plain expressions with new arrays: the bitwise reference for dnn.score."""
     w1, b1, w2, b2, w3, b3 = params
-    folded = [w1 / 2, b1 / 2, w2 / 4, (w2.sum(axis=1) / 2 + b2) / 2, w3 / 2, w3.sum(axis=1) / 2 + b3]
-    v1, c1, v2, c2, v3, c3 = [a.astype(np.float32) for a in folded]
-    t1 = np.tanh(x @ v1.T + c1)
-    t2 = np.tanh(t1 @ v2.T + c2)
-    return t2 @ v3.T + c3
+    layers = [(w1 / 2, b1 / 2), (w2 / 4, (w2.sum(axis=1) / 2 + b2) / 2), (w3 / 2, w3.sum(axis=1) / 2 + b3)]
+    v1, v2, v3 = [np.column_stack([w, b]).astype(np.float32) for w, b in layers]
+    ones = np.ones((1, a.shape[1]), np.float32)
+    t1 = np.vstack([np.tanh(v1 @ a), ones])
+    t2 = np.vstack([np.tanh(v2 @ t1), ones])
+    return v3 @ t2
 
 
 @pytest.mark.parametrize("d, c, rows", [(5, 3, 12), (58, 4, 600), (77, 7, 1015), (125, 7, 300)])
@@ -362,13 +379,15 @@ def test_score_bit_identical_to_expressions_and_near_float64_forward(d, c, rows)
     theta = flat(dnn.init_network(d, c, seed=d))
     theta += rng.normal(scale=0.5, size=theta.shape)  # nonzero biases and weights past init's range
     params = dnn.unflatten(theta, d, c)
-    want = reference_score(params, x)
+    a = augmented(x)
+    want = reference_score(params, a)
+    assert want.shape == (c, rows)
     out = dnn.score_buffers(rows, d, c)
-    for got in (dnn.score(params, x), dnn.score(params, x, out), dnn.score(params, x, out)):
+    for got in (dnn.score(params, a), dnn.score(params, a, out), dnn.score(params, a, out)):
         assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got.view(np.int32), want.view(np.int32))
     assert got is out[-1]
-    z = dnn.forward(params, x)[0]
+    z = dnn.forward(params, x)[0].T
     assert np.abs(z).max() > 1.0  # the logits reach past the bound's constant term
     assert np.all(np.abs(got - z) <= 1e-5 * (1.0 + np.abs(z)))
 
@@ -509,16 +528,16 @@ def test_predict_matches_rounded_one_hot():
 
 
 def test_decode_matches_where_form_with_and_without_out():
-    # with 12 classes, the shift makes rows with no, one and several hot outputs all common
+    # with 12 classes, the shift makes columns with no, one and several hot outputs all common
     for c, shift in [(4, 0.0), (12, -1.3)]:
-        logits = (np.random.default_rng(12).normal(size=(500, c)) + shift).astype(np.float32)
-        logits[::7, 0] = -0.0  # -0 >= 0: hot
+        logits = (np.random.default_rng(12).normal(size=(c, 500)) + shift).astype(np.float32)
+        logits[0, ::7] = -0.0  # -0 >= 0: hot
         hot_ref = logits >= 0.0
-        preds_ref = np.where(hot_ref.sum(axis=1) == 1, hot_ref.argmax(axis=1), UNCLASSIFIED)
-        counts = set(hot_ref.sum(axis=1).tolist())
+        preds_ref = np.where(hot_ref.sum(axis=0) == 1, hot_ref.argmax(axis=0), UNCLASSIFIED)
+        counts = set(hot_ref.sum(axis=0).tolist())
         assert {0, 1, 2} <= counts and max(counts) >= 3
         assert len(set(preds_ref[preds_ref != UNCLASSIFIED].tolist())) == c
-        out = (np.empty((500, c), bool), np.empty((500, c), np.float32), np.empty((500, 2), np.float32),
+        out = (np.empty((c, 500), bool), np.empty((c, 500), np.float32), np.empty((2, 500), np.float32),
                np.empty(500, int))
         for buffers in (None, out):
             hot, preds = dnn.decode(logits, buffers)

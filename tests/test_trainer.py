@@ -9,7 +9,7 @@ from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.rng import derive_rng
 from sigclass.spectral import N_BINS
 from sigclass.trainer import Dataset
-from test_dnn import reference_adam, reference_score
+from test_dnn import augmented, reference_adam, reference_score
 
 LN2 = 0.6931471805599453
 # the columns of RunLog.records
@@ -321,8 +321,8 @@ def float64_scoring_train(x_train, y_train, x_test, y_test, c, cfg):
         train_logits = dnn.forward(params, x_train)[0]
         scores = []
         for logits, y in [(train_logits, y_train), (dnn.forward(params, x_test)[0], y_test)]:
-            hot, preds = dnn.decode(logits)
-            scores += [float(np.mean(preds == y)), float(np.mean(hot == np.eye(c, dtype=bool)[y]))]
+            hot, preds = dnn.decode(logits.T)
+            scores += [float(np.mean(preds == y)), float(np.mean(hot.T == np.eye(c, dtype=bool)[y]))]
         train_acc, train_bit, test_acc, test_bit = scores
         loss = dnn.loss(train_logits, targets)
         records.append((loss, train_acc, test_acc, train_bit, test_bit))
@@ -350,11 +350,12 @@ def reference_train(x_train, y_train, x_test, y_test, c, cfg):
 
     It calls the dnn functions without `out` arrays, steps Adam per parameter
     array, and scores with the plain-expression tanh net (`reference_score`)
-    over the stacked rows, decoding the train and test logits apart.
+    over the stacked rows as columns, decoding the train and test logits
+    apart; the loss is the float32 `dnn.loss` of the train logits.
     """
     targets = np.eye(c)[y_train]
-    hot_train, hot_test = np.eye(c, dtype=bool)[y_train], np.eye(c, dtype=bool)[y_test]
-    x_score = np.concatenate([x_train, x_test], dtype=np.float32)
+    hot_train, hot_test = np.eye(c, dtype=bool)[:, y_train], np.eye(c, dtype=bool)[:, y_test]
+    a = augmented(np.concatenate([x_train, x_test]))
     n_train = len(x_train)
     params = dnn.init_network(x_train.shape[1], c, seed=derive_rng(cfg.seed, "init").integers(2**32))
     m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
@@ -365,14 +366,14 @@ def reference_train(x_train, y_train, x_test, y_test, c, cfg):
         _, trace = dnn.forward(params, x_train[idx])
         grads = dnn.backward(params, trace, targets[idx])
         params, m, v = reference_adam(params, grads, m, v, run, cfg.learn_rate)
-        logits = reference_score(params, x_score)
-        train_logits, test_logits = logits[:n_train], logits[n_train:]
+        logits = reference_score(params, a)
+        train_logits, test_logits = logits[:, :n_train], logits[:, n_train:]
         scores = []
         for split_logits, y, y_hot in [(train_logits, y_train, hot_train), (test_logits, y_test, hot_test)]:
             hot, preds = dnn.decode(split_logits)
             scores += [float(np.mean(preds == y)), float(np.mean(hot == y_hot))]
         train_acc, train_bit, test_acc, test_bit = scores
-        loss = dnn.loss(train_logits, targets)
+        loss = dnn.loss(train_logits, targets.T.astype(np.float32), np.empty((2, c, n_train), np.float32))
         records.append((loss, train_acc, test_acc, train_bit, test_bit))
     return params, np.array(records)
 
