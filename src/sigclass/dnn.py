@@ -1,21 +1,21 @@
 """Three-layer fully connected network built from first principles.
 
-The parameters are one flat float64 vector theta, the checkpoint's `params`:
-w1, b1, w2, b2, w3 and b3, each row-major, which `unflatten` views as six
-arrays; weight k is (n_out, n_in).  Layers 1 and 2 are sigmoid layers of
-width d (the feature count), layer 3 is a plain affine map onto the c class
-outputs.  Training uses per-class sigmoid cross-entropy on the raw output
-logits, analytic backpropagation, and Adam, in float64 numpy; no autograd.
-What a training run calls writes into arrays passed as `out` (new ones when
-it is None), and `adam_update` works in place.  `score` gives the same
-logits from a float32 tanh form of the net, for the per-run scoring pass;
-it works feature-major, on the rows as columns, so its logits are
-(classes, rows), the layout `loss` and `decode` take as well.
-A checkpoint is an uncompressed .npz of the model and what `eval` needs to
-feed it: the kept bins, the labels and the row-normalization flag.
+The parameters are one flat vector theta, the checkpoint's `weights`, which
+`unflatten` views as three augmented matrices [W1 | b1], [W2 | b2] and
+[W3 | b3], each row-major with its bias as the last column: (d, d + 1),
+(d, d + 1) and (c, d + 1) for d features and c classes.  The net works
+feature-major: its input is a (d + 1, cols) matrix, the rows as columns over
+a last row of ones, so each layer, bias included, is one matmul.  Layers 1
+and 2 are tanh layers of width d, layer 3 is a plain affine map onto the c
+class outputs, so the logits are (c, cols).  Training uses per-class sigmoid
+cross-entropy on the logits, analytic backpropagation, and Adam, in numpy
+with no autograd; every pass runs in the dtype of its arrays (float32 in the
+pipeline, float64 for the gradient oracles).  What a training run calls
+writes into arrays passed as `out` (new ones when it is None), and
+`adam_update` works in place.  A checkpoint is an uncompressed .npz of the
+model and what `eval` needs to feed it: the kept bins, the labels and the
+row-normalization flag.
 """
-
-import math
 
 import numpy as np
 
@@ -38,10 +38,11 @@ def sigmoid(z, out=None):
     1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0: the IEEE operations of
     the usual two-branch stable form, so each result (a NaN's sign too) is
     bit for bit the same, from one exponential that cannot overflow.  It is
-    computed in float64.  With `out` the result goes there and z is
-    overwritten as scratch.
+    computed in float32 for float32 z and in float64 otherwise.  With `out`
+    the result goes there and z is overwritten as scratch.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z)
+    z = z if z.dtype == np.float32 else z.astype(float, copy=False)
     if out is None:
         z, out = z.copy(), np.empty_like(z)
     e = np.exp(np.minimum(z, np.negative(z, out=out), out=out), out=out)
@@ -50,104 +51,57 @@ def sigmoid(z, out=None):
 
 
 def unflatten(theta, d, c):
-    """The six arrays [w1, b1, w2, b2, w3, b3] as views of the flat vector theta."""
-    shapes = [(d, d), (d,), (d, d), (d,), (c, d), (c,)]
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return [part.reshape(shape) for part, shape in zip(np.split(theta, ends[:-1]), shapes)]
-
-
-def buffers(rows, d, c):
-    """Arrays for `forward` and `backward` on `rows` rows: (a1, a2, logits, h, delta).
-
-    a1, a2 and h are (rows, d), logits and delta (rows, c); h and delta are scratch.
-    """
-    return tuple(np.empty((rows, width)) for width in (d, d, c, d, c))
-
-
-def score_buffers(rows, d, c):
-    """Arrays for `score` on `rows` rows: (folded, folded32, t1, t2, logits).
-
-    folded and folded32 are the float64 and float32 augmented weights, each
-    one (2d + c, d + 1) matrix: rows :d are layer 1, d:2d layer 2 and 2d:
-    layer 3, each with its bias as the last column.  t1 and t2 are float32
-    (d + 1, rows) with their last row set to ones, logits float32 (c, rows).
-    """
-    folded, folded32 = (np.empty((2 * d + c, d + 1), dtype) for dtype in (np.float64, np.float32))
-    return (folded, folded32, *np.ones((2, d + 1, rows), np.float32), np.empty((c, rows), np.float32))
+    """The augmented matrices [W1, W2, W3], (d, d + 1), (d, d + 1) and (c, d + 1), as views of theta."""
+    w12 = theta[: 2 * d * (d + 1)].reshape(2, d, d + 1)
+    return [w12[0], w12[1], theta[2 * d * (d + 1) :].reshape(c, d + 1)]
 
 
 def init_network(d, c, seed):
-    """Fresh parameters [w1, b1, w2, b2, w3, b3]: uniform weights, zero biases.
+    """A fresh float64 theta: uniform weights, zero biases.
 
     Weight entries are drawn from U(-r, r) with r = sqrt(6 / (fan_in + fan_out)),
-    which keeps the sigmoid layers out of saturation for d up to ~125.
+    layer 1 first, each row-major.
     """
     if d < 1 or c < 2:
         raise ValidationError("need d >= 1 inputs and c >= 2 classes")
     rng = np.random.default_rng(seed)
-    params = []
-    for n_out, n_in in [(d, d), (d, d), (c, d)]:
-        r = np.sqrt(6.0 / (n_in + n_out))
-        params += [rng.uniform(-r, r, size=(n_out, n_in)), np.zeros(n_out)]
-    return params
+    theta = np.zeros(d * (2 * d + c + 2) + c)
+    for w in unflatten(theta, d, c):
+        r = np.sqrt(6.0 / (d + len(w)))
+        w[:, :d] = rng.uniform(-r, r, size=(len(w), d))
+    return theta
 
 
-def forward(params, x, out=None):
-    """Run a batch through the net; returns (logits, trace).
+def activations(cols, d, c, dtype):
+    """Arrays for `forward` and `backward` on `cols` columns: (t1, t2, logits, h, delta).
 
-    x has shape (batch, d).  Layers 1 and 2 apply the sigmoid to their affine
-    outputs, layer 3 returns its affine output.  They go into out, a `buffers`
-    tuple (new arrays when it is None); trace is (x, a1, a2, logits, h,
-    delta), what backward needs and its scratch.  It is computed in float64.
+    t1 and t2 are (d + 1, cols) with their last row set to ones, logits and
+    delta (c, cols), h (d, cols); h and delta are backward's scratch.
     """
-    w1, b1, w2, b2, w3, b3 = params
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != w1.shape[1]:
-        raise ValidationError(
-            f"input width {x.shape[1]} does not match network d={w1.shape[1]}"
-        )
-    if out is None:
-        out = buffers(len(x), len(b1), len(b3))
-    a1, a2, z3, h, _ = out
-    sigmoid(np.add(np.matmul(x, w1.T, out=h), b1, out=h), out=a1)
-    sigmoid(np.add(np.matmul(a1, w2.T, out=h), b2, out=h), out=a2)
-    np.add(np.matmul(a2, w3.T, out=z3), b3, out=z3)
-    return z3, (x, *out)
+    return (*np.ones((2, d + 1, cols), dtype), np.empty((c, cols), dtype), np.empty((d, cols), dtype),
+            np.empty((c, cols), dtype))
 
 
-def score(params, a, out=None):
-    """The (c, rows) logits of the float64 params over the float32 columns of a, from a float32 tanh net.
+def forward(params, a, out=None):
+    """Run the columns of a through the net; returns (logits, trace).
 
-    a is (d + 1, rows): the rows as columns over a last row of ones.  With
-    sigmoid(z) = (1 + tanh(z/2)) / 2, the hidden layers' outputs are
-    a1 = (1 + t1)/2 and a2 = (1 + t2)/2, where t1 = tanh(v1 x + c1) and
-    t2 = tanh(v2 t1 + c2), and the logits are v3 t2 + c3, for v1 = w1/2,
-    c1 = b1/2, v2 = w2/4, c2 = (rowsum(w2)/2 + b2)/2, v3 = w3/2 and
-    c3 = rowsum(w3)/2 + b3.  Those are folded in float64 into the augmented
-    matrices [v1 c1], [v2 c2] and [v3 c3] and rounded once to float32; the
-    ones rows of a, t1 and t2 then carry the biases, so each layer is one
-    matmul, and each hidden layer one tanh.  The logits differ from
-    `forward`'s by float32 rounding only.  out is a `score_buffers` tuple
-    (new arrays when it is None), and the logits are its last array.
+    a is (d + 1, cols), the rows as columns over a row of ones.  Layers 1 and
+    2 apply tanh to their affine outputs, t1 = tanh(W1 a) and t2 = tanh(W2
+    t1) over the ones rows of t1 and t2, and the logits are W3 t2.  They go
+    into out, an `activations` tuple (new arrays when it is None); trace is
+    (a, t1, t2, logits, h, delta), what backward needs and its scratch.
     """
-    w1, b1, w2, b2, w3, b3 = params
-    d = len(b1)
+    w1, w2, w3 = params
+    d = len(w1)
+    if a.shape[0] != d + 1:
+        raise ValidationError(f"input width {a.shape[0] - 1} does not match network d={d}")
     if out is None:
-        out = score_buffers(a.shape[1], d, len(b3))
-    folded, folded32, t1, t2, z3 = out
-    np.multiply(w1, 0.5, out=folded[:d, :d])
-    np.multiply(b1, 0.5, out=folded[:d, d])
-    np.multiply(w2, 0.5, out=folded[d:2 * d, :d])
-    np.multiply(w3, 0.5, out=folded[2 * d:, :d])
-    np.sum(folded[d:, :d], axis=1, out=folded[d:, d])  # rowsum(w)/2 for layers 2 and 3
-    folded[d:2 * d, d] += b2
-    folded[2 * d:, d] += b3
-    folded[d:2 * d] *= 0.5
-    np.copyto(folded32, folded)
-    h1, h2 = t1[:d], t2[:d]
-    np.tanh(np.matmul(folded32[:d], a, out=h1), out=h1)
-    np.tanh(np.matmul(folded32[d:2 * d], t1, out=h2), out=h2)
-    return np.matmul(folded32[2 * d:], t2, out=z3)
+        out = activations(a.shape[1], d, len(w3), a.dtype)
+    t1, t2, z3 = out[:3]
+    np.tanh(np.matmul(w1, a, out=t1[:d]), out=t1[:d])
+    np.tanh(np.matmul(w2, t1, out=t2[:d]), out=t2[:d])
+    np.matmul(w3, t2, out=z3)
+    return z3, (a, *out)
 
 
 def loss(logits, targets, out=None):
@@ -169,26 +123,25 @@ def loss(logits, targets, out=None):
 
 
 def backward(params, trace, targets, out=None):
-    """Analytic gradients of the mean loss, in the order of params.
+    """Analytic gradients of the mean loss over (c, cols) targets, shaped as params.
 
-    They go into out, six arrays shaped as params (new ones when it is None),
-    which is returned; the trace's arrays serve as scratch.  The output-layer
-    delta is (sigmoid(logits) - targets) / (batch * c); hidden deltas
-    propagate through sigmoid'(z) = a * (1 - a).
+    They go into out, three arrays shaped as params (new ones when it is
+    None), which is returned; the trace's arrays serve as scratch.  The
+    output delta is (sigmoid(logits) - targets) / (cols * c); hidden deltas
+    propagate through tanh'(z) = 1 - t^2.  Each gradient is its delta times
+    the layer's input columns, whose ones row gives the bias column.
     """
-    x, a1, a2, z3, h, d3 = trace
-    g = [np.empty_like(p) for p in params] if out is None else out
-    batch, c = z3.shape
+    a, t1, t2, z3, h, d3 = trace
+    g = [np.empty_like(w) for w in params] if out is None else out
+    d = len(h)
     delta = np.subtract(sigmoid(z3, out=d3), targets, out=d3)
-    delta /= batch * c
-    for k, a, below in ((2, a2, h), (1, a1, a2)):  # layers 3 and 2, then the delta of the layer below
-        np.matmul(delta.T, a, out=g[2 * k])
-        np.sum(delta, axis=0, out=g[2 * k + 1])
-        delta = np.matmul(delta, params[2 * k], out=below)
-        delta *= a
-        delta *= np.subtract(1.0, a, out=a)
-    np.matmul(delta.T, x, out=g[0])
-    np.sum(delta, axis=0, out=g[1])
+    delta /= z3.size
+    for k, t, below in ((2, t2, h), (1, t1, t2[:d])):  # layers 3 and 2, then the delta of the layer below
+        np.matmul(delta, t.T, out=g[k])
+        delta = np.matmul(params[k][:, :d].T, delta, out=below)
+        np.multiply(t[:d], t[:d], out=t[:d])
+        delta *= np.subtract(1.0, t[:d], out=t[:d])
+    np.matmul(delta, a.T, out=g[0])
     return g
 
 
@@ -196,7 +149,8 @@ def adam_update(theta, grad, state, t, alpha):
     """Adam step number t (from 1) with learn rate alpha, in place on theta.
 
     theta and grad are flat vectors of P values, and grad is overwritten.
-    state is a (3, P) float64 array: m, v and scratch, zeros before step 1.
+    state is a (3, P) array of theta's dtype: m, v and scratch, zeros before
+    step 1.
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
     mhat = m/(1-b1^t); vhat = v/(1-b2^t); theta <- theta - alpha*mhat/(sqrt(vhat)+eps).
     epsilon sits outside the square root.
@@ -211,9 +165,9 @@ def adam_update(theta, grad, state, t, alpha):
     theta -= np.divide(step, s, out=step)
 
 
-def predict_batch(params, x):
-    """Class index or UNCLASSIFIED (see decode) for each row of a (batch, d) matrix."""
-    return decode(forward(params, x)[0].T)[1].astype(int)
+def predict_batch(params, a):
+    """Class index or UNCLASSIFIED (see decode) for each column of a (d + 1, cols) `forward` input."""
+    return decode(forward(params, a)[0])[1]
 
 
 def decode(logits, out=None):
@@ -242,30 +196,32 @@ def save_checkpoint(path, params, mask_bins, label_vocab, normalize_rows):
     """Write the model as an uncompressed .npz with four members.
 
     `mask` holds the d kept frequency bins, `vocab` the c labels, `normalize`
-    the row-normalization flag, and `params` w1, b1, w2, b2, w3 and b3
-    flattened row-major into one little-endian float64 vector.
+    the row-normalization flag, and `weights` [W1 | b1], [W2 | b2] and
+    [W3 | b3] flattened row-major into one little-endian float32 vector.
     """
     with open(path, "wb") as fh:  # a handle, so np.savez appends no .npz to the name
         np.savez(fh, mask=np.asarray(mask_bins, dtype="<i8"), vocab=np.array(label_vocab, dtype=str),
                  normalize=np.array(bool(normalize_rows)),
-                 params=np.concatenate([np.ravel(p) for p in params]).astype("<f8"))
+                 weights=np.concatenate([np.ravel(w) for w in params]).astype("<f4"))
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, mask_bins, label_vocab, normalize_rows).
 
     d is the mask length and c the label count.  A file that is not such an
-    archive (see `errors.read_npz`), a member of the wrong dtype or shape,
-    mask bins not strictly ascending in 1..300 or none, a label that breaks
-    the label rule (`errors.is_label`) or repeats, or a `params` vector whose
-    length is not 2d^2 + 2d + cd + c raises ParseError.
+    archive (see `errors.read_npz`; a checkpoint with float64 `params` in
+    place of `weights`, from before the tanh net, is not one), a member of
+    the wrong dtype or shape, mask bins not strictly ascending in 1..300 or
+    none, a label that breaks the label rule (`errors.is_label`) or repeats,
+    or a `weights` vector whose length is not 2d^2 + 2d + cd + c raises
+    ParseError.
     """
-    members = read_npz(path, "model checkpoint", ["mask", "vocab", "normalize", "params"])
+    members = read_npz(path, "model checkpoint", ["mask", "vocab", "normalize", "weights"])
     mask, vocab, normalize, flat = members
     if [(a.dtype.kind, a.ndim) for a in members] != [("i", 1), ("U", 1), ("b", 0), ("f", 1)] \
-            or flat.dtype != np.float64:
+            or flat.dtype != np.float32:
         raise ParseError(f"{path}: members are " + ", ".join(f"{a.dtype} {a.shape}" for a in members)
-                         + "; expected mask 1-D int, vocab 1-D text, normalize one bool, params 1-D float64")
+                         + "; expected mask 1-D int, vocab 1-D text, normalize one bool, weights 1-D float32")
     mask_bins, vocab = mask.tolist(), vocab.tolist()
     if not mask_bins or mask_bins != sorted(set(mask_bins)) or not 0 < mask_bins[0] <= mask_bins[-1] <= N_BINS:
         raise ParseError(f"{path}: the mask must hold strictly ascending bins in 1..{N_BINS}, at least one")
@@ -278,5 +234,4 @@ def load_checkpoint(path):
     need = d * (2 * d + c + 2) + c
     if len(flat) != need:
         raise ParseError(f"{path}: {len(flat)} parameters; {d} bins and {c} labels need {need}")
-    params = unflatten(flat, d, c)
-    return params, mask_bins, vocab, bool(normalize)
+    return unflatten(flat, d, c), mask_bins, vocab, bool(normalize)

@@ -2,7 +2,8 @@
 
 One "run" is one training cycle: sample a batch from the training rows, do a
 single backprop pass and Adam step, then score the updated parameters on the
-full training and test sets.  Rows live in one uncompressed .npz store: a
+full training and test sets, all through one float32 `dnn.forward`, which
+`evaluate` runs as well.  Rows live in one uncompressed .npz store: a
 float64 `x` of 300 fused magnitudes per row and a unicode `labels` array,
 which `load_rows` turns into class indices; the run log is one array row per run.
 """
@@ -17,10 +18,6 @@ from .errors import LABEL_RULE, ParseError, ValidationError, is_label, read_npz
 from .fusion import SpectrumRow, apply_mask
 from .rng import derive_rng
 from .spectral import N_BINS
-
-# the bound the scoring pass's first layer must stay within: half of float32's
-# range leaves room for the rounding of float32 sums
-_FLOAT32_HALF = float(np.finfo(np.float32).max) / 2
 
 
 @dataclass
@@ -117,15 +114,13 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     accuracies of the updated parameters.  cfg is the PipelineConfig (its
     seed and training fields).  Returns the final parameters and the RunLog.
 
-    The batch forward, backward and Adam step run in float64 on one flat
-    parameter vector (see `dnn`), so the parameters do not depend on the
-    scoring.  Each run scores with one `dnn.score` pass, the net as a float32
-    tanh net, over the train and test rows stacked once before the loop as
-    the columns of a (d + 1, n) matrix over a row of ones, and decodes the
-    (c, n) logits once.  The logged loss is the float32 `dnn.loss` of the
-    train columns; only it differs from float64 scoring, in about its seventh
-    significant digit.  Every array a run writes into is made before the
-    loop.  Features large enough to overflow the scoring pass raise
+    Everything runs in float32 on one flat parameter vector (see `dnn`).  The
+    train and test rows are stacked once before the loop as the columns of
+    one (d + 1, n) matrix over a row of ones (see `_columns`).  Each run takes
+    the batch's columns from it for one `dnn.forward`, `dnn.backward` and
+    Adam step, then scores with one `dnn.forward` over all n columns and
+    decodes the (c, n) logits once.  Every array a run writes into is made
+    before the loop.  Features large enough to overflow float32 raise
     ValidationError.
     """
     if cfg.batch_size > len(x_train):
@@ -137,65 +132,84 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     (n_train, d), batch = x_train.shape, cfg.batch_size
     y_all = np.concatenate([y_train, y_test])
     n = len(y_all)
-    targets = np.eye(c)[y_train]  # float64 one-hots for backward
-    targets32 = np.eye(c, dtype=np.float32)[:, y_train]  # (c, n_train) for the logged loss
-    hot_all = np.eye(c, dtype=bool)[:, y_all]
-    scored = np.ones((d + 1, n), np.float32)  # the rows as columns over a row of ones
-    try:
-        with np.errstate(over="raise"):
-            np.concatenate([x_train, x_test], out=scored[:d].T)
-    except FloatingPointError:
-        raise ValidationError("a feature magnitude exceeds float32, which the scoring pass "
-                              "uses; set normalize_rows = true") from None
-    # the scoring pass's first layer sees w1/2 and b1/2, so each of its partial
-    # sums is within reach * max|w1| + max|b1|; that bound is checked each run,
-    # because numpy does not see an overflow inside a BLAS worker thread
-    reach = float(np.abs(scored[:d]).sum(axis=0, dtype=float).max())
+    hot_all = np.arange(c)[:, None] == y_all  # (c, n) one-hots, C-contiguous for the batch takes
+    targets = hot_all[:, :n_train].astype(np.float32)
+    a, reach = _columns(x_train, x_test)
     halves = slice(n_train), slice(n_train, None)
 
     init_seed = derive_rng(cfg.seed, "init").integers(2**32)
-    theta = np.concatenate([np.ravel(p) for p in dnn.init_network(d, c, seed=init_seed)])
-    grad, state = np.empty_like(theta), np.zeros((3, len(theta)))
+    theta = dnn.init_network(d, c, seed=init_seed).astype(np.float32)
+    grad, state = np.empty_like(theta), np.zeros((3, len(theta)), np.float32)
     params, grads = dnn.unflatten(theta, d, c), dnn.unflatten(grad, d, c)
-    w1, b1 = params[:2]
-    batch_out, score_out = dnn.buffers(batch, d, c), dnn.score_buffers(n, d, c)
-    x_batch, t_batch = np.empty((batch, d), x_train.dtype), np.empty((batch, c))
+    batch_out, score_out = (dnn.activations(cols, d, c, np.float32) for cols in (batch, n))
+    a_batch, t_batch = np.empty((d + 1, batch), np.float32), np.empty((c, batch), np.float32)
     loss_out = np.empty((2, c, n_train), np.float32)
     decoded = np.empty((c, n), bool), np.empty((c, n), np.float32), np.empty((2, n), np.float32), np.empty(n, int)
     right, bits = np.empty(n, bool), np.empty((c, n), bool)
     batch_rng = derive_rng(cfg.seed, "batches")
 
     log = RunLog(np.empty((cfg.runs, 5)))
+    _check_range(reach, params, "run 1: ")
     for run in range(1, cfg.runs + 1):
         idx = batch_rng.choice(n_train, size=batch, replace=False)
-        np.take(x_train, idx, axis=0, out=x_batch, mode="clip")  # idx is in range; "raise" copies via a buffer
-        np.take(targets, idx, axis=0, out=t_batch, mode="clip")
-        _, trace = dnn.forward(params, x_batch, batch_out)
+        np.take(a, idx, axis=1, out=a_batch, mode="clip")  # idx is in range; "raise" copies via a buffer
+        np.take(targets, idx, axis=1, out=t_batch, mode="clip")
+        _, trace = dnn.forward(params, a_batch, batch_out)
         dnn.backward(params, trace, t_batch, grads)
         dnn.adam_update(theta, grad, state, run, cfg.learn_rate)
-
-        if reach * max(w1.max(), -w1.min()) + max(b1.max(), -b1.min()) > _FLOAT32_HALF:
-            raise ValidationError(f"run {run}: the feature magnitudes can overflow the float32 "
-                                  "scoring pass; set normalize_rows = true")
-        logits = dnn.score(params, scored, score_out)
-        train_loss = dnn.loss(logits[:, :n_train], targets32, loss_out)
+        _check_range(reach, params, f"run {run}: ")  # for this run's scoring and the next run's step
+        logits, _ = dnn.forward(params, a, score_out)
+        train_loss = dnn.loss(logits[:, :n_train], targets, loss_out)
         hot, preds = dnn.decode(logits, decoded)
         np.equal(preds, y_all, out=right)
         np.equal(hot, hot_all, out=bits)
-        scores = [np.count_nonzero(a[..., half]) / a[..., half].size for a in (right, bits) for half in halves]
+        scores = [np.count_nonzero(m[..., half]) / m[..., half].size for m in (right, bits) for half in halves]
         log.records[run - 1] = train_loss, *scores
     return params, log
+
+
+def _columns(*parts):
+    """(a, reach): the rows of the feature matrices `parts` as the float32 columns of a over a row of ones.
+
+    a is (d + 1, n) for n rows in all; reach is its largest column L1 norm,
+    ones row included.  A feature past float32's range raises ValidationError.
+    """
+    a = np.ones((parts[0].shape[1] + 1, sum(map(len, parts))), np.float32)
+    try:
+        with np.errstate(over="raise"):
+            np.concatenate(parts, out=a[:-1].T)
+    except FloatingPointError:
+        raise ValidationError("a feature magnitude exceeds float32, which the network runs in; "
+                              "train with normalize_rows = true") from None
+    return a, float(np.abs(a).sum(axis=0, dtype=float).max())
+
+
+def _check_range(reach, params, where=""):
+    """Raise ValidationError unless the first layer's sums over columns within reach fit float32.
+
+    Every partial sum of W1 a is within reach * max|W1|, and the layers after
+    it take inputs in [-1, 1].  The bound is half of float32's range, which
+    leaves room for the rounding of float32 sums.  It is checked outright,
+    because numpy does not see an overflow inside a BLAS worker thread.
+    """
+    w1 = params[0]
+    if reach * float(max(w1.max(), -w1.min())) > float(np.finfo(np.float32).max) / 2:
+        raise ValidationError(f"{where}the feature magnitudes can overflow the float32 network; "
+                              "train with normalize_rows = true")
 
 
 def evaluate(params, x, y, vocab):
     """Accuracy plus the confusion counts, counts[actual, predicted].
 
     x holds masked feature rows and y their class indices in vocab; the
-    trailing column of counts tallies Unclassified.
+    trailing column of counts tallies Unclassified.  The rows are scored as
+    `train` scores them (see `_columns` and `_check_range`).
     """
     if len(x) == 0:
         raise ValidationError("evaluate needs at least one row")
-    preds = dnn.predict_batch(params, x)
+    a, reach = _columns(x)
+    _check_range(reach, params)
+    preds = dnn.predict_batch(params, a)
     t = len(vocab)
     counts = np.zeros((t, t + 1), dtype=int)
     np.add.at(counts, (y, np.where(preds == UNCLASSIFIED, t, preds)), 1)

@@ -125,11 +125,12 @@ def test_criterion_1_fft_oracle():
 
 def test_criterion_2_gradient_check():
     started = time.perf_counter()
+    # a float64 instance of the net that the pipeline runs in float32
     rng = np.random.default_rng(2)
-    params = dnn.init_network(4, 3, seed=2)
-    x = rng.normal(size=(5, 4))
-    y = np.zeros((5, 3))
-    y[np.arange(5), rng.integers(0, 3, size=5)] = 1.0
+    params = dnn.unflatten(dnn.init_network(4, 3, seed=2), 4, 3)
+    x = np.vstack([rng.normal(size=(5, 4)).T, np.ones((1, 5))])  # the rows as columns over a row of ones
+    y = np.zeros((3, 5))
+    y[rng.integers(0, 3, size=5), np.arange(5)] = 1.0
     _, trace = dnn.forward(params, x)
     analytic = dnn.backward(params, trace, y)
 
@@ -279,6 +280,13 @@ def test_readme_library_use_block_runs(group2_run, tmp_path, monkeypatch):
     assert scope["accuracy"] == json.loads((out / "train_manifest.json").read_text())["test_accuracy"]
     trainer.write_runlog_csv(tmp_path / "runlog.csv", scope["log"])
     assert (tmp_path / "runlog.csv").read_bytes() == (out / "runlog.csv").read_bytes()
+
+
+def test_train_manifest_accuracy_is_the_last_runs_test_accuracy(group1_run, group2_run):
+    # the per-run scoring and the final evaluate run the same float32 net
+    for out, _ in (group1_run, group2_run):
+        manifest = json.loads((out / "train_manifest.json").read_text())
+        assert manifest["test_accuracy"] == float(read_runlog(out)[-1]["test_acc"])
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_train_and_eval_roundtrip(smoke, capsys):
 
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(out / "checkpoint.bin")
     assert vocab[0] == "AllQuiet" and len(vocab) == 4
-    assert params[0].shape[1] == len(mask_bins)
+    assert params[0].shape[1] == len(mask_bins) + 1  # the bias column
     assert normalize is True
 
     assert run(cfg_path, out, "eval") == 0
@@ -340,34 +340,45 @@ def _npz_cases(what, names, text_name, cuts):
 
 
 def _flat_params(d, hidden, c):
-    """The flat parameter vector of a d-input network with the given hidden width and c outputs."""
-    shapes = [(hidden, d), (hidden,), (hidden, hidden), (hidden,), (c, hidden), (c,)]
-    return np.zeros(sum(math.prod(s) for s in shapes))
+    """The float32 weights vector of a d-input network with the given hidden width and c outputs."""
+    shapes = [(hidden, d + 1), (hidden, hidden + 1), (c, hidden + 1)]
+    return np.zeros(sum(math.prod(s) for s in shapes), np.float32)
+
+
+def _old_layout(raw, members):
+    """The sigmoid net's checkpoint layout: float64 `params` (w1, b1, w2, b2, w3, b3) in place of `weights`."""
+    w1, w2, w3 = dnn.unflatten(members["weights"].astype(float), 3, 4)
+    params = np.concatenate([part.ravel() for w in (w1, w2, w3) for part in (w[:, :-1], w[:, -1])])
+    return _archive(np.savez, mask=members["mask"], vocab=members["vocab"], normalize=members["normalize"],
+                    params=params)
 
 
 _BAD_MASK = "the mask must hold strictly ascending bins in 1..300, at least one"
-_BAD_MEMBERS = "expected mask 1-D int, vocab 1-D text, normalize one bool, params 1-D float64"
+_BAD_MEMBERS = "expected mask 1-D int, vocab 1-D text, normalize one bool, weights 1-D float32"
 
 
 # the smoke checkpoint: d = 3 bins, c = 4 labels, 40 parameters
 @pytest.mark.parametrize("corrupt, message", [
-    *_npz_cases("model checkpoint", ["params", "mask", "vocab", "normalize"], "vocab",
+    *_npz_cases("model checkpoint", ["weights", "mask", "vocab", "normalize"], "vocab",
                 (0, 12, 22, 30, 50, 78, 79, 200, 398, -1)),
     # 2.4e14 bytes, more than a 47-bit address space
-    pytest.param(_huge_shape("params", (40,), (3 * 10**13,)), "Unable to allocate", id="huge"),
+    pytest.param(_huge_shape("weights", (40,), (3 * 10**13,)), "Unable to allocate", id="huge"),
     # the hand-packed layout that checkpoints had before, which has no reader now
     pytest.param(lambda raw, members: b"SIGCKPT1" + bytes(391), "not a model checkpoint", id="old-format"),
+    # the .npz of the sigmoid net: no `weights`, so it is never read as tanh weights
+    pytest.param(_old_layout, "not a model checkpoint (KeyError: 'weights is not a file in the archive')",
+                 id="old-layout"),
     *[pytest.param(_members(mask=lambda a, bins=bins: np.array(bins, dtype=int)), _BAD_MASK, id=name)
       for name, bins in [("unsorted", [17, 3, 120]), ("repeated", [3, 3, 120]), ("bin0", [0, 17, 120]),
                          ("bin301", [3, 17, 301]), ("mask-empty", [])]],
     # d comes from the mask and c from the labels, so the parameter count is off
     pytest.param(_members(mask=lambda a: a[:2]), "40 parameters; 2 bins and 4 labels need 24", id="mask-short"),
-    pytest.param(_members(params=lambda a: a[:-1]), "39 parameters; 3 bins and 4 labels need 40",
+    pytest.param(_members(weights=lambda a: a[:-1]), "39 parameters; 3 bins and 4 labels need 40",
                  id="params-short"),
-    pytest.param(_members(params=lambda a: np.append(a, 0.0)), "41 parameters", id="params-long"),
-    pytest.param(_members(params=lambda a: _flat_params(3, 4, 4)), "56 parameters", id="hidden"),
-    pytest.param(_members(params=lambda a: _flat_params(3, 3, 5)), "44 parameters", id="outputs5"),
-    pytest.param(_members(params=lambda a: _flat_params(3, 3, 6)), "48 parameters", id="outputs6"),
+    pytest.param(_members(weights=lambda a: np.append(a, np.float32(0.0))), "41 parameters", id="params-long"),
+    pytest.param(_members(weights=lambda a: _flat_params(3, 4, 4)), "56 parameters", id="hidden"),
+    pytest.param(_members(weights=lambda a: _flat_params(3, 3, 5)), "44 parameters", id="outputs5"),
+    pytest.param(_members(weights=lambda a: _flat_params(3, 3, 6)), "48 parameters", id="outputs6"),
     pytest.param(_members(vocab=lambda a: np.array(["AllQuiet", "\ud800", "FordF150", "Saab83"])),
                  "label '\\ud800' must be", id="label"),
     # output 1 would be reported under the label of output 2
@@ -375,8 +386,8 @@ _BAD_MEMBERS = "expected mask 1-D int, vocab 1-D text, normalize one bool, param
                  "repeat one", id="repeated-label"),
     pytest.param(_members(mask=lambda a: a.astype(float)), _BAD_MEMBERS, id="mask-float"),
     pytest.param(_members(normalize=lambda a: a.reshape(1)), _BAD_MEMBERS, id="normalize-vector"),
-    pytest.param(_members(params=lambda a: a.astype(np.float32)), _BAD_MEMBERS, id="params-float32"),
-    pytest.param(_members(params=lambda a: a.reshape(-1, 1)), _BAD_MEMBERS, id="params-2d"),
+    pytest.param(_members(weights=lambda a: a.astype(np.float64)), _BAD_MEMBERS, id="weights-float64"),
+    pytest.param(_members(weights=lambda a: a.reshape(-1, 1)), _BAD_MEMBERS, id="params-2d"),
 ])
 def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, message):
     cfg_path, out = smoke
@@ -388,6 +399,25 @@ def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, mess
     _corrupt_file(ckpt, corrupt)
     assert run(cfg_path, tmp_path / "o", *argv) == 2
     _one_error_line(capsys, ckpt, message)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scale, message", [
+    pytest.param(1e39, "error: a feature magnitude exceeds float32, which the network runs in; "
+                 "train with normalize_rows = true", id="past-float32"),
+    # every feature fits float32, but the first layer's float32 sums can overflow
+    pytest.param(2e38, "error: the feature magnitudes can overflow the float32 network; "
+                 "train with normalize_rows = true", id="first-layer"),
+])
+def test_eval_of_raw_rows_beyond_float32_is_data_error(smoke, tmp_path, capsys, scale, message):
+    cfg_path, out = smoke
+    ckpt, rows_path = tmp_path / "model.bin", tmp_path / "rows.npz"
+    dnn.save_checkpoint(ckpt, dnn.unflatten(dnn.init_network(3, 4, seed=1), 3, 4), [3, 17, 120], SMOKE_LABELS,
+                        False)  # raw rows, as normalize_rows = false trains on
+    ds = trainer.load_rows(out / "rows.npz")
+    trainer.save_rows(rows_path, np.full_like(ds.x, scale), np.array(ds.label_vocab)[ds.y])
+    assert run(cfg_path, tmp_path / "o", "eval", "--checkpoint", str(ckpt), "--rows", str(rows_path)) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
     assert not (tmp_path / "o").exists()
 
 
@@ -882,8 +912,7 @@ def test_eval_maps_rows_into_a_checkpoint_vocabulary_of_another_order(smoke, tmp
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(tmp_path / "a" / "checkpoint.bin")
     assert vocab == SMOKE_LABELS  # the rows' first-appearance order
     order = [2, 0, 3, 1]
-    w3, b3 = params[4][order], params[5][order]
-    dnn.save_checkpoint(tmp_path / "reordered.bin", [*params[:4], w3, b3], mask_bins,
+    dnn.save_checkpoint(tmp_path / "reordered.bin", [*params[:2], params[2][order]], mask_bins,
                         [vocab[k] for k in order], normalize)
     assert run(cfg_path, tmp_path / "a", "eval", "--rows", rows) == 0
     assert run(cfg_path, tmp_path / "b", "eval", "--checkpoint", str(tmp_path / "reordered.bin"),

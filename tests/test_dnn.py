@@ -12,39 +12,57 @@ LN2 = 0.6931471805599453
 
 
 def zero_net(d, c):
-    return [np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d),
-            np.zeros((c, d)), np.zeros(c)]
+    return [np.zeros((d, d + 1)), np.zeros((d, d + 1)), np.zeros((c, d + 1))]
+
+
+def net(d, c, seed, dtype=np.float64):
+    """init_network's draws as the three augmented matrices, views of one vector of dtype."""
+    return dnn.unflatten(dnn.init_network(d, c, seed).astype(dtype), d, c)
+
+
+def augmented(x, dtype=np.float32):
+    """The (d + 1, rows) `forward` input: the rows of x as columns over a row of ones."""
+    return np.vstack([x.T, np.ones((1, len(x)))]).astype(dtype)
+
+
+def bits(a):
+    """The raw bits of a float array, for bitwise comparison."""
+    return a.view(f"i{a.itemsize}")
 
 
 def predict_one(params, x):
-    """Class of one feature vector, through predict_batch on a 1-row matrix."""
-    return int(dnn.predict_batch(params, np.asarray(x, dtype=float).reshape(1, -1))[0])
+    """Class of one feature vector, through predict_batch on a 1-column matrix."""
+    return int(dnn.predict_batch(params, augmented(np.reshape(x, (1, -1)), float))[0])
 
 
 # ---------------------------------------------------------------------------
 # init
 
 def test_init_shapes_small_task():
-    p = dnn.init_network(23, 4, seed=0)
-    assert [a.shape for a in p] == [(23, 23), (23,), (23, 23), (23,), (4, 23), (4,)]
+    theta = dnn.init_network(23, 4, seed=0)
+    assert theta.shape == (2 * 23 * 24 + 4 * 24,) and theta.dtype == np.float64
+    p = dnn.unflatten(theta, 23, 4)
+    assert [a.shape for a in p] == [(23, 24), (23, 24), (4, 24)]
+    assert all(np.shares_memory(a, theta) for a in p)
 
 
 def test_init_shapes_large_task():
-    p = dnn.init_network(115, 7, seed=0)
-    assert [a.shape for a in p] == [(115, 115), (115,), (115, 115), (115,), (7, 115), (7,)]
+    theta = dnn.init_network(115, 7, seed=0)
+    assert theta.shape == (2 * 115 * 116 + 7 * 116,)
+    assert [a.shape for a in dnn.unflatten(theta, 115, 7)] == [(115, 116), (115, 116), (7, 116)]
 
 
 def test_init_deterministic_and_bounded():
-    a = dnn.init_network(10, 3, seed=99)
-    b = dnn.init_network(10, 3, seed=99)
+    a = net(10, 3, seed=99)
+    b = net(10, 3, seed=99)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa, pb)
-    assert all(np.all(bias == 0) for bias in a[1::2])
+    assert all(np.all(w[:, -1] == 0) for w in a)  # zero biases
     r1 = np.sqrt(6.0 / (10 + 10))
     r3 = np.sqrt(6.0 / (10 + 3))
-    assert np.all(np.abs(a[0]) <= r1)
-    assert np.all(np.abs(a[4]) <= r3)
-    c = dnn.init_network(10, 3, seed=100)
+    assert np.all(np.abs(a[0]) <= r1) and np.all(a[0][:, :-1] != 0)
+    assert np.all(np.abs(a[2]) <= r3)
+    c = net(10, 3, seed=100)
     assert not np.array_equal(a[0], c[0])
 
 
@@ -59,8 +77,8 @@ def test_init_rejects_degenerate_sizes():
 # sigmoid
 
 def reference_sigmoid(z):
-    """The two-branch stable sigmoid in float64, with boolean masks: the bitwise reference."""
-    z = np.asarray(z, dtype=float)
+    """The two-branch stable sigmoid in z's float dtype, with boolean masks: the bitwise reference."""
+    z = np.asarray(z)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -73,12 +91,14 @@ SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan]
 
 
 def test_sigmoid_bit_identical_to_branched_reference():
-    z = np.concatenate([np.linspace(-800.0, 800.0, 200_001), SIGMOID_EDGES])
-    with np.errstate(under="ignore"):
-        expected = reference_sigmoid(z)
-    got = dnn.sigmoid(z)
-    assert got.shape == z.shape
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # float32 z stays float32: backward's output delta in the pipeline's net
+    for dtype in (np.float64, np.float32):
+        z = np.concatenate([np.linspace(-800.0, 800.0, 200_001), SIGMOID_EDGES]).astype(dtype)
+        with np.errstate(under="ignore"):
+            expected = reference_sigmoid(z)
+            got = dnn.sigmoid(z)
+        assert got.shape == z.shape and got.dtype == dtype
+        assert np.array_equal(bits(got), bits(expected))
     x = np.random.default_rng(4).normal(scale=6.0, size=(37, 11))
     assert np.array_equal(dnn.sigmoid(x).view(np.int64), reference_sigmoid(x).view(np.int64))
 
@@ -138,11 +158,11 @@ def test_sigmoid_swap_leaves_training_bit_identical(monkeypatch):
 
     monkeypatch.setattr(dnn, "sigmoid", swapped)
     p_ref, log_ref = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
-    # the batch pass and backward go through the swapped sigmoid; the scoring pass uses tanh
-    assert len(calls) == 3 * cfg.runs
-    assert set(calls) == {(12, 5), (12, 3)}
+    # only backward's output delta goes through the swapped sigmoid; the hidden layers use tanh
+    assert len(calls) == cfg.runs
+    assert set(calls) == {(3, 12)}
     for a, b in zip(p_new, p_ref):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert np.array_equal(bits(a), bits(b))
     assert log_new.records.shape == log_ref.records.shape == (25, 5)
     assert np.array_equal(log_new.records.view(np.int64), log_ref.records.view(np.int64))
 
@@ -151,44 +171,44 @@ def test_sigmoid_swap_leaves_training_bit_identical(monkeypatch):
 # forward
 
 def test_forward_zero_net_gives_half_activations():
+    # tanh(0) = 0 is the sigmoid form's activation of 1/2
     p = zero_net(4, 3)
-    logits, (_, a1, a2, *_) = dnn.forward(p, np.zeros((2, 4)))
-    assert np.all(a1 == 0.5)
-    assert np.all(a2 == 0.5)
+    logits, (_, t1, t2, *_) = dnn.forward(p, augmented(np.zeros((2, 4)), float))
+    assert np.all(t1[:4] == 0.0) and np.all(t1[4] == 1.0)
+    assert np.all(t2[:4] == 0.0) and np.all(t2[4] == 1.0)
     assert np.all(logits == 0.0)
 
 
 def test_forward_hand_evaluated_chain():
-    # 1-wide net: W1=2, W2=1, W3=1, b3=1 applied to x=0
-    p = [np.array([[2.0]]), np.array([0.0]), np.array([[1.0]]), np.array([0.0]),
-         np.array([[1.0]]), np.array([1.0])]
-    logits, (_, a1, a2, *_) = dnn.forward(p, np.array([[0.0]]))
-    assert a1[0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert a2[0, 0] == pytest.approx(0.6224593312018546, abs=1e-12)
-    assert logits[0, 0] == pytest.approx(1.6224593312018546, abs=1e-12)
+    # 1-wide net: W1 = 2, W2 = 1, b2 = 0.5, W3 = 1, b3 = 1 applied to x = 0.5
+    p = [np.array([[2.0, 0.0]]), np.array([[1.0, 0.5]]), np.array([[1.0, 1.0]])]
+    logits, (_, t1, t2, *_) = dnn.forward(p, np.array([[0.5], [1.0]]))
+    assert t1[0, 0] == pytest.approx(0.7615941559557649, abs=1e-12)  # tanh(1)
+    assert t2[0, 0] == pytest.approx(0.8515030064982424, abs=1e-12)  # tanh(tanh(1) + 0.5)
+    assert logits[0, 0] == pytest.approx(1.8515030064982425, abs=1e-12)
 
 
 def test_forward_batch_shape():
-    p = dnn.init_network(23, 4, seed=3)
-    x = np.random.default_rng(0).normal(size=(150, 23))
-    logits, (_, a1, *_) = dnn.forward(p, x)
-    assert logits.shape == (150, 4)
-    assert a1.shape == (150, 23)
+    p = net(23, 4, seed=3, dtype=np.float32)
+    a = augmented(np.random.default_rng(0).normal(size=(150, 23)))
+    logits, (_, t1, *_) = dnn.forward(p, a)
+    assert logits.shape == (4, 150) and logits.dtype == np.float32
+    assert t1.shape == (24, 150)
 
 
 def test_forward_rejects_wrong_width():
-    p = dnn.init_network(5, 3, seed=0)
-    with pytest.raises(ValidationError):
-        dnn.forward(p, np.zeros((2, 4)))
+    p = net(5, 3, seed=0)
+    with pytest.raises(ValidationError, match="input width 4 does not match network d=5"):
+        dnn.forward(p, np.ones((5, 2)))
 
 
 def test_forward_batch_order_equivariant():
-    p = dnn.init_network(8, 3, seed=5)
-    x = np.random.default_rng(1).normal(size=(20, 8))
+    p = net(8, 3, seed=5)
+    a = augmented(np.random.default_rng(1).normal(size=(20, 8)), float)
     perm = np.random.default_rng(2).permutation(20)
-    logits, _ = dnn.forward(p, x)
-    logits_perm, _ = dnn.forward(p, x[perm])
-    assert np.array_equal(logits[perm], logits_perm)
+    logits, _ = dnn.forward(p, a)
+    logits_perm, _ = dnn.forward(p, np.ascontiguousarray(a[:, perm]))
+    assert np.array_equal(logits[:, perm], logits_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +285,7 @@ def test_loss_bit_identical_to_float64_expression():
 # ---------------------------------------------------------------------------
 # backward
 
-def finite_difference_grads(params, x, y, h=1e-5):
+def finite_difference_grads(params, a, y, h=1e-5):
     """Central-difference loss gradients; independent of backward()."""
     grads = []
     for arr in params:
@@ -275,119 +295,117 @@ def finite_difference_grads(params, x, y, h=1e-5):
             i = it.multi_index
             saved = arr[i]
             arr[i] = saved + h
-            up = dnn.loss(dnn.forward(params, x)[0], y)
+            up = dnn.loss(dnn.forward(params, a)[0], y)
             arr[i] = saved - h
-            down = dnn.loss(dnn.forward(params, x)[0], y)
+            down = dnn.loss(dnn.forward(params, a)[0], y)
             arr[i] = saved
             g[i] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
 
 
+def one_hot_columns(rng, c, cols):
+    """(c, cols) float64 targets, one random hot output per column."""
+    y = np.zeros((c, cols))
+    y[rng.integers(0, c, size=cols), np.arange(cols)] = 1.0
+    return y
+
+
 def test_backward_output_delta_zero_net():
     p = zero_net(2, 3)
     batch = 4
-    x = np.zeros((batch, 2))
-    y = np.ones((batch, 3))
-    _, trace = dnn.forward(p, x)
+    a = augmented(np.zeros((batch, 2)), float)
+    y = np.ones((3, batch))
+    _, trace = dnn.forward(p, a)
     grads = dnn.backward(p, trace, y)
-    # delta = (0.5 - 1) / (batch * c) at every output; bias grad sums over the batch
+    # delta = (0.5 - 1) / (batch * c) at every output; the bias column sums it over the batch
     expected_b3 = batch * (0.5 - 1.0) / (batch * 3)
-    assert np.allclose(grads[5], expected_b3, atol=1e-15)
+    assert np.allclose(grads[2][:, -1], expected_b3, atol=1e-15)
+    assert np.all(grads[2][:, :-1] == 0.0)  # t2 = tanh(0) = 0
 
 
 def test_backward_matches_finite_differences():
+    # a float64 instance of the net the pipeline runs in float32
     rng = np.random.default_rng(12)
-    p = dnn.init_network(4, 3, seed=42)
-    x = rng.normal(size=(5, 4))
-    y = np.zeros((5, 3))
-    y[np.arange(5), rng.integers(0, 3, size=5)] = 1.0
-    _, trace = dnn.forward(p, x)
+    p = net(4, 3, seed=42)
+    a = augmented(rng.normal(size=(5, 4)), float)
+    y = one_hot_columns(rng, 3, 5)
+    _, trace = dnn.forward(p, a)
     analytic = dnn.backward(p, trace, y)
-    numeric = finite_difference_grads(p, x, y)
-    assert [g.shape for g in analytic] == [a.shape for a in p]
+    numeric = finite_difference_grads(p, a, y)
+    assert [g.shape for g in analytic] == [w.shape for w in p]
     for ga, gn in zip(analytic, numeric):
         rel = np.abs(ga - gn) / np.maximum(1.0, np.abs(ga))
         assert np.max(rel) < 1e-5
 
 
 def test_backward_zero_input_batch():
-    p = dnn.init_network(6, 3, seed=8)
-    x = np.zeros((5, 6))
-    y = np.zeros((5, 3))
-    y[:, 0] = 1.0
-    _, trace = dnn.forward(p, x)
+    p = net(6, 3, seed=8)
+    a = augmented(np.zeros((5, 6)), float)
+    y = np.zeros((3, 5))
+    y[0] = 1.0
+    _, trace = dnn.forward(p, a)
     grads = dnn.backward(p, trace, y)
-    assert np.all(grads[0] == 0.0)  # delta1 x^T with x = 0
-    assert np.any(grads[1] != 0.0)
+    assert np.all(grads[0][:, :-1] == 0.0)  # delta1 x^T with x = 0
+    assert np.any(grads[0][:, -1] != 0.0)  # the bias column sees the ones row
 
 
-def reference_forward_backward(params, x, y):
+def reference_forward(params, a):
+    """Logits and hidden activations as plain expressions with new arrays: the bitwise reference."""
+    w1, w2, w3 = params
+    ones = np.ones((1, a.shape[1]), a.dtype)
+    t1 = np.vstack([np.tanh(w1 @ a), ones])
+    t2 = np.vstack([np.tanh(w2 @ t1), ones])
+    return w3 @ t2, t1, t2
+
+
+def reference_forward_backward(params, a, y):
     """Logits and gradients as plain expressions with new arrays: the bitwise reference."""
-    w1, b1, w2, b2, w3, b3 = params
-    a1 = reference_sigmoid(x @ w1.T + b1)
-    a2 = reference_sigmoid(a1 @ w2.T + b2)
-    z3 = a2 @ w3.T + b3
+    w1, w2, w3 = params
+    d = len(w1)
+    z3, t1, t2 = reference_forward(params, a)
     d3 = (reference_sigmoid(z3) - y) / z3.size
-    d2 = (d3 @ w3) * a2 * (1.0 - a2)
-    d1 = (d2 @ w2) * a1 * (1.0 - a1)
-    return z3, [d1.T @ x, d1.sum(axis=0), d2.T @ a1, d2.sum(axis=0), d3.T @ a2, d3.sum(axis=0)]
+    d2 = (w3[:, :d].T @ d3) * (1.0 - t2[:d] * t2[:d])
+    d1 = (w2[:, :d].T @ d2) * (1.0 - t1[:d] * t1[:d])
+    return z3, [d1 @ a.T, d2 @ t1.T, d3 @ t2.T]
 
 
 @pytest.mark.parametrize("d, c, batch", [(5, 3, 12), (13, 2, 40), (77, 4, 150)])
 def test_buffered_passes_bit_identical_to_expressions(d, c, batch):
     rng = np.random.default_rng(d)
-    p = dnn.init_network(d, c, seed=d)
-    x = 0.1 + rng.random((batch, d))
-    y = np.eye(c)[rng.integers(0, c, batch)]
-    want_logits, want_grads = reference_forward_backward(p, x, y)
-    theta = flat(p)
+    theta = dnn.init_network(d, c, seed=d).astype(np.float32)
+    theta += rng.normal(scale=0.5, size=theta.shape)  # nonzero biases and weights past init's range
+    a = augmented(0.1 + rng.random((batch, d)))
+    y = np.eye(c, dtype=np.float32)[:, rng.integers(0, c, batch)]
     params, grad = dnn.unflatten(theta, d, c), np.empty_like(theta)
-    assert all(np.shares_memory(a, theta) for a in params)
-    work = dnn.buffers(batch, d, c)
-    for _ in range(2):  # the same arrays serve every pass
-        logits, trace = dnn.forward(params, x, work)
+    want_logits, want_grads = reference_forward_backward(params, a, y)
+    assert want_logits.dtype == flat(want_grads).dtype == np.float32
+    work = dnn.activations(batch, d, c, np.float32)
+    for _ in range(2):  # the same arrays serve every pass, though backward uses them as scratch
+        logits, trace = dnn.forward(params, a, work)
         assert logits is work[2]
-        assert np.array_equal(logits.view(np.int64), want_logits.view(np.int64))
+        assert np.array_equal(bits(logits), bits(want_logits))
         dnn.backward(params, trace, y, dnn.unflatten(grad, d, c))
-        assert np.array_equal(grad.view(np.int64), flat(want_grads).view(np.int64))
-
-
-# ---------------------------------------------------------------------------
-# score
-
-def augmented(x):
-    """The float32 (d + 1, rows) scoring input: the rows of x as columns over a row of ones."""
-    return np.vstack([x.T, np.ones((1, len(x)))]).astype(np.float32)
-
-
-def reference_score(params, a):
-    """Scoring logits of the augmented net as plain expressions with new arrays: the bitwise reference for dnn.score."""
-    w1, b1, w2, b2, w3, b3 = params
-    layers = [(w1 / 2, b1 / 2), (w2 / 4, (w2.sum(axis=1) / 2 + b2) / 2), (w3 / 2, w3.sum(axis=1) / 2 + b3)]
-    v1, v2, v3 = [np.column_stack([w, b]).astype(np.float32) for w, b in layers]
-    ones = np.ones((1, a.shape[1]), np.float32)
-    t1 = np.vstack([np.tanh(v1 @ a), ones])
-    t2 = np.vstack([np.tanh(v2 @ t1), ones])
-    return v3 @ t2
+        assert np.array_equal(bits(grad), bits(flat(want_grads)))
 
 
 @pytest.mark.parametrize("d, c, rows", [(5, 3, 12), (58, 4, 600), (77, 7, 1015), (125, 7, 300)])
 def test_score_bit_identical_to_expressions_and_near_float64_forward(d, c, rows):
+    # the scoring pass: the float32 forward over every column, as train and eval run it
     rng = np.random.default_rng(d)
     x = rng.random((rows, d)).astype(np.float32)
-    theta = flat(dnn.init_network(d, c, seed=d))
-    theta += rng.normal(scale=0.5, size=theta.shape)  # nonzero biases and weights past init's range
+    theta = dnn.init_network(d, c, seed=d).astype(np.float32)
+    theta += rng.normal(scale=0.5, size=theta.shape)
     params = dnn.unflatten(theta, d, c)
     a = augmented(x)
-    want = reference_score(params, a)
+    want = reference_forward(params, a)[0]
     assert want.shape == (c, rows)
-    out = dnn.score_buffers(rows, d, c)
-    for got in (dnn.score(params, a), dnn.score(params, a, out), dnn.score(params, a, out)):
+    out = dnn.activations(rows, d, c, np.float32)
+    for got in (dnn.forward(params, a)[0], dnn.forward(params, a, out)[0], dnn.forward(params, a, out)[0]):
         assert got.dtype == want.dtype == np.float32
-        assert np.array_equal(got.view(np.int32), want.view(np.int32))
-    assert got is out[-1]
-    z = dnn.forward(params, x)[0].T
+        assert np.array_equal(bits(got), bits(want))
+    assert got is out[2]
+    z = dnn.forward(dnn.unflatten(theta.astype(float), d, c), augmented(x, float))[0]
     assert np.abs(z).max() > 1.0  # the logits reach past the bound's constant term
     assert np.all(np.abs(got - z) <= 1e-5 * (1.0 + np.abs(z)))
 
@@ -400,7 +418,7 @@ def flat(arrays):
 
 
 def test_adam_first_step_moves_alpha_per_element():
-    p = dnn.init_network(3, 2, seed=1)
+    p = net(3, 2, seed=1)
     rng = np.random.default_rng(3)
     grads = [
         rng.uniform(1e-3, 2.0, a.shape) * rng.choice([-1, 1], a.shape) for a in p
@@ -420,7 +438,7 @@ def test_adam_first_step_moves_alpha_per_element():
 
 
 def test_adam_zero_gradient_keeps_params():
-    before = flat(dnn.init_network(4, 2, seed=2))
+    before = dnn.init_network(4, 2, seed=2)
     theta, state = before.copy(), np.zeros((3, len(before)))
     dnn.adam_update(theta, np.zeros_like(theta), state, 1, 0.005)
     assert np.array_equal(theta, before)
@@ -460,7 +478,7 @@ def reference_adam(params, grads, m, v, t, alpha):
 
 def test_adam_in_place_bit_identical_to_per_array_reference():
     rng = np.random.default_rng(6)
-    p = dnn.init_network(7, 3, seed=6)
+    p = net(7, 3, seed=6)
     theta, state = flat(p), np.zeros((3, len(flat(p))))
     m, v = [np.zeros_like(a) for a in p], [np.zeros_like(a) for a in p]
     for t in range(1, 6):
@@ -469,7 +487,7 @@ def test_adam_in_place_bit_identical_to_per_array_reference():
         dnn.adam_update(theta, flat(grads), state, t, 0.01)
         p, m, v = reference_adam(p, grads, m, v, t, 0.01)
         for got, want in [(theta, p), (state[0], m), (state[1], v)]:
-            assert np.array_equal(got.view(np.int64), flat(want).view(np.int64))
+            assert np.array_equal(bits(got), bits(flat(want)))
 
 
 def test_adam_descends_on_convex_toy():
@@ -495,30 +513,31 @@ def test_adam_descends_on_convex_toy():
 
 def test_predict_single_hot_output():
     p = zero_net(2, 3)
-    p[5][:] = [-5.0, 5.0, -5.0]
+    p[2][:, -1] = [-5.0, 5.0, -5.0]
     assert predict_one(p, np.zeros(2)) == 1
 
 
 def test_predict_no_hot_output_is_unclassified():
     p = zero_net(2, 3)
-    p[5][:] = [-5.0, -5.0, -5.0]
+    p[2][:, -1] = [-5.0, -5.0, -5.0]
     assert predict_one(p, np.zeros(2)) == UNCLASSIFIED
 
 
 def test_predict_two_hot_outputs_is_unclassified():
     p = zero_net(2, 3)
-    p[5][:] = [5.0, 5.0, -5.0]
+    p[2][:, -1] = [5.0, 5.0, -5.0]
     assert predict_one(p, np.zeros(2)) == UNCLASSIFIED
 
 
 def test_predict_matches_rounded_one_hot():
     rng = np.random.default_rng(11)
-    p = dnn.init_network(6, 4, seed=11)
-    x = rng.normal(size=(50, 6))
-    logits, _ = dnn.forward(p, x)
+    p = net(6, 4, seed=11, dtype=np.float32)
+    a = augmented(rng.normal(size=(50, 6)))
+    logits, _ = dnn.forward(p, a)
     rounded = (dnn.sigmoid(logits) >= 0.5).astype(int)
-    preds = dnn.predict_batch(p, x)
-    for row, pred in zip(rounded, preds):
+    preds = dnn.predict_batch(p, a)
+    assert preds.shape == (50,)
+    for row, pred in zip(rounded.T, preds):
         if pred == UNCLASSIFIED:
             assert row.sum() != 1
         else:
@@ -549,7 +568,7 @@ def test_decode_matches_where_form_with_and_without_out():
 # checkpoint
 
 def test_checkpoint_roundtrip(tmp_path):
-    p = dnn.init_network(12, 4, seed=21)
+    p = net(12, 4, seed=21, dtype=np.float32)
     path = tmp_path / "model.bin"
     bins = [3, 17, 120, *range(200, 209)]  # one bin per input, as load_checkpoint requires
     dnn.save_checkpoint(path, p, bins, ["AllQuiet", "TruckA", "CarB", "Gen"], True)
@@ -559,7 +578,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert normalize is True
     assert [a.shape for a in loaded] == [a.shape for a in p]
     for a, b in zip(p, loaded):
-        assert np.array_equal(a, b)
+        assert b.dtype == np.float32 and np.array_equal(bits(a), bits(b))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -570,7 +589,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
-    p = dnn.init_network(9, 3, seed=5)
+    p = net(9, 3, seed=5)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     dnn.save_checkpoint(a, p, [1, 2], ["x", "y", "z"], False)
     dnn.save_checkpoint(b, p, [1, 2], ["x", "y", "z"], False)
@@ -580,10 +599,11 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 def test_checkpoint_golden_bytes(tmp_path):
     import hashlib
 
-    p = dnn.init_network(3, 4, seed=21)
+    p = net(3, 4, seed=21)
     # the init draws: the sha256 of the last 320 bytes of the earlier hand-packed
-    # checkpoint of this network, which were its 40 parameters as <f8
-    draws = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in p)
+    # checkpoint of this network, which were its 40 parameters as <f8, each
+    # layer's weights before its biases
+    draws = b"".join(np.asarray(part, dtype="<f8").tobytes() for w in p for part in (w[:, :-1], w[:, -1]))
     assert hashlib.sha256(draws).hexdigest() == (
         "3788856c16085e92c0ccc8261c80baebfced80cd8ae3d441f34f1f73a1bd1385"
     )
@@ -591,9 +611,9 @@ def test_checkpoint_golden_bytes(tmp_path):
     path = tmp_path / "model.bin"
     dnn.save_checkpoint(path, p, [3, 17, 120], ["AllQuiet", "TruckA", "CarB", "Gen"], True)
     raw = path.read_bytes()
-    assert len(raw) == 1471
+    assert len(raw) == 1313
     assert hashlib.sha256(raw).hexdigest() == (
-        "19b13818f18e26fbd343d3299f2a59638bc510c1df2aa3e3d2944a4dba9adc11"
+        "d09ec165979f97904a266bb9df3f580bec8ae8ab84d284d6707294d5874d0f10"
     )
     loaded, mask, vocab, normalize = dnn.load_checkpoint(path)
     again = tmp_path / "again.bin"

@@ -5,7 +5,8 @@ Group2 and a tiny Group1 config and compares the sha256 of every output file,
 each stage's stdout and stderr, and each exit code with golden_digests.json.
 A change that alters output bytes on purpose regenerates the table with
 `PYTHONPATH=src python tests/test_golden.py` in the same commit and names
-each changed file.
+each changed file; the script prints every entry (group, stage or `files`,
+and name) whose digest changed.
 """
 
 import contextlib
@@ -53,11 +54,22 @@ def test_stage_outputs_match_golden_digests(tmp_path, group):
     assert digests(tmp_path, CONFIGS[group]) == golden
 
 
+def changed_entries(old, new):
+    """The '<group> <stage or files> <entry>' names whose value differs between two tables, or is in one only."""
+    def flat(table):
+        return {f"{group} {part} {name}": value for group, parts in table.items()
+                for part, entries in parts.items() for name, value in entries.items()}
+    old, new = flat(old), flat(new)
+    return sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {}
         for group, text in CONFIGS.items():
             (Path(tmp) / group).mkdir()
             table[group] = digests(Path(tmp) / group, text)
+    before = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {TABLE}")
+    changed = changed_entries(before, table)
+    print(f"wrote {TABLE}; {len(changed)} entries changed" + "".join(f"\n  {key}" for key in changed))

@@ -9,7 +9,7 @@ from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.rng import derive_rng
 from sigclass.spectral import N_BINS
 from sigclass.trainer import Dataset
-from test_dnn import augmented, reference_adam, reference_score
+from test_dnn import augmented, bits, net, reference_adam, reference_forward, reference_forward_backward
 
 LN2 = 0.6931471805599453
 # the columns of RunLog.records
@@ -268,8 +268,7 @@ def test_train_logs_one_record_per_run():
 def test_train_single_run_zero_net_loss_near_ln2(monkeypatch):
     ds = toy_dataset(20)
     d, c = 2, 2
-    zero = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d),
-            np.zeros((c, d)), np.zeros(c)]
+    zero = np.zeros(d * (2 * d + c + 2) + c)
     monkeypatch.setattr(trainer.dnn, "init_network", lambda d_in, c_out, seed: zero)
     cfg = PipelineConfig(runs=1, batch_size=16, seed=6)
     params, log = train_on(ds, FeatureMask(kept=[10, 20]), cfg)
@@ -306,25 +305,38 @@ def test_train_learns_separable_toy():
     assert log.records[-1, LOSS] < log.records[0, LOSS]
 
 
-def float64_scoring_train(x_train, y_train, x_test, y_test, c, cfg):
-    """The training loop scored in float64, one forward pass per split: the reference."""
-    targets = np.eye(c)[y_train]
-    params = dnn.init_network(x_train.shape[1], c, seed=derive_rng(cfg.seed, "init").integers(2**32))
+def reference_train(x_train, y_train, x_test, y_test, c, cfg, score_dtype=np.float32):
+    """The training loop with new arrays for every step: the bitwise reference.
+
+    It runs the float32 net as plain expressions (`reference_forward_backward`)
+    on the batch's columns, steps Adam per parameter array, and scores with
+    `reference_forward` over the stacked rows as columns, decoding the train
+    and test logits apart; the loss is `dnn.loss` of the train logits.  With
+    score_dtype float64 it scores a float64 copy of the parameters over the
+    float64 rows instead.
+    """
+    n_train, d = x_train.shape
+    hot_train, hot_test = np.eye(c, dtype=bool)[:, y_train], np.eye(c, dtype=bool)[:, y_test]
+    targets = hot_train.astype(np.float32)
+    a = augmented(np.concatenate([x_train, x_test]))
+    scored = augmented(np.concatenate([x_train, x_test]), score_dtype)
+    theta = dnn.init_network(d, c, seed=derive_rng(cfg.seed, "init").integers(2**32)).astype(np.float32)
+    params = dnn.unflatten(theta, d, c)
     m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
     batch_rng = derive_rng(cfg.seed, "batches")
     records = []
     for run in range(1, cfg.runs + 1):
-        idx = batch_rng.choice(len(x_train), size=cfg.batch_size, replace=False)
-        _, trace = dnn.forward(params, x_train[idx])
-        grads = dnn.backward(params, trace, targets[idx])
+        idx = batch_rng.choice(n_train, size=cfg.batch_size, replace=False)
+        _, grads = reference_forward_backward(params, np.take(a, idx, axis=1), np.take(targets, idx, axis=1))
         params, m, v = reference_adam(params, grads, m, v, run, cfg.learn_rate)
-        train_logits = dnn.forward(params, x_train)[0]
+        logits = reference_forward([p.astype(score_dtype) for p in params], scored)[0]
+        train_logits, test_logits = logits[:, :n_train], logits[:, n_train:]
         scores = []
-        for logits, y in [(train_logits, y_train), (dnn.forward(params, x_test)[0], y_test)]:
-            hot, preds = dnn.decode(logits.T)
-            scores += [float(np.mean(preds == y)), float(np.mean(hot.T == np.eye(c, dtype=bool)[y]))]
+        for split_logits, y, y_hot in [(train_logits, y_train, hot_train), (test_logits, y_test, hot_test)]:
+            hot, preds = dnn.decode(split_logits)
+            scores += [float(np.mean(preds == y)), float(np.mean(hot == y_hot))]
         train_acc, train_bit, test_acc, test_bit = scores
-        loss = dnn.loss(train_logits, targets)
+        loss = dnn.loss(train_logits, targets.astype(score_dtype), np.empty((2, c, n_train), score_dtype))
         records.append((loss, train_acc, test_acc, train_bit, test_bit))
     return params, np.array(records)
 
@@ -335,47 +347,14 @@ def test_float32_scoring_matches_float64_reference():
     x, y = trainer.features_matrix(ds.rows, FeatureMask(kept=[10, 20, 30]), cfg.normalize_rows), ds.y
     tr, te = trainer.split(y, cfg)
     params, log = trainer.train(x[tr], y[tr], x[te], y[te], 3, cfg)
-    ref_params, ref_records = float64_scoring_train(x[tr], y[tr], x[te], y[te], 3, cfg)
+    ref_params, ref_records = reference_train(x[tr], y[tr], x[te], y[te], 3, cfg, score_dtype=np.float64)
     for a, b in zip(params, ref_params):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert np.array_equal(bits(a), bits(b))
     assert log.records.shape == ref_records.shape == (600, 5)
     assert np.array_equal(log.records[:, TRAIN_ACC:], ref_records[:, TRAIN_ACC:])
     assert log.records[:, LOSS] == pytest.approx(ref_records[:, LOSS], rel=1e-6)
     # the accuracies move over the runs, so the equality above is not vacuous
     assert len(set(ref_records[:, TEST_ACC].tolist())) > 2 and ref_records[-1, TEST_ACC] == 1.0
-
-
-def reference_train(x_train, y_train, x_test, y_test, c, cfg):
-    """The training loop with new arrays for every step: the bitwise reference.
-
-    It calls the dnn functions without `out` arrays, steps Adam per parameter
-    array, and scores with the plain-expression tanh net (`reference_score`)
-    over the stacked rows as columns, decoding the train and test logits
-    apart; the loss is the float32 `dnn.loss` of the train logits.
-    """
-    targets = np.eye(c)[y_train]
-    hot_train, hot_test = np.eye(c, dtype=bool)[:, y_train], np.eye(c, dtype=bool)[:, y_test]
-    a = augmented(np.concatenate([x_train, x_test]))
-    n_train = len(x_train)
-    params = dnn.init_network(x_train.shape[1], c, seed=derive_rng(cfg.seed, "init").integers(2**32))
-    m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
-    batch_rng = derive_rng(cfg.seed, "batches")
-    records = []
-    for run in range(1, cfg.runs + 1):
-        idx = batch_rng.choice(len(x_train), size=cfg.batch_size, replace=False)
-        _, trace = dnn.forward(params, x_train[idx])
-        grads = dnn.backward(params, trace, targets[idx])
-        params, m, v = reference_adam(params, grads, m, v, run, cfg.learn_rate)
-        logits = reference_score(params, a)
-        train_logits, test_logits = logits[:, :n_train], logits[:, n_train:]
-        scores = []
-        for split_logits, y, y_hot in [(train_logits, y_train, hot_train), (test_logits, y_test, hot_test)]:
-            hot, preds = dnn.decode(split_logits)
-            scores += [float(np.mean(preds == y)), float(np.mean(hot == y_hot))]
-        train_acc, train_bit, test_acc, test_bit = scores
-        loss = dnn.loss(train_logits, targets.T.astype(np.float32), np.empty((2, c, n_train), np.float32))
-        records.append((loss, train_acc, test_acc, train_bit, test_bit))
-    return params, np.array(records)
 
 
 @pytest.mark.parametrize("n, d, c, batch, runs", [
@@ -396,7 +375,7 @@ def test_train_bit_identical_to_reference_loop(tmp_path, n, d, c, batch, runs):
     ref_params, ref_records = reference_train(x[tr], y[tr], x[te], y[te], c, cfg)
     assert [a.shape for a in params] == [a.shape for a in ref_params]
     for a, b in zip(params, ref_params):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert a.dtype == np.float32 and np.array_equal(bits(a), bits(b))
     assert log.records.shape == ref_records.shape == (runs, 5)
     assert np.array_equal(log.records.view(np.int64), ref_records.view(np.int64))
     # runlog.csv writes the repr of each value as a Python float
@@ -462,14 +441,14 @@ def test_train_rejects_features_beyond_float32():
 @pytest.mark.parametrize("n, huge", [(300, slice(None)), (6000, slice(-40, None))],
                          ids=["all-rows", "last-test-rows"])
 def test_train_rejects_features_that_overflow_the_float32_scoring(n, huge):
-    # every value fits float32, but the scoring pass's float32 matmul overflows;
+    # every value fits float32, but the net's float32 first-layer matmul overflows;
     # when only the last rows are huge, a second BLAS thread may hold the overflow
     x = np.random.default_rng(0).random((n, 20))
     x[huge] *= 3e38
     assert np.all(x < np.finfo(np.float32).max)
     y = np.arange(n) % 3
     cut = n * 4 // 5
-    with pytest.raises(ValidationError, match="overflow the float32 scoring pass"):
+    with pytest.raises(ValidationError, match="run 1: the feature magnitudes can overflow the float32 network"):
         trainer.train(x[:cut], y[:cut], x[cut:], y[cut:], 3, PipelineConfig(runs=2, batch_size=8))
 
 
@@ -484,11 +463,9 @@ def test_train_rejects_oversized_batch():
 # evaluate
 
 def hand_built_classifier():
-    """d=2, c=2 net that maps feature argmax to the class index."""
-    w1 = np.array([[20.0, -20.0], [-20.0, 20.0]])
-    w2 = np.array([[20.0, -20.0], [-20.0, 20.0]])
-    w3 = np.array([[30.0, -30.0], [-30.0, 30.0]])
-    return [w1, np.zeros(2), w2, np.array([0.0, 0.0]), w3, np.zeros(2)]
+    """d=2, c=2 float32 net that maps feature argmax to the class index; its biases are 0."""
+    w = np.array([[20.0, -20.0, 0.0], [-20.0, 20.0, 0.0]], np.float32)
+    return [w, w.copy(), 1.5 * w]
 
 
 def test_evaluate_perfect_toy_model():
@@ -502,7 +479,7 @@ def test_evaluate_perfect_toy_model():
 
 def test_evaluate_counts_conserved():
     rng = np.random.default_rng(13)
-    params = dnn.init_network(4, 3, seed=13)
+    params = net(4, 3, seed=13, dtype=np.float32)
     labels = ["A", "B", "C"]
     rows = []
     for _ in range(60):
@@ -518,7 +495,7 @@ def test_evaluate_counts_conserved():
     unclassified = counts[:, -1].sum()
     assert acc <= 1.0 - unclassified / 60.0 + 1e-12
     # per-row reference tally
-    preds = dnn.predict_batch(params, trainer.features_matrix(rows, mask, True))
+    preds = dnn.predict_batch(params, augmented(trainer.features_matrix(rows, mask, True)))
     expected = np.zeros((3, 4), dtype=int)
     for r, pred in zip(rows, preds):
         expected[labels.index(r.label), 3 if pred == UNCLASSIFIED else pred] += 1
