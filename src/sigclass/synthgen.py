@@ -3,7 +3,10 @@
 Each target class is a TargetProfile: a set of spectral lines per sensor
 channel plus a white noise floor.  Recordings are sums of phase-continuous
 sinusoids whose frequency wobbles a little from second to second, emulating
-run-to-run engine variation, plus Gaussian noise.
+run-to-run engine variation, plus Gaussian noise.  Within a second a line is
+a pure sinusoid, so each second is rendered in closed form from its start
+phase, which the seconds before it fix modulo one cycle (see
+`synthesize_recording`).
 
 A Recording holds one (channels, n) float64 matrix beside its channel ids,
 row i being channel i.  A recording file (.rec) is one ASCII header line, then
@@ -109,6 +112,14 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
     the instantaneous frequency is freq_hz plus a per-second Gaussian wobble
     (std jitter_hz) and the phase is continuous across seconds.  All draws
     come from one generator seeded by `seed`, so output is bit-reproducible.
+
+    Second s has one frequency f_s, so its start phase is P_s = phase0 +
+    2 pi frac(f_0 + ... + f_{s-1}), the cycles before it reduced modulo one
+    cycle, and its step is w_s = 2 pi f_s / rate.  With span = ceil(sqrt(rate)),
+    its sample j = span * q + r is sin(P_s + w_s span q) cos(w_s r) +
+    cos(P_s + w_s span q) sin(w_s r): 2 (rate / span + span) sin/cos calls per
+    second, and no angle beyond about one second's turn.  Each sample is
+    within 1e-11 per unit amplitude of the exact waveform.
     """
     if duration_s < 1:
         raise ValidationError("duration_s must be >= 1 second")
@@ -126,13 +137,20 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
             )
 
     rng = np.random.default_rng(seed)
+    rate = int(sample_rate_hz)
     n_seconds = int(math.ceil(duration_s))
+    full, tail = divmod(n, rate)  # whole seconds, then the samples of a cut last second
+    # sample j of a second is j = span * q + r: one coarse angle per q, one fine angle per r
+    span = math.isqrt(rate - 1) + 1  # ceil(sqrt(rate))
+    coarse_steps, fine_steps = span * np.arange(-(-rate // span)), np.arange(span)
     data = np.zeros((len(channels), n))
-    # each line's per-second frequencies, repeated per sample, and its phase:
-    # one buffer each, reused by every line
-    inst = np.empty((n_seconds, sample_rate_hz))
-    phase = np.empty(n)
+    # one line's samples, each second padded to a whole number of spans, and
+    # its second term: buffers reused by every line
+    wave = np.empty((n_seconds, len(coarse_steps), span))
+    term = np.empty_like(wave)
+    seconds = wave.reshape(n_seconds, -1)[:, :rate]  # (n_seconds, rate) view of the samples
     for row, cid in zip(data, channels):
+        whole = row[: full * rate].reshape(full, rate)  # the row's whole seconds
         if profile.noise_rms > 0:
             # rng.normal(0.0, noise_rms, n) computes 0.0 + noise_rms * z
             rng.standard_normal(out=row)
@@ -141,19 +159,23 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
         for line in profile.lines_per_channel.get(cid, []):
             phase0 = rng.uniform(0.0, 2.0 * np.pi)
             wobble = rng.normal(0.0, line.jitter_hz, size=n_seconds) if line.jitter_hz > 0 else np.zeros(n_seconds)
-            inst[:] = (float(line.freq_hz) + wobble)[:, None]
-            # phase[k] integrates the instantaneous frequency up to sample k,
-            # so the waveform stays continuous across wobble boundaries
-            phase[0] = 0.0
-            np.cumsum(inst.reshape(-1)[: n - 1], out=phase[1:])
-            # phase0 + 2.0 * np.pi * phase / rate, in that operation order
-            phase *= 2.0 * np.pi
-            phase /= sample_rate_hz
-            phase += phase0
-            np.sin(phase, out=phase)
-            phase *= line.amplitude
-            row += phase
-    return Recording(label=profile.label, sample_rate_hz=int(sample_rate_hz), channels=tuple(channels),
+            freqs = float(line.freq_hz) + wobble
+            # cycles before each second, reduced modulo one cycle (fmod is exact),
+            # so that every angle below stays within 2 pi (f_s + 1) rad
+            cycles = np.zeros(n_seconds)
+            np.cumsum(freqs[:-1], out=cycles[1:])
+            start = phase0 + 2.0 * np.pi * np.fmod(cycles, 1.0)
+            step = 2.0 * np.pi * freqs / rate  # rad per sample
+            coarse = start[:, None] + step[:, None] * coarse_steps
+            fine = step[:, None] * fine_steps
+            # amp * sin(coarse + fine) = (amp sin coarse) cos fine + (amp cos coarse) sin fine
+            np.multiply((line.amplitude * np.sin(coarse))[:, :, None], np.cos(fine)[:, None, :], out=wave)
+            np.multiply((line.amplitude * np.cos(coarse))[:, :, None], np.sin(fine)[:, None, :], out=term)
+            wave += term
+            whole += seconds[:full]
+            if tail:
+                row[full * rate:] += seconds[full, :tail]
+    return Recording(label=profile.label, sample_rate_hz=rate, channels=tuple(channels),
                      samples=data, duration_s=float(duration_s))
 
 

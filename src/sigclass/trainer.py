@@ -118,8 +118,9 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     train and test rows are stacked once before the loop as the columns of
     one (d + 1, n) matrix over a row of ones (see `_columns`).  Each run takes
     the batch's columns from it for one `dnn.forward`, `dnn.backward` and
-    Adam step, then scores with one `dnn.forward` over all n columns and
-    decodes the (c, n) logits once.  Every array a run writes into is made
+    Adam step, then scores with one `dnn.forward` over all n columns.  A
+    column is right, as `dnn.decode` would have it, exactly when its rounded
+    outputs equal its one-hot target.  Every array a run writes into is made
     before the loop.  Features large enough to overflow float32 raise
     ValidationError.
     """
@@ -144,8 +145,7 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     batch_out, score_out = (dnn.activations(cols, d, c, np.float32) for cols in (batch, n))
     a_batch, t_batch = np.empty((d + 1, batch), np.float32), np.empty((c, batch), np.float32)
     loss_out = np.empty((2, c, n_train), np.float32)
-    decoded = np.empty((c, n), bool), np.empty((c, n), np.float32), np.empty((2, n), np.float32), np.empty(n, int)
-    right, bits = np.empty(n, bool), np.empty((c, n), bool)
+    bits, right = np.empty((c, n), bool), np.empty(n, bool)
     batch_rng = derive_rng(cfg.seed, "batches")
 
     log = RunLog(np.empty((cfg.runs, 5)))
@@ -160,9 +160,9 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
         _check_range(reach, params, f"run {run}: ")  # for this run's scoring and the next run's step
         logits, _ = dnn.forward(params, a, score_out)
         train_loss = dnn.loss(logits[:, :n_train], targets, loss_out)
-        hot, preds = dnn.decode(logits, decoded)
-        np.equal(preds, y_all, out=right)
-        np.equal(hot, hot_all, out=bits)
+        # the rounded sigmoid outputs (logits >= 0, see dnn.decode) against the one-hots
+        np.equal(np.greater_equal(logits, 0.0, out=bits), hot_all, out=bits)
+        np.all(bits, axis=0, out=right)
         scores = [np.count_nonzero(m[..., half]) / m[..., half].size for m in (right, bits) for half in halves]
         log.records[run - 1] = train_loss, *scores
     return params, log
