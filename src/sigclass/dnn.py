@@ -168,30 +168,14 @@ def adam_update(theta, grad, state, t, alpha):
 
 
 def predict_batch(params, a):
-    """Class index or UNCLASSIFIED (see decode) for each column of a (d + 1, cols) `forward` input."""
-    return decode(forward(params, a)[0])[1]
+    """Class index or UNCLASSIFIED for each column of a (d + 1, cols) `forward` input.
 
-
-def decode(logits, out=None):
-    """(hot, preds) of (c, rows) logits: rounded outputs and the one-hot index or UNCLASSIFIED.
-
-    sigmoid(z) >= 0.5 exactly when z >= 0, so hot = logits >= 0 per element.
-    One float32 matmul of the rows [1, k + 1] by the 0/1 outputs gives each
-    column's hot count and, where one output k is hot, k + 1; its integer
-    sums are exact while the class count c stays below 2**24.  out is a bool
-    and a float32 array shaped as logits, a (2, rows) float32 array and an
-    int vector of rows to write into (new ones when it is None).
+    An output is hot, its sigmoid rounding to 1, exactly when its logit is
+    >= 0 (-0.0 included).  A column with one hot output k is class k; one
+    with none or several is UNCLASSIFIED.
     """
-    c, rows = logits.shape
-    hot, ones, tally, preds = (np.empty((c, rows), bool), np.empty((c, rows), np.float32),
-                               np.empty((2, rows), np.float32), np.empty(rows, int)) if out is None else out
-    np.greater_equal(logits, 0.0, out=hot)
-    np.copyto(ones, hot)
-    count, index = np.matmul(np.array([np.ones(c), np.arange(1, c + 1)], np.float32), ones, out=tally)
-    np.equal(count, 1.0, out=count)  # 1 where one output is hot
-    np.multiply(count, index, out=preds, casting="unsafe")
-    preds -= 1  # the hot index where one output is hot, else UNCLASSIFIED = -1
-    return hot, preds
+    hot = forward(params, a)[0] >= 0
+    return np.where(np.count_nonzero(hot, axis=0) == 1, hot.argmax(axis=0), UNCLASSIFIED)
 
 
 def save_checkpoint(path, params, mask_bins, label_vocab, normalize_rows):

@@ -72,21 +72,18 @@ def save_rows(path, x, labels):
 def split(y, cfg):
     """Disjoint train/test partition of the rows with class indices y.
 
-    cfg is the PipelineConfig.  Plain uniform by default, with
-    |train| = round(fraction * n); per class (stratified) when cfg.stratified
-    is set.  Both variants are deterministic in cfg.seed.  Returns the
-    ascending (train_idx, test_idx) row index arrays.
+    cfg is the PipelineConfig.  The rows form one group, or one group per
+    class, in ascending class order, when cfg.stratified is set.  Each group
+    sends round(train_fraction * its size) rows to train, drawn by one
+    permutation from cfg.seed's "split" stream.  Returns the ascending
+    (train_idx, test_idx) row index arrays.
     """
     rng = derive_rng(cfg.seed, "split")
     in_train = np.zeros(len(y), dtype=bool)
-    if cfg.stratified:
-        for k in sorted(set(y.tolist())):
-            idx = np.flatnonzero(y == k)
-            perm = idx[rng.permutation(len(idx))]
-            in_train[perm[: int(round(cfg.train_fraction * len(idx)))]] = True
-    else:
-        perm = rng.permutation(len(y))
-        in_train[perm[: int(round(cfg.train_fraction * len(y)))]] = True
+    groups = [np.flatnonzero(y == k) for k in np.unique(y)] if cfg.stratified else [np.arange(len(y))]
+    for idx in groups:
+        perm = idx[rng.permutation(len(idx))]
+        in_train[perm[: int(round(cfg.train_fraction * len(idx)))]] = True
     return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
@@ -95,12 +92,12 @@ def features_matrix(rows, mask, normalize):
 
     Raw FFT magnitudes can reach the thousands, which would pin the sigmoid
     layers; dividing each masked vector by its own max keeps them in [0, 1].
-    All-zero rows are left untouched.
+    A row without a positive max is divided by 1.0, which keeps its bits.
     """
     x = np.stack([apply_mask(row, mask) for row in rows])
     if normalize:
         peaks = x.max(axis=1, keepdims=True)
-        x = np.where(peaks > 0, x / np.where(peaks > 0, peaks, 1.0), x)
+        x /= np.where(peaks > 0, peaks, 1.0)
     return x
 
 
@@ -119,10 +116,10 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
     one (d + 1, n) matrix over a row of ones (see `_columns`).  Each run takes
     the batch's columns from it for one `dnn.forward`, `dnn.backward` and
     Adam step, then scores with one `dnn.forward` over all n columns.  A
-    column is right, as `dnn.decode` would have it, exactly when its rounded
-    outputs equal its one-hot target.  Every array a run writes into is made
-    before the loop.  Features large enough to overflow float32 raise
-    ValidationError.
+    column is right exactly when its rounded outputs (logits >= 0, as in
+    `dnn.predict_batch`) equal its one-hot target.  Every array a run writes
+    into is made before the loop.  Features large enough to overflow float32
+    raise ValidationError.
     """
     if cfg.batch_size > len(x_train):
         raise ValidationError(
@@ -160,7 +157,7 @@ def train(x_train, y_train, x_test, y_test, c, cfg):
         _check_range(reach, params, f"run {run}: ")  # for this run's scoring and the next run's step
         logits, _ = dnn.forward(params, a, score_out)
         train_loss = dnn.loss(logits[:, :n_train], targets, loss_out)
-        # the rounded sigmoid outputs (logits >= 0, see dnn.decode) against the one-hots
+        # the rounded sigmoid outputs (logits >= 0, see dnn.predict_batch) against the one-hots
         np.equal(np.greater_equal(logits, 0.0, out=bits), hot_all, out=bits)
         np.all(bits, axis=0, out=right)
         scores = [np.count_nonzero(m[..., half]) / m[..., half].size for m in (right, bits) for half in halves]

@@ -546,8 +546,9 @@ def test_predict_matches_rounded_one_hot():
             assert np.array_equal(row, expected)
 
 
-def test_decode_matches_where_form_with_and_without_out():
-    # with 12 classes, the shift makes columns with no, one and several hot outputs all common
+def test_predict_batch_matches_where_form():
+    # with d = c and W1 = W2 = W3 = [I | 0], each logit is tanh(tanh(input)), of the input's sign
+    # (a -0.0 input may come out as +0.0, and both are hot)
     for c, shift in [(4, 0.0), (12, -1.3)]:
         logits = (np.random.default_rng(12).normal(size=(c, 500)) + shift).astype(np.float32)
         logits[0, ::7] = -0.0  # -0 >= 0: hot
@@ -556,12 +557,10 @@ def test_decode_matches_where_form_with_and_without_out():
         counts = set(hot_ref.sum(axis=0).tolist())
         assert {0, 1, 2} <= counts and max(counts) >= 3
         assert len(set(preds_ref[preds_ref != UNCLASSIFIED].tolist())) == c
-        out = (np.empty((c, 500), bool), np.empty((c, 500), np.float32), np.empty((2, 500), np.float32),
-               np.empty(500, int))
-        for buffers in (None, out):
-            hot, preds = dnn.decode(logits, buffers)
-            assert np.array_equal(hot, hot_ref) and hot.dtype == bool
-            assert preds.dtype == preds_ref.dtype and np.array_equal(preds, preds_ref)
+        identity = np.eye(c, c + 1, dtype=np.float32)
+        preds = dnn.predict_batch([identity] * 3, augmented(logits.T))
+        assert preds.dtype == preds_ref.dtype and preds.dtype.kind == "i"
+        assert np.array_equal(preds, preds_ref)
 
 
 # ---------------------------------------------------------------------------

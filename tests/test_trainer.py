@@ -249,9 +249,12 @@ def test_features_matrix_normalizes_rows():
 
 def test_features_matrix_zero_row_untouched():
     mask = FeatureMask(kept=[10, 20])
-    rows = [SpectrumRow(bins=np.zeros(N_BINS), label="A")]
+    signed = np.zeros(N_BINS)
+    signed[mask.index] = -0.0, -3.0  # no positive peak, so kept bit for bit
+    rows = [SpectrumRow(bins=np.zeros(N_BINS), label="A"), SpectrumRow(bins=signed, label="A")]
     x = trainer.features_matrix(rows, mask, normalize=True)
-    assert np.all(x == 0.0)
+    assert np.array_equal(x, [[0.0, 0.0], [-0.0, -3.0]])
+    assert np.array_equal(np.signbit(x), [[False, False], [True, True]])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,8 @@ def reference_train(x_train, y_train, x_test, y_test, c, cfg, score_dtype=np.flo
         train_logits, test_logits = logits[:, :n_train], logits[:, n_train:]
         scores = []
         for split_logits, y, y_hot in [(train_logits, y_train, hot_train), (test_logits, y_test, hot_test)]:
-            hot, preds = dnn.decode(split_logits)
+            hot = split_logits >= 0
+            preds = np.where(np.count_nonzero(hot, axis=0) == 1, hot.argmax(axis=0), UNCLASSIFIED)
             scores += [float(np.mean(preds == y)), float(np.mean(hot == y_hot))]
         train_acc, train_bit, test_acc, test_bit = scores
         loss = dnn.loss(train_logits, targets.astype(score_dtype), np.empty((2, c, n_train), score_dtype))
