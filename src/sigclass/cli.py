@@ -104,21 +104,19 @@ def _read_synth_manifest(cfg):
     if bad:
         raise ParseError(f"{path}: recording entry {bad[0]} needs file <label>_t<trial>.rec")
     # a repeat would write its rows twice, maybe into both splits; a file names one label and trial
-    repeated = [e for k, e in enumerate(entries) if e["file"] in [d["file"] for d in entries[:k]]]
+    first = {}  # file -> the index of its first entry
+    repeated = [e for k, e in enumerate(entries) if first.setdefault(e["file"], k) != k]
     if repeated:
         raise ParseError(f"{path}: recording entry {repeated[0]} repeats an earlier label and trial")
     return entries
 
 
-def _entry_spectra(cfg, entry, stream, count, channels=None):
-    """One entry's channel ids and (channels, count, 300) spectra, offsets seeded by `stream`.
-
-    Only `channels` are read, in that order, row i of the spectra being id i; None reads all.
-    """
+def _entry_spectra(cfg, entry, stream, count, channels):
+    """One entry's (len(channels), count, 300) spectra, row i being channels[i], offsets seeded by `stream`."""
     rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"], channels)
     seed = derive_seed(cfg.seed, stream, entry["label"], entry["trial"])
     blocks = spectral.extract_blocks(rec, count, seed)
-    return rec.channels, np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
+    return np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
 
 
 def cmd_rows(args):
@@ -128,7 +126,7 @@ def cmd_rows(args):
 
     x = np.empty((len(entries) * n, spectral.N_BINS))
     for i, entry in enumerate(entries):
-        _, spectra = _entry_spectra(cfg, entry, "blocks", n, cfg.fusion_channels)
+        spectra = _entry_spectra(cfg, entry, "blocks", n, cfg.fusion_channels)
         x[i * n : (i + 1) * n] = fusion.fuse(spectra, cfg.fusion_weights)
     labels = np.repeat([e["label"] for e in entries], n)
     rows_path = Path(cfg.out_dir) / "rows.npz"
@@ -144,18 +142,14 @@ def cmd_heatmap(args):
     if not entries:
         raise ConfigurationError(f"no recordings for label {args.label!r}")
 
-    ids, spectra = zip(*[_entry_spectra(cfg, entry, "heatmap", cfg.heatmap_blocks) for entry in entries])
-    # row i of every recording's spectra must be the same channel, so they stack trial after trial
-    bad = [entry for entry, channels in zip(entries, ids) if channels != ids[0]]
-    if bad:
-        raise ParseError(f"recording {bad[0]['file']} holds other channels than {entries[0]['file']}")
+    spectra = [_entry_spectra(cfg, e, "heatmap", cfg.heatmap_blocks, synthgen.ROSTER) for e in entries]
     heatmap = spectral.build_heatmap(np.concatenate(spectra, axis=1))
     del spectra  # the writers' whole-map temporaries then reuse the per-recording arrays' memory
     n_rows = heatmap.shape[0] * heatmap.shape[1]
     pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
     # the CSV first: it rejects a value outside 0..10 before either file exists
-    spectral.write_heatmap_csv(csv, heatmap, ids[0], [e["trial"] for e in entries])
+    spectral.write_heatmap_csv(csv, heatmap, synthgen.ROSTER, [e["trial"] for e in entries])
     spectral.write_heatmap_pgm(pgm, heatmap)
     _write_manifest("heatmap", cfg, {"label": args.label, "rows": n_rows})
     print(f"wrote {pgm} and {csv} ({n_rows} rows)")

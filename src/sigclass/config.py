@@ -52,7 +52,6 @@ class PipelineConfig:
     runs: int = 200
     learn_rate: float = 0.005
     normalize_rows: bool = True
-    stratified: bool = False
 
     def __post_init__(self):
         if self.group not in GROUPS:

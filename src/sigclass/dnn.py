@@ -199,8 +199,8 @@ def load_checkpoint(path):
     place of `weights`, from before the tanh net, is not one), a member of
     the wrong dtype or shape, mask bins not strictly ascending in 1..300 or
     none, a label that breaks the label rule (`errors.is_label`) or repeats,
-    or a `weights` vector whose length is not 2d^2 + 2d + cd + c raises
-    ParseError.
+    or a `weights` vector whose length is not 2d^2 + 2d + cd + c or that
+    holds a nan or inf raises ParseError.
     """
     members = read_npz(path, "model checkpoint", ["mask", "vocab", "normalize", "weights"])
     mask, vocab, normalize, flat = members
@@ -220,4 +220,6 @@ def load_checkpoint(path):
     need = d * (2 * d + c + 2) + c
     if len(flat) != need:
         raise ParseError(f"{path}: {len(flat)} parameters; {d} bins and {c} labels need {need}")
+    if not np.isfinite(flat).all():
+        raise ParseError(f"{path}: weights hold a non-finite value (nan or inf)")
     return unflatten(flat, d, c), mask_bins, vocab, bool(normalize)

@@ -119,7 +119,8 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
     its sample j = span * q + r is sin(P_s + w_s span q) cos(w_s r) +
     cos(P_s + w_s span q) sin(w_s r): 2 (rate / span + span) sin/cos calls per
     second, and no angle beyond about one second's turn.  Each sample is
-    within 1e-11 per unit amplitude of the exact waveform.
+    within 1e-11 per unit amplitude of the exact waveform.  A cut last second
+    is rendered whole and cut back to the n samples.
     """
     if duration_s < 1:
         raise ValidationError("duration_s must be >= 1 second")
@@ -139,21 +140,20 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
     rng = np.random.default_rng(seed)
     rate = int(sample_rate_hz)
     n_seconds = int(math.ceil(duration_s))
-    full, tail = divmod(n, rate)  # whole seconds, then the samples of a cut last second
     # sample j of a second is j = span * q + r: one coarse angle per q, one fine angle per r
     span = math.isqrt(rate - 1) + 1  # ceil(sqrt(rate))
     coarse_steps, fine_steps = span * np.arange(-(-rate // span)), np.arange(span)
-    data = np.zeros((len(channels), n))
+    data = np.zeros((len(channels), n_seconds * rate))  # a cut last second is padded
     # one line's samples, each second padded to a whole number of spans, and
     # its second term: buffers reused by every line
     wave = np.empty((n_seconds, len(coarse_steps), span))
     term = np.empty_like(wave)
     seconds = wave.reshape(n_seconds, -1)[:, :rate]  # (n_seconds, rate) view of the samples
     for row, cid in zip(data, channels):
-        whole = row[: full * rate].reshape(full, rate)  # the row's whole seconds
+        whole = row.reshape(n_seconds, rate)
         if profile.noise_rms > 0:
             # rng.normal(0.0, noise_rms, n) computes 0.0 + noise_rms * z
-            rng.standard_normal(out=row)
+            rng.standard_normal(out=row[:n])
             row *= profile.noise_rms
             row += 0.0
         for line in profile.lines_per_channel.get(cid, []):
@@ -172,11 +172,9 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
             np.multiply((line.amplitude * np.sin(coarse))[:, :, None], np.cos(fine)[:, None, :], out=wave)
             np.multiply((line.amplitude * np.cos(coarse))[:, :, None], np.sin(fine)[:, None, :], out=term)
             wave += term
-            whole += seconds[:full]
-            if tail:
-                row[full * rate:] += seconds[full, :tail]
+            whole += seconds
     return Recording(label=profile.label, sample_rate_hz=rate, channels=tuple(channels),
-                     samples=data, duration_s=float(duration_s))
+                     samples=data[:, :n], duration_s=float(duration_s))
 
 
 def build_group_profiles(cfg):
@@ -223,8 +221,8 @@ def save_recording(path, rec):
         fh.write(np.ascontiguousarray(rec.samples, dtype="<f8"))  # written straight from its buffer
 
 
-def load_recording(path, channels=None):
-    """Read the given channel ids (all, in header order, when None) of a recording file.
+def load_recording(path, channels):
+    """Read the given channel ids of a recording file, in that order.
 
     Each channel is read into its row of one read-only float64 matrix.  A bad
     header, a rate below 600 Hz or fewer samples than one second, a repeated
@@ -265,7 +263,7 @@ def load_recording(path, channels=None):
         if payload != 8 * n * len(ids):
             raise ParseError(f"{path}: payload of {payload} bytes, expected {8 * n * len(ids)} "
                              f"({len(ids)} channels of {n} float64 samples)")
-        chosen = tuple(ids if channels is None else channels)
+        chosen = tuple(channels)
         missing = [cid for cid in chosen if cid not in ids]
         if missing:
             raise ParseError(f"{path}: recording {label!r} has no channel {missing}")

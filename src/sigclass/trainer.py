@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dnn
-from .dnn import UNCLASSIFIED
 from .errors import LABEL_RULE, ParseError, ValidationError, is_label, read_npz
 from .fusion import SpectrumRow, apply_mask
 from .rng import derive_rng
@@ -72,19 +71,13 @@ def save_rows(path, x, labels):
 def split(y, cfg):
     """Disjoint train/test partition of the rows with class indices y.
 
-    cfg is the PipelineConfig.  The rows form one group, or one group per
-    class, in ascending class order, when cfg.stratified is set.  Each group
-    sends round(train_fraction * its size) rows to train, drawn by one
-    permutation from cfg.seed's "split" stream.  Returns the ascending
-    (train_idx, test_idx) row index arrays.
+    cfg is the PipelineConfig.  One permutation from cfg.seed's "split"
+    stream sends its first round(train_fraction * len(y)) rows to train.
+    Returns the ascending (train_idx, test_idx) row index arrays.
     """
-    rng = derive_rng(cfg.seed, "split")
-    in_train = np.zeros(len(y), dtype=bool)
-    groups = [np.flatnonzero(y == k) for k in np.unique(y)] if cfg.stratified else [np.arange(len(y))]
-    for idx in groups:
-        perm = idx[rng.permutation(len(idx))]
-        in_train[perm[: int(round(cfg.train_fraction * len(idx)))]] = True
-    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
+    perm = derive_rng(cfg.seed, "split").permutation(len(y))
+    k = int(round(cfg.train_fraction * len(y)))
+    return np.sort(perm[:k]), np.sort(perm[k:])
 
 
 def features_matrix(rows, mask, normalize):
@@ -207,9 +200,8 @@ def evaluate(params, x, y, vocab):
     a, reach = _columns(x)
     _check_range(reach, params)
     preds = dnn.predict_batch(params, a)
-    t = len(vocab)
-    counts = np.zeros((t, t + 1), dtype=int)
-    np.add.at(counts, (y, np.where(preds == UNCLASSIFIED, t, preds)), 1)
+    counts = np.zeros((len(vocab), len(vocab) + 1), dtype=int)
+    np.add.at(counts, (y, preds), 1)  # UNCLASSIFIED (-1) indexes the trailing column
     return float(np.mean(preds == y)), counts
 
 

@@ -134,16 +134,15 @@ def test_heatmap_unknown_label_usage_error(smoke, capsys):
 
 
 def test_heatmap_recordings_with_other_channels_is_data_error(smoke, tmp_path, capsys):
-    # heatmap stacks each channel's rows trial after trial, so a recording
-    # that lacks channels would shift later trials' rows into earlier ones
+    # heatmap reads every roster channel, so a recording of only the first
+    # five fails as one that lacks a fused channel fails rows
     cfg_path, out = smoke
     copy = tmp_path / "out"
     shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_*"))
     rec_path = copy / "recordings" / "AllQuiet_t2.rec"
     synthgen.save_recording(rec_path, synthgen.load_recording(rec_path, synthgen.ROSTER[:5]))
     assert run(cfg_path, copy, "heatmap", "AllQuiet") == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: recording AllQuiet_t2.rec holds other channels than AllQuiet_t1.rec"]
+    _one_error_line(capsys, rec_path, f"recording 'AllQuiet' has no channel {list(synthgen.ROSTER[5:])}")
     assert not list(copy.glob("heatmap_*"))
 
 
@@ -345,6 +344,15 @@ def _flat_params(d, hidden, c):
     return np.zeros(sum(math.prod(s) for s in shapes), np.float32)
 
 
+def _weight(k, value):
+    """A copy of the weights vector with entry k set to value."""
+    def edit(weights):
+        weights = weights.copy()
+        weights[k] = value
+        return weights
+    return edit
+
+
 def _old_layout(raw, members):
     """The sigmoid net's checkpoint layout: float64 `params` (w1, b1, w2, b2, w3, b3) in place of `weights`."""
     w1, w2, w3 = dnn.unflatten(members["weights"].astype(float), 3, 4)
@@ -388,6 +396,11 @@ _BAD_MEMBERS = "expected mask 1-D int, vocab 1-D text, normalize one bool, weigh
     pytest.param(_members(normalize=lambda a: a.reshape(1)), _BAD_MEMBERS, id="normalize-vector"),
     pytest.param(_members(weights=lambda a: a.astype(np.float64)), _BAD_MEMBERS, id="weights-float64"),
     pytest.param(_members(weights=lambda a: a.reshape(-1, 1)), _BAD_MEMBERS, id="params-2d"),
+    # the first weight of W1 and the last of W3
+    pytest.param(_members(weights=_weight(0, np.nan)), "weights hold a non-finite value (nan or inf)",
+                 id="nan-weight"),
+    pytest.param(_members(weights=_weight(-1, np.inf)), "weights hold a non-finite value (nan or inf)",
+                 id="inf-weight"),
 ])
 def test_corrupt_checkpoint_is_data_error(smoke, tmp_path, capsys, corrupt, message):
     cfg_path, out = smoke
@@ -579,7 +592,8 @@ def test_recording_that_lacks_a_fused_channel_fails_rows(smoke, tmp_path, capsys
     shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_AllQuiet.*"))
     rec = copy / "recordings" / "AllQuiet_t1.rec"
     rec.write_bytes(_drop_channel(b"mag_z_side_10m")(rec.read_bytes()))
-    assert len(synthgen.load_recording(rec).channels) == len(synthgen.ROSTER) - 1 == 12
+    kept = [cid for cid in synthgen.ROSTER if cid != "mag_z_side_10m"]
+    assert len(synthgen.load_recording(rec, kept).channels) == len(synthgen.ROSTER) - 1 == 12
     assert run(cfg_path, copy, "rows") == 2
     _one_error_line(capsys, rec, "recording 'AllQuiet' has no channel ['mag_z_side_10m']")
     assert not (copy / "rows.npz").exists()
@@ -857,11 +871,11 @@ def _two_class_rows(path, sizes):
 
 
 def test_split_warning_goes_to_stderr(tmp_path, capsys):
-    # stratified at 4%: round(0.4) = 0 of A's 10 rows train, 8 of B's 200
+    # at 4%, round(8.4) = 8 of the 210 rows train; at seed 0 none of them is one of A's 10
     rows_path = tmp_path / "rows.npz"
     _two_class_rows(rows_path, {"A": 10, "B": 200})
     cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text("stratified = true\ntrain_fraction = 0.04\nruns = 2\nbatch_size = 4\n")
+    cfg_path.write_text("train_fraction = 0.04\nruns = 2\nbatch_size = 4\n")
     assert run(cfg_path, tmp_path / "o", "train", "--rows", str(rows_path)) == 0
     captured = capsys.readouterr()
     assert captured.err == "warning: class 'A' absent from the training split\n"

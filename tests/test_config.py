@@ -1,4 +1,6 @@
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,12 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("flux_capacitor = 1\n")
     with pytest.raises(ConfigurationError):
         read_config_file(path)
+
+
+def test_every_config_key_is_documented():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    undocumented = [f.name for f in fields(PipelineConfig) if not re.search(rf"\b{f.name}\b", readme)]
+    assert undocumented == []
 
 
 def test_key_set_twice_rejected(tmp_path):

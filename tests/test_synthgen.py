@@ -175,7 +175,7 @@ def test_recording_roundtrip(tmp_path):
     rec = synthgen.synthesize_recording(p, ("mic_front_10m", "geo_front_10m"), 2.0, 2000, seed=12)
     path = tmp_path / "t.rec"
     synthgen.save_recording(path, rec)
-    loaded = synthgen.load_recording(path)
+    loaded = synthgen.load_recording(path, rec.channels)
     assert loaded.label == rec.label
     assert loaded.sample_rate_hz == rec.sample_rate_hz
     assert loaded.duration_s == rec.duration_s
@@ -208,9 +208,9 @@ def test_load_recording_reads_only_the_given_channels_read_only(tmp_path):
     rec = synthgen.synthesize_recording(p, (mic, geo, accel), 1.5, 1000, seed=4)
     path = tmp_path / "t.rec"
     synthgen.save_recording(path, rec)
-    for channels in ([accel, mic], [geo], None):
+    for channels in ([accel, mic], [geo], [mic, geo, accel]):
         loaded = synthgen.load_recording(path, channels)
-        assert loaded.channels == tuple(channels or [mic, geo, accel])
+        assert loaded.channels == tuple(channels)
         assert loaded.samples.dtype == np.float64 and not loaded.samples.flags.writeable
         rows = [rec.channels.index(cid) for cid in loaded.channels]
         assert loaded.samples.tobytes() == rec.samples[rows].tobytes()
@@ -292,7 +292,7 @@ def test_load_recording_rejects_garbage(tmp_path):
     path = tmp_path / "bad.rec"
     path.write_bytes(b"BOGUS header\n\x00\x01")
     with pytest.raises(ParseError):
-        synthgen.load_recording(path)
+        synthgen.load_recording(path, synthgen.ROSTER)
 
 
 def test_profiles_roundtrip(tmp_path):

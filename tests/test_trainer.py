@@ -196,43 +196,26 @@ def test_split_deterministic():
 def row_list_split(ds, cfg):
     """The split as it was on row lists: (train rows, test rows) in file order."""
     n = len(ds.rows)
-    rng = derive_rng(cfg.seed, "split")
     in_train = np.zeros(n, dtype=bool)
-    if cfg.stratified:
-        labels = class_indices(ds.rows, ds.label_vocab)
-        for k in range(len(ds.label_vocab)):
-            idx = np.flatnonzero(labels == k)
-            perm = idx[rng.permutation(len(idx))]
-            in_train[perm[: int(round(cfg.train_fraction * len(idx)))]] = True
-    else:
-        perm = rng.permutation(n)
-        in_train[perm[: int(round(cfg.train_fraction * n))]] = True
+    perm = derive_rng(cfg.seed, "split").permutation(n)
+    in_train[perm[: int(round(cfg.train_fraction * n))]] = True
     return (
         [r for r, keep in zip(ds.rows, in_train) if keep],
         [r for r, keep in zip(ds.rows, in_train) if not keep],
     )
 
 
-@pytest.mark.parametrize("stratified", [False, True])
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_split_indices_match_row_list_split(stratified, seed):
-    # three classes of unequal size, interleaved, so per-class draws matter
+def test_split_indices_match_row_list_split(seed):
+    # three classes of unequal size, interleaved
     sizes = {"A": 37, "B": 20, "C": 53}
     rows = [row(label) for i in range(53) for label in sizes if i < sizes[label]]
     ds = dataset(rows)
-    cfg = PipelineConfig(seed=seed, stratified=stratified, train_fraction=0.7)
+    cfg = PipelineConfig(seed=seed, train_fraction=0.7)
     train, test = trainer.split(labels_of(ds), cfg)
     ref_train, ref_test = row_list_split(ds, cfg)
     assert [id(ds.rows[i]) for i in train] == [id(r) for r in ref_train]
     assert [id(ds.rows[i]) for i in test] == [id(r) for r in ref_test]
-
-
-def test_stratified_split_keeps_class_shares():
-    y = labels_of(toy_dataset(n_per_class=50))  # 100 rows, 2 classes
-    train, test = trainer.split(y, PipelineConfig(seed=4, stratified=True))
-    for k in (0, 1):
-        assert np.sum(y[train] == k) == 40
-        assert np.sum(y[test] == k) == 10
 
 
 # ---------------------------------------------------------------------------
