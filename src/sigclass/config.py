@@ -5,7 +5,7 @@ learn rate 0.005, 80/20 split, 5 trials per target.  The sample rate defaults
 to a desk-scale 2000 Hz.  Blocks are exactly one second, so bin i is i Hz at
 any rate, but the rate still changes the data: a higher rate raises each
 line's spectral SNR, so more bins pass selection (Group1 masks are 77-89 bins
-at 2000 Hz and 108-130 at 8000 Hz).
+at 2000 Hz and 108-125 at 8000 Hz, where selection caps one seed's 130).
 """
 
 import math
@@ -67,8 +67,12 @@ class PipelineConfig:
             raise ConfigurationError("duration_s must be finite and >= 1 second")
         if self.sample_rate_hz < 600:
             raise ConfigurationError("sample_rate_hz must be >= 600 so 300 Hz stays below Nyquist")
-        n_samples = self.duration_s * self.sample_rate_hz
-        if abs(n_samples - round(n_samples)) > 1e-9:
+        try:
+            n_samples = self.duration_s * self.sample_rate_hz
+            whole = abs(n_samples - round(n_samples)) <= 1e-9
+        except OverflowError:  # a rate past float range, or a product that rounds to inf
+            raise ConfigurationError("duration_s * sample_rate_hz overflows a float sample count") from None
+        if not whole:
             raise ConfigurationError("duration_s * sample_rate_hz must be an integer sample count")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")

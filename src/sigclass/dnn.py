@@ -110,18 +110,19 @@ def loss(logits, targets, out=None):
     Per element: max(z, 0) - z*y + log1p(exp(-|z|)), which equals
     -y*log(sigmoid(z)) - (1-y)*log(1-sigmoid(z)) but never overflows.  It
     is computed in the dtype of out, two scratch arrays shaped as logits, or
-    in float64 when out is None.  Non-finite logits raise NumericalError.
+    in float64 when out is None.  A nan or inf logit makes its element, and
+    so the mean, non-finite, which raises NumericalError.
     """
     per_element, part = np.empty((2, *np.shape(logits))) if out is None else out
-    # the check's flags borrow per_element's first bytes, which the loss then overwrites
-    finite = per_element.reshape(-1).view(bool)[: np.size(logits)].reshape(np.shape(logits))
-    if not np.isfinite(logits, out=finite).all():
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 give the nan that is checked below
+        np.maximum(logits, 0.0, out=per_element)
+        per_element -= np.multiply(logits, targets, out=part, dtype=part.dtype)
+        np.log1p(np.exp(np.negative(np.abs(logits, out=part), out=part), out=part), out=part)
+        per_element += part
+        mean = per_element.sum() / per_element.size  # the bits of np.mean
+    if not np.isfinite(mean):
         raise NumericalError("non-finite logits in loss")
-    np.maximum(logits, 0.0, out=per_element)
-    per_element -= np.multiply(logits, targets, out=part, dtype=part.dtype)
-    np.log1p(np.exp(np.negative(np.abs(logits, out=part), out=part), out=part), out=part)
-    per_element += part
-    return float(np.mean(per_element))
+    return float(mean)
 
 
 def backward(params, trace, targets, out=None):

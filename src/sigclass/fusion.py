@@ -16,6 +16,10 @@ import numpy as np
 from .errors import SelectionError, ValidationError
 from .spectral import N_BINS
 
+# the widest mask selection keeps; up to this width dnn.init_network's
+# initialisation stays out of saturation
+MAX_MASK_BINS = 125
+
 
 @dataclass
 class SpectrumRow:
@@ -87,7 +91,9 @@ def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
     the grand mean over all rows; a bin is kept when at least one class ratio
     strictly exceeds `threshold`, unless more than `max_classes_per_bin`
     classes exceed it there (such bins identify nothing).  Bins whose grand
-    mean is zero have undefined ratios and are excluded with a warning.
+    mean is zero have undefined ratios and are excluded with a warning.  Of
+    more than MAX_MASK_BINS such bins, the MAX_MASK_BINS with the highest
+    class ratio are kept (the lower bin on a tie), with a warning.
 
     Returns (FeatureMask, SelectionReport); raises SelectionError (with the
     report attached) when nothing survives.
@@ -113,7 +119,12 @@ def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
         ratios = np.where(zero, np.nan, class_means / np.where(zero, 1.0, global_mean))
     counts = np.count_nonzero(ratios > threshold, axis=0)  # False where the ratio is nan
 
-    keep = (counts >= 1) & (counts <= max_classes_per_bin)
+    kept = np.flatnonzero((counts >= 1) & (counts <= max_classes_per_bin))
+    if len(kept) > MAX_MASK_BINS:
+        top = np.argsort(-ratios[:, kept].max(axis=0), kind="stable")[:MAX_MASK_BINS]
+        warnings.append(f"{len(kept)} bins passed the threshold; kept the {MAX_MASK_BINS} "
+                        f"with the highest class ratio")
+        kept = np.sort(kept[top])
     report = SelectionReport(
         labels=list(vocab),
         class_means=class_means,
@@ -122,14 +133,13 @@ def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
         per_bin_class_counts=counts,
         warnings=warnings,
     )
-    kept = [int(i) + 1 for i in np.flatnonzero(keep)]
-    if not kept:
+    if not kept.size:
         raise SelectionError(
             f"no frequency bin exceeded threshold {threshold} for <= "
             f"{max_classes_per_bin} classes (best ratio {float(np.nanmax(ratios)):.3f})",
             report=report,
         )
-    return FeatureMask(kept=kept), report
+    return FeatureMask(kept=kept + 1), report
 
 
 def apply_mask(row, mask):

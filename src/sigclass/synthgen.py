@@ -121,6 +121,11 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
     second, and no angle beyond about one second's turn.  Each sample is
     within 1e-11 per unit amplitude of the exact waveform.  A cut last second
     is rendered whole and cut back to the n samples.
+
+    A channel's lines draw first, in line order (each line's phase, then its
+    wobble unless its jitter is 0); the angle and sin/cos tables of all of
+    its lines are then built at once, and each line's two products are
+    einsum outer products, added into the channel line by line.
     """
     if duration_s < 1:
         raise ValidationError("duration_s must be >= 1 second")
@@ -156,21 +161,32 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
             rng.standard_normal(out=row[:n])
             row *= profile.noise_rms
             row += 0.0
-        for line in profile.lines_per_channel.get(cid, []):
-            phase0 = rng.uniform(0.0, 2.0 * np.pi)
-            wobble = rng.normal(0.0, line.jitter_hz, size=n_seconds) if line.jitter_hz > 0 else np.zeros(n_seconds)
-            freqs = float(line.freq_hz) + wobble
-            # cycles before each second, reduced modulo one cycle (fmod is exact),
-            # so that every angle below stays within 2 pi (f_s + 1) rad
-            cycles = np.zeros(n_seconds)
-            np.cumsum(freqs[:-1], out=cycles[1:])
-            start = phase0 + 2.0 * np.pi * np.fmod(cycles, 1.0)
-            step = 2.0 * np.pi * freqs / rate  # rad per sample
-            coarse = start[:, None] + step[:, None] * coarse_steps
-            fine = step[:, None] * fine_steps
-            # amp * sin(coarse + fine) = (amp sin coarse) cos fine + (amp cos coarse) sin fine
-            np.multiply((line.amplitude * np.sin(coarse))[:, :, None], np.cos(fine)[:, None, :], out=wave)
-            np.multiply((line.amplitude * np.cos(coarse))[:, :, None], np.sin(fine)[:, None, :], out=term)
+        lines = profile.lines_per_channel.get(cid)
+        if not lines:
+            continue
+        # the draws, in line order: each line's start phase, then its wobble if it has one
+        phase0 = np.empty(len(lines))
+        freqs = np.empty((len(lines), n_seconds))
+        for k, line in enumerate(lines):
+            phase0[k] = rng.uniform(0.0, 2.0 * np.pi)
+            freqs[k] = rng.normal(0.0, line.jitter_hz, size=n_seconds) if line.jitter_hz > 0 else 0.0
+        freqs += [[float(line.freq_hz)] for line in lines]
+        # cycles before each second, reduced modulo one cycle (fmod is exact),
+        # so that every angle below stays within 2 pi (f_s + 1) rad
+        cycles = np.zeros_like(freqs)
+        np.cumsum(freqs[:, :-1], axis=1, out=cycles[:, 1:])
+        start = phase0[:, None] + 2.0 * np.pi * np.fmod(cycles, 1.0)
+        step = 2.0 * np.pi * freqs / rate  # rad per sample
+        coarse = start[:, :, None] + step[:, :, None] * coarse_steps
+        fine = step[:, :, None] * fine_steps
+        amps = np.array([[[line.amplitude]] for line in lines])
+        sin_coarse, cos_coarse = amps * np.sin(coarse), amps * np.cos(coarse)
+        cos_fine, sin_fine = np.cos(fine), np.sin(fine)
+        for k in range(len(lines)):
+            # amp * sin(coarse + fine) = (amp sin coarse) cos fine + (amp cos coarse) sin fine;
+            # einsum writes +0.0 for a -0.0 product; either zero added to a row that never holds -0.0 gives its bits
+            np.einsum("sq,sr->sqr", sin_coarse[k], cos_fine[k], out=wave)
+            np.einsum("sq,sr->sqr", cos_coarse[k], sin_fine[k], out=term)
             wave += term
             whole += seconds
     return Recording(label=profile.label, sample_rate_hz=rate, channels=tuple(channels),

@@ -204,6 +204,8 @@ def test_bad_config_value_is_usage_error(tmp_path):
     ("min_line_spacing_hz = 100", "train"),
     ("min_line_spacing_hz = 100", "eval"),
     pytest.param("runs = 5\nruns = 7", "train", id="runs-set-twice-train"),
+    ("duration_s = 1e308", "synth"),
+    pytest.param("sample_rate_hz = " + "9" * 400, "rows", id="sample_rate_hz-past-float-rows"),
 ])
 def test_config_range_error_is_usage_error(tmp_path, capsys, line, command):
     cfg_path = tmp_path / "config.txt"

@@ -115,6 +115,15 @@ def test_invalid_threshold_rejected():
         PipelineConfig(threshold=0.9)
 
 
+@pytest.mark.parametrize("key, value", [("duration_s", "1e308"), ("sample_rate_hz", "9" * 400)],
+                         ids=["inf-product", "rate-past-float"])
+def test_sample_count_past_float_range_rejected(tmp_path, key, value):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigurationError, match="overflows a float sample count"):
+        build_config(read_config_file(path))
+
+
 def test_overrides_beat_file_values(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("seed = 1\nruns = 7\n")

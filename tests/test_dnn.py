@@ -254,10 +254,15 @@ def test_loss_nonnegative():
 
 
 def test_loss_rejects_nonfinite_logits():
-    with pytest.raises(NumericalError):
-        dnn.loss(np.array([[np.nan]]), np.array([[1.0]]))
-    with pytest.raises(NumericalError):
-        dnn.loss(np.array([[np.inf]]), np.array([[0.0]]))
+    # a nan or inf logit, against target 0 or 1, in float64 or float32, with or without out
+    for bad in (np.nan, np.inf, -np.inf):
+        for target in (0.0, 1.0):
+            for dtype in (np.float64, np.float32):
+                logits = np.array([[0.5, bad], [-2.0, 3.0]], dtype)
+                targets = np.full((2, 2), target, dtype)
+                for out in (None, np.empty((2, 2, 2), dtype)):
+                    with pytest.raises(NumericalError):
+                        dnn.loss(logits, targets, out)
 
 
 def test_loss_in_float32_out_near_float64_expression():
@@ -269,6 +274,16 @@ def test_loss_in_float32_out_near_float64_expression():
     got = dnn.loss(z, y, np.empty((2, 7, 1015), np.float32))
     assert got == pytest.approx(want, rel=1e-6)
     assert got != dnn.loss(z, y)  # the float32 path is a different computation
+
+
+def test_loss_float32_mean_bit_identical_to_np_mean():
+    rng = np.random.default_rng(11)
+    for shape in ((7, 150), (7, 1015), (4, 5000)):
+        y = (rng.random(shape) > 0.5).astype(np.float32)
+        z = rng.normal(scale=8.0, size=shape).astype(np.float32)
+        scratch = np.empty((2, *shape), np.float32)
+        got = dnn.loss(z, y, scratch)
+        assert got == float(np.mean(scratch[0]))  # scratch[0] holds the per-element losses
 
 
 def test_loss_bit_identical_to_float64_expression():

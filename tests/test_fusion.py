@@ -123,7 +123,11 @@ def test_matrix_selection_matches_per_label_stack_bit_for_bit():
         assert np.array_equal(bits(report.ratios[k]), bits(mean / grand))
         counts += mean / grand > 1.15
     assert np.array_equal(report.per_bin_class_counts, counts)
-    assert mask.kept == [int(i) + 1 for i in np.flatnonzero(counts == 1)]
+    # more bins than the cap pass here, so the mask is the 125 with the highest class ratio
+    passing = [int(i) for i in np.flatnonzero(counts == 1)]
+    best = {i: max(mean[i] / grand[i] for mean in means.values()) for i in passing}
+    assert len(passing) > 125
+    assert mask.kept == sorted(i + 1 for i in sorted(passing, key=lambda i: (-best[i], i))[:125])
 
 
 def test_selection_mask_is_scale_free():
@@ -287,3 +291,47 @@ def test_selection_report_text_matches_per_element_reference(tmp_path):
                 "ratio:A," + fmt(awkward / 7), "ratio:B," + fmt(awkward),
                 "superthreshold_classes," + ",".join(str(c % 3) for c in range(N_BINS))]
     assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_selection_caps_mask_at_the_highest_ratio_bins():
+    # 131 bins hot for class B alone: bins 7..130 with ratios rising with the bin, then
+    # bins 1..6 and 201 tied below them; the lowest of the tied bins takes the last place
+    flat, hot = np.ones(N_BINS), np.ones(N_BINS)
+    hot[:6] = hot[200] = 4.0
+    hot[6:130] = 5.0 + np.arange(124) / 100
+    mask, report = select(flat_rows("A", 10, flat) + flat_rows("B", 10, hot), 1.5, 1)
+    assert len(mask) == fusion.MAX_MASK_BINS == 125
+    assert mask.kept == [1] + list(range(7, 131))
+    assert report.warnings == ["131 bins passed the threshold; kept the 125 with the highest class ratio"]
+    assert report.per_bin_class_counts[200] == 1  # the report still counts the dropped bins
+
+
+def test_group1_mask_at_8000_hz_stays_within_125_bins_and_covers_every_line():
+    # the rows stage in memory: each recording synthesized with every roster id (the draws
+    # follow the roster order), then its fused channels cut with the "blocks" seeds and fused
+    from sigclass import spectral, synthgen
+    from sigclass.config import PipelineConfig
+    from sigclass.rng import derive_seed
+
+    cfg = PipelineConfig(group="Group1", seed=1, sample_rate_hz=8000)
+    fused = [synthgen.ROSTER.index(cid) for cid in cfg.fusion_channels]
+    profiles = synthgen.build_group_profiles(cfg)
+    x, y = [], []
+    for k, p in enumerate(profiles):
+        for trial in range(1, cfg.trials + 1):
+            seed = derive_seed(cfg.seed, "synth", p.label, trial)
+            rec = synthgen.synthesize_recording(p, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed)
+            rec.samples, rec.channels = rec.samples[fused], cfg.fusion_channels
+            blocks = spectral.extract_blocks(rec, cfg.blocks_per_recording,
+                                             derive_seed(cfg.seed, "blocks", p.label, trial))
+            x.append(fusion.fuse(np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()]),
+                                 cfg.fusion_weights))
+            y += [k] * cfg.blocks_per_recording
+    vocab = [p.label for p in profiles]
+    mask, report = fusion.compute_selection(np.concatenate(x), np.array(y), vocab, cfg.threshold,
+                                            fusion.default_max_classes_per_bin(len(vocab)))
+    assert len(mask) <= 125
+    assert any(w.startswith("130 bins passed the threshold") for w in report.warnings)  # uncapped: 130
+    lines = {line.freq_hz for p in profiles for ls in p.lines_per_channel.values() for line in ls}
+    assert len(lines) == 30
+    assert all(any(abs(b - f) <= 1 for b in mask.kept) for f in lines)

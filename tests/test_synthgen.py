@@ -251,15 +251,28 @@ def reference_synthesize(profile, channels, duration_s, sample_rate_hz, seed):
     return samples
 
 
-@pytest.mark.parametrize("group, noise_rms, jitter_hz", [
-    ("Group1", 3.5, 0.5), ("Group2", 3.5, 0.5), ("Group1", 0.0, 0.5), ("Group2", 0.7, 0.0),
-], ids=["group1", "group2", "no-noise", "no-jitter"])
-def test_synthesis_bit_identical_to_allocating_reference(group, noise_rms, jitter_hz):
-    cfg = PipelineConfig(group=group, seed=3, noise_rms=noise_rms, jitter_hz=jitter_hz)
+# one channel whose lines mix jitters, a jitter-0 line among them, beside a one-line channel
+MIXED_JITTER = profile({
+    "mic": [SpectralLine(40, 1.2, jitter_hz=0.5), SpectralLine(97, 0.8, jitter_hz=0.0),
+            SpectralLine(211, 1.7, jitter_hz=0.25)],
+    "geo": [SpectralLine(13, 0.6)],
+}, noise=0.9)
+
+
+@pytest.mark.parametrize("group, noise_rms, jitter_hz, duration_s, rate", [
+    ("Group1", 3.5, 0.5, 2.5, 1000), ("Group2", 3.5, 0.5, 2.5, 1000), ("Group1", 0.0, 0.5, 2.5, 1000),
+    ("Group2", 0.7, 0.0, 2.5, 1000), (None, None, None, 2.5, 1000), (None, None, None, 12.0, 2000),
+], ids=["group1", "group2", "no-noise", "no-jitter", "mixed-jitter-cut", "mixed-jitter-12s"])
+def test_synthesis_bit_identical_to_allocating_reference(group, noise_rms, jitter_hz, duration_s, rate):
     # 2.5 s: the last second is cut; 1000 Hz: not a perfect square, so each second is padded
-    for seed, p in enumerate(synthgen.build_group_profiles(cfg)):
-        rec = synthgen.synthesize_recording(p, synthgen.ROSTER, 2.5, 1000, seed)
-        expected = reference_synthesize(p, synthgen.ROSTER, 2.5, 1000, seed)
+    if group is None:
+        profiles, channels = [MIXED_JITTER] * 3, ("mic", "accel", "geo")
+    else:
+        cfg = PipelineConfig(group=group, seed=3, noise_rms=noise_rms, jitter_hz=jitter_hz)
+        profiles, channels = synthgen.build_group_profiles(cfg), synthgen.ROSTER
+    for seed, p in enumerate(profiles):
+        rec = synthgen.synthesize_recording(p, channels, duration_s, rate, seed)
+        expected = reference_synthesize(p, channels, duration_s, rate, seed)
         assert rec.channels == tuple(expected)
         for row, (cid, data) in zip(rec.samples, expected.items()):
             assert row.tobytes() == data.tobytes(), (p.label, cid)
