@@ -9,9 +9,12 @@ phase, which the seconds before it fix modulo one cycle (see
 `synthesize_recording`).
 
 A Recording holds one (channels, n) float64 matrix beside its channel ids,
-row i being channel i.  A recording file (.rec) is one ASCII header line, then
-that matrix as little-endian float64, channel after channel.  A stage reads
-only the channels it needs, into the rows of one read-only matrix.
+row i being channel i.  Synthesis runs in float64; a recording file (.rec) is
+one ASCII header line, then that matrix rounded to little-endian float32,
+channel after channel, channels x samples x 4 bytes.  Float32 holds the 16- to
+24-bit samples of real sensors exactly.  A stage reads only the channels it
+needs, into the rows of one float32 buffer, which it converts once to a
+read-only float64 matrix.
 """
 
 import math
@@ -23,7 +26,9 @@ import numpy as np
 from .errors import LABEL_RULE, ConfigurationError, ParseError, ValidationError, is_label, text_lines
 from .rng import derive_rng
 
-RECORDING_MAGIC = "SIGREC2"  # channel-major; a sample-major SIGREC1 file is refused, never misread
+# channel-major float32; the older float64 formats, sample-major SIGREC1 and
+# channel-major SIGREC2, are refused, never misread
+RECORDING_MAGIC = "SIGREC3"
 
 # The 13-channel measurement setup the synthetic data mirrors; each id's
 # prefix names its sensor: microphone, geophone, accelerometer, magnetometer.
@@ -104,6 +109,7 @@ LINE_GRID_HZ = (5, 296)  # signature lines sit on range(*LINE_GRID_HZ, min_line_
 LINE_AMPLITUDES = (1.0, 2.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sample past float64's range is inf; save_recording refuses it
 def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
     """Render a TargetProfile into a Recording of the given channel ids.
 
@@ -227,25 +233,39 @@ def build_group_profiles(cfg):
 # Persistence
 
 def save_recording(path, rec):
-    """Binary recording file: one ASCII header line, then the channel-major float64 LE samples."""
+    """Binary recording file: one ASCII header line, then the samples rounded to
+    little-endian float32, channel after channel.
+
+    A sample that float32 cannot hold (past its range of about 3.4e38, or not
+    finite) raises ValidationError naming the file and the channel, before the
+    file is opened.
+    """
+    with np.errstate(over="ignore"):  # a sample past float32's range becomes inf, refused below
+        payload = rec.samples.astype("<f4")
+    finite = np.isfinite(payload).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"{path}: not written: channel {rec.channels[np.argmin(finite)]!r} holds a "
+                              "sample outside float32's finite range, in which recordings are stored; "
+                              "lower noise_rms or the line amplitudes")
     header = (
         f"{RECORDING_MAGIC} label={rec.label} rate={rec.sample_rate_hz} "
         f"duration={rec.duration_s!r} channels={','.join(rec.channels)}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(rec.samples, dtype="<f8"))  # written straight from its buffer
+        fh.write(payload)
 
 
 def load_recording(path, channels):
     """Read the given channel ids of a recording file, in that order.
 
-    Each channel is read into its row of one read-only float64 matrix.  A bad
-    header, a rate below 600 Hz or fewer samples than one second, a repeated
-    channel id or one outside ROSTER, a file length other than the header's
-    channels times samples, a channel the header lacks, or a nan/inf sample
-    in a channel read raises ParseError naming the file and the first such
-    channel.
+    Each channel is read into its row of one float32 buffer, which is then
+    converted once to a read-only float64 matrix.  A bad header, an older
+    SIGREC1 or SIGREC2 file, a rate below 600 Hz or fewer samples than one
+    second, a repeated channel id or one outside ROSTER, a file length other
+    than the header plus channels times samples times 4 bytes, a channel the
+    header lacks, or a nan/inf sample in a channel read raises ParseError
+    naming the file and the first such channel.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -254,6 +274,9 @@ def load_recording(path, channels):
             if not header.endswith(b"\n"):
                 raise ParseError(f"{path}: header line is cut")
             fields = header.decode("ascii").split()
+            if fields and fields[0] in ("SIGREC1", "SIGREC2"):
+                raise ParseError(f"{path}: an older {fields[0]} float64 recording; "
+                                 f"run 'synth' again to write {RECORDING_MAGIC} files")
             if not fields or fields[0] != RECORDING_MAGIC:
                 raise ParseError(f"{path}: not a {RECORDING_MAGIC} recording file")
             meta = dict(f.split("=", 1) for f in fields[1:])
@@ -276,20 +299,21 @@ def load_recording(path, channels):
         unknown = [cid for cid in ids if cid not in ROSTER]
         if unknown:
             raise ParseError(f"{path}: header names channel {unknown[0]!r}, which is not in the roster")
-        if payload != 8 * n * len(ids):
-            raise ParseError(f"{path}: payload of {payload} bytes, expected {8 * n * len(ids)} "
-                             f"({len(ids)} channels of {n} float64 samples)")
+        if payload != 4 * n * len(ids):
+            raise ParseError(f"{path}: payload of {payload} bytes, expected {4 * n * len(ids)} "
+                             f"({len(ids)} channels of {n} float32 samples)")
         chosen = tuple(channels)
         missing = [cid for cid in chosen if cid not in ids]
         if missing:
             raise ParseError(f"{path}: recording {label!r} has no channel {missing}")
-        samples = np.empty((len(chosen), n), dtype="<f8")
-        for row, cid in zip(samples, chosen):
-            fh.seek(len(header) + 8 * n * ids.index(cid))
+        stored = np.empty((len(chosen), n), dtype="<f4")
+        for row, cid in zip(stored, chosen):
+            fh.seek(len(header) + 4 * n * ids.index(cid))
             fh.readinto(row)
-    finite = np.isfinite(samples).all(axis=1)
+    finite = np.isfinite(stored).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}: channel {chosen[np.argmin(finite)]!r} holds non-finite samples")
+    samples = stored.astype(np.float64)  # once per recording; the blocks cut from it are many times larger
     samples.flags.writeable = False
     return Recording(label=label, sample_rate_hz=rate, channels=chosen, samples=samples, duration_s=duration)
 

@@ -504,32 +504,40 @@ def _cut_payload(keep):
 
 
 def _sample_major(raw):
-    """The same recording as an old SIGREC1 file: one row of 13 channels per sample."""
+    """The same recording as an old SIGREC1 file: one row of 13 float64 channels per sample."""
     header, payload = raw.split(b"\n", 1)
-    block = np.frombuffer(payload, "<f8").reshape(13, -1)
-    return header.replace(b"SIGREC2", b"SIGREC1") + b"\n" + block.T.tobytes()
+    block = np.frombuffer(payload, "<f4").reshape(13, -1)
+    return header.replace(b"SIGREC3", b"SIGREC1") + b"\n" + block.T.astype("<f8").tobytes()
+
+
+def _channel_major_float64(raw):
+    """The same recording as an old SIGREC2 file: the same channel-major layout in float64."""
+    header, payload = raw.split(b"\n", 1)
+    return header.replace(b"SIGREC3", b"SIGREC2") + b"\n" + np.frombuffer(payload, "<f4").astype("<f8").tobytes()
 
 
 def _set_sample(offset, value):
-    """Overwrite the payload's float64 sample at `offset` (counted in samples)."""
+    """Overwrite the payload's float32 sample at `offset` (counted in samples)."""
     def corrupt(raw):
         header, payload = raw.split(b"\n", 1)
-        data = np.frombuffer(payload, "<f8").copy()
+        data = np.frombuffer(payload, "<f4").copy()
         data[offset] = value
         return header + b"\n" + data.tobytes()
     return corrupt
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    pytest.param(lambda raw: raw[:-3], "float64", id="cut"),
+    pytest.param(lambda raw: raw[:-3], "float32", id="cut"),
     pytest.param(lambda raw: raw[:40], "header line is cut", id="cut-in-header"),
     pytest.param(_cut_payload(0), "payload of 0 bytes", id="cut-at-payload-start"),
     pytest.param(_cut_payload(1), "payload of 1 bytes", id="cut-after-one-byte"),
-    pytest.param(_cut_payload(8 * 4000), "13 channels of 4000 float64", id="cut-after-one-channel"),
-    pytest.param(_cut_payload(-8), "float64", id="cut-one-sample"),
-    pytest.param(lambda raw: raw + b"\0", f"payload of {13 * 4000 * 8 + 1} bytes", id="appended-byte"),
-    pytest.param(lambda raw: bytes([raw[0] ^ 1]) + raw[1:], "not a SIGREC2 recording", id="flipped-magic"),
-    pytest.param(_sample_major, "not a SIGREC2 recording", id="sample-major-sigrec1"),
+    pytest.param(_cut_payload(4 * 4000), "13 channels of 4000 float32", id="cut-after-one-channel"),
+    pytest.param(_cut_payload(-4), "float32", id="cut-one-sample"),
+    pytest.param(lambda raw: raw + b"\0", f"payload of {13 * 4000 * 4 + 1} bytes", id="appended-byte"),
+    pytest.param(lambda raw: bytes([raw[0] ^ 1]) + raw[1:], "not a SIGREC3 recording", id="flipped-magic"),
+    pytest.param(_sample_major, "an older SIGREC1 float64 recording; run 'synth' again", id="sample-major-sigrec1"),
+    pytest.param(_channel_major_float64, "an older SIGREC2 float64 recording; run 'synth' again",
+                 id="channel-major-float64-sigrec2"),
     pytest.param(_edit_header(lambda h: h.replace(b",mic_front_5m,", b",mic_front_10m,")),
                  "header repeats channel 'mic_front_10m'", id="repeated-channel"),
     pytest.param(_edit_header(lambda h: h.replace(b"mic_front_10m", b"bogus_id")),
@@ -543,7 +551,7 @@ def _set_sample(offset, value):
     pytest.param(_edit_header(lambda h: h.replace(b"duration=2.0", b"duration=0.5")),
                  "1000 samples at 2000 Hz is shorter than one second", id="under-one-second"),
     # the last channel, mag_z_side_10m, is one that Group2 fuses
-    pytest.param(lambda raw: raw[:-8] + np.array([np.nan], "<f8").tobytes(),
+    pytest.param(lambda raw: raw[:-4] + np.array([np.nan], "<f4").tobytes(),
                  "channel 'mag_z_side_10m' holds non-finite", id="nan"),
 ])
 def test_corrupt_recording_is_data_error(smoke, tmp_path, capsys, corrupt, message):
@@ -582,7 +590,7 @@ def _drop_channel(cid):
         head, ids = header.rsplit(b"channels=", 1)
         ids = ids.split(b",")
         keep = [k for k, other in enumerate(ids) if other != cid]
-        samples = np.frombuffer(payload, "<f8").reshape(len(ids), -1)[keep]
+        samples = np.frombuffer(payload, "<f4").reshape(len(ids), -1)[keep]
         return head + b"channels=" + b",".join(ids[k] for k in keep) + b"\n" + samples.tobytes()
     return corrupt
 
@@ -819,6 +827,26 @@ def test_profiles_file_bad_noise_rms_is_data_error(tmp_path, capsys, text, messa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {profiles}{message}")  # error: <path>:<line>: ...
     assert not (tmp_path / "out").exists()
+
+
+# recordings store float32, so such a sample would be written as inf and fail the next stage
+@pytest.mark.parametrize("config, profiles, label, channel", [
+    pytest.param("noise_rms = 1e38\n", None, "AllQuiet", "mic_front_10m", id="noise-rms-1e38"),
+    pytest.param("noise_rms = 1e308\n", None, "AllQuiet", "mic_front_10m", id="noise-past-float64"),
+    pytest.param("", "profile Loud\nline geo_front_10m 45 1e39 0.0\n", "Loud", "geo_front_10m",
+                 id="line-amplitude-1e39"),
+])
+def test_sample_past_float32_range_is_data_error(tmp_path, capsys, config, profiles, label, channel):
+    if profiles:
+        (tmp_path / "profiles.txt").write_text(profiles)
+        config += f"profiles_file = {tmp_path / 'profiles.txt'}\n"
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(config + "trials = 1\nduration_s = 2.0\n")
+    out = tmp_path / "out"
+    assert run(cfg_path, out, "synth") == 2
+    _one_error_line(capsys, out / "recordings" / f"{label}_t1.rec",
+                    f"not written: channel {channel!r} holds a sample outside float32's finite range")
+    assert not list((out / "recordings").iterdir()) and not (out / "synth_manifest.json").exists()
 
 
 @pytest.mark.parametrize("case, message", [

@@ -308,7 +308,8 @@ def test_selection_caps_mask_at_the_highest_ratio_bins():
 
 def test_group1_mask_at_8000_hz_stays_within_125_bins_and_covers_every_line():
     # the rows stage in memory: each recording synthesized with every roster id (the draws
-    # follow the roster order), then its fused channels cut with the "blocks" seeds and fused
+    # follow the roster order), its fused channels rounded to float32 as a .rec file stores
+    # them, then cut with the "blocks" seeds and fused
     from sigclass import spectral, synthgen
     from sigclass.config import PipelineConfig
     from sigclass.rng import derive_seed
@@ -321,7 +322,8 @@ def test_group1_mask_at_8000_hz_stays_within_125_bins_and_covers_every_line():
         for trial in range(1, cfg.trials + 1):
             seed = derive_seed(cfg.seed, "synth", p.label, trial)
             rec = synthgen.synthesize_recording(p, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed)
-            rec.samples, rec.channels = rec.samples[fused], cfg.fusion_channels
+            rec.samples = rec.samples[fused].astype(np.float32).astype(np.float64)
+            rec.channels = cfg.fusion_channels
             blocks = spectral.extract_blocks(rec, cfg.blocks_per_recording,
                                              derive_seed(cfg.seed, "blocks", p.label, trial))
             x.append(fusion.fuse(np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()]),
