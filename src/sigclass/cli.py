@@ -81,7 +81,7 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-# what rows and heatmap read from each synth manifest entry
+# what rows and heatmap read from each synth manifest entry; exact types, as a bool is an int
 _ENTRY_KEYS = {"file": str, "label": str, "trial": int}
 
 
@@ -92,11 +92,12 @@ def _read_synth_manifest(cfg):
         raise ParseError(f"{path}: not found; run 'synth' first")
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))["recordings"]
-        bad = [e for e in entries if not all(isinstance(e.get(k), t) for k, t in _ENTRY_KEYS.items())]
+        bad = [e for e in entries
+               if not all(type(e.get(k)) is t for k, t in _ENTRY_KEYS.items()) or e["trial"] < 1]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"{path}: not a synth manifest ({type(exc).__name__}: {exc})") from None
     if bad:
-        raise ParseError(f"{path}: recording entry {bad[0]} needs text file and label, integer trial")
+        raise ParseError(f"{path}: recording entry {bad[0]} needs text file and label, integer trial >= 1")
     if not entries:
         raise ParseError(f"{path}: lists no recordings")
     # rows and heatmap open recordings/<file>, so it must be the bare name synth writes

@@ -19,7 +19,7 @@ row-normalization flag.
 
 import numpy as np
 
-from .errors import LABEL_RULE, NumericalError, ParseError, ValidationError, is_label, read_npz
+from .errors import LABEL_RULE, NumericalError, ParseError, is_label, read_npz
 from .spectral import N_BINS
 
 # Prediction sentinel: the rounded sigmoid outputs did not form a valid one-hot.
@@ -60,10 +60,8 @@ def init_network(d, c, seed):
     """A fresh float64 theta: uniform weights, zero biases.
 
     Weight entries are drawn from U(-r, r) with r = sqrt(6 / (fan_in + fan_out)),
-    layer 1 first, each row-major.
+    layer 1 first, each row-major.  compute_selection gives d >= 1 bins and c >= 2 labels.
     """
-    if d < 1 or c < 2:
-        raise ValidationError("need d >= 1 inputs and c >= 2 classes")
     rng = np.random.default_rng(seed)
     theta = np.zeros(d * (2 * d + c + 2) + c)
     for w in unflatten(theta, d, c):
@@ -90,11 +88,10 @@ def forward(params, a, out=None):
     t1) over the ones rows of t1 and t2, and the logits are W3 t2.  They go
     into out, an `activations` tuple (new arrays when it is None); trace is
     (a, t1, t2, logits, h, delta), what backward needs and its scratch.
+    `train` and load_checkpoint size the net to the mask that `a` is built from.
     """
     w1, w2, w3 = params
     d = len(w1)
-    if a.shape[0] != d + 1:
-        raise ValidationError(f"input width {a.shape[0] - 1} does not match network d={d}")
     if out is None:
         out = activations(a.shape[1], d, len(w3), a.dtype)
     t1, t2, z3 = out[:3]

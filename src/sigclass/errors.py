@@ -2,6 +2,7 @@
 raise them, and the label rule."""
 
 import tokenize
+import warnings
 import zipfile
 
 import numpy as np
@@ -59,10 +60,11 @@ def read_npz(path, what, keys):
     A file that is not such an archive (cut, a failed CRC, a bare .npy, an
     object array, a forged header), lacks one of keys, or has bytes after the
     archive's end record raises ParseError naming the file and `what` it
-    should be.  numpy writes no archive comment, so an archive ends with its
-    22-byte end record.
+    should be, on one line.  numpy writes no archive comment, so an archive
+    ends with its 22-byte end record.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # numpy's warning of a Python 2 header, which no store has
         try:
             store = np.load(fh, allow_pickle=False)
             if not isinstance(store, np.lib.npyio.NpzFile):
@@ -72,8 +74,9 @@ def read_npz(path, what, keys):
             end = fh.read()
         # what a cut, flipped or forged file raises (OSError: a bad seek; MemoryError: a huge shape)
         except (zipfile.BadZipFile, EOFError, ValueError, KeyError, NotImplementedError,
-                RuntimeError, OSError, MemoryError, tokenize.TokenError) as exc:
-            raise ParseError(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from None
+                RuntimeError, OSError, MemoryError, tokenize.TokenError, UserWarning) as exc:
+            reason = " ".join(str(exc).split())  # some numpy messages span lines
+            raise ParseError(f"{path}: not a {what} ({type(exc).__name__}: {reason})") from None
     if end[:4] != b"PK\x05\x06" or end[20:] != b"\0\0":
         raise ParseError(f"{path}: bytes after the archive's end record")
     return arrays

@@ -31,20 +31,17 @@ class SpectrumRow:
 
 @dataclass
 class FeatureMask:
-    """Sorted distinct 1-based bin indices retained for the classifier.
+    """Strictly ascending 1-based bin indices retained for the classifier.
 
     `index` holds the same bins 0-based, for indexing a row's bins.
+    compute_selection and load_checkpoint make only ascending bins in 1..300, at least one.
     """
 
     kept: list
     index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kept = sorted(set(int(b) for b in self.kept))
-        if not kept or kept[0] < 1 or kept[-1] > N_BINS:
-            raise ValidationError("mask must keep between 1 and 300 bins inside [1, 300]")
-        self.kept = kept
-        self.index = np.array(kept) - 1
+        self.index = np.array(self.kept) - 1
 
     def __len__(self):
         return len(self.kept)
@@ -68,11 +65,8 @@ def fuse(spectra, weights):
     `spectra` is a (channels, ...) array, e.g. (channels, blocks, 300) with
     block k of every channel from the same time span; `weights` holds one w_j
     per row.  Returns bins[..., i] = sum_j w_j * |S_ij| / sum_j w_j, in row order.
+    The config checks one weight per fused channel, none negative and not all zero.
     """
-    if len(weights) != len(spectra):
-        raise ValidationError(f"{len(weights)} fusion weights for {len(spectra)} channels")
-    if sum(weights) <= 0:
-        raise ValidationError("total fusion weight must be > 0")
     acc = np.zeros(spectra.shape[1:])
     for w, spec in zip(weights, spectra):
         acc += w * spec  # in place: a fresh sum per channel fragments the heap and raises peak RSS
@@ -96,10 +90,8 @@ def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
     class ratio are kept (the lower bin on a tie), with a warning.
 
     Returns (FeatureMask, SelectionReport); raises SelectionError (with the
-    report attached) when nothing survives.
+    report attached) when nothing survives.  The config checks threshold > 1.
     """
-    if threshold <= 1:
-        raise ValidationError("threshold must be > 1")
     if len(vocab) < 2:
         raise ValidationError("selection needs at least 2 distinct labels")
     sizes = np.bincount(y, minlength=len(vocab))
@@ -139,7 +131,7 @@ def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
             f"{max_classes_per_bin} classes (best ratio {float(np.nanmax(ratios)):.3f})",
             report=report,
         )
-    return FeatureMask(kept=kept + 1), report
+    return FeatureMask(kept=(kept + 1).tolist()), report
 
 
 def apply_mask(row, mask):

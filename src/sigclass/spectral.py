@@ -25,13 +25,10 @@ def extract_blocks(rec, count, seed):
     time span (fused spectra must be time-aligned).  Blocks may overlap.  The
     offsets do not depend on which channels the recording holds.  Returns
     {channel_id: (count, rate) array} in `rec.channels` order; row k is block k.
+    The config checks count >= 1, and load_recording at least one second of samples.
     """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
     rate = rec.sample_rate_hz
     n = rec.samples.shape[1]
-    if n < rate:
-        raise ValidationError("recording is shorter than 1 second")
     offsets = np.random.default_rng(seed).integers(0, n - rate + 1, size=count)
     blocks = np.lib.stride_tricks.sliding_window_view(rec.samples, rate, axis=1)[:, offsets]
     return dict(zip(rec.channels, blocks))
@@ -40,16 +37,11 @@ def extract_blocks(rec, count, seed):
 def magnitude_spectrum(blocks):
     """FFT magnitudes of the blocks along the last axis, bins 1..300.
 
-    bins[..., i] = |DFT(block)[i+1]|, the magnitude at (i+1) Hz.  Works for
-    any block length >= 600 (numpy's FFT is mixed-radix, so non-power-of-two
-    one-second blocks are exact, not padded).
+    bins[..., i] = |DFT(block)[i+1]|, the magnitude at (i+1) Hz.  A one-second
+    block has the >= 600 samples this needs, since load_recording checks the rate
+    (numpy's FFT is mixed-radix, so non-power-of-two blocks are exact, not padded).
     """
-    samples = np.asarray(blocks, dtype=float)
-    if samples.shape[-1] < 2 * N_BINS:
-        raise ValidationError(
-            f"block of {samples.shape[-1]} samples is too short; need >= {2 * N_BINS}"
-        )
-    return np.abs(np.fft.rfft(samples, axis=-1)[..., 1 : N_BINS + 1])
+    return np.abs(np.fft.rfft(np.asarray(blocks, dtype=float), axis=-1)[..., 1 : N_BINS + 1])
 
 
 def build_heatmap(spectra):

@@ -194,9 +194,8 @@ def evaluate(params, x, y, vocab):
     x holds masked feature rows and y their class indices in vocab; the
     trailing column of counts tallies Unclassified.  The rows are scored as
     `train` scores them (see `_columns` and `_check_range`).
+    load_rows rejects a store without rows, and train an empty test split.
     """
-    if len(x) == 0:
-        raise ValidationError("evaluate needs at least one row")
     a, reach = _columns(x)
     _check_range(reach, params)
     preds = dnn.predict_batch(params, a)

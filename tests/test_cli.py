@@ -185,6 +185,7 @@ def test_bad_config_value_is_usage_error(tmp_path):
     ("learn_rate = -0.005", "train"),
     ("learn_rate = inf", "train"),
     ("threshold = nan", "train"),
+    ("threshold = 1.0", "train"),
     ("max_classes_per_bin = -1", "train"),
     ("lines_per_profile = -1", "synth"),
     ("lines_per_profile = 2", "synth"),
@@ -239,6 +240,11 @@ def _repeat_first_entry(text):
       for key in ("file", "label", "trial")],
     pytest.param(_edit_first_entry(lambda e: e.update(file=5)), id="file-not-text"),
     pytest.param(_edit_first_entry(lambda e: e.update(trial="1")), id="trial-not-integer"),
+    # a bool is an int to isinstance; both entries name the file their label and trial give
+    pytest.param(_edit_first_entry(lambda e: e.update(trial=True, file=f"{e['label']}_tTrue.rec")),
+                 id="trial-bool"),
+    pytest.param(_edit_first_entry(lambda e: e.update(trial=-3, file=f"{e['label']}_t-3.rec")),
+                 id="trial-below-1"),
     pytest.param(lambda text: json.dumps({"recordings": [5]}), id="entry-not-object"),
     pytest.param(_edit_first_entry(lambda e: e.update(file="../../outside.rec")), id="file-escapes"),
     pytest.param(_edit_first_entry(lambda e: e.update(file="AllQuiet_t2.rec")), id="file-not-entry"),
@@ -338,6 +344,15 @@ def _npz_cases(what, names, text_name, cuts):
         pytest.param(_members(**{text_name: lambda a: a.astype(object)}), "allow_pickle=False",
                      id=f"object-{text_name}"),
     ]
+
+
+def _npy_header(edit):
+    """The first member's .npy header line passed through edit; numpy reads it before any CRC check."""
+    def corrupt(raw, members):
+        start = raw.index(b"\x93NUMPY")
+        end = raw.index(b"\n", start) + 1
+        return raw[:start] + edit(raw[start:end]) + raw[end:]
+    return corrupt
 
 
 def _flat_params(d, hidden, c):
@@ -446,6 +461,14 @@ def _old_csv(raw, members):
     *_npz_cases("rows store", ["x", "labels"], "labels", (0, 30, 5000, 60000, -200, -1)),
     pytest.param(_huge_shape("x", (40, 300), (10**11, 300)), "Unable to allocate", id="huge-shape"),
     pytest.param(_old_csv, "not a rows store", id="old-csv"),
+    # numpy's refusal spans three lines
+    pytest.param(_npy_header(lambda h: h[:8] + (39798).to_bytes(2, "little") + h[10:]),
+                 "(ValueError: Header info length (39798) is large and may not be safe to load securely. "
+                 "To allow loading", id="header-length"),
+    # numpy parses a Python 2 header with a warning before it reads the shape (40, 30)
+    pytest.param(_npy_header(lambda h: h.replace(b"300)", b"30L)")),
+                 "(UserWarning: Reading `.npy` or `.npz` file required additional header parsing as it "
+                 "was created on Python 2", id="python2-header"),
     pytest.param(_members(x=lambda a: a[:, 1:]), "x is float64 (40, 299)", id="299-columns"),
     pytest.param(_members(x=lambda a: a.astype(np.int64)), "x is int64 (40, 300)", id="int"),
     pytest.param(_members(labels=lambda a: np.where(np.arange(40) == 6, "", a)),

@@ -4,7 +4,7 @@ import pytest
 from sigclass import dnn, trainer
 from sigclass.config import PipelineConfig
 from sigclass.dnn import UNCLASSIFIED
-from sigclass.errors import NumericalError, ParseError, ValidationError
+from sigclass.errors import NumericalError, ParseError
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.spectral import N_BINS
 
@@ -64,13 +64,6 @@ def test_init_deterministic_and_bounded():
     assert np.all(np.abs(a[2]) <= r3)
     c = net(10, 3, seed=100)
     assert not np.array_equal(a[0], c[0])
-
-
-def test_init_rejects_degenerate_sizes():
-    with pytest.raises(ValidationError):
-        dnn.init_network(0, 3, seed=1)
-    with pytest.raises(ValidationError):
-        dnn.init_network(4, 1, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +187,6 @@ def test_forward_batch_shape():
     logits, (_, t1, *_) = dnn.forward(p, a)
     assert logits.shape == (4, 150) and logits.dtype == np.float32
     assert t1.shape == (24, 150)
-
-
-def test_forward_rejects_wrong_width():
-    p = net(5, 3, seed=0)
-    with pytest.raises(ValidationError, match="input width 4 does not match network d=5"):
-        dnn.forward(p, np.ones((5, 2)))
 
 
 def test_forward_batch_order_equivariant():

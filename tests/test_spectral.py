@@ -75,18 +75,6 @@ def test_extract_blocks_deterministic():
     assert np.array_equal(one["a"], two["a"])
 
 
-def test_extract_rejects_short_recording():
-    rec = make_recording({"a": np.zeros(999)})
-    with pytest.raises(ValidationError):
-        spectral.extract_blocks(rec, 1, seed=0)
-
-
-def test_extract_rejects_zero_count():
-    rec = make_recording({"a": np.zeros(2000)})
-    with pytest.raises(ValidationError):
-        spectral.extract_blocks(rec, 0, seed=0)
-
-
 # ---------------------------------------------------------------------------
 # magnitude_spectrum
 
@@ -127,11 +115,6 @@ def test_spectrum_excludes_dc():
     # constant signal lives entirely in the DC bin, which is dropped
     bins = spectral.magnitude_spectrum(block(np.full(1000, 7.0)))
     assert np.max(bins) < 1e-9
-
-
-def test_rejects_short_block():
-    with pytest.raises(ValidationError):
-        spectral.magnitude_spectrum(block(np.zeros(599)))
 
 
 # ---------------------------------------------------------------------------

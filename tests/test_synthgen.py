@@ -69,22 +69,6 @@ def test_same_seed_bit_identical():
     assert not np.array_equal(a.samples[0], c.samples[0])  # mic
 
 
-def test_unknown_channel_is_configuration_error():
-    p = profile({"nope": [SpectralLine(60, 1.0)]})
-    with pytest.raises(ConfigurationError):
-        synthgen.synthesize_recording(p, SETUP, 1.0, 1000, seed=0)
-
-
-def test_preconditions():
-    with pytest.raises(ValidationError):
-        synthgen.synthesize_recording(profile({}), SETUP, 0.5, 1000, seed=0)
-    with pytest.raises(ValidationError):
-        synthgen.synthesize_recording(profile({}), SETUP, 1.0, 500, seed=0)
-    with pytest.raises(ValidationError):
-        # 1.0001 s at 1 kHz is not an integer number of samples
-        synthgen.synthesize_recording(profile({}), SETUP, 1.0001, 1000, seed=0)
-
-
 def test_channel_energy_matches_line_and_noise_power():
     # RMS^2 ~ sum(amp^2)/2 + noise^2 for long recordings
     p = profile(
