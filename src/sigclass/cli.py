@@ -49,9 +49,9 @@ def _write_manifest(command, cfg, extra):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_config(args, **overrides):
+def _load_config(args):
     file_values = config_mod.read_config_file(args.config) if args.config else {}
-    return config_mod.build_config(file_values, seed=args.seed, out_dir=args.out, **overrides)
+    return config_mod.build_config(file_values, out_dir=args.out)
 
 
 def cmd_synth(args):
@@ -149,7 +149,6 @@ def cmd_heatmap(args):
     n_rows = heatmap.shape[0] * heatmap.shape[1]
     pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
-    # the CSV first: it rejects a value outside 0..10 before either file exists
     spectral.write_heatmap_csv(csv, heatmap, synthgen.ROSTER, [e["trial"] for e in entries])
     spectral.write_heatmap_pgm(pgm, heatmap)
     _write_manifest("heatmap", cfg, {"label": args.label, "rows": n_rows})
@@ -163,12 +162,12 @@ def _print_warnings(warnings):
 
 
 def cmd_train(args):
-    cfg = _load_config(args, runs=args.runs)
+    cfg = _load_config(args)
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
     ds = trainer.load_rows(rows_path)
     vocab, y = ds.label_vocab, ds.y
 
-    guard = cfg.max_classes_per_bin or fusion.default_max_classes_per_bin(len(vocab))
+    guard = fusion.default_max_classes_per_bin(len(vocab))  # from the labels in the rows, not the group's
     try:
         mask, report = fusion.compute_selection(ds.x, y, vocab, cfg.threshold, guard)
     except SelectionError as exc:
@@ -193,9 +192,9 @@ def cmd_train(args):
 
     accuracy, counts = trainer.evaluate(params, x_test, y_test, vocab)
     trainer.write_confusion_csv(out / "confusion.csv", vocab, counts)
-    # the guard comes from the labels in the rows, which need not be the group's
-    _write_manifest("train", dataclasses.replace(cfg, max_classes_per_bin=guard), {
+    _write_manifest("train", cfg, {
         "rows_file": args.rows or rows_path.name,
+        "max_classes_per_bin": guard,
         "mask_size": len(mask),
         "test_rows": len(test_idx),
         "test_accuracy": accuracy,
@@ -235,7 +234,6 @@ def cmd_eval(args):
 def build_parser():
     parser = _Parser(prog="sigclass", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="flat key-value config file")
-    parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -250,7 +248,6 @@ def build_parser():
     p.set_defaults(func=cmd_heatmap)
 
     p = sub.add_parser("train", help="select frequencies, train, and evaluate")
-    p.add_argument("--runs", type=int, help="override the training run count")
     p.add_argument("--rows", help="rows store path (default: <out>/rows.npz)")
     p.set_defaults(func=cmd_train)
 
@@ -266,9 +263,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SigclassError, OSError) as exc:
+    except (SigclassError, OSError, MemoryError) as exc:  # MemoryError: a config size too large to allocate
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ConfigurationError):
+        if isinstance(exc, (ConfigurationError, MemoryError)):
             return EXIT_USAGE
         return EXIT_TRAINING if isinstance(exc, (SelectionError, NumericalError)) else EXIT_DATA
 

@@ -1,4 +1,4 @@
-"""Pipeline configuration: flat key-value file plus CLI overrides.
+"""Pipeline configuration: one flat key-value file; the CLI adds only the output directory.
 
 Defaults: selection threshold 1.75, batches of 150 rows, 200 training runs,
 learn rate 0.005, 80/20 split, 5 trials per target.  The sample rate defaults
@@ -13,17 +13,15 @@ from dataclasses import dataclass, fields
 from typing import get_args, get_origin
 
 from .errors import ConfigurationError, text_lines
-from .synthgen import DEFAULT_LINES_PER_PROFILE, GROUPS, LINE_GRID_HZ, ROSTER
+from .synthgen import GROUPS, ROSTER
 
 
 @dataclass
 class PipelineConfig:
     """Every pipeline setting, range-checked and resolved on construction.
 
-    A 0 or empty default takes its group value here, except
-    `max_classes_per_bin`: its default depends on the labels in the rows, so
-    selection derives it.  Resolution is idempotent, so
-    `PipelineConfig(**asdict(cfg)) == cfg`.
+    A 0 or empty default takes its group value here.  Resolution is
+    idempotent, so `PipelineConfig(**asdict(cfg)) == cfg`.
     """
 
     group: str = "Group2"
@@ -35,8 +33,6 @@ class PipelineConfig:
     trials: int = 5
     noise_rms: float = 3.5
     jitter_hz: float = 0.5
-    min_line_spacing_hz: int = 3
-    lines_per_profile: int = 0      # 0 -> per-group default
     profiles_file: str = ""        # empty -> generate profiles from the group table
     # spectra / rows
     blocks_per_recording: int = 0  # 0 -> sized so the row count lands near 1000
@@ -45,7 +41,6 @@ class PipelineConfig:
     fusion_channels: tuple[str, ...] = ()    # empty -> per-group default subset
     fusion_weights: tuple[float, ...] = ()   # empty -> uniform
     threshold: float = 1.75
-    max_classes_per_bin: int = 0   # 0 -> ceil(T/2) - 1 with floor 1, T labels in the rows
     # training
     train_fraction: float = 0.8
     batch_size: int = 150
@@ -56,7 +51,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.group not in GROUPS:
             raise ConfigurationError(f"unknown group {self.group!r}; expected one of {sorted(GROUPS)}")
-        labels, group_channels = GROUPS[self.group]
+        labels, group_channels, _ = GROUPS[self.group]
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
         if not math.isfinite(self.threshold) or self.threshold <= 1.0:
@@ -87,16 +82,6 @@ class PipelineConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if not math.isfinite(self.learn_rate) or self.learn_rate <= 0:
             raise ConfigurationError("learn_rate must be finite and > 0")
-        if self.max_classes_per_bin < 0:
-            raise ConfigurationError("max_classes_per_bin must be >= 0 (0 derives it from the rows)")
-        self.lines_per_profile = self.lines_per_profile or DEFAULT_LINES_PER_PROFILE[self.group]
-        if self.lines_per_profile < 3:
-            raise ConfigurationError("lines_per_profile must be >= 3 (0 picks the group default)")
-        if self.min_line_spacing_hz < 1:
-            raise ConfigurationError("min_line_spacing_hz must be >= 1")
-        needed = (len(labels) - 1) * self.lines_per_profile
-        if needed > len(range(*LINE_GRID_HZ, self.min_line_spacing_hz)):
-            raise ConfigurationError(f"cannot place {needed} distinct lines with spacing {self.min_line_spacing_hz} Hz")
         if self.blocks_per_recording < 0:
             raise ConfigurationError("blocks_per_recording must be >= 0 (0 picks the default)")
         self.blocks_per_recording = (
@@ -159,10 +144,9 @@ def read_config_file(path):
     return values
 
 
-def build_config(file_values=None, **overrides):
-    """PipelineConfig from raw string file values plus typed overrides."""
+def build_config(file_values=None, out_dir=None):
+    """PipelineConfig from raw string file values; an out_dir given (the --out path) wins over the file's."""
     kwargs = {key: _parse_value(key, value) for key, value in (file_values or {}).items()}
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
+    if out_dir is not None:
+        kwargs["out_dir"] = out_dir
     return PipelineConfig(**kwargs)

@@ -107,8 +107,7 @@ def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
         bins = [int(i) + 1 for i in np.flatnonzero(zero)]
         warnings.append(f"{len(bins)} bins have zero grand mean and were excluded: {bins[:10]}")
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(zero, np.nan, class_means / np.where(zero, 1.0, global_mean))
+    ratios = np.where(zero, np.nan, class_means / np.where(zero, 1.0, global_mean))
     counts = np.count_nonzero(ratios > threshold, axis=0)  # False where the ratio is nan
 
     kept = np.flatnonzero((counts >= 1) & (counts <= max_classes_per_bin))

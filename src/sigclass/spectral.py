@@ -12,8 +12,6 @@ from whole arrays, so no value is formatted on its own in Python.
 
 import numpy as np
 
-from .errors import ValidationError
-
 N_BINS = 300
 
 
@@ -48,34 +46,21 @@ def build_heatmap(spectra):
     """Normalize spectra onto a 0..10 scale, one heat-map row per spectrum.
 
     Input is a (channels, rows, 300) array; the result has its shape.  Each
-    row is scaled by 10/max(row); an all-zero row stays zero.
+    row is scaled by 10/max(row); an all-zero row is divided by 1, so it stays zero.
     """
     peaks = spectra.max(axis=-1, keepdims=True)
-    scale = 10.0 / np.where(peaks > 0, peaks, 1.0)
-    return np.multiply(spectra, scale, out=np.zeros_like(spectra), where=peaks > 0)
+    return spectra * (10.0 / np.where(peaks > 0, peaks, 1.0))
 
 
 def write_heatmap_pgm(path, heatmap):
     """Binary PGM (P5) image of a (channels, rows, 300) heat map, one pixel row per heat-map row.
 
     Value 10 maps to pixel 255: each pixel is rint(v * 25.5), clipped to 0..255.
-    A value outside 0..10 or NaN (see `_in_ten_thousandths`) raises
-    ValidationError before the file is opened.
     """
-    _in_ten_thousandths(heatmap)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{N_BINS} {heatmap.size // N_BINS}\n255\n".encode("ascii"))
         pixels = heatmap * 25.5
         fh.write(np.clip(np.rint(pixels, out=pixels), 0, 255, out=pixels).astype(np.uint8))
-
-
-def _in_ten_thousandths(rows):
-    """rint(rows * 1e4); a value outside 0..10 at that rounding, or NaN, raises ValidationError."""
-    scaled = rows * 1e4
-    np.rint(scaled, out=scaled)
-    if not np.all((scaled >= 0) & (scaled <= 100_000)):
-        raise ValidationError("heat-map value outside 0..10 or NaN; cannot write it")
-    return scaled
 
 
 def _four_decimal_lines(rows):
@@ -85,9 +70,10 @@ def _four_decimal_lines(rows):
     so the text is within 5e-5 of v.  The digits come from integer division
     into a 7-byte field per value: ones, ".", four decimals, then "," or the
     newline.  The ones digit 10 lands on ":", the byte after "9", which is then
-    replaced by "10".  A v outside 0..10 or NaN raises ValidationError.
+    replaced by "10".  build_heatmap's values are finite and in 0..10, since
+    load_recording rejects non-finite samples, so q is in 0..100,000.
     """
-    q = _in_ten_thousandths(rows).astype(np.int32)
+    q = np.rint(rows * 1e4).astype(np.int32)
     fields = np.empty(q.shape + (7,), dtype=np.uint8)
     fields[..., 0] = q // 10_000
     for col, place in zip((2, 3, 4, 5), (1000, 100, 10, 1)):
@@ -105,8 +91,7 @@ def write_heatmap_csv(path, heatmap, channels, trials):
     Row i of the (channels, rows, 300) heat map is channel `channels[i]`.
     `trials` lists the 1-based trial of each stacked recording, which all gave
     the same number of blocks; `block` is 0-based within the trial.  Values
-    have four decimals (see `_four_decimal_lines`); one outside 0..10 raises
-    ValidationError before the file is opened.
+    have four decimals (see `_four_decimal_lines`).
     """
     header = "channel,trial,block," + ",".join(f"hz_{i}" for i in range(1, N_BINS + 1))
     parts = [header.encode("ascii") + b"\n"]

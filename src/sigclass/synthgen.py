@@ -94,16 +94,15 @@ GROUP2_LABELS = ["AllQuiet", "HondaGenerator", "FordF150", "Saab83"]
 GROUP1_FUSED_CHANNELS = ["mic_front_10m", "mic_side_10m", "geo_front_10m", "accel_front_10m"]
 GROUP2_FUSED_CHANNELS = ["geo_front_10m", "accel_front_5m", "mag_z_side_10m"]
 
+# group -> (labels, fused channels, signature lines per profile); the line
+# counts keep the selected feature set comfortably inside 20..125 bins even
+# when frequency wobble drags neighbor bins along
 GROUPS = {
-    "Group1": (GROUP1_LABELS, GROUP1_FUSED_CHANNELS),
-    "Group2": (GROUP2_LABELS, GROUP2_FUSED_CHANNELS),
+    "Group1": (GROUP1_LABELS, GROUP1_FUSED_CHANNELS, 5),
+    "Group2": (GROUP2_LABELS, GROUP2_FUSED_CHANNELS, 7),
 }
 
-# Default class-signature sizes keep the selected feature set comfortably
-# inside 20..125 bins even when frequency wobble drags neighbor bins along.
-DEFAULT_LINES_PER_PROFILE = {"Group1": 5, "Group2": 7}
-
-LINE_GRID_HZ = (5, 296)  # signature lines sit on range(*LINE_GRID_HZ, min_line_spacing_hz)
+LINE_GRID_HZ = range(5, 296, 3)  # the frequencies signature lines are drawn from
 
 # signature line amplitudes are drawn uniformly from this range
 LINE_AMPLITUDES = (1.0, 2.0)
@@ -190,21 +189,19 @@ def build_group_profiles(cfg):
     """Generate the target profiles of cfg.group from a resolved PipelineConfig.
 
     Group1 yields 7 profiles, Group2 yields 4; the first is always the
-    no-lines AllQuiet background.  Each other profile has
-    cfg.lines_per_profile signature frequencies, drawn without replacement
-    from a grid with step cfg.min_line_spacing_hz, so every pair of profiles
-    differs in all of its line frequencies.  Each signature frequency lands
-    on at least two of the group's fused channels.
+    no-lines AllQuiet background.  Each other profile has the group's number
+    of signature frequencies, drawn without replacement from LINE_GRID_HZ, so
+    every pair of profiles differs in all of its line frequencies.  Each
+    signature frequency lands on at least two of the group's fused channels.
     """
-    labels, fused = GROUPS[cfg.group]
-    candidates = np.arange(*LINE_GRID_HZ, cfg.min_line_spacing_hz)
+    labels, fused, n_lines = GROUPS[cfg.group]
     rng = derive_rng(cfg.seed, "profiles", cfg.group)
-    pool = list(rng.permutation(candidates))
+    pool = list(rng.permutation(np.array(LINE_GRID_HZ)))
 
     profiles = [TargetProfile(label=labels[0], lines_per_channel={}, noise_rms=cfg.noise_rms)]
     for label in labels[1:]:
         lines = {cid: [] for cid in fused}
-        for _ in range(cfg.lines_per_profile):
+        for _ in range(n_lines):
             freq = int(pool.pop())
             n_ch = int(rng.integers(2, len(fused) + 1))
             picks = rng.choice(len(fused), size=n_ch, replace=False)

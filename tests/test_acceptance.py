@@ -41,7 +41,7 @@ def naive_dft_bins(samples, n_bins=N_BINS):
 # ---------------------------------------------------------------------------
 # full pipelines, shared across criteria 6, 7, 9
 
-def run_pipeline(root, config_text, runs_override=None):
+def run_pipeline(root, config_text):
     cfg_path = root / "config.txt"
     cfg_path.write_text(config_text)
     out = root / "out"
@@ -49,10 +49,7 @@ def run_pipeline(root, config_text, runs_override=None):
     args = ["--config", str(cfg_path), "--out", str(out)]
     assert cli.main(args + ["synth"]) == 0
     assert cli.main(args + ["rows"]) == 0
-    train_args = args + ["train"]
-    if runs_override:
-        train_args += ["--runs", str(runs_override)]
-    assert cli.main(train_args) == 0
+    assert cli.main(args + ["train"]) == 0
     elapsed = time.perf_counter() - started
     return out, elapsed
 
@@ -66,7 +63,14 @@ def group2_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def group1_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("group1")
-    return run_pipeline(root, "group = Group1\n", runs_override=1000)
+    return run_pipeline(root, "group = Group1\nruns = 1000\n")
+
+
+@pytest.fixture(scope="module")
+def hard_run(tmp_path_factory):
+    """Group1 in a noise regime where the classifier is good but not perfect."""
+    root = tmp_path_factory.mktemp("hard")
+    return run_pipeline(root, "group = Group1\nseed = 0\nnoise_rms = 20\nthreshold = 1.3\nruns = 2000\n")
 
 
 def read_runlog(out):
@@ -385,9 +389,10 @@ def test_criterion_10_mask_ground_truth(group1_run, group2_run):
 def test_checkpoint_classifies_new_recordings_of_its_profiles(group1_run, tmp_path):
     out, _ = group1_run
     cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text(f"group = Group1\nprofiles_file = {out / 'profiles.txt'}\n")
+    # the fixture used seed 0
+    cfg_path.write_text(f"group = Group1\nseed = 1\nprofiles_file = {out / 'profiles.txt'}\n")
     fresh = tmp_path / "out"
-    args = ["--config", str(cfg_path), "--out", str(fresh), "--seed", "1"]  # the fixture used seed 0
+    args = ["--config", str(cfg_path), "--out", str(fresh)]
     assert cli.main(args + ["synth"]) == 0
     assert cli.main(args + ["rows"]) == 0
     assert cli.main(args + ["eval", "--checkpoint", str(out / "checkpoint.bin"),
@@ -397,3 +402,15 @@ def test_checkpoint_classifies_new_recordings_of_its_profiles(group1_run, tmp_pa
     check("new recordings", accuracy >= 0.80,
           f"the Group1 checkpoint scores {accuracy:.4f} >= 0.80 on {rows} rows of "
           "new seed-1 recordings of its profiles")
+
+
+# ---------------------------------------------------------------------------
+# a hard regime: noise_rms = 20 and threshold = 1.3 leave some rows misclassified
+
+def test_hard_regime_is_hard_but_learnable(hard_run):
+    out, _ = hard_run
+    manifest = json.loads((out / "train_manifest.json").read_text())
+    accuracy = manifest["test_accuracy"]
+    check("hard regime", 0.80 <= accuracy <= 0.95,
+          f"Group1 at noise_rms 20, threshold 1.3, 2000 runs: mask {manifest['mask_size']} bins, "
+          f"test accuracy {accuracy:.4f} in [0.80, 0.95] on {manifest['test_rows']} rows")

@@ -1,9 +1,11 @@
+import argparse
 import io
 import json
 import math
 import re
 import shutil
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,13 +88,12 @@ def test_train_and_eval_roundtrip(smoke, capsys):
 
 
 def test_train_runs_override(smoke, tmp_path):
-    cfg_path, out = smoke
+    _, out = smoke
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG.replace("runs = 3", "runs = 5"))
     scratch = tmp_path / "out2"
     # reuse the rows file; write model artifacts to a scratch dir
-    assert cli.main([
-        "--config", str(cfg_path), "--out", str(scratch),
-        "train", "--runs", "5", "--rows", str(out / "rows.npz"),
-    ]) == 0
+    assert run(cfg_path, scratch, "train", "--rows", str(out / "rows.npz")) == 0
     runlog = (scratch / "runlog.csv").read_text().splitlines()
     assert len(runlog) == 1 + 5
 
@@ -186,24 +187,10 @@ def test_bad_config_value_is_usage_error(tmp_path):
     ("learn_rate = inf", "train"),
     ("threshold = nan", "train"),
     ("threshold = 1.0", "train"),
-    ("max_classes_per_bin = -1", "train"),
-    ("lines_per_profile = -1", "synth"),
-    ("lines_per_profile = 2", "synth"),
-    ("min_line_spacing_hz = 0", "synth"),
-    ("lines_per_profile = -1", "rows"),
-    ("lines_per_profile = 2", "rows"),
-    ("min_line_spacing_hz = 0", "rows"),
-    ("lines_per_profile = 2", "train"),
-    ("min_line_spacing_hz = 0", "eval"),
     ("fusion_channels = geo_front_10m,geo_front_10m", "rows"),
     ("fusion_weights = 1, 2", "synth"),
     ("fusion_weights = 0, 0, 0", "synth"),
     ("fusion_weights = -1, 1, 1", "synth"),
-    # Group2 needs 3 x 7 line slots; a 100 Hz grid over 5..295 Hz has 3
-    ("min_line_spacing_hz = 100", "synth"),
-    ("min_line_spacing_hz = 100", "rows"),
-    ("min_line_spacing_hz = 100", "train"),
-    ("min_line_spacing_hz = 100", "eval"),
     pytest.param("runs = 5\nruns = 7", "train", id="runs-set-twice-train"),
     ("duration_s = 1e308", "synth"),
     pytest.param("sample_rate_hz = " + "9" * 400, "rows", id="sample_rate_hz-past-float-rows"),
@@ -684,8 +671,40 @@ def test_train_manifest_records_guard_from_rows(tmp_path):
     cfg_path.write_text("group = Group2\nruns = 2\nbatch_size = 16\n")
     assert run(cfg_path, tmp_path / "o", "train", "--rows", str(rows_path)) == 0
     manifest = json.loads((tmp_path / "o" / "train_manifest.json").read_text())
-    assert manifest["config"]["max_classes_per_bin"] == fusion.default_max_classes_per_bin(7) == 3
+    assert manifest["max_classes_per_bin"] == fusion.default_max_classes_per_bin(7) == 3
+    assert "max_classes_per_bin" not in manifest["config"]
     assert manifest["config"]["group"] == "Group2"
+
+
+def test_every_cli_option_is_documented():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    named = [opt for a in parser._actions if a is not commands and a.dest != "help" for opt in a.option_strings]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.dest != "help":  # a positional is named by its dest: heatmap <label>
+                named += [f"{command} {opt}" for opt in action.option_strings] or [f"{command} <{action.dest}>"]
+    assert [name for name in named if not re.search(rf"{re.escape(name)}(?![\w-])", readme)] == []
+
+
+@pytest.mark.parametrize("key, value, command", [
+    ("duration_s", "1e12", "synth"),                         # (13, 2e15) float64 samples
+    ("blocks_per_recording", "1000000000000", "rows"),       # (8e12, 300) float64 rows
+    ("heatmap_blocks", "100000000000000", "heatmap AllQuiet"),  # 1e14 int64 block offsets
+    ("runs", "100000000000000", "train"),                    # a (1e14, 5) float64 run log
+])
+def test_size_too_large_to_allocate_is_usage_error(smoke, tmp_path, capsys, key, value, command):
+    # each first large allocation is above 2**47 bytes, past the address space, so it fails at once
+    _, out = smoke
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    cfg_path = tmp_path / "config.txt"
+    lines = [line for line in SMOKE_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+    cfg_path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+    assert run(cfg_path, copy, *command.split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -807,16 +826,6 @@ def test_single_profile_single_block_yields_one_row(tmp_path):
     assert ds.rows[0].label == "Lonely"
     # the 45 Hz line dominates the fused spectrum
     assert int(np.argmax(ds.rows[0].bins)) + 1 == 45
-
-
-def test_seed_flag_overrides_config(tmp_path):
-    cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text(SMOKE_CONFIG)
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["--config", str(cfg_path), "--out", str(a), "--seed", "99", "synth"]) == 0
-    assert cli.main(["--config", str(cfg_path), "--out", str(b), "synth"]) == 0
-    rec = "Saab83_t1.rec"
-    assert (a / "recordings" / rec).read_bytes() != (b / "recordings" / rec).read_bytes()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -973,9 +982,11 @@ def test_eval_rows_label_missing_from_checkpoint_is_data_error(smoke, tmp_path, 
 
 def test_eval_maps_rows_into_a_checkpoint_vocabulary_of_another_order(smoke, tmp_path):
     # the same model with its outputs and labels reordered scores the same rows the same way
-    cfg_path, out = smoke
+    _, out = smoke
     rows = str(out / "rows.npz")
-    assert run(cfg_path, tmp_path / "a", "train", "--runs", "200", "--rows", rows) == 0
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG.replace("runs = 3", "runs = 200"))
+    assert run(cfg_path, tmp_path / "a", "train", "--rows", rows) == 0
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(tmp_path / "a" / "checkpoint.bin")
     assert vocab == SMOKE_LABELS  # the rows' first-appearance order
     order = [2, 0, 3, 1]

@@ -29,9 +29,7 @@ def test_group_dependent_defaults():
     assert len(GROUPS[g1.group][0]) == 7 and len(GROUPS[g2.group][0]) == 4
     assert g1.fusion_channels == ("mic_front_10m", "mic_side_10m", "geo_front_10m", "accel_front_10m")
     assert g2.fusion_channels == ("geo_front_10m", "accel_front_5m", "mag_z_side_10m")
-    assert (g1.lines_per_profile, g2.lines_per_profile) == (5, 7)
-    # the guard's default depends on the labels in the rows, so it stays 0 here
-    assert g1.max_classes_per_bin == g2.max_classes_per_bin == 0
+    # the selection guard comes from the labels in the rows, so the config holds none
     assert default_max_classes_per_bin(7) == 3
     assert default_max_classes_per_bin(4) == 1
     # row counts land near 1000 at the default 5 trials
@@ -126,23 +124,23 @@ def test_sample_count_past_float_range_rejected(tmp_path, key, value):
 
 def test_overrides_beat_file_values(tmp_path):
     path = tmp_path / "cfg.txt"
-    path.write_text("seed = 1\nruns = 7\n")
-    cfg = build_config(read_config_file(path), seed=99)
-    assert cfg.seed == 99
+    path.write_text("out_dir = file_out\nruns = 7\n")
+    assert build_config(read_config_file(path)).out_dir == "file_out"
+    cfg = build_config(read_config_file(path), out_dir="flag_out")  # the --out path
+    assert cfg.out_dir == "flag_out"
     assert cfg.runs == 7
 
 
 def test_resolution_is_idempotent():
-    # cmd_train's dataclasses.replace re-runs __post_init__ on resolved values
+    # resolving resolved values changes nothing, so a manifest's config replays as itself
     explicit = PipelineConfig(
         group="Group1", fusion_channels=("geo_front_10m", "mic_side_10m"), fusion_weights=(1, 2.5),
-        blocks_per_recording=7, max_classes_per_bin=2, lines_per_profile=4,
+        blocks_per_recording=7,
     )
     for cfg in (PipelineConfig(group="Group1"), PipelineConfig(group="Group2"), explicit):
         assert PipelineConfig(**asdict(cfg)) == cfg
     assert explicit.fusion_weights == (1.0, 2.5)
     d = asdict(PipelineConfig(group="Group2"))
     assert d["blocks_per_recording"] == 50
-    assert d["max_classes_per_bin"] == 0
     assert d["fusion_channels"] == ("geo_front_10m", "accel_front_5m", "mag_z_side_10m")
     assert d["fusion_weights"] == (1.0, 1.0, 1.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sigclass import fusion, spectral
-from sigclass.errors import ValidationError
 from sigclass.spectral import N_BINS
 from sigclass.synthgen import Recording
 
@@ -206,26 +205,6 @@ def test_heatmap_text_matches_per_element_reference(tmp_path):
     pixels = np.clip(np.rint(rows * 25.5), 0, 255).astype(np.uint8)
     expected = f"P5\n{N_BINS} 4\n255\n".encode("ascii") + pixels.tobytes()
     assert (tmp_path / "map.pgm").read_bytes() == expected
-
-
-@pytest.mark.parametrize("bad", [-0.01, 10.001, float("nan"), float("inf")])
-def test_heatmap_csv_rejects_values_outside_zero_to_ten(tmp_path, bad):
-    rows = np.full((2, N_BINS), 5.0)
-    rows[1, 7] = bad
-    path = tmp_path / "map.csv"
-    with pytest.raises(ValidationError, match="outside 0..10"):
-        spectral.write_heatmap_csv(path, rows[None], ["ch"], [1])
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("bad", [-0.01, 10.001, float("nan"), float("inf")])
-def test_heatmap_pgm_rejects_values_outside_zero_to_ten(tmp_path, bad):
-    rows = np.full((2, N_BINS), 5.0)
-    rows[1, 7] = bad
-    path = tmp_path / "map.pgm"
-    with pytest.raises(ValidationError, match="outside 0..10"):  # checked before the file is opened
-        spectral.write_heatmap_pgm(path, np.stack([np.full((2, N_BINS), 5.0), rows]))
-    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -133,17 +133,22 @@ def test_profiles_use_disjoint_frequencies():
 
 
 def test_min_line_spacing_respected():
-    profiles = synthgen.build_group_profiles(PipelineConfig(group="Group2", seed=1, min_line_spacing_hz=4))
-    freqs = sorted(
-        {l.freq_hz for p in profiles for lines in p.lines_per_channel.values() for l in lines}
-    )
-    assert all(b - a >= 4 for a, b in zip(freqs, freqs[1:]))
+    for group in ("Group1", "Group2"):
+        profiles = synthgen.build_group_profiles(PipelineConfig(group=group, seed=1))
+        freqs = sorted(
+            {l.freq_hz for p in profiles for lines in p.lines_per_channel.values() for l in lines}
+        )
+        assert set(freqs) <= set(range(5, 296, 3))
+        assert all(b - a >= 3 for a, b in zip(freqs, freqs[1:]))
 
 
-def test_line_grid_capacity_checked():
-    # a 20 Hz grid over 5..295 Hz has 15 slots; Group1 needs 6 x 5 lines
-    with pytest.raises(ConfigurationError, match="cannot place 30 distinct lines"):
-        PipelineConfig(group="Group1", min_line_spacing_hz=20)
+def test_group_signatures_fit_the_line_grid():
+    # each profile but AllQuiet draws its lines from the grid without replacement
+    for group, (labels, _, n_lines) in synthgen.GROUPS.items():
+        assert (len(labels) - 1) * n_lines <= len(synthgen.LINE_GRID_HZ)
+        profiles = synthgen.build_group_profiles(PipelineConfig(group=group, seed=0))
+        assert [len({l.freq_hz for lines in p.lines_per_channel.values() for l in lines})
+                for p in profiles] == [0] + [n_lines] * (len(labels) - 1)
 
 
 def test_unknown_group_rejected():
