@@ -1,9 +1,11 @@
 """Command-line pipeline: synth -> rows -> heatmap -> train -> eval.
 
-Each stage reads the previous stage's files from the output directory and
-writes a manifest of the resolved configuration, so a run can be replayed
-exactly.  Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 training/selection failure.
+A stage reads the config and the data files that earlier stages wrote: the
+recordings (the config names them: each profile's label times trials
+1..trials), the rows store and the checkpoint.  Each stage writes a manifest
+of the resolved configuration, so a run can be replayed exactly; manifests
+and profiles.txt are records that no stage reads.  Exit codes: 0 success,
+1 usage/config error, 2 data error, 3 training/selection failure.
 """
 
 import argparse
@@ -19,7 +21,6 @@ from . import dnn, fusion, spectral, synthgen, trainer
 from .errors import (
     ConfigurationError,
     NumericalError,
-    ParseError,
     SelectionError,
     SigclassError,
     ValidationError,
@@ -54,82 +55,60 @@ def _load_config(args):
     return config_mod.build_config(file_values, out_dir=args.out)
 
 
+def _profiles(cfg):
+    """The target profiles: the config's profiles_file, else the group table's."""
+    return synthgen.load_profiles(cfg.profiles_file) if cfg.profiles_file else synthgen.build_group_profiles(cfg)
+
+
+def _recordings(cfg, profiles):
+    """The (profile, trial) of each recording, in the order synth writes them."""
+    return [(profile, trial) for profile in profiles for trial in range(1, cfg.trials + 1)]
+
+
+def _recording_path(cfg, label, trial):
+    return Path(cfg.out_dir) / "recordings" / f"{label}_t{trial}.rec"
+
+
 def cmd_synth(args):
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
-    if cfg.profiles_file:
-        profiles = synthgen.load_profiles(cfg.profiles_file)
-    else:
-        profiles = synthgen.build_group_profiles(cfg)
+    profiles = _profiles(cfg)
     (out / "recordings").mkdir(parents=True, exist_ok=True)
-    synthgen.save_profiles(out / "profiles.txt", profiles)
 
     entries = []
-    for profile in profiles:
-        for trial in range(1, cfg.trials + 1):
-            seed = derive_seed(cfg.seed, "synth", profile.label, trial)
-            rec = synthgen.synthesize_recording(
-                profile, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed
-            )
-            path = out / "recordings" / f"{profile.label}_t{trial}.rec"
-            synthgen.save_recording(path, rec)
-            entries.append(
-                {"label": profile.label, "trial": trial, "file": path.name, "seed": seed}
-            )
+    for profile, trial in _recordings(cfg, profiles):
+        seed = derive_seed(cfg.seed, "synth", profile.label, trial)
+        rec = synthgen.synthesize_recording(
+            profile, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed
+        )
+        path = _recording_path(cfg, profile.label, trial)
+        synthgen.save_recording(path, rec)
+        entries.append({"label": profile.label, "trial": trial, "file": path.name, "seed": seed})
+    # written only now, so a synth that fails leaves no profiles beside older recordings
+    synthgen.save_profiles(out / "profiles.txt", profiles)
     _write_manifest("synth", cfg, {"recordings": entries})
     print(f"wrote {len(entries)} recordings to {out / 'recordings'}")
     return EXIT_OK
 
 
-# what rows and heatmap read from each synth manifest entry; exact types, as a bool is an int
-_ENTRY_KEYS = {"file": str, "label": str, "trial": int}
-
-
-def _read_synth_manifest(cfg):
-    """The synth manifest's recording entries; a missing or malformed one raises ParseError."""
-    path = Path(cfg.out_dir) / "synth_manifest.json"
-    if not path.exists():
-        raise ParseError(f"{path}: not found; run 'synth' first")
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))["recordings"]
-        bad = [e for e in entries
-               if not all(type(e.get(k)) is t for k, t in _ENTRY_KEYS.items()) or e["trial"] < 1]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"{path}: not a synth manifest ({type(exc).__name__}: {exc})") from None
-    if bad:
-        raise ParseError(f"{path}: recording entry {bad[0]} needs text file and label, integer trial >= 1")
-    if not entries:
-        raise ParseError(f"{path}: lists no recordings")
-    # rows and heatmap open recordings/<file>, so it must be the bare name synth writes
-    bad = [e for e in entries if not e["file"] == Path(e["file"]).name == f"{e['label']}_t{e['trial']}.rec"]
-    if bad:
-        raise ParseError(f"{path}: recording entry {bad[0]} needs file <label>_t<trial>.rec")
-    # a repeat would write its rows twice, maybe into both splits; a file names one label and trial
-    first = {}  # file -> the index of its first entry
-    repeated = [e for k, e in enumerate(entries) if first.setdefault(e["file"], k) != k]
-    if repeated:
-        raise ParseError(f"{path}: recording entry {repeated[0]} repeats an earlier label and trial")
-    return entries
-
-
-def _entry_spectra(cfg, entry, stream, count, channels):
-    """One entry's (len(channels), count, 300) spectra, row i being channels[i], offsets seeded by `stream`."""
-    rec = synthgen.load_recording(Path(cfg.out_dir) / "recordings" / entry["file"], channels)
-    seed = derive_seed(cfg.seed, stream, entry["label"], entry["trial"])
+def _entry_spectra(cfg, label, trial, stream, count, channels):
+    """One recording's (len(channels), count, 300) spectra, row i being channels[i], offsets seeded by `stream`."""
+    rec = synthgen.load_recording(_recording_path(cfg, label, trial), channels)
+    seed = derive_seed(cfg.seed, stream, label, trial)
     blocks = spectral.extract_blocks(rec, count, seed)
     return np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
 
 
 def cmd_rows(args):
     cfg = _load_config(args)
-    entries = _read_synth_manifest(cfg)
+    recordings = _recordings(cfg, _profiles(cfg))
     n = cfg.blocks_per_recording
 
-    x = np.empty((len(entries) * n, spectral.N_BINS))
-    for i, entry in enumerate(entries):
-        spectra = _entry_spectra(cfg, entry, "blocks", n, cfg.fusion_channels)
+    x = np.empty((len(recordings) * n, spectral.N_BINS))
+    for i, (profile, trial) in enumerate(recordings):
+        spectra = _entry_spectra(cfg, profile.label, trial, "blocks", n, cfg.fusion_channels)
         x[i * n : (i + 1) * n] = fusion.fuse(spectra, cfg.fusion_weights)
-    labels = np.repeat([e["label"] for e in entries], n)
+    labels = np.repeat([profile.label for profile, _ in recordings], n)
     rows_path = Path(cfg.out_dir) / "rows.npz"
     trainer.save_rows(rows_path, x, labels)
     _write_manifest("rows", cfg, {"rows_file": rows_path.name, "row_count": len(labels)})
@@ -139,17 +118,17 @@ def cmd_rows(args):
 
 def cmd_heatmap(args):
     cfg = _load_config(args)
-    entries = [e for e in _read_synth_manifest(cfg) if e["label"] == args.label]
-    if not entries:
+    trials = [trial for profile, trial in _recordings(cfg, _profiles(cfg)) if profile.label == args.label]
+    if not trials:
         raise ConfigurationError(f"no recordings for label {args.label!r}")
 
-    spectra = [_entry_spectra(cfg, e, "heatmap", cfg.heatmap_blocks, synthgen.ROSTER) for e in entries]
+    spectra = [_entry_spectra(cfg, args.label, t, "heatmap", cfg.heatmap_blocks, synthgen.ROSTER) for t in trials]
     heatmap = spectral.build_heatmap(np.concatenate(spectra, axis=1))
     del spectra  # the writers' whole-map temporaries then reuse the per-recording arrays' memory
     n_rows = heatmap.shape[0] * heatmap.shape[1]
     pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
     csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
-    spectral.write_heatmap_csv(csv, heatmap, synthgen.ROSTER, [e["trial"] for e in entries])
+    spectral.write_heatmap_csv(csv, heatmap, synthgen.ROSTER, trials)
     spectral.write_heatmap_pgm(pgm, heatmap)
     _write_manifest("heatmap", cfg, {"label": args.label, "rows": n_rows})
     print(f"wrote {pgm} and {csv} ({n_rows} rows)")

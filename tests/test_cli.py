@@ -131,7 +131,8 @@ def test_heatmap_csv_trial_and_block_columns(smoke, tmp_path):
 def test_heatmap_unknown_label_usage_error(smoke, capsys):
     cfg_path, out = smoke
     assert run(cfg_path, out, "heatmap", "NoSuchThing") == 1
-    assert "no recordings" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == ["error: no recordings for label 'NoSuchThing'"]
+    assert not list(out.glob("heatmap_NoSuchThing.*"))
 
 
 def test_heatmap_recordings_with_other_channels_is_data_error(smoke, tmp_path, capsys):
@@ -147,11 +148,48 @@ def test_heatmap_recordings_with_other_channels_is_data_error(smoke, tmp_path, c
     assert not list(copy.glob("heatmap_*"))
 
 
+def _missing_recording_line(capsys, path):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert err[0].endswith(f"No such file or directory: '{path}'"), err
+
+
 def test_rows_before_synth_is_data_error(tmp_path, capsys):
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text(SMOKE_CONFIG)
-    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "fresh"), "rows"]) == 2
-    assert "synth" in capsys.readouterr().err
+    fresh = tmp_path / "fresh"
+    assert run(cfg_path, fresh, "rows") == 2
+    _missing_recording_line(capsys, fresh / "recordings" / "AllQuiet_t1.rec")
+    assert not fresh.exists()
+
+
+@pytest.mark.parametrize("command", ["rows", "heatmap AllQuiet"])
+def test_recording_synth_never_wrote_is_data_error(smoke, tmp_path, capsys, command):
+    # the config names the recordings: one trial more than synth wrote names a missing file
+    _, out = smoke
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG.replace("trials = 2", "trials = 3"))
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_*"))
+    assert run(cfg_path, copy, *command.split()) == 2
+    _missing_recording_line(capsys, copy / "recordings" / "AllQuiet_t3.rec")
+    assert not list(copy.glob("rows.npz")) + list(copy.glob("heatmap_*"))
+
+
+def test_no_stage_reads_a_manifest(smoke, tmp_path):
+    # manifests are records: junk in every one changes no later stage's output
+    cfg_path, out = smoke
+    untouched, junked = tmp_path / "untouched", tmp_path / "junked"
+    for dest in (untouched, junked):
+        shutil.copytree(out, dest)
+    for stage in ("rows", "heatmap AllQuiet", "train", "eval"):
+        for manifest in junked.glob("*_manifest.json"):
+            manifest.write_text("junk")
+        assert run(cfg_path, untouched, *stage.split()) == 0
+        assert run(cfg_path, junked, *stage.split()) == 0
+    for name in ("rows.npz", "heatmap_AllQuiet.pgm", "heatmap_AllQuiet.csv", "mask.txt",
+                 "checkpoint.bin", "confusion.csv", "eval_confusion.csv"):
+        assert (junked / name).read_bytes() == (untouched / name).read_bytes(), name
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -202,55 +240,6 @@ def test_config_range_error_is_usage_error(tmp_path, capsys, line, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "o").exists()  # rejected before any stage writes a file
-
-
-def _edit_first_entry(edit):
-    def corrupt(text):
-        manifest = json.loads(text)
-        edit(manifest["recordings"][0])
-        return json.dumps(manifest)
-    return corrupt
-
-
-def _repeat_first_entry(text):
-    manifest = json.loads(text)
-    manifest["recordings"].append(manifest["recordings"][0])
-    return json.dumps(manifest)
-
-
-@pytest.mark.parametrize("corrupt", [
-    pytest.param(lambda text: text[:100], id="cut100"),
-    pytest.param(lambda text: json.dumps({"command": "synth"}), id="no-recordings"),
-    pytest.param(lambda text: json.dumps({"recordings": 5}), id="recordings-not-list"),
-    pytest.param(lambda text: json.dumps({"recordings": []}), id="recordings-empty"),
-    *[pytest.param(_edit_first_entry(lambda e, key=key: e.pop(key)), id=f"no-{key}")
-      for key in ("file", "label", "trial")],
-    pytest.param(_edit_first_entry(lambda e: e.update(file=5)), id="file-not-text"),
-    pytest.param(_edit_first_entry(lambda e: e.update(trial="1")), id="trial-not-integer"),
-    # a bool is an int to isinstance; both entries name the file their label and trial give
-    pytest.param(_edit_first_entry(lambda e: e.update(trial=True, file=f"{e['label']}_tTrue.rec")),
-                 id="trial-bool"),
-    pytest.param(_edit_first_entry(lambda e: e.update(trial=-3, file=f"{e['label']}_t-3.rec")),
-                 id="trial-below-1"),
-    pytest.param(lambda text: json.dumps({"recordings": [5]}), id="entry-not-object"),
-    pytest.param(_edit_first_entry(lambda e: e.update(file="../../outside.rec")), id="file-escapes"),
-    pytest.param(_edit_first_entry(lambda e: e.update(file="AllQuiet_t2.rec")), id="file-not-entry"),
-    pytest.param(_edit_first_entry(lambda e: e.update(label="../x", file=f"../x_t{e['trial']}.rec")),
-                 id="label-escapes"),
-    # its rows would be written twice, maybe into both the train and the test split
-    pytest.param(_repeat_first_entry, id="repeated-entry"),
-])
-@pytest.mark.parametrize("command", ["rows", "heatmap AllQuiet"])
-def test_corrupt_synth_manifest_is_data_error(smoke, tmp_path, capsys, command, corrupt):
-    cfg_path, out = smoke
-    copy = tmp_path / "out"
-    copy.mkdir()
-    manifest = copy / "synth_manifest.json"
-    manifest.write_text(corrupt((out / "synth_manifest.json").read_text()))
-    assert run(cfg_path, copy, *command.split()) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "synth_manifest.json" in err[0]
-    assert [p.name for p in copy.iterdir()] == ["synth_manifest.json"]
 
 
 SMOKE_LABELS = ["AllQuiet", "HondaGenerator", "FordF150", "Saab83"]
@@ -879,6 +868,20 @@ def test_sample_past_float32_range_is_data_error(tmp_path, capsys, config, profi
     _one_error_line(capsys, out / "recordings" / f"{label}_t1.rec",
                     f"not written: channel {channel!r} holds a sample outside float32's finite range")
     assert not list((out / "recordings").iterdir()) and not (out / "synth_manifest.json").exists()
+    assert not (out / "profiles.txt").exists()
+
+
+def test_failed_synth_leaves_earlier_profiles(tmp_path, capsys):
+    # a second synth that fails keeps the profiles.txt that describes the recordings beside it
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG)
+    out = tmp_path / "out"
+    assert run(cfg_path, out, "synth") == 0
+    before = {name: (out / name).read_bytes() for name in ("profiles.txt", "synth_manifest.json")}
+    cfg_path.write_text(SMOKE_CONFIG.replace("seed = 7", "seed = 8") + "noise_rms = 1e38\n")
+    assert run(cfg_path, out, "synth") == 2
+    _one_error_line(capsys, out / "recordings" / "AllQuiet_t1.rec", "outside float32's finite range")
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 @pytest.mark.parametrize("case, message", [

@@ -22,10 +22,13 @@ from test_cli import SMOKE_CONFIG
 
 CASES_PER_FILE = 40
 
+# a copy of the run's profiles.txt, which the config names as its profiles_file
+PROFILES = "profiles_file.txt"
+
 # each file under the out dir, and the commands that read it
 READERS = {
     "recordings/AllQuiet_t1.rec": ["rows", "heatmap AllQuiet"],
-    "synth_manifest.json": ["rows"],
+    PROFILES: ["synth", "rows", "heatmap AllQuiet"],
     "rows.npz": ["train", "eval"],
     "checkpoint.bin": ["eval"],
 }
@@ -33,14 +36,15 @@ READERS = {
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """The genuine files: one synth, rows and train run."""
+    """The genuine files: one synth, rows and train run, and a copy of its profiles."""
     root = tmp_path_factory.mktemp("hostile")
     cfg_path = root / "config.txt"
     cfg_path.write_text(SMOKE_CONFIG)
     out = root / "out"
     for command in ("synth", "rows", "train"):
         assert cli.main(["--config", str(cfg_path), "--out", str(out), command]) == 0
-    return cfg_path, out
+    shutil.copyfile(out / "profiles.txt", out / PROFILES)
+    return out
 
 
 def _damage(raw, rng):
@@ -65,7 +69,9 @@ def _damage(raw, rng):
 
 
 def _argv(command, work, scratch):
-    """rows and heatmap read the out dir; train and eval name their inputs in it and write elsewhere."""
+    """rows and heatmap read the out dir; synth, train and eval write elsewhere."""
+    if command == "synth":
+        return ["--out", str(scratch), command]
     if command in ("train", "eval"):
         inputs = ["--rows", str(work / "rows.npz")]
         if command == "eval":
@@ -76,9 +82,10 @@ def _argv(command, work, scratch):
 
 @pytest.mark.parametrize("name", list(READERS))
 def test_damaged_file_fails_with_one_line(pipeline, tmp_path, capsys, name):
-    cfg_path, out = pipeline
     work = tmp_path / "out"
-    shutil.copytree(out, work)
+    shutil.copytree(pipeline, work)
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG + f"profiles_file = {work / PROFILES}\n")
     target = work / name
     genuine = target.read_bytes()
     rng = np.random.default_rng([2018, list(READERS).index(name)])
