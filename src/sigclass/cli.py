@@ -11,6 +11,7 @@ and profiles.txt are records that no stage reads.  Exit codes: 0 success,
 import argparse
 import dataclasses
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -50,11 +51,6 @@ def _write_manifest(command, cfg, extra):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_config(args):
-    file_values = config_mod.read_config_file(args.config) if args.config else {}
-    return config_mod.build_config(file_values, out_dir=args.out)
-
-
 def _profiles(cfg):
     """The target profiles: the config's profiles_file, else the group table's."""
     return synthgen.load_profiles(cfg.profiles_file) if cfg.profiles_file else synthgen.build_group_profiles(cfg)
@@ -70,24 +66,34 @@ def _recording_path(cfg, label, trial):
 
 
 def cmd_synth(args):
-    cfg = _load_config(args)
+    cfg = config_mod.build_config(args.config, args.out)
     out = Path(cfg.out_dir)
     profiles = _profiles(cfg)
-    (out / "recordings").mkdir(parents=True, exist_ok=True)
+    folder, aside = out / "recordings", out / "recordings.old"
+    shutil.rmtree(aside, ignore_errors=True)  # left only by a synth that was killed
+    folder.mkdir(parents=True, exist_ok=True)
+    folder.rename(aside)  # a synth that fails puts it back, so it never mixes old and new recordings
+    folder.mkdir()
 
     entries = []
-    for profile, trial in _recordings(cfg, profiles):
-        seed = derive_seed(cfg.seed, "synth", profile.label, trial)
-        rec = synthgen.synthesize_recording(
-            profile, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed
-        )
-        path = _recording_path(cfg, profile.label, trial)
-        synthgen.save_recording(path, rec)
-        entries.append({"label": profile.label, "trial": trial, "file": path.name, "seed": seed})
+    try:
+        for profile, trial in _recordings(cfg, profiles):
+            seed = derive_seed(cfg.seed, "synth", profile.label, trial)
+            rec = synthgen.synthesize_recording(
+                profile, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed
+            )
+            path = _recording_path(cfg, profile.label, trial)
+            synthgen.save_recording(path, rec)
+            entries.append({"label": profile.label, "trial": trial, "file": path.name, "seed": seed})
+    except BaseException:
+        shutil.rmtree(folder)
+        aside.rename(folder)
+        raise
+    shutil.rmtree(aside)
     # written only now, so a synth that fails leaves no profiles beside older recordings
     synthgen.save_profiles(out / "profiles.txt", profiles)
     _write_manifest("synth", cfg, {"recordings": entries})
-    print(f"wrote {len(entries)} recordings to {out / 'recordings'}")
+    print(f"wrote {len(entries)} recordings to {folder}")
     return EXIT_OK
 
 
@@ -100,7 +106,7 @@ def _entry_spectra(cfg, label, trial, stream, count, channels):
 
 
 def cmd_rows(args):
-    cfg = _load_config(args)
+    cfg = config_mod.build_config(args.config, args.out)
     recordings = _recordings(cfg, _profiles(cfg))
     n = cfg.blocks_per_recording
 
@@ -117,7 +123,7 @@ def cmd_rows(args):
 
 
 def cmd_heatmap(args):
-    cfg = _load_config(args)
+    cfg = config_mod.build_config(args.config, args.out)
     trials = [trial for profile, trial in _recordings(cfg, _profiles(cfg)) if profile.label == args.label]
     if not trials:
         raise ConfigurationError(f"no recordings for label {args.label!r}")
@@ -141,7 +147,7 @@ def _print_warnings(warnings):
 
 
 def cmd_train(args):
-    cfg = _load_config(args)
+    cfg = config_mod.build_config(args.config, args.out)
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
     ds = trainer.load_rows(rows_path)
     vocab, y = ds.label_vocab, ds.y
@@ -185,7 +191,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args)
+    cfg = config_mod.build_config(args.config, args.out)
     ckpt_path = Path(args.checkpoint) if args.checkpoint else Path(cfg.out_dir) / "checkpoint.bin"
     rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(ckpt_path)

@@ -1,11 +1,13 @@
 """Pipeline configuration: one flat key-value file; the CLI adds only the output directory.
 
-Defaults: selection threshold 1.75, batches of 150 rows, 200 training runs,
-learn rate 0.005, 80/20 split, 5 trials per target.  The sample rate defaults
-to a desk-scale 2000 Hz.  Blocks are exactly one second, so bin i is i Hz at
-any rate, but the rate still changes the data: a higher rate raises each
-line's spectral SNR, so more bins pass selection (Group1 masks are 77-89 bins
-at 2000 Hz and 108-125 at 8000 Hz, where selection caps one seed's 130).
+build_config reads the file and checks each line as it reads it, naming a bad
+line as '<path>:<line>:'; PipelineConfig then checks the ranges.  Defaults:
+selection threshold 1.75, batches of 150 rows, 200 training runs, learn rate
+0.005, 80/20 split, 5 trials per target.  The sample rate defaults to a
+desk-scale 2000 Hz.  Blocks are exactly one second, so bin i is i Hz at any
+rate, but the rate still changes the data: a higher rate raises each line's
+spectral SNR, so more bins pass selection (Group1 masks are 77-89 bins at
+2000 Hz and 108-125 at 8000 Hz, where selection caps one seed's 130).
 """
 
 import math
@@ -110,43 +112,37 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
-def _parse_value(key, value):
-    kind = _FIELD_TYPES[key]
+def _parse_value(kind, value):
+    """value as a field of type kind; KeyError or ValueError if it is not one."""
     if kind is bool:
-        word = value.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigurationError(f"config key {key!r}: expected true/false, got {value!r}")
-        return _BOOL_WORDS[word]
-    try:
-        if get_origin(kind) is tuple:
-            item = get_args(kind)[0]
-            return tuple(item(t.strip()) for t in value.split(",") if t.strip())
-        return kind(value)
-    except (ValueError, TypeError):
-        raise ConfigurationError(f"config key {key!r}: bad value {value!r}") from None
+        return _BOOL_WORDS[value.lower()]
+    if get_origin(kind) is tuple:
+        return tuple(get_args(kind)[0](t.strip()) for t in value.split(",") if t.strip())
+    return kind(value)
 
 
-def read_config_file(path):
-    """Parse 'key = value' lines; '#' starts a comment, blank lines are fine, a key may appear once."""
-    values, first = {}, {}
-    for lineno, raw in text_lines(path):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (t.strip() for t in text.split("=", 1))
+def build_config(path=None, out_dir=None):
+    """The PipelineConfig of the config file at path, or of the defaults if path is None.
+
+    Each 'key = value' line is parsed where it is read, so a line without
+    '=', an unknown key, a key set twice or a value its field cannot take
+    raises ConfigurationError starting '<path>:<line>:'.  PipelineConfig then
+    checks the ranges.  An out_dir given (the --out path) wins over the file's.
+    """
+    kwargs, first = {}, {}
+    for lineno, text in text_lines(path) if path else ():
+        key, sep, value = (t.strip() for t in text.partition("="))
+        where = f"{path}:{lineno}:"
+        if not sep:
+            raise ConfigurationError(f"{where} expected 'key = value'")
         if key not in _FIELD_TYPES:
-            raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in values:
-            raise ConfigurationError(f"{path}:{lineno}: config key {key!r} is set twice (first on line {first[key]})")
-        values[key], first[key] = value, lineno
-    return values
-
-
-def build_config(file_values=None, out_dir=None):
-    """PipelineConfig from raw string file values; an out_dir given (the --out path) wins over the file's."""
-    kwargs = {key: _parse_value(key, value) for key, value in (file_values or {}).items()}
+            raise ConfigurationError(f"{where} unknown config key {key!r}")
+        if key in kwargs:
+            raise ConfigurationError(f"{where} config key {key!r} is set twice (first on line {first[key]})")
+        try:
+            kwargs[key], first[key] = _parse_value(_FIELD_TYPES[key], value), lineno
+        except (KeyError, ValueError):
+            raise ConfigurationError(f"{where} config key {key!r}: bad value {value!r}") from None
     if out_dir is not None:
         kwargs["out_dir"] = out_dir
     return PipelineConfig(**kwargs)

@@ -37,10 +37,13 @@ class SelectionError(SigclassError):
 
 
 def text_lines(path):
-    """Enumerate a UTF-8 text file's lines from 1; other bytes raise ParseError naming the file."""
+    """(number from 1, text) of each line of a UTF-8 text file, its text cut at '#' and stripped;
+    a line left blank is skipped.  Other bytes raise ParseError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            yield from enumerate(fh, start=1)
+            for lineno, raw in enumerate(fh, start=1):
+                if text := raw.split("#", 1)[0].strip():
+                    yield lineno, text
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

@@ -19,7 +19,7 @@ read-only float64 matrix.
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,34 +42,20 @@ ROSTER = (
 
 @dataclass(frozen=True)
 class SpectralLine:
-    """One sinusoidal component: integer frequency, amplitude, wobble std."""
+    """One sinusoidal component: integer frequency, amplitude, wobble std (load_profiles checks a file's)."""
 
     freq_hz: int
     amplitude: float
     jitter_hz: float = 0.5
 
-    def __post_init__(self):
-        if not (1 <= int(self.freq_hz) <= 300):
-            raise ValidationError(f"line frequency {self.freq_hz} outside [1, 300] Hz")
-        if not math.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ValidationError(f"line amplitude {self.amplitude} must be finite and >= 0")
-        if not math.isfinite(self.jitter_hz) or self.jitter_hz < 0:
-            raise ValidationError(f"line jitter {self.jitter_hz} must be finite and >= 0")
-
 
 @dataclass
 class TargetProfile:
-    """A class signature: lines per channel id plus a noise floor RMS."""
+    """A class signature: lines per channel id plus a noise floor RMS (load_profiles or the config checks it)."""
 
     label: str
     lines_per_channel: dict
     noise_rms: float = 0.0
-
-    def __post_init__(self):
-        if not is_label(self.label):
-            raise ValidationError(f"label {self.label!r} {LABEL_RULE}")
-        if not math.isfinite(self.noise_rms) or self.noise_rms < 0:
-            raise ValidationError("noise_rms must be finite and >= 0")
 
 
 @dataclass
@@ -315,40 +301,48 @@ def save_profiles(path, profiles):
         fh.write("\n".join(out) + "\n")
 
 
-def load_profiles(path):
-    """Parse a profiles file; a bad line raises ParseError naming it.
+def _finite_non_negative(what, text):
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise ValidationError(f"{what} {value} must be finite and >= 0")
+    return value
 
-    Bad lines include malformed or out-of-range values, a repeated profile
-    label and a channel id outside ROSTER.  A file with no profile is an error.
+
+def load_profiles(path):
+    """Parse a profiles file, checking every value; a bad line or no profile raises ParseError.
+
+    A bad line, which the error names, has a malformed value, a label that
+    breaks LABEL_RULE, a noise_rms, amplitude or jitter that is not finite or is
+    negative, a frequency outside 1..300 Hz, a repeated label or a channel outside ROSTER.
     """
     profiles = {}  # label -> TargetProfile, in file order
     current = None
-    for lineno, raw in text_lines(path):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        key, args = parts[0], parts[1:]
+    for lineno, text in text_lines(path):
+        key, *args = text.split()
         try:
             if key == "profile":
                 if len(args) != 1:
                     raise ValidationError("expected: profile <label>")
+                if not is_label(args[0]):
+                    raise ValidationError(f"label {args[0]!r} {LABEL_RULE}")
                 if args[0] in profiles:
                     raise ValidationError(f"profile {args[0]!r} is defined twice")
-                current = TargetProfile(label=args[0], lines_per_channel={}, noise_rms=0.0)
-                profiles[current.label] = current
+                current = profiles[args[0]] = TargetProfile(label=args[0], lines_per_channel={})
             elif current is None:
                 raise ValidationError(f"{key!r} before any 'profile' line")
             elif key == "noise_rms":
                 if len(args) != 1:
                     raise ValidationError("expected: noise_rms <value>")
-                # replace() re-runs the profile's own noise_rms check
-                current = profiles[current.label] = replace(current, noise_rms=float(args[0]))
+                current.noise_rms = _finite_non_negative("noise_rms", args[0])
             elif key == "line":
                 if len(args) != 4:
                     raise ValidationError("expected: line <channel> <freq_hz> <amp> <jitter>")
                 if args[0] not in ROSTER:
                     raise ValidationError(f"unknown channel {args[0]!r}; expected one of {', '.join(ROSTER)}")
-                line = SpectralLine(int(args[1]), float(args[2]), float(args[3]))
+                if not 1 <= int(args[1]) <= 300:
+                    raise ValidationError(f"line frequency {int(args[1])} outside [1, 300] Hz")
+                line = SpectralLine(int(args[1]), _finite_non_negative("line amplitude", args[2]),
+                                    _finite_non_negative("line jitter", args[3]))
                 current.lines_per_channel.setdefault(args[0], []).append(line)
             else:
                 raise ValidationError(f"unknown directive {key!r}")

@@ -199,10 +199,11 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "warp_drive" in capsys.readouterr().err
 
 
-def test_bad_config_value_is_usage_error(tmp_path):
+def test_bad_config_value_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text("seed = notanint\n")
+    cfg_path.write_text("group = Group2\nseed = notanint\n")
     assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "synth"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {cfg_path}:2: config key 'seed': bad value 'notanint'"]
 
 
 @pytest.mark.parametrize("line, command", [
@@ -831,6 +832,21 @@ def test_single_profile_single_block_yields_one_row(tmp_path):
                  ":2: line frequency 500", id="freq"),
     pytest.param("profile A\nline geo_front_10m 45 nan 0.0\n",
                  ":2: line amplitude nan", id="amp"),
+    pytest.param("profile A\nline geo_front_10m 0 1.5 0.0\n",
+                 ":2: line frequency 0 outside", id="freq-0"),
+    pytest.param("profile A\nline geo_front_10m 301 1.5 0.0\n",
+                 ":2: line frequency 301 outside", id="freq-301"),
+    pytest.param("profile A\nline geo_front_10m 45 -1 0.0\n",
+                 ":2: line amplitude -1.0", id="amp-negative"),
+    pytest.param("profile A\nline geo_front_10m 45 inf 0.0\n",
+                 ":2: line amplitude inf", id="amp-inf"),
+    pytest.param("profile A\nline geo_front_10m 45 1.5 -0.5\n",
+                 ":2: line jitter -0.5", id="jitter-negative"),
+    pytest.param("profile A\nline geo_front_10m 45 1.5 nan\n",
+                 ":2: line jitter nan", id="jitter-nan"),
+    pytest.param("profile A\nnoise_rms inf\nline geo_front_10m 45 1.5 0.0\n",
+                 ":2: noise_rms inf", id="noise-inf"),
+    pytest.param("profile has space\n", ":1: expected: profile <label>", id="label-space"),
     pytest.param("profile A,B\n", ":1: label 'A,B'", id="label"),
     pytest.param("profile ../escape\nline geo_front_10m 45 1.5 0.0\n",
                  ":1: label '../escape'", id="label-dotdot"),
@@ -882,6 +898,35 @@ def test_failed_synth_leaves_earlier_profiles(tmp_path, capsys):
     assert run(cfg_path, out, "synth") == 2
     _one_error_line(capsys, out / "recordings" / "AllQuiet_t1.rec", "outside float32's finite range")
     assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_failed_synth_leaves_earlier_recordings(tmp_path, capsys):
+    # B's recording fails after A's is written at the new seed: no pair of recordings may mix two seeds
+    profiles = tmp_path / "profiles.txt"
+    profiles.write_text("profile A\nline geo_front_10m 45 1.5 0.0\nprofile B\nline geo_front_10m 90 1.5 0.0\n")
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(f"profiles_file = {profiles}\ntrials = 1\nduration_s = 2.0\nseed = 0\n")
+    out = tmp_path / "out"
+    assert run(cfg_path, out, "synth") == 0
+    before = {p.name: p.read_bytes() for p in (out / "recordings").iterdir()}
+    profiles.write_text(profiles.read_text().replace("90 1.5", "90 1e39"))
+    cfg_path.write_text(cfg_path.read_text().replace("seed = 0", "seed = 5"))
+    assert run(cfg_path, out, "synth") == 2
+    _one_error_line(capsys, out / "recordings" / "B_t1.rec", "outside float32's finite range")
+    assert {p.name: p.read_bytes() for p in (out / "recordings").iterdir()} == before
+    assert sorted(before) == ["A_t1.rec", "B_t1.rec"]
+    assert sorted(p.name for p in out.iterdir()) == ["profiles.txt", "recordings", "synth_manifest.json"]
+
+
+def test_synth_leaves_only_its_own_recordings(tmp_path):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG)
+    out = tmp_path / "out"
+    assert run(cfg_path, out, "synth") == 0
+    cfg_path.write_text(SMOKE_CONFIG.replace("trials = 2", "trials = 1"))
+    assert run(cfg_path, out, "synth") == 0
+    assert sorted(p.name for p in (out / "recordings").iterdir()) == [f"{label}_t1.rec" for label in sorted(SMOKE_LABELS)]
+    assert sorted(p.name for p in out.iterdir()) == ["profiles.txt", "recordings", "synth_manifest.json"]
 
 
 @pytest.mark.parametrize("case, message", [

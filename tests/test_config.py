@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sigclass.config import PipelineConfig, build_config, read_config_file
+from sigclass.config import PipelineConfig, build_config
 from sigclass.errors import ConfigurationError
 from sigclass.fusion import default_max_classes_per_bin
 from sigclass.synthgen import GROUPS
@@ -59,7 +59,7 @@ def test_config_file_parsing(tmp_path):
         "fusion_channels = geo_front_10m, mic_side_10m\n"
         "fusion_weights = 1.0, 2.5\n"
     )
-    cfg = build_config(read_config_file(path))
+    cfg = build_config(path)
     assert cfg.group == "Group1"
     assert cfg.seed == 42
     assert cfg.threshold == 1.6
@@ -72,7 +72,7 @@ def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("flux_capacitor = 1\n")
     with pytest.raises(ConfigurationError):
-        read_config_file(path)
+        build_config(path)
 
 
 def test_every_config_key_is_documented():
@@ -85,22 +85,26 @@ def test_key_set_twice_rejected(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("runs = 5\n# the last value must not win silently\nruns = 7\n")
     with pytest.raises(ConfigurationError) as err:
-        read_config_file(path)
+        build_config(path)
     assert str(err.value) == f"{path}:3: config key 'runs' is set twice (first on line 1)"
 
 
 def test_bad_value_rejected(tmp_path):
+    # each bad line is line 3, after a commented line and a blank one, and the error names it
     path = tmp_path / "cfg.txt"
-    path.write_text("runs = many\n")
-    with pytest.raises(ConfigurationError):
-        build_config(read_config_file(path))
-
-
-def test_bad_boolean_rejected(tmp_path):
-    path = tmp_path / "cfg.txt"
-    path.write_text("normalize_rows = maybe\n")
-    with pytest.raises(ConfigurationError):
-        build_config(read_config_file(path))
+    for line, message in [
+        ("runs = many", "config key 'runs': bad value 'many'"),
+        ("threshold = high", "config key 'threshold': bad value 'high'"),
+        ("normalize_rows = maybe", "config key 'normalize_rows': bad value 'maybe'"),
+        ("fusion_weights = 1, x", "config key 'fusion_weights': bad value '1, x'"),
+        ("runs 5", "expected 'key = value'"),
+        ("flux_capacitor = 1", "unknown config key 'flux_capacitor'"),
+        ("seed = 4", "config key 'seed' is set twice (first on line 1)"),
+    ]:
+        path.write_text(f"seed = 3  # a comment\n\n{line}\n")
+        with pytest.raises(ConfigurationError) as err:
+            build_config(path)
+        assert str(err.value) == f"{path}:3: {message}"
 
 
 def test_invalid_group_rejected():
@@ -119,14 +123,14 @@ def test_sample_count_past_float_range_rejected(tmp_path, key, value):
     path = tmp_path / "cfg.txt"
     path.write_text(f"{key} = {value}\n")
     with pytest.raises(ConfigurationError, match="overflows a float sample count"):
-        build_config(read_config_file(path))
+        build_config(path)
 
 
 def test_overrides_beat_file_values(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("out_dir = file_out\nruns = 7\n")
-    assert build_config(read_config_file(path)).out_dir == "file_out"
-    cfg = build_config(read_config_file(path), out_dir="flag_out")  # the --out path
+    assert build_config(path).out_dir == "file_out"
+    cfg = build_config(path, out_dir="flag_out")  # the --out path
     assert cfg.out_dir == "flag_out"
     assert cfg.runs == 7
 

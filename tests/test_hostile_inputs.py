@@ -1,5 +1,6 @@
-"""Seeded damage to each file a stage reads: the stage either succeeds or exits
-with exactly one `error:` line, and never raises.
+"""Seeded damage to each file a stage reads, the `--config` file among them:
+the stage either succeeds or exits with exactly one `error:` line, and never
+raises.
 
 Each damaged copy is made from a genuine file of one small pipeline run by one
 of five edits at a seeded position: a bit flip, a cut, appended bytes, one byte
@@ -25,18 +26,23 @@ CASES_PER_FILE = 40
 # a copy of the run's profiles.txt, which the config names as its profiles_file
 PROFILES = "profiles_file.txt"
 
+# the run's config plus that profiles_file, named relative to the out dir, the
+# working directory of each case, so the file's bytes and damage are the same in any checkout
+CONFIG = "config.txt"
+
 # each file under the out dir, and the commands that read it
 READERS = {
     "recordings/AllQuiet_t1.rec": ["rows", "heatmap AllQuiet"],
     PROFILES: ["synth", "rows", "heatmap AllQuiet"],
     "rows.npz": ["train", "eval"],
     "checkpoint.bin": ["eval"],
+    CONFIG: ["synth", "rows", "heatmap AllQuiet", "train", "eval"],
 }
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """The genuine files: one synth, rows and train run, and a copy of its profiles."""
+    """The genuine files: one synth, rows and train run, a copy of its profiles and its config."""
     root = tmp_path_factory.mktemp("hostile")
     cfg_path = root / "config.txt"
     cfg_path.write_text(SMOKE_CONFIG)
@@ -44,6 +50,7 @@ def pipeline(tmp_path_factory):
     for command in ("synth", "rows", "train"):
         assert cli.main(["--config", str(cfg_path), "--out", str(out), command]) == 0
     shutil.copyfile(out / "profiles.txt", out / PROFILES)
+    (out / CONFIG).write_text(SMOKE_CONFIG + f"profiles_file = {PROFILES}\n")
     return out
 
 
@@ -81,11 +88,11 @@ def _argv(command, work, scratch):
 
 
 @pytest.mark.parametrize("name", list(READERS))
-def test_damaged_file_fails_with_one_line(pipeline, tmp_path, capsys, name):
+def test_damaged_file_fails_with_one_line(pipeline, tmp_path, capsys, monkeypatch, name):
     work = tmp_path / "out"
     shutil.copytree(pipeline, work)
-    cfg_path = tmp_path / "config.txt"
-    cfg_path.write_text(SMOKE_CONFIG + f"profiles_file = {work / PROFILES}\n")
+    monkeypatch.chdir(work)
+    cfg_path = work / CONFIG
     target = work / name
     genuine = target.read_bytes()
     rng = np.random.default_rng([2018, list(READERS).index(name)])

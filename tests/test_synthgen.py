@@ -3,7 +3,7 @@ import pytest
 
 from sigclass import fusion, spectral, synthgen
 from sigclass.config import PipelineConfig
-from sigclass.errors import ConfigurationError, ParseError, ValidationError
+from sigclass.errors import ConfigurationError, ParseError
 from sigclass.rng import derive_seed
 from sigclass.synthgen import (
     GROUP1_LABELS,
@@ -18,27 +18,6 @@ SETUP = ("mic", "geo")
 
 def profile(lines_per_channel, noise=0.0, label="T"):
     return TargetProfile(label=label, lines_per_channel=lines_per_channel, noise_rms=noise)
-
-
-# ---------------------------------------------------------------------------
-# types
-
-def test_spectral_line_validation():
-    with pytest.raises(ValidationError):
-        SpectralLine(0, 1.0)
-    with pytest.raises(ValidationError):
-        SpectralLine(301, 1.0)
-    with pytest.raises(ValidationError):
-        SpectralLine(50, float("inf"))
-    with pytest.raises(ValidationError):
-        SpectralLine(50, -1.0)
-
-
-def test_label_must_be_token():
-    with pytest.raises(ValidationError):
-        TargetProfile(label="has space", lines_per_channel={}, noise_rms=0.0)
-    with pytest.raises(ValidationError):
-        TargetProfile(label="a,b", lines_per_channel={}, noise_rms=0.0)
 
 
 # ---------------------------------------------------------------------------
