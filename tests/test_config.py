@@ -95,7 +95,6 @@ def test_bad_value_rejected(tmp_path):
     for line, message in [
         ("runs = many", "config key 'runs': bad value 'many'"),
         ("threshold = high", "config key 'threshold': bad value 'high'"),
-        ("normalize_rows = maybe", "config key 'normalize_rows': bad value 'maybe'"),
         ("fusion_weights = 1, x", "config key 'fusion_weights': bad value '1, x'"),
         ("runs 5", "expected 'key = value'"),
         ("flux_capacitor = 1", "unknown config key 'flux_capacitor'"),
@@ -105,6 +104,14 @@ def test_bad_value_rejected(tmp_path):
         with pytest.raises(ConfigurationError) as err:
             build_config(path)
         assert str(err.value) == f"{path}:3: {message}"
+
+
+def test_bad_boolean_rejected(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("normalize_rows = maybe\n")
+    with pytest.raises(ConfigurationError) as err:
+        build_config(path)
+    assert str(err.value) == f"{path}:1: config key 'normalize_rows': bad value 'maybe'"
 
 
 def test_invalid_group_rejected():
