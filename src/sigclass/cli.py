@@ -1,6 +1,7 @@
 """Command-line pipeline: synth -> rows -> heatmap -> train -> eval.
 
-A stage reads the config and the data files that earlier stages wrote: the
+`main` builds the config once and runs one stage in the --out directory.  A
+stage reads the config and the data files that earlier stages wrote: the
 recordings (the config names them: each profile's label times trials
 1..trials), the rows store and the checkpoint.  Each stage writes a manifest
 of the resolved configuration, so a run can be replayed exactly; manifests
@@ -42,12 +43,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_manifest(command, cfg, extra):
-    config = dataclasses.asdict(cfg)
-    del config["out_dir"]  # the manifest lies in it; a path would tie the bytes to the checkout
-    payload = {"command": command, "config": config}
+def _write_manifest(out, command, cfg, extra):
+    payload = {"command": command, "config": dataclasses.asdict(cfg)}
     payload.update(extra)
-    path = Path(cfg.out_dir) / f"{command}_manifest.json"
+    path = out / f"{command}_manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -61,13 +60,11 @@ def _recordings(cfg, profiles):
     return [(profile, trial) for profile in profiles for trial in range(1, cfg.trials + 1)]
 
 
-def _recording_path(cfg, label, trial):
-    return Path(cfg.out_dir) / "recordings" / f"{label}_t{trial}.rec"
+def _recording_path(out, label, trial):
+    return out / "recordings" / f"{label}_t{trial}.rec"
 
 
-def cmd_synth(args):
-    cfg = config_mod.build_config(args.config, args.out)
-    out = Path(cfg.out_dir)
+def cmd_synth(cfg, out, args):
     profiles = _profiles(cfg)
     folder, aside = out / "recordings", out / "recordings.old"
     shutil.rmtree(aside, ignore_errors=True)  # left only by a synth that was killed
@@ -82,7 +79,7 @@ def cmd_synth(args):
             rec = synthgen.synthesize_recording(
                 profile, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed
             )
-            path = _recording_path(cfg, profile.label, trial)
+            path = _recording_path(out, profile.label, trial)
             synthgen.save_recording(path, rec)
             entries.append({"label": profile.label, "trial": trial, "file": path.name, "seed": seed})
     except BaseException:
@@ -92,53 +89,49 @@ def cmd_synth(args):
     shutil.rmtree(aside)
     # written only now, so a synth that fails leaves no profiles beside older recordings
     synthgen.save_profiles(out / "profiles.txt", profiles)
-    _write_manifest("synth", cfg, {"recordings": entries})
+    _write_manifest(out, "synth", cfg, {"recordings": entries})
     print(f"wrote {len(entries)} recordings to {folder}")
-    return EXIT_OK
 
 
-def _entry_spectra(cfg, label, trial, stream, count, channels):
+def _entry_spectra(cfg, out, label, trial, stream, count, channels):
     """One recording's (len(channels), count, 300) spectra, row i being channels[i], offsets seeded by `stream`."""
-    rec = synthgen.load_recording(_recording_path(cfg, label, trial), channels)
+    rec = synthgen.load_recording(_recording_path(out, label, trial), channels)
     seed = derive_seed(cfg.seed, stream, label, trial)
     blocks = spectral.extract_blocks(rec, count, seed)
     return np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
 
 
-def cmd_rows(args):
-    cfg = config_mod.build_config(args.config, args.out)
+def cmd_rows(cfg, out, args):
     recordings = _recordings(cfg, _profiles(cfg))
     n = cfg.blocks_per_recording
+    config_mod.check_array_size(f"blocks_per_recording = {n}", "the rows", (len(recordings) * n, spectral.N_BINS))
 
     x = np.empty((len(recordings) * n, spectral.N_BINS))
     for i, (profile, trial) in enumerate(recordings):
-        spectra = _entry_spectra(cfg, profile.label, trial, "blocks", n, cfg.fusion_channels)
+        spectra = _entry_spectra(cfg, out, profile.label, trial, "blocks", n, cfg.fusion_channels)
         x[i * n : (i + 1) * n] = fusion.fuse(spectra, cfg.fusion_weights)
     labels = np.repeat([profile.label for profile, _ in recordings], n)
-    rows_path = Path(cfg.out_dir) / "rows.npz"
+    rows_path = out / "rows.npz"
     trainer.save_rows(rows_path, x, labels)
-    _write_manifest("rows", cfg, {"rows_file": rows_path.name, "row_count": len(labels)})
+    _write_manifest(out, "rows", cfg, {"rows_file": rows_path.name, "row_count": len(labels)})
     print(f"wrote {len(labels)} fused rows to {rows_path}")
-    return EXIT_OK
 
 
-def cmd_heatmap(args):
-    cfg = config_mod.build_config(args.config, args.out)
+def cmd_heatmap(cfg, out, args):
     trials = [trial for profile, trial in _recordings(cfg, _profiles(cfg)) if profile.label == args.label]
     if not trials:
         raise ConfigurationError(f"no recordings for label {args.label!r}")
 
-    spectra = [_entry_spectra(cfg, args.label, t, "heatmap", cfg.heatmap_blocks, synthgen.ROSTER) for t in trials]
+    spectra = [_entry_spectra(cfg, out, args.label, t, "heatmap", cfg.heatmap_blocks, synthgen.ROSTER) for t in trials]
     heatmap = spectral.build_heatmap(np.concatenate(spectra, axis=1))
     del spectra  # the writers' whole-map temporaries then reuse the per-recording arrays' memory
     n_rows = heatmap.shape[0] * heatmap.shape[1]
-    pgm = Path(cfg.out_dir) / f"heatmap_{args.label}.pgm"
-    csv = Path(cfg.out_dir) / f"heatmap_{args.label}.csv"
+    pgm = out / f"heatmap_{args.label}.pgm"
+    csv = out / f"heatmap_{args.label}.csv"
     spectral.write_heatmap_csv(csv, heatmap, synthgen.ROSTER, trials)
     spectral.write_heatmap_pgm(pgm, heatmap)
-    _write_manifest("heatmap", cfg, {"label": args.label, "rows": n_rows})
+    _write_manifest(out, "heatmap", cfg, {"label": args.label, "rows": n_rows})
     print(f"wrote {pgm} and {csv} ({n_rows} rows)")
-    return EXIT_OK
 
 
 def _print_warnings(warnings):
@@ -146,15 +139,13 @@ def _print_warnings(warnings):
         print(f"warning: {warning}", file=sys.stderr)
 
 
-def cmd_train(args):
-    cfg = config_mod.build_config(args.config, args.out)
-    rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
+def cmd_train(cfg, out, args):
+    rows_path = Path(args.rows) if args.rows else out / "rows.npz"
     ds = trainer.load_rows(rows_path)
     vocab, y = ds.label_vocab, ds.y
 
-    guard = fusion.default_max_classes_per_bin(len(vocab))  # from the labels in the rows, not the group's
     try:
-        mask, report = fusion.compute_selection(ds.x, y, vocab, cfg.threshold, guard)
+        mask, report = fusion.compute_selection(ds.x, y, vocab, cfg.threshold)
     except SelectionError as exc:
         _print_warnings(exc.report.warnings)
         raise
@@ -168,18 +159,17 @@ def cmd_train(args):
     x_test, y_test = x[test_idx], y[test_idx]
     params, log = trainer.train(x[train_idx], y[train_idx], x_test, y_test, len(vocab), cfg)
     # written only now, so a rejected split leaves no mask beside an older checkpoint
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fusion.write_mask(out / "mask.txt", mask)
     fusion.write_selection_report_csv(out / "selection_report.csv", report)
     trainer.write_runlog_csv(out / "runlog.csv", log)
     dnn.save_checkpoint(out / "checkpoint.bin", params, mask.kept, vocab, cfg.normalize_rows)
 
-    accuracy, counts = trainer.evaluate(params, x_test, y_test, vocab)
+    accuracy, counts = trainer.evaluate(params, x_test, y_test)
     trainer.write_confusion_csv(out / "confusion.csv", vocab, counts)
-    _write_manifest("train", cfg, {
+    _write_manifest(out, "train", cfg, {
         "rows_file": args.rows or rows_path.name,
-        "max_classes_per_bin": guard,
+        "max_classes_per_bin": report.max_classes_per_bin,
         "mask_size": len(mask),
         "test_rows": len(test_idx),
         "test_accuracy": accuracy,
@@ -187,13 +177,11 @@ def cmd_train(args):
     print(f"mask size: {len(mask)} bins")
     print(f"final test accuracy: {accuracy:.4f} on {len(test_idx)} rows")
     print(trainer.format_confusion(vocab, counts))
-    return EXIT_OK
 
 
-def cmd_eval(args):
-    cfg = config_mod.build_config(args.config, args.out)
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else Path(cfg.out_dir) / "checkpoint.bin"
-    rows_path = Path(args.rows) if args.rows else Path(cfg.out_dir) / "rows.npz"
+def cmd_eval(cfg, out, args):
+    ckpt_path = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.bin"
+    rows_path = Path(args.rows) if args.rows else out / "rows.npz"
     params, mask_bins, vocab, normalize = dnn.load_checkpoint(ckpt_path)
     ds = trainer.load_rows(rows_path)
     missing = [label for label in ds.label_vocab if label not in vocab]
@@ -202,24 +190,22 @@ def cmd_eval(args):
     y = np.array([vocab.index(label) for label in ds.label_vocab])[ds.y]  # the checkpoint's indices
     x = trainer.features_matrix(ds.rows, fusion.FeatureMask(kept=mask_bins), normalize)
     del ds  # frees the (n, 300) rows and their views before scoring
-    accuracy, counts = trainer.evaluate(params, x, y, vocab)
-    out = Path(cfg.out_dir)
+    accuracy, counts = trainer.evaluate(params, x, y)
     out.mkdir(parents=True, exist_ok=True)
     trainer.write_confusion_csv(out / "eval_confusion.csv", vocab, counts)
-    _write_manifest("eval", cfg, {
+    _write_manifest(out, "eval", cfg, {
         "checkpoint": args.checkpoint or ckpt_path.name,
         "rows_file": args.rows or rows_path.name,
         "accuracy": accuracy,
     })
     print(f"accuracy: {accuracy:.4f} on {len(y)} rows")
     print(trainer.format_confusion(vocab, counts))
-    return EXIT_OK
 
 
 def build_parser():
     parser = _Parser(prog="sigclass", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="flat key-value config file")
-    parser.add_argument("--out", help="override the output directory")
+    parser.add_argument("--out", type=Path, default="out", help="the output directory (default: out)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="synthesize target recordings")
@@ -247,12 +233,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(config_mod.build_config(args.config), args.out, args)
     except (SigclassError, OSError, MemoryError) as exc:  # MemoryError: a config size too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ConfigurationError, MemoryError)):
             return EXIT_USAGE
         return EXIT_TRAINING if isinstance(exc, (SelectionError, NumericalError)) else EXIT_DATA
+    return EXIT_OK
 
 
 def entrypoint():

@@ -1,4 +1,4 @@
-"""Pipeline configuration: one flat key-value file; the CLI adds only the output directory.
+"""Pipeline configuration: one flat key-value file; the output directory is the CLI's --out.
 
 build_config reads the file and checks each line as it reads it, naming a bad
 line as '<path>:<line>:'; PipelineConfig then checks the ranges.  Defaults:
@@ -11,6 +11,7 @@ spectral SNR, so more bins pass selection (Group1 masks are 77-89 bins at
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import get_args, get_origin
 
@@ -28,7 +29,6 @@ class PipelineConfig:
 
     group: str = "Group2"
     seed: int = 0
-    out_dir: str = "out"
     # synthesis
     sample_rate_hz: int = 2000
     duration_s: float = 12.0
@@ -71,6 +71,8 @@ class PipelineConfig:
             raise ConfigurationError("duration_s * sample_rate_hz overflows a float sample count") from None
         if not whole:
             raise ConfigurationError("duration_s * sample_rate_hz must be an integer sample count")
+        check_array_size(f"duration_s = {self.duration_s!r} at sample_rate_hz = {self.sample_rate_hz}",
+                         "a recording", (len(ROSTER), math.ceil(self.duration_s) * self.sample_rate_hz))
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         for name in ("noise_rms", "jitter_hz"):
@@ -78,8 +80,11 @@ class PipelineConfig:
                 raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.heatmap_blocks < 1:
             raise ConfigurationError("heatmap_blocks must be >= 1")
+        check_array_size(f"heatmap_blocks = {self.heatmap_blocks}", "a recording's block offsets",
+                         (self.heatmap_blocks,))
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
+        check_array_size(f"runs = {self.runs}", "the run log", (self.runs, 5))
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if not math.isfinite(self.learn_rate) or self.learn_rate <= 0:
@@ -106,6 +111,19 @@ class PipelineConfig:
         self.fusion_channels, self.fusion_weights = channels, weights
 
 
+def check_array_size(setting, array, shape):
+    """Refuse a setting whose array of 8-byte values would pass numpy's largest, sys.maxsize bytes.
+
+    numpy raises ValueError, not MemoryError, for such a shape.  A smaller
+    array too large for memory raises MemoryError, which the CLI reports as
+    one line too.  Each size is checked against the first array it makes in
+    its stage; cli.cmd_rows checks the rows, whose count needs the profiles.
+    """
+    if 8 * math.prod(shape) > sys.maxsize:
+        raise ConfigurationError(f"{setting} is too large: {array} of shape {shape} would pass "
+                                 f"numpy's largest array ({sys.maxsize} bytes)")
+
+
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 # file values are parsed by field type; a tuple field takes comma-separated items
@@ -121,13 +139,14 @@ def _parse_value(kind, value):
     return kind(value)
 
 
-def build_config(path=None, out_dir=None):
+def build_config(path=None):
     """The PipelineConfig of the config file at path, or of the defaults if path is None.
 
     Each 'key = value' line is parsed where it is read, so a line without
     '=', an unknown key, a key set twice or a value its field cannot take
-    raises ConfigurationError starting '<path>:<line>:'.  PipelineConfig then
-    checks the ranges.  An out_dir given (the --out path) wins over the file's.
+    raises ConfigurationError starting '<path>:<line>:', as does noise_rms or
+    jitter_hz beside a profiles_file, whose profiles set both.  PipelineConfig
+    then checks the ranges.
     """
     kwargs, first = {}, {}
     for lineno, text in text_lines(path) if path else ():
@@ -143,6 +162,8 @@ def build_config(path=None, out_dir=None):
             kwargs[key], first[key] = _parse_value(_FIELD_TYPES[key], value), lineno
         except (KeyError, ValueError):
             raise ConfigurationError(f"{where} config key {key!r}: bad value {value!r}") from None
-    if out_dir is not None:
-        kwargs["out_dir"] = out_dir
+    unused = [key for key in kwargs if key in ("noise_rms", "jitter_hz")]  # in file order
+    if unused and kwargs.get("profiles_file"):
+        raise ConfigurationError(f"{path}:{first[unused[0]]}: config key {unused[0]!r} cannot be set "
+                                 "beside profiles_file, whose profiles set it")
     return PipelineConfig(**kwargs)

@@ -56,6 +56,7 @@ class SelectionReport:
     global_mean: np.ndarray
     ratios: np.ndarray
     per_bin_class_counts: np.ndarray
+    max_classes_per_bin: int  # the guard, max(1, ceil(T/2) - 1) for T labels
     warnings: list = field(default_factory=list)
 
 
@@ -73,18 +74,14 @@ def fuse(spectra, weights):
     return acc / sum(weights)
 
 
-def default_max_classes_per_bin(n_classes):
-    """Guard default: ceil(T/2) - 1 super-threshold classes per bin, floor 1."""
-    return max(1, math.ceil(n_classes / 2) - 1)
-
-
-def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
+def compute_selection(x, y, vocab, threshold):
     """Pick the discriminative frequency bins from fused rows x with class indices y.
 
     y indexes vocab.  Per class, the mean response at each bin is divided by
     the grand mean over all rows; a bin is kept when at least one class ratio
-    strictly exceeds `threshold`, unless more than `max_classes_per_bin`
-    classes exceed it there (such bins identify nothing).  Bins whose grand
+    strictly exceeds `threshold`, unless more classes exceed it there than
+    the guard, max(1, ceil(T/2) - 1) for the T = len(vocab) classes (such
+    bins identify nothing); the report records the guard.  Bins whose grand
     mean is zero have undefined ratios and are excluded with a warning.  Of
     more than MAX_MASK_BINS such bins, the MAX_MASK_BINS with the highest
     class ratio are kept (the lower bin on a tie), with a warning.
@@ -110,6 +107,7 @@ def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
     ratios = np.where(zero, np.nan, class_means / np.where(zero, 1.0, global_mean))
     counts = np.count_nonzero(ratios > threshold, axis=0)  # False where the ratio is nan
 
+    max_classes_per_bin = max(1, math.ceil(len(vocab) / 2) - 1)
     kept = np.flatnonzero((counts >= 1) & (counts <= max_classes_per_bin))
     if len(kept) > MAX_MASK_BINS:
         top = np.argsort(-ratios[:, kept].max(axis=0), kind="stable")[:MAX_MASK_BINS]
@@ -122,6 +120,7 @@ def compute_selection(x, y, vocab, threshold, max_classes_per_bin):
         global_mean=global_mean,
         ratios=ratios,
         per_bin_class_counts=counts,
+        max_classes_per_bin=max_classes_per_bin,
         warnings=warnings,
     )
     if not kept.size:

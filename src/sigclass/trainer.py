@@ -188,18 +188,20 @@ def _check_range(reach, params, where=""):
                               "train with normalize_rows = true")
 
 
-def evaluate(params, x, y, vocab):
+def evaluate(params, x, y):
     """Accuracy plus the confusion counts, counts[actual, predicted].
 
-    x holds masked feature rows and y their class indices in vocab; the
-    trailing column of counts tallies Unclassified.  The rows are scored as
+    x holds masked feature rows and y their class indices among the
+    net's c = len(params[2]) outputs; counts is (c, c + 1), its trailing
+    column tallying Unclassified.  The rows are scored as
     `train` scores them (see `_columns` and `_check_range`).
     load_rows rejects a store without rows, and train an empty test split.
     """
     a, reach = _columns(x)
     _check_range(reach, params)
     preds = dnn.predict_batch(params, a)
-    counts = np.zeros((len(vocab), len(vocab) + 1), dtype=int)
+    c = len(params[2])
+    counts = np.zeros((c, c + 1), dtype=int)
     np.add.at(counts, (y, preds), 1)  # UNCLASSIFIED (-1) indexes the trailing column
     return float(np.mean(preds == y)), counts
 

@@ -229,10 +229,10 @@ def test_criterion_5_selection_oracle():
     # ten flat A rows, then ten B rows hot at bin 50
     x, y = np.ones((20, N_BINS)), np.repeat([0, 1], 10)
     x[y == 1, 49] = 10.0
-    mask, _ = fusion.compute_selection(x, y, ["A", "B"], threshold=1.5, max_classes_per_bin=1)
+    mask, _ = fusion.compute_selection(x, y, ["A", "B"], threshold=1.5)
     exact_ok = mask.kept == [50]
 
-    mask_scaled, _ = fusion.compute_selection(x * 1e3, y, ["A", "B"], 1.5, 1)
+    mask_scaled, _ = fusion.compute_selection(x * 1e3, y, ["A", "B"], 1.5)
     scale_ok = mask_scaled.kept == mask.kept
 
     # a bin super-threshold for 2 of 4 classes is dropped by the column guard
@@ -240,8 +240,9 @@ def test_criterion_5_selection_oracle():
     for k, (own_bin, shared) in enumerate([(30, 50.0), (40, 50.0), (60, 0.1), (70, 0.1)]):
         x4[y4 == k, 6] = shared
         x4[y4 == k, own_bin - 1] = 25.0
-    mask4, report4 = fusion.compute_selection(x4, y4, list("ABCD"), threshold=1.75, max_classes_per_bin=1)
-    guard_ok = 7 not in mask4.kept and report4.per_bin_class_counts[6] == 2
+    mask4, report4 = fusion.compute_selection(x4, y4, list("ABCD"), threshold=1.75)
+    guard_ok = (7 not in mask4.kept and report4.per_bin_class_counts[6] == 2
+                and report4.max_classes_per_bin == 1)
 
     check(5, exact_ok and scale_ok and guard_ok,
           f"two-class oracle selects exactly bin 50 (got {mask.kept}), mask "

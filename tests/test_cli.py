@@ -661,7 +661,8 @@ def test_train_manifest_records_guard_from_rows(tmp_path):
     cfg_path.write_text("group = Group2\nruns = 2\nbatch_size = 16\n")
     assert run(cfg_path, tmp_path / "o", "train", "--rows", str(rows_path)) == 0
     manifest = json.loads((tmp_path / "o" / "train_manifest.json").read_text())
-    assert manifest["max_classes_per_bin"] == fusion.default_max_classes_per_bin(7) == 3
+    _, report = fusion.compute_selection(np.stack(x), np.arange(len(x)) % 7, labels, manifest["config"]["threshold"])
+    assert manifest["max_classes_per_bin"] == report.max_classes_per_bin == 3
     assert "max_classes_per_bin" not in manifest["config"]
     assert manifest["config"]["group"] == "Group2"
 
@@ -678,14 +679,34 @@ def test_every_cli_option_is_documented():
     assert [name for name in named if not re.search(rf"{re.escape(name)}(?![\w-])", readme)] == []
 
 
-@pytest.mark.parametrize("key, value, command", [
-    ("duration_s", "1e12", "synth"),                         # (13, 2e15) float64 samples
-    ("blocks_per_recording", "1000000000000", "rows"),       # (8e12, 300) float64 rows
-    ("heatmap_blocks", "100000000000000", "heatmap AllQuiet"),  # 1e14 int64 block offsets
-    ("runs", "100000000000000", "train"),                    # a (1e14, 5) float64 run log
+PAST_NUMPY = "would pass numpy's largest array (9223372036854775807 bytes)"
+
+
+def size_case(key, value, command, message):
+    return pytest.param(key, value, command, message, id=f"{key}-{value}-{command}")
+
+
+@pytest.mark.parametrize("key, value, command, message", [
+    size_case("duration_s", "1e12", "synth", "Unable to allocate"),                   # (13, 2e15) float64 samples
+    size_case("blocks_per_recording", "1000000000000", "rows", "Unable to allocate"),  # (8e12, 300) float64 rows
+    size_case("heatmap_blocks", "100000000000000", "heatmap AllQuiet",
+              "Unable to allocate"),                                     # 1e14 int64 block offsets
+    size_case("runs", "100000000000000", "train", "Unable to allocate"),  # a (1e14, 5) float64 run log
+    # past 2**63 - 1 bytes numpy raises ValueError, not MemoryError, so these sizes are checked first
+    size_case("duration_s", "1e16", "synth", "duration_s = 1e+16 at sample_rate_hz = 2000 is too large: "
+              f"a recording of shape (13, 20000000000000000000) {PAST_NUMPY}"),
+    size_case("blocks_per_recording", "100000000000000000", "rows",
+              "blocks_per_recording = 100000000000000000 is too large: "
+              f"the rows of shape (800000000000000000, 300) {PAST_NUMPY}"),
+    size_case("heatmap_blocks", "10000000000000000000", "heatmap AllQuiet",
+              "heatmap_blocks = 10000000000000000000 is too large: "
+              f"a recording's block offsets of shape (10000000000000000000,) {PAST_NUMPY}"),
+    size_case("runs", "10000000000000000000", "train", "runs = 10000000000000000000 is too large: "
+              f"the run log of shape (10000000000000000000, 5) {PAST_NUMPY}"),
 ])
-def test_size_too_large_to_allocate_is_usage_error(smoke, tmp_path, capsys, key, value, command):
-    # each first large allocation is above 2**47 bytes, past the address space, so it fails at once
+def test_size_too_large_to_allocate_is_usage_error(smoke, tmp_path, capsys, key, value, command, message):
+    # each first large allocation that numpy accepts is above 2**47 bytes, past the address space,
+    # so it fails at once
     _, out = smoke
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
@@ -694,7 +715,38 @@ def test_size_too_large_to_allocate_is_usage_error(smoke, tmp_path, capsys, key,
     cfg_path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
     assert run(cfg_path, copy, *command.split()) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("profiles, message", [
+    pytest.param(1, "Unable to allocate", id="one-profile"),
+    pytest.param(2, "blocks_per_recording = 2000000000000000 is too large: "
+                 f"the rows of shape (4000000000000000, 300) {PAST_NUMPY}", id="two-profiles"),
+])
+def test_rows_size_counts_the_profiles(tmp_path, capsys, profiles, message):
+    # the rows of one profile (4.8e18 bytes) fit numpy's largest array and fail to allocate; two pass it
+    path = tmp_path / "profiles.txt"
+    path.write_text("".join(f"profile P{k}\nline geo_front_10m 45 1.5 0.0\n" for k in range(profiles)))
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(f"profiles_file = {path}\ntrials = 1\nblocks_per_recording = 2000000000000000\n")
+    assert run(cfg_path, tmp_path / "out", "rows") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["noise_rms", "jitter_hz"])
+def test_noise_key_beside_profiles_file_is_usage_error(tmp_path, capsys, key):
+    # the profiles file sets each profile's noise floor and line jitter, so the key would do nothing
+    path = tmp_path / "profiles.txt"
+    path.write_text("profile A\nnoise_rms 2.0\nline geo_front_10m 45 1.5 0.5\n")
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(f"trials = 1\n{key} = 9\nprofiles_file = {path}\n")
+    assert run(cfg_path, tmp_path / "out", "synth") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg_path}:2: config key {key!r} cannot be set beside profiles_file, "
+                   "whose profiles set it"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -6,7 +6,6 @@ import pytest
 
 from sigclass.config import PipelineConfig, build_config
 from sigclass.errors import ConfigurationError
-from sigclass.fusion import default_max_classes_per_bin
 from sigclass.synthgen import GROUPS
 
 
@@ -29,9 +28,8 @@ def test_group_dependent_defaults():
     assert len(GROUPS[g1.group][0]) == 7 and len(GROUPS[g2.group][0]) == 4
     assert g1.fusion_channels == ("mic_front_10m", "mic_side_10m", "geo_front_10m", "accel_front_10m")
     assert g2.fusion_channels == ("geo_front_10m", "accel_front_5m", "mag_z_side_10m")
-    # the selection guard comes from the labels in the rows, so the config holds none
-    assert default_max_classes_per_bin(7) == 3
-    assert default_max_classes_per_bin(4) == 1
+    # the selection guard comes from the labels in the rows (see test_fusion), so the config holds none
+    assert "max_classes_per_bin" not in {f.name for f in fields(PipelineConfig)}
     # row counts land near 1000 at the default 5 trials
     assert g1.blocks_per_recording * 7 * 5 == pytest.approx(1000, abs=50)
     assert g2.blocks_per_recording * 4 * 5 == 1000
@@ -133,13 +131,14 @@ def test_sample_count_past_float_range_rejected(tmp_path, key, value):
         build_config(path)
 
 
-def test_overrides_beat_file_values(tmp_path):
+def test_out_dir_is_an_unknown_key(tmp_path):
+    # --out alone names the output directory
     path = tmp_path / "cfg.txt"
-    path.write_text("out_dir = file_out\nruns = 7\n")
-    assert build_config(path).out_dir == "file_out"
-    cfg = build_config(path, out_dir="flag_out")  # the --out path
-    assert cfg.out_dir == "flag_out"
-    assert cfg.runs == 7
+    path.write_text("runs = 7\nout_dir = file_out\n")
+    with pytest.raises(ConfigurationError) as err:
+        build_config(path)
+    assert str(err.value) == f"{path}:2: unknown config key 'out_dir'"
+    assert "out_dir" not in {f.name for f in fields(PipelineConfig)}
 
 
 def test_resolution_is_idempotent():

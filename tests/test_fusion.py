@@ -15,11 +15,11 @@ def flat_rows(label, count, bins):
     return [SpectrumRow(bins=np.asarray(bins, float).copy(), label=label) for _ in range(count)]
 
 
-def select(rows, threshold, max_classes_per_bin):
+def select(rows, threshold):
     """compute_selection on the rows' matrix, class indices and first-appearance vocabulary."""
     vocab = list(dict.fromkeys(r.label for r in rows))
     y = np.array([vocab.index(r.label) for r in rows])
-    return fusion.compute_selection(np.stack([r.bins for r in rows]), y, vocab, threshold, max_classes_per_bin)
+    return fusion.compute_selection(np.stack([r.bins for r in rows]), y, vocab, threshold)
 
 
 def ratio(report, label):
@@ -75,7 +75,7 @@ def hot_bin_rows():
 
 
 def test_selection_keeps_exactly_the_hot_bin():
-    mask, report = select(hot_bin_rows(), threshold=1.5, max_classes_per_bin=1)
+    mask, report = select(hot_bin_rows(), threshold=1.5)
     assert mask.kept == [50]
     # B's ratio at bin 50 is 10 / 5.5
     assert ratio(report, "B")[49] == pytest.approx(10.0 / 5.5, rel=1e-12)
@@ -95,7 +95,7 @@ def test_matrix_selection_matches_per_label_stack_bit_for_bit():
     rows = [SpectrumRow(bins=rng.random(N_BINS) * scale[l], label=l) for l in labels]
     vocab = list(dict.fromkeys(labels))
     y = np.array([vocab.index(l) for l in labels])
-    mask, report = fusion.compute_selection(np.stack([r.bins for r in rows]), y, vocab, 1.15, 1)
+    mask, report = fusion.compute_selection(np.stack([r.bins for r in rows]), y, vocab, 1.15)
 
     # the reference stacks each label's rows in row order, as the row-list code did
     by_label = {}
@@ -122,51 +122,53 @@ def test_matrix_selection_matches_per_label_stack_bit_for_bit():
 def test_selection_mask_is_scale_free():
     rows = hot_bin_rows()
     scaled = [SpectrumRow(bins=r.bins * 1e3, label=r.label) for r in rows]
-    m1, _ = select(rows, 1.5, 1)
-    m2, _ = select(scaled, 1.5, 1)
+    m1, _ = select(rows, 1.5)
+    m2, _ = select(scaled, 1.5)
     assert m1.kept == m2.kept
 
 
 def test_selection_is_deterministic():
     rows = hot_bin_rows()
-    m1, _ = select(rows, 1.5, 1)
-    m2, _ = select(rows, 1.5, 1)
+    m1, _ = select(rows, 1.5)
+    m2, _ = select(rows, 1.5)
     assert m1.kept == m2.kept
 
 
 def test_identical_classes_fail_selection():
     rows = flat_rows("A", 10, np.ones(N_BINS)) + flat_rows("B", 10, np.ones(N_BINS))
     with pytest.raises(SelectionError) as err:
-        select(rows, 1.5, 1)
+        select(rows, 1.5)
     assert err.value.report is not None
     assert np.all(err.value.report.per_bin_class_counts == 0)
+
+
+def shared_bin_rows(n_classes):
+    """Class k hot at its own bin 30 + 10k; bin 7 hot for the first two classes only."""
+    base = np.ones(N_BINS)
+    rows = []
+    for k in range(n_classes):
+        bins = base.copy()
+        bins[6] = 50.0 if k < 2 else 0.1
+        bins[30 + 10 * k - 1] = 25.0
+        rows.extend(flat_rows("ABCDEFG"[k], 10, bins))
+    return rows
 
 
 def test_guard_drops_bin_hot_for_too_many_classes():
     # bin 7 is super-threshold for two of four classes; bin 30/40/50/60 are
     # each class's own signature
-    base = np.ones(N_BINS)
-    rows = []
-    for label, own_bin, seven in [("A", 30, 50.0), ("B", 40, 50.0), ("C", 50, 0.1), ("D", 60, 0.1)]:
-        bins = base.copy()
-        bins[6] = seven
-        bins[own_bin - 1] = 25.0
-        rows.extend(flat_rows(label, 10, bins))
-    mask, report = select(rows, threshold=1.75, max_classes_per_bin=1)
+    mask, report = select(shared_bin_rows(4), threshold=1.75)
+    assert report.max_classes_per_bin == 1
     assert report.per_bin_class_counts[6] == 2
     assert 7 not in mask.kept
     assert mask.kept == [30, 40, 50, 60]
 
 
 def test_guard_wide_enough_keeps_shared_bin():
-    base = np.ones(N_BINS)
-    rows = []
-    for label, own_bin, seven in [("A", 30, 50.0), ("B", 40, 50.0), ("C", 50, 0.1), ("D", 60, 0.1)]:
-        bins = base.copy()
-        bins[6] = seven
-        bins[own_bin - 1] = 25.0
-        rows.extend(flat_rows(label, 10, bins))
-    mask, _ = select(rows, threshold=1.75, max_classes_per_bin=2)
+    # six classes give a guard of 2, so bin 7, hot for two of them, stays
+    mask, report = select(shared_bin_rows(6), threshold=1.75)
+    assert report.max_classes_per_bin == 2
+    assert report.per_bin_class_counts[6] == 2
     assert 7 in mask.kept
 
 
@@ -179,7 +181,7 @@ def test_bin_equally_hot_for_every_class_never_selected():
         bins[6] = 80.0
         bins[own_bin - 1] = 25.0
         rows.extend(flat_rows(label, 10, bins))
-    mask, report = select(rows, threshold=1.5, max_classes_per_bin=2)
+    mask, report = select(rows, threshold=1.5)
     assert 7 not in mask.kept
     assert all(ratio(report, l)[6] == pytest.approx(1.0) for l in "ABC")
 
@@ -188,7 +190,7 @@ def test_zero_mean_bin_excluded_with_warning():
     rows = hot_bin_rows()
     for r in rows:
         r.bins[199] = 0.0  # bin 200 dead in every row
-    mask, report = select(rows, 1.5, 1)
+    mask, report = select(rows, 1.5)
     assert 200 not in mask.kept
     assert report.warnings and "zero grand mean" in report.warnings[0]
     assert np.isnan(ratio(report, "A")[199])
@@ -197,10 +199,10 @@ def test_zero_mean_bin_excluded_with_warning():
 def test_selection_preconditions():
     rows = flat_rows("A", 10, np.ones(N_BINS))
     with pytest.raises(ValidationError):
-        select(rows, 1.5, 1)  # one label only
+        select(rows, 1.5)  # one label only
     rows = flat_rows("A", 10, np.ones(N_BINS)) + flat_rows("B", 9, np.ones(N_BINS))
     with pytest.raises(ValidationError, match="label 'B' has 9 rows; need >= 10"):
-        select(rows, 1.5, 1)  # too few B rows
+        select(rows, 1.5)  # too few B rows
 
 
 def test_threshold_strictly_greater():
@@ -210,13 +212,13 @@ def test_threshold_strictly_greater():
     hot[9] = 3.0  # B ratio at bin 10 = 3/2 = 1.5 exactly
     rows = flat_rows("A", 10, flat) + flat_rows("B", 10, hot)
     with pytest.raises(SelectionError):
-        select(rows, threshold=1.5, max_classes_per_bin=1)
+        select(rows, threshold=1.5)
 
 
 def test_default_guard_values():
-    assert fusion.default_max_classes_per_bin(7) == 3
-    assert fusion.default_max_classes_per_bin(4) == 1
-    assert fusion.default_max_classes_per_bin(2) == 1
+    # max(1, ceil(T/2) - 1) for T labels
+    guards = {n: select(shared_bin_rows(n), threshold=1.75)[1].max_classes_per_bin for n in (7, 4, 2)}
+    assert guards == {7: 3, 4: 1, 2: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +240,7 @@ def test_apply_mask_sizes(size):
 
 
 def test_selection_report_csv(tmp_path):
-    _, report = select(hot_bin_rows(), 1.5, 1)
+    _, report = select(hot_bin_rows(), 1.5)
     path = tmp_path / "report.csv"
     fusion.write_selection_report_csv(path, report)
     lines = path.read_text().splitlines()
@@ -254,7 +256,8 @@ def test_selection_report_text_matches_per_element_reference(tmp_path):
     awkward = np.resize(np.array([0.1, 1e-300, 5e-324, 10.0, 0.0, np.nan, 2.5e-310]), N_BINS)
     report = fusion.SelectionReport(
         labels=["A", "B"], class_means=np.stack([awkward, awkward[::-1]]), global_mean=awkward * 3,
-        ratios=np.stack([awkward / 7, awkward]), per_bin_class_counts=np.arange(N_BINS) % 3)
+        ratios=np.stack([awkward / 7, awkward]), per_bin_class_counts=np.arange(N_BINS) % 3,
+        max_classes_per_bin=1)
     path = tmp_path / "report.csv"
     fusion.write_selection_report_csv(path, report)
 
@@ -275,7 +278,7 @@ def test_selection_caps_mask_at_the_highest_ratio_bins():
     flat, hot = np.ones(N_BINS), np.ones(N_BINS)
     hot[:6] = hot[200] = 4.0
     hot[6:130] = 5.0 + np.arange(124) / 100
-    mask, report = select(flat_rows("A", 10, flat) + flat_rows("B", 10, hot), 1.5, 1)
+    mask, report = select(flat_rows("A", 10, flat) + flat_rows("B", 10, hot), 1.5)
     assert len(mask) == fusion.MAX_MASK_BINS == 125
     assert mask.kept == [1] + list(range(7, 131))
     assert report.warnings == ["131 bins passed the threshold; kept the 125 with the highest class ratio"]
@@ -306,8 +309,7 @@ def test_group1_mask_at_8000_hz_stays_within_125_bins_and_covers_every_line():
                                  cfg.fusion_weights))
             y += [k] * cfg.blocks_per_recording
     vocab = [p.label for p in profiles]
-    mask, report = fusion.compute_selection(np.concatenate(x), np.array(y), vocab, cfg.threshold,
-                                            fusion.default_max_classes_per_bin(len(vocab)))
+    mask, report = fusion.compute_selection(np.concatenate(x), np.array(y), vocab, cfg.threshold)
     assert len(mask) <= 125
     assert any(w.startswith("130 bins passed the threshold") for w in report.warnings)  # uncapped: 130
     lines = {line.freq_hz for p in profiles for ls in p.lines_per_channel.values() for line in ls}

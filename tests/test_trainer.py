@@ -51,7 +51,7 @@ def train_on(ds, mask, cfg):
 def score(params, rows, mask, vocab):
     """trainer.evaluate on the normalized masked rows, as the eval stage runs it."""
     x = trainer.features_matrix(rows, mask, True)
-    return trainer.evaluate(params, x, class_indices(rows, vocab), vocab)
+    return trainer.evaluate(params, x, class_indices(rows, vocab))
 
 
 def save_store(path, rows):
