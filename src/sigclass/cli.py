@@ -93,24 +93,33 @@ def cmd_synth(cfg, out, args):
     print(f"wrote {len(entries)} recordings to {folder}")
 
 
-def _entry_spectra(cfg, out, label, trial, stream, count, channels):
-    """One recording's (len(channels), count, 300) spectra, row i being channels[i], offsets seeded by `stream`."""
+def _entry_spectra(cfg, out, label, trial, stream, count, channels, chunk_bytes=None):
+    """Yield one recording's spectra a chunk of blocks at a time, offsets seeded by `stream`.
+
+    Each chunk is the (len(channels), k, 300) spectra of the next k of the
+    `count` blocks, row i being channels[i].  It holds about `chunk_bytes` of
+    float64 block samples, at least one block; None makes the recording one chunk.
+    """
     rec = synthgen.load_recording(_recording_path(out, label, trial), channels)
-    seed = derive_seed(cfg.seed, stream, label, trial)
-    blocks = spectral.extract_blocks(rec, count, seed)
-    return np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
+    offsets = spectral.block_offsets(rec, count, derive_seed(cfg.seed, stream, label, trial))
+    step = count if chunk_bytes is None else max(1, chunk_bytes // (8 * len(channels) * rec.sample_rate_hz))
+    for lo in range(0, count, step):
+        blocks = spectral.extract_blocks(rec, offsets[lo : lo + step])
+        yield np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
 
 
 def cmd_rows(cfg, out, args):
-    recordings = _recordings(cfg, _profiles(cfg))
-    n = cfg.blocks_per_recording
-    config_mod.check_array_size(f"blocks_per_recording = {n}", "the rows", (len(recordings) * n, spectral.N_BINS))
+    profiles, n = _profiles(cfg), cfg.blocks_per_recording
+    count = len(profiles) * cfg.trials  # the recordings, counted: a huge trials is never listed
+    config_mod.check_array_size(f"blocks_per_recording = {n}", "the rows", (count * n, spectral.N_BINS))
 
-    x = np.empty((len(recordings) * n, spectral.N_BINS))
-    for i, (profile, trial) in enumerate(recordings):
-        spectra = _entry_spectra(cfg, out, profile.label, trial, "blocks", n, cfg.fusion_channels)
-        x[i * n : (i + 1) * n] = fusion.fuse(spectra, cfg.fusion_weights)
-    labels = np.repeat([profile.label for profile, _ in recordings], n)
+    x = np.empty((count * n, spectral.N_BINS))
+    channels, lo = cfg.fusion_channels, 0
+    for profile, trial in ((p, t) for p in profiles for t in range(1, cfg.trials + 1)):  # as synth writes them
+        for spectra in _entry_spectra(cfg, out, profile.label, trial, "blocks", n, channels, spectral.CHUNK_BYTES):
+            x[lo : lo + spectra.shape[1]] = fusion.fuse(spectra, cfg.fusion_weights)  # a chunk's rows, in place
+            lo += spectra.shape[1]
+    labels = np.repeat([profile.label for profile in profiles], cfg.trials * n)
     rows_path = out / "rows.npz"
     trainer.save_rows(rows_path, x, labels)
     _write_manifest(out, "rows", cfg, {"rows_file": rows_path.name, "row_count": len(labels)})
@@ -118,11 +127,13 @@ def cmd_rows(cfg, out, args):
 
 
 def cmd_heatmap(cfg, out, args):
-    trials = [trial for profile, trial in _recordings(cfg, _profiles(cfg)) if profile.label == args.label]
-    if not trials:
+    if args.label not in [profile.label for profile in _profiles(cfg)]:
         raise ConfigurationError(f"no recordings for label {args.label!r}")
+    trials, blocks = range(1, cfg.trials + 1), cfg.heatmap_blocks  # a range: a huge trials is never listed
+    config_mod.check_array_size(f"heatmap_blocks = {blocks} at trials = {cfg.trials}", "the heat map",
+                                (len(synthgen.ROSTER), cfg.trials * blocks, spectral.N_BINS))
 
-    spectra = [_entry_spectra(cfg, out, args.label, t, "heatmap", cfg.heatmap_blocks, synthgen.ROSTER) for t in trials]
+    spectra = [s for t in trials for s in _entry_spectra(cfg, out, args.label, t, "heatmap", blocks, synthgen.ROSTER)]
     heatmap = spectral.build_heatmap(np.concatenate(spectra, axis=1))
     del spectra  # the writers' whole-map temporaries then reuse the per-recording arrays' memory
     n_rows = heatmap.shape[0] * heatmap.shape[1]
@@ -235,7 +246,7 @@ def main(argv=None):
     try:
         args.func(config_mod.build_config(args.config), args.out, args)
     except (SigclassError, OSError, MemoryError) as exc:  # MemoryError: a config size too large to allocate
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # MemoryError() has no message
         if isinstance(exc, (ConfigurationError, MemoryError)):
             return EXIT_USAGE
         return EXIT_TRAINING if isinstance(exc, (SelectionError, NumericalError)) else EXIT_DATA

@@ -117,7 +117,8 @@ def check_array_size(setting, array, shape):
     numpy raises ValueError, not MemoryError, for such a shape.  A smaller
     array too large for memory raises MemoryError, which the CLI reports as
     one line too.  Each size is checked against the first array it makes in
-    its stage; cli.cmd_rows checks the rows, whose count needs the profiles.
+    its stage; cli.cmd_rows checks the rows, whose count needs the profiles,
+    and cli.cmd_heatmap the heat map of all a label's trials.
     """
     if 8 * math.prod(shape) > sys.maxsize:
         raise ConfigurationError(f"{setting} is too large: {array} of shape {shape} would pass "

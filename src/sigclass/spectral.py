@@ -2,33 +2,47 @@
 
 Blocks are exactly one second long, so FFT bin i sits at exactly i Hz at any
 sample rate; only bins 1..300 are kept (DC excluded).  Everything here works
-on arrays: the blocks of every channel of a recording are cut by one index
-into its (channels, n) matrix, and its spectra are one (channels, count, 300)
-array, row i its channel i.  Heat maps rescale each spectrum to [0, 10] with
-its peak at 10, for visual comparison of per-channel signatures.  They are
-written as a binary P5 PGM image and a CSV with four decimals per value, both
-from whole arrays, so no value is formatted on its own in Python.
+on arrays: a recording's block offsets are drawn once, the blocks of every
+channel are cut by one index into its (channels, n) matrix, and their spectra
+are one (channels, blocks, 300) array, row i its channel i.  The `rows` stage
+cuts, transforms and fuses a recording's blocks a chunk of offsets at a time,
+each chunk about CHUNK_BYTES of float64 block samples, so its memory does not
+grow with blocks x rate; each block's FFT is its own, so the rows are
+bit-identical to those of a single cut.  Heat maps rescale each spectrum to
+[0, 10] with its peak at 10, for visual comparison of per-channel signatures.
+They are written as a binary P5 PGM image and a CSV with four decimals per
+value, both from whole arrays, so no value is formatted on its own in Python.
 """
 
 import numpy as np
 
 N_BINS = 300
+# float64 block samples that `rows` cuts and transforms at a time (43 blocks of
+# three 2000 Hz channels): smaller chunks cost `rows` time, larger ones memory
+CHUNK_BYTES = 2 * 1024 * 1024
 
 
-def extract_blocks(rec, count, seed):
-    """Cut `count` random 1-second blocks out of every channel of `rec`.
+def block_offsets(rec, count, seed):
+    """Start offsets of `count` random 1-second blocks of `rec`, from one draw.
 
-    Start offsets are drawn uniformly over all valid sample positions and are
-    shared across channels, so the k-th block of every channel covers the same
-    time span (fused spectra must be time-aligned).  Blocks may overlap.  The
-    offsets do not depend on which channels the recording holds.  Returns
-    {channel_id: (count, rate) array} in `rec.channels` order; row k is block k.
-    The config checks count >= 1, and load_recording at least one second of samples.
+    Offsets are uniform over all valid sample positions and do not depend on
+    which channels the recording holds.  They are drawn in one call, since
+    drawing them in parts would give other offsets.  The config checks
+    count >= 1, and load_recording at least one second of samples.
     """
-    rate = rec.sample_rate_hz
     n = rec.samples.shape[1]
-    offsets = np.random.default_rng(seed).integers(0, n - rate + 1, size=count)
-    blocks = np.lib.stride_tricks.sliding_window_view(rec.samples, rate, axis=1)[:, offsets]
+    return np.random.default_rng(seed).integers(0, n - rec.sample_rate_hz + 1, size=count)
+
+
+def extract_blocks(rec, offsets):
+    """Cut the 1-second blocks that start at `offsets` out of every channel of `rec`.
+
+    The offsets (see `block_offsets`) are shared across channels, so the k-th
+    block of every channel covers the same time span (fused spectra must be
+    time-aligned).  Blocks may overlap.  Returns {channel_id: (len(offsets),
+    rate) array} in `rec.channels` order; row k is the block at offsets[k].
+    """
+    blocks = np.lib.stride_tricks.sliding_window_view(rec.samples, rec.sample_rate_hz, axis=1)[:, offsets]
     return dict(zip(rec.channels, blocks))
 
 

@@ -4,13 +4,16 @@ import json
 import math
 import re
 import shutil
+import tracemalloc
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sigclass import cli, dnn, fusion, synthgen, trainer
+from sigclass import cli, dnn, fusion, spectral, synthgen, trainer
+from sigclass.config import build_config
+from sigclass.rng import derive_seed
 from sigclass.spectral import N_BINS
 
 SMOKE_CONFIG = """
@@ -703,6 +706,12 @@ def size_case(key, value, command, message):
               f"a recording's block offsets of shape (10000000000000000000,) {PAST_NUMPY}"),
     size_case("runs", "10000000000000000000", "train", "runs = 10000000000000000000 is too large: "
               f"the run log of shape (10000000000000000000, 5) {PAST_NUMPY}"),
+    # a huge trials is bounded from the profile count before any per-recording list is built
+    size_case("trials", "100000000000000", "rows", "Unable to allocate"),  # (2e15, 300) float64 rows
+    size_case("trials", "10000000000000000", "rows", "blocks_per_recording = 5 is too large: "
+              f"the rows of shape (200000000000000000, 300) {PAST_NUMPY}"),
+    size_case("trials", "100000000000000", "heatmap AllQuiet", "heatmap_blocks = 20 at trials = 100000000000000 "
+              f"is too large: the heat map of shape (13, 2000000000000000, 300) {PAST_NUMPY}"),
 ])
 def test_size_too_large_to_allocate_is_usage_error(smoke, tmp_path, capsys, key, value, command, message):
     # each first large allocation that numpy accepts is above 2**47 bytes, past the address space,
@@ -733,6 +742,76 @@ def test_rows_size_counts_the_profiles(tmp_path, capsys, profiles, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_error_without_message_names_its_type(tmp_path, capsys, monkeypatch):
+    # a MemoryError raised by the interpreter, not by numpy, carries no message
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(synthgen, "synthesize_recording", out_of_memory)
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG)
+    assert run(cfg_path, tmp_path / "out", "synth") == 1
+    assert capsys.readouterr().err.splitlines() == ["error: MemoryError"]
+
+
+# Group2 at 8000 Hz: a one-second block of its three fused channels is 192,000
+# float64 bytes, so `rows` cuts CHUNK_BYTES // 192,000 = 10 blocks at a time
+CHUNK_CONFIG = """
+group = Group2
+seed = 3
+sample_rate_hz = 8000
+duration_s = 2.0
+trials = 1
+"""
+
+
+@pytest.fixture(scope="module")
+def recordings_8000(tmp_path_factory):
+    out = tmp_path_factory.mktemp("chunks") / "out"
+    cfg_path = out.parent / "config.txt"
+    cfg_path.write_text(CHUNK_CONFIG)
+    assert run(cfg_path, out, "synth") == 0
+    return out
+
+
+def rows_config(out, blocks):
+    cfg_path = out.parent / f"config_{blocks}.txt"
+    cfg_path.write_text(CHUNK_CONFIG + f"blocks_per_recording = {blocks}\n")
+    return cfg_path
+
+
+@pytest.mark.parametrize("chunks", [0.7, 2, 2.3], ids=["below-one-chunk", "two-chunks", "ragged-last-chunk"])
+def test_rows_in_chunks_equal_one_cut(recordings_8000, chunks):
+    out = recordings_8000
+    cfg = build_config(rows_config(out, 1))
+    step = spectral.CHUNK_BYTES // (8 * len(cfg.fusion_channels) * cfg.sample_rate_hz)
+    blocks = round(chunks * step)
+    assert run(rows_config(out, blocks), out, "rows") == 0
+    expected = []
+    for profile in synthgen.build_group_profiles(cfg):
+        rec = synthgen.load_recording(out / "recordings" / f"{profile.label}_t1.rec", cfg.fusion_channels)
+        offsets = spectral.block_offsets(rec, blocks, derive_seed(cfg.seed, "blocks", profile.label, 1))
+        spectra = np.stack([spectral.magnitude_spectrum(b) for b in spectral.extract_blocks(rec, offsets).values()])
+        expected.append(fusion.fuse(spectra, cfg.fusion_weights))
+    with np.load(out / "rows.npz", allow_pickle=False) as store:
+        assert np.array_equal(store["x"], np.concatenate(expected))  # bit for bit
+
+
+def test_rows_memory_is_the_rows_and_a_few_chunks(recordings_8000):
+    # one cut of all 300 blocks of a recording peaks near 85 MB here: (3, 300, 8000)
+    # float32 blocks, then per channel (300, 8000) float64 samples and their complex FFT
+    out = recordings_8000
+    cfg_path = rows_config(out, 300)
+    tracemalloc.start()
+    try:
+        assert run(cfg_path, out, "rows") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_bytes = 4 * 300 * N_BINS * 8  # 4 labels x 1 trial x 300 blocks, 2.9 MB
+    assert peak <= rows_bytes + 3 * spectral.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("key", ["noise_rms", "jitter_hz"])

@@ -303,8 +303,8 @@ def test_group1_mask_at_8000_hz_stays_within_125_bins_and_covers_every_line():
             rec = synthgen.synthesize_recording(p, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed)
             rec.samples = rec.samples[fused].astype(np.float32).astype(np.float64)
             rec.channels = cfg.fusion_channels
-            blocks = spectral.extract_blocks(rec, cfg.blocks_per_recording,
-                                             derive_seed(cfg.seed, "blocks", p.label, trial))
+            offsets = spectral.block_offsets(rec, cfg.blocks_per_recording, derive_seed(cfg.seed, "blocks", p.label, trial))
+            blocks = spectral.extract_blocks(rec, offsets)
             x.append(fusion.fuse(np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()]),
                                  cfg.fusion_weights))
             y += [k] * cfg.blocks_per_recording

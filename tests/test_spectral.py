@@ -36,7 +36,7 @@ def block(samples):
 def test_extract_block_count_per_channel():
     rng = np.random.default_rng(0)
     rec = make_recording({"a": rng.normal(size=60_000), "b": rng.normal(size=60_000)})
-    blocks = spectral.extract_blocks(rec, 20, seed=1)
+    blocks = spectral.extract_blocks(rec, spectral.block_offsets(rec, 20, seed=1))
     assert list(blocks) == ["a", "b"]
     assert len(blocks["a"]) == 20 and len(blocks["b"]) == 20
     assert blocks["a"].shape == (20, 1000) and blocks["b"].shape == (20, 1000)
@@ -45,7 +45,7 @@ def test_extract_block_count_per_channel():
 def test_extract_single_block_from_one_second_recording():
     arr = np.arange(1000.0)
     rec = make_recording({"a": arr})
-    blocks = spectral.extract_blocks(rec, 1, seed=7)
+    blocks = spectral.extract_blocks(rec, spectral.block_offsets(rec, 1, seed=7))
     assert np.array_equal(blocks["a"][0], arr)
 
 
@@ -54,14 +54,15 @@ def test_extract_offsets_shared_across_channels():
     # by exactly that constant everywhere
     base = np.arange(30_000.0)
     rec = make_recording({"a": base, "b": base + 5e6})
-    blocks = spectral.extract_blocks(rec, 10, seed=3)
+    blocks = spectral.extract_blocks(rec, spectral.block_offsets(rec, 10, seed=3))
     for ba, bb in zip(blocks["a"], blocks["b"]):
         assert np.array_equal(bb - ba, np.full(1000, 5e6))
         # block content is a contiguous slice starting at an integer offset
         start = int(ba[0])
         assert np.array_equal(ba, base[start : start + 1000])
     # a recording of fewer channels draws the same offsets
-    only_b = spectral.extract_blocks(make_recording({"b": base + 5e6}), 10, seed=3)
+    rec_b = make_recording({"b": base + 5e6})
+    only_b = spectral.extract_blocks(rec_b, spectral.block_offsets(rec_b, 10, seed=3))
     assert list(only_b) == ["b"]
     assert np.array_equal(only_b["b"], blocks["b"])
 
@@ -69,8 +70,8 @@ def test_extract_offsets_shared_across_channels():
 def test_extract_blocks_deterministic():
     rng = np.random.default_rng(5)
     rec = make_recording({"a": rng.normal(size=20_000)})
-    one = spectral.extract_blocks(rec, 8, seed=11)
-    two = spectral.extract_blocks(rec, 8, seed=11)
+    one = spectral.extract_blocks(rec, spectral.block_offsets(rec, 8, seed=11))
+    two = spectral.extract_blocks(rec, spectral.block_offsets(rec, 8, seed=11))
     assert np.array_equal(one["a"], two["a"])
 
 
@@ -239,7 +240,7 @@ def test_array_path_matches_per_block_reference():
         for cid, specs in ref_spectra.items()
     }
 
-    blocks = spectral.extract_blocks(rec, count, seed)
+    blocks = spectral.extract_blocks(rec, spectral.block_offsets(rec, count, seed))
     spectra = np.stack([spectral.magnitude_spectrum(b) for b in blocks.values()])
     fused = fusion.fuse(spectra, list(weights.values()))
     heat = spectral.build_heatmap(spectra)

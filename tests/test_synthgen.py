@@ -66,7 +66,7 @@ def test_noise_free_lines_peak_at_their_bins():
         "mic": [SpectralLine(37, 1.0, jitter_hz=0.0), SpectralLine(120, 0.8, jitter_hz=0.0)],
     })
     rec = synthgen.synthesize_recording(p, SETUP, 4.0, 2000, seed=3)
-    blocks = spectral.extract_blocks(rec, 4, seed=5)
+    blocks = spectral.extract_blocks(rec, spectral.block_offsets(rec, 4, seed=5))
     for bins in spectral.magnitude_spectrum(blocks["mic"]):
         assert int(np.argmax(bins)) + 1 == 37
         # the weaker line still dominates its own neighborhood
@@ -202,7 +202,7 @@ def test_stored_recording_spectra_stay_within_1e6_of_float64(tmp_path, group):
     rec = Recording(p.label, rec.sample_rate_hz, cfg.fusion_channels, rec.samples[fused], rec.duration_s)
     seed = derive_seed(cfg.seed, "blocks", p.label, 1)
     spectra = [np.stack([spectral.magnitude_spectrum(b)
-                         for b in spectral.extract_blocks(r, cfg.blocks_per_recording, seed).values()])
+                         for b in spectral.extract_blocks(r, spectral.block_offsets(r, cfg.blocks_per_recording, seed)).values()])
                for r in (rec, synthgen.load_recording(path, cfg.fusion_channels))]
     assert np.all(np.abs(spectra[1] - spectra[0]) <= 1e-6 * spectra[0].max(axis=-1, keepdims=True))
     rows = [fusion.fuse(s, cfg.fusion_weights) for s in spectra]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,30 @@ def test_save_rows_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
         save_store(path, ds.rows)
         stores.append(path.read_bytes())
     assert stores[0] == stores[1]
+
+
+@pytest.mark.parametrize("x, labels", [
+    pytest.param(np.random.default_rng(0).normal(size=(40, N_BINS)), ["A"] * 20 + ["Bee"] * 20, id="rows"),
+    pytest.param(np.arange(3.0 * N_BINS).reshape(3, N_BINS), ["Öl", "日本", "x"], id="non-ascii-labels"),
+    pytest.param(np.empty((0, N_BINS)), [], id="empty"),
+])
+def test_save_rows_writes_the_bytes_of_np_savez(tmp_path, x, labels):
+    path = tmp_path / "rows.npz"
+    trainer.save_rows(path, x, labels)
+    write_store(tmp_path / "reference.npz", x=x, labels=np.array(labels, dtype=str))
+    assert path.read_bytes() == (tmp_path / "reference.npz").read_bytes()
+
+
+def test_save_rows_copies_no_whole_array(tmp_path):
+    x = np.random.default_rng(1).normal(size=(5000, N_BINS))  # 12 MB, below np.savez's 16 MiB write buffer
+    labels = ["A"] * len(x)
+    tracemalloc.start()
+    try:
+        trainer.save_rows(tmp_path / "rows.npz", x, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 20
 
 
 def test_load_rows_vocab_first_appearance(tmp_path):
