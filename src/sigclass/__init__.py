@@ -1,22 +1,3 @@
 """Multi-sensor vehicle signature classification pipeline."""
 
 __version__ = "0.1.0"
-
-from .errors import (
-    ConfigurationError,
-    NumericalError,
-    ParseError,
-    SelectionError,
-    SigclassError,
-    ValidationError,
-)
-
-__all__ = [
-    "ConfigurationError",
-    "NumericalError",
-    "ParseError",
-    "SelectionError",
-    "SigclassError",
-    "ValidationError",
-    "__version__",
-]

@@ -20,13 +20,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import dnn, fusion, spectral, synthgen, trainer
-from .errors import (
-    ConfigurationError,
-    NumericalError,
-    SelectionError,
-    SigclassError,
-    ValidationError,
-)
+from .errors import ConfigurationError, NumericalError, ParseError, SelectionError, SigclassError, ValidationError
 from .rng import derive_seed
 
 EXIT_OK = 0
@@ -56,8 +50,8 @@ def _profiles(cfg):
 
 
 def _recordings(cfg, profiles):
-    """The (profile, trial) of each recording, in the order synth writes them."""
-    return [(profile, trial) for profile in profiles for trial in range(1, cfg.trials + 1)]
+    """The (profile, trial) of each recording in the order synth writes them, lazily: a huge trials is never listed."""
+    return ((profile, trial) for profile in profiles for trial in range(1, cfg.trials + 1))
 
 
 def _recording_path(out, label, trial):
@@ -66,9 +60,13 @@ def _recording_path(out, label, trial):
 
 def cmd_synth(cfg, out, args):
     profiles = _profiles(cfg)
+    need = len(profiles) * cfg.trials * len(synthgen.ROSTER) * round(cfg.duration_s * cfg.sample_rate_hz) * 4
+    out.mkdir(parents=True, exist_ok=True)
+    if need > (free := shutil.disk_usage(out).free):  # refused before recordings/ is touched
+        raise ConfigurationError(f"synth would write {need} bytes of samples, more than the {free} free in {out}")
     folder, aside = out / "recordings", out / "recordings.old"
     shutil.rmtree(aside, ignore_errors=True)  # left only by a synth that was killed
-    folder.mkdir(parents=True, exist_ok=True)
+    folder.mkdir(exist_ok=True)
     folder.rename(aside)  # a synth that fails puts it back, so it never mixes old and new recordings
     folder.mkdir()
 
@@ -100,7 +98,10 @@ def _entry_spectra(cfg, out, label, trial, stream, count, channels, chunk_bytes=
     `count` blocks, row i being channels[i].  It holds about `chunk_bytes` of
     float64 block samples, at least one block; None makes the recording one chunk.
     """
-    rec = synthgen.load_recording(_recording_path(out, label, trial), channels)
+    path = _recording_path(out, label, trial)
+    rec = synthgen.load_recording(path, channels)
+    if rec.label != label:
+        raise ParseError(f"{path}: header label {rec.label!r}, expected {label!r}")
     offsets = spectral.block_offsets(rec, count, derive_seed(cfg.seed, stream, label, trial))
     step = count if chunk_bytes is None else max(1, chunk_bytes // (8 * len(channels) * rec.sample_rate_hz))
     for lo in range(0, count, step):
@@ -115,7 +116,7 @@ def cmd_rows(cfg, out, args):
 
     x = np.empty((count * n, spectral.N_BINS))
     channels, lo = cfg.fusion_channels, 0
-    for profile, trial in ((p, t) for p in profiles for t in range(1, cfg.trials + 1)):  # as synth writes them
+    for profile, trial in _recordings(cfg, profiles):
         for spectra in _entry_spectra(cfg, out, profile.label, trial, "blocks", n, channels, spectral.CHUNK_BYTES):
             x[lo : lo + spectra.shape[1]] = fusion.fuse(spectra, cfg.fusion_weights)  # a chunk's rows, in place
             lo += spectra.shape[1]

@@ -19,7 +19,7 @@ row-normalization flag.
 
 import numpy as np
 
-from .errors import LABEL_RULE, NumericalError, ParseError, is_label, read_npz
+from .errors import LABEL_RULE, NumericalError, ParseError, is_label, read_npz, write_npz
 from .spectral import N_BINS
 
 # Prediction sentinel: the rounded sigmoid outputs did not form a valid one-hot.
@@ -177,16 +177,15 @@ def predict_batch(params, a):
 
 
 def save_checkpoint(path, params, mask_bins, label_vocab, normalize_rows):
-    """Write the model as an uncompressed .npz with four members.
+    """Write the model as an uncompressed .npz with four members, through `errors.write_npz`.
 
     `mask` holds the d kept frequency bins, `vocab` the c labels, `normalize`
     the row-normalization flag, and `weights` [W1 | b1], [W2 | b2] and
     [W3 | b3] flattened row-major into one little-endian float32 vector.
     """
-    with open(path, "wb") as fh:  # a handle, so np.savez appends no .npz to the name
-        np.savez(fh, mask=np.asarray(mask_bins, dtype="<i8"), vocab=np.array(label_vocab, dtype=str),
-                 normalize=np.array(bool(normalize_rows)),
-                 weights=np.concatenate([np.ravel(w) for w in params]).astype("<f4"))
+    write_npz(path, mask=np.asarray(mask_bins, dtype="<i8"), vocab=np.array(label_vocab, dtype=str),
+              normalize=np.array(bool(normalize_rows)),
+              weights=np.concatenate([np.ravel(w) for w in params]).astype("<f4"))
 
 
 def load_checkpoint(path):

@@ -1,11 +1,12 @@
 """Exception types shared across the pipeline stages, the file readers that
-raise them, and the label rule."""
+raise them, the label rule, and the one `.npz` writer beside its reader."""
 
 import tokenize
 import warnings
 import zipfile
 
 import numpy as np
+from numpy.lib import format as npy
 
 
 class SigclassError(Exception):
@@ -63,8 +64,8 @@ def read_npz(path, what, keys):
     A file that is not such an archive (cut, a failed CRC, a bare .npy, an
     object array, a forged header), lacks one of keys, or has bytes after the
     archive's end record raises ParseError naming the file and `what` it
-    should be, on one line.  numpy writes no archive comment, so an archive
-    ends with its 22-byte end record.
+    should be, on one line.  `write_npz` writes no archive comment, so an
+    archive ends with its 22-byte end record.
     """
     with open(path, "rb") as fh, warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # numpy's warning of a Python 2 header, which no store has
@@ -83,3 +84,19 @@ def read_npz(path, what, keys):
     if end[:4] != b"PK\x05\x06" or end[20:] != b"\0\0":
         raise ParseError(f"{path}: bytes after the archive's end record")
     return arrays
+
+
+def write_npz(path, **arrays):
+    """Write arrays as the uncompressed .npz that np.savez writes, at path itself (no .npz appended).
+
+    Each is a stored zip64 member `<name>.npy`: numpy's 1.0 header, then the
+    data in the array's order, from its own buffer if it is contiguous, where
+    np.savez copies the whole array first.
+    """
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in arrays.items():
+            header = npy.header_data_from_array_1_0(array)
+            data = np.ascontiguousarray(array.T if header["fortran_order"] else array)  # no copy if contiguous
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                npy.write_array_header_1_0(fh, header)
+                fh.write(data.reshape(-1).view(np.uint8))  # a flat byte view: it has no zero-size axis to refuse

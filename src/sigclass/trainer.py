@@ -8,14 +8,12 @@ float64 `x` of 300 fused magnitudes per row and a unicode `labels` array,
 which `load_rows` turns into class indices; the run log is one array row per run.
 """
 
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib import format as npy
 
 from . import dnn
-from .errors import LABEL_RULE, ParseError, ValidationError, is_label, read_npz
+from .errors import LABEL_RULE, ParseError, ValidationError, is_label, read_npz, write_npz
 from .fusion import SpectrumRow, apply_mask
 from .rng import derive_rng
 from .spectral import N_BINS
@@ -65,19 +63,8 @@ def load_rows(path):
 
 
 def save_rows(path, x, labels):
-    """Write the (n, 300) float64 rows x and their n labels as an uncompressed .npz store.
-
-    The bytes are those that np.savez writes for C-ordered arrays: a stored
-    (uncompressed) zip64 member `<name>.npy` per array, each numpy's 1.0
-    header and then the array's data.  The data goes from the array's own
-    buffer, where np.savez makes a copy of the whole array first.
-    """
-    arrays = {"x": np.ascontiguousarray(x, dtype=np.float64), "labels": np.array(labels, dtype=str)}
-    with zipfile.ZipFile(path, "w") as zf:  # a path, and no .npz is appended to it
-        for name, array in arrays.items():
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                npy.write_array_header_1_0(fh, npy.header_data_from_array_1_0(array))
-                fh.write(array.reshape(-1).view(np.uint8))  # a flat byte view: it has no zero-size axis to refuse
+    """Write the (n, 300) float64 rows x, C-ordered, and their n labels as a .npz store (see `errors.write_npz`)."""
+    write_npz(path, x=np.ascontiguousarray(x, dtype=np.float64), labels=np.array(labels, dtype=str))
 
 
 def split(y, cfg):

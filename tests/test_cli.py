@@ -151,6 +151,19 @@ def test_heatmap_recordings_with_other_channels_is_data_error(smoke, tmp_path, c
     assert not list(copy.glob("heatmap_*"))
 
 
+@pytest.mark.parametrize("command", ["rows", "heatmap Saab83"])
+def test_recording_of_another_label_is_data_error(smoke, tmp_path, capsys, command):
+    # a recording copied over another's name keeps its own header label, and is not read as the other's data
+    cfg_path, out = smoke
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy, ignore=shutil.ignore_patterns("rows.npz", "heatmap_*"))
+    rec_path = copy / "recordings" / "Saab83_t1.rec"
+    shutil.copyfile(copy / "recordings" / "AllQuiet_t1.rec", rec_path)
+    assert run(cfg_path, copy, *command.split()) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {rec_path}: header label 'AllQuiet', expected 'Saab83'"]
+    assert not list(copy.glob("rows.npz")) and not list(copy.glob("heatmap_*"))
+
+
 def _missing_recording_line(capsys, path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -690,7 +703,7 @@ def size_case(key, value, command, message):
 
 
 @pytest.mark.parametrize("key, value, command, message", [
-    size_case("duration_s", "1e12", "synth", "Unable to allocate"),                   # (13, 2e15) float64 samples
+    size_case("duration_s", "1e12", "synth", "synth would write 832000000000000000 bytes of samples"),  # past the disk
     size_case("blocks_per_recording", "1000000000000", "rows", "Unable to allocate"),  # (8e12, 300) float64 rows
     size_case("heatmap_blocks", "100000000000000", "heatmap AllQuiet",
               "Unable to allocate"),                                     # 1e14 int64 block offsets
@@ -708,6 +721,7 @@ def size_case(key, value, command, message):
               f"the run log of shape (10000000000000000000, 5) {PAST_NUMPY}"),
     # a huge trials is bounded from the profile count before any per-recording list is built
     size_case("trials", "100000000000000", "rows", "Unable to allocate"),  # (2e15, 300) float64 rows
+    size_case("trials", "100000000000000", "synth", "synth would write 83200000000000000000 bytes of samples"),
     size_case("trials", "10000000000000000", "rows", "blocks_per_recording = 5 is too large: "
               f"the rows of shape (200000000000000000, 300) {PAST_NUMPY}"),
     size_case("trials", "100000000000000", "heatmap AllQuiet", "heatmap_blocks = 20 at trials = 100000000000000 "
@@ -1047,6 +1061,26 @@ def test_failed_synth_leaves_earlier_recordings(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in (out / "recordings").iterdir()} == before
     assert sorted(before) == ["A_t1.rec", "B_t1.rec"]
     assert sorted(p.name for p in out.iterdir()) == ["profiles.txt", "recordings", "synth_manifest.json"]
+
+
+def test_synth_past_the_free_space_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the smoke recordings hold 4 profiles x 2 trials x 13 channels x 4000 samples x 4 bytes
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG)
+    out = tmp_path / "out"
+    assert run(cfg_path, out, "synth") == 0
+    (out / "profiles.txt").unlink()
+    (out / "synth_manifest.json").unlink()
+    before = {p.name: p.read_bytes() for p in (out / "recordings").iterdir()}
+    disk_usage = shutil.disk_usage
+    monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: disk_usage(path)._replace(free=1663999))
+    assert run(cfg_path, out, "synth") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: synth would write 1664000 bytes of samples, more than the 1663999 free in {out}"]
+    assert {p.name: p.read_bytes() for p in (out / "recordings").iterdir()} == before
+    assert sorted(p.name for p in out.iterdir()) == ["recordings"]
+    monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: disk_usage(path)._replace(free=1664000))
+    assert run(cfg_path, out, "synth") == 0
 
 
 def test_synth_leaves_only_its_own_recordings(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from sigclass import dnn, trainer
 from sigclass.config import PipelineConfig
 from sigclass.dnn import UNCLASSIFIED
-from sigclass.errors import ParseError, ValidationError
+from sigclass.errors import ParseError, ValidationError, write_npz
 from sigclass.fusion import FeatureMask, SpectrumRow
 from sigclass.rng import derive_rng
 from sigclass.spectral import N_BINS
@@ -94,16 +94,31 @@ def test_save_rows_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
     assert stores[0] == stores[1]
 
 
-@pytest.mark.parametrize("x, labels", [
-    pytest.param(np.random.default_rng(0).normal(size=(40, N_BINS)), ["A"] * 20 + ["Bee"] * 20, id="rows"),
-    pytest.param(np.arange(3.0 * N_BINS).reshape(3, N_BINS), ["Öl", "日本", "x"], id="non-ascii-labels"),
-    pytest.param(np.empty((0, N_BINS)), [], id="empty"),
+def rows_case(x, labels, id):
+    return pytest.param({"x": x, "labels": np.array(labels, dtype=str)}, id=id)
+
+
+@pytest.mark.parametrize("arrays", [
+    rows_case(np.random.default_rng(0).normal(size=(40, N_BINS)), ["A"] * 20 + ["Bee"] * 20, id="rows"),
+    rows_case(np.arange(3.0 * N_BINS).reshape(3, N_BINS), ["Öl", "日本", "x"], id="non-ascii-labels"),
+    rows_case(np.empty((0, N_BINS)), [], id="empty"),
+    # the checkpoint's member kinds, and the layouts np.savez writes in their own order
+    pytest.param({"normalize": np.array(True)}, id="0-d-bool"),
+    pytest.param({"mask": np.array([3, 17, 120], dtype="<i8")}, id="int64"),
+    pytest.param({"vocab": np.array(["AllQuiet", "Öl"])}, id="text"),
+    pytest.param({"weights": np.linspace(-1.0, 1.0, 41, dtype="<f4")}, id="float32"),
+    pytest.param({"w": np.asfortranarray(np.arange(12.0).reshape(3, 4))}, id="fortran-order"),
+    pytest.param({"w": np.arange(24.0).reshape(4, 6)[::2, 1::2]}, id="strided"),
 ])
-def test_save_rows_writes_the_bytes_of_np_savez(tmp_path, x, labels):
-    path = tmp_path / "rows.npz"
-    trainer.save_rows(path, x, labels)
-    write_store(tmp_path / "reference.npz", x=x, labels=np.array(labels, dtype=str))
-    assert path.read_bytes() == (tmp_path / "reference.npz").read_bytes()
+def test_save_rows_writes_the_bytes_of_np_savez(tmp_path, arrays):
+    # save_rows and dnn.save_checkpoint both write through errors.write_npz
+    reference, path = tmp_path / "reference.npz", tmp_path / "written.npz"
+    write_store(reference, **arrays)
+    write_npz(path, **arrays)
+    assert path.read_bytes() == reference.read_bytes()
+    if arrays.keys() == {"x", "labels"}:
+        trainer.save_rows(path, **arrays)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 def test_save_rows_copies_no_whole_array(tmp_path):

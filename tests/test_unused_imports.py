@@ -1,7 +1,7 @@
 """Every name a package module imports is used in it (no linter runs on this repo).
 
 A name counts as used when the module reads it anywhere (`np.x` reads `np`).
-The names that `__init__` lists in `__all__` are re-exports, not unused.
+The names that a module lists in `__all__` are re-exports, not unused.
 """
 
 import ast
