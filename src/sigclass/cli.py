@@ -12,8 +12,11 @@ and profiles.txt are records that no stage reads.  Exit codes: 0 success,
 import argparse
 import dataclasses
 import json
+import math
+import os
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +61,52 @@ def _recording_path(out, label, trial):
     return out / "recordings" / f"{label}_t{trial}.rec"
 
 
+def _synthesize_all(cfg, out, profiles, workers):
+    """Render and write every recording on `workers` threads, the calling thread one of them.
+
+    The threads take recordings in synth order from one lazy walk.  Each has one
+    samples buffer and one payload buffer, reused for every recording it renders.
+    A failure stops the taking, and once every thread has stopped, the first
+    failure in synth order is raised; a KeyboardInterrupt in the calling thread
+    stops the others and propagates.
+    """
+    walk, lock, stop, failures = enumerate(_recordings(cfg, profiles)), threading.Lock(), threading.Event(), {}
+    shape = (len(synthgen.ROSTER), math.ceil(cfg.duration_s) * cfg.sample_rate_hz)
+    n = round(cfg.duration_s * cfg.sample_rate_hz)
+
+    def work():
+        samples = payload = None
+        while True:
+            with lock:  # a recording taken is rendered, so none before a failure is skipped
+                item = None if stop.is_set() else next(walk, None)
+            if item is None:
+                return
+            index, (profile, trial) = item
+            try:
+                if samples is None:
+                    samples, payload = np.empty(shape), np.empty((shape[0], n), "<f4")
+                seed = derive_seed(cfg.seed, "synth", profile.label, trial)
+                rec = synthgen.synthesize_recording(profile, synthgen.ROSTER, cfg.duration_s,
+                                                    cfg.sample_rate_hz, seed, out=samples)
+                synthgen.save_recording(_recording_path(out, profile.label, trial), rec, payload=payload)
+            except Exception as exc:  # the calling thread raises it, so none escapes a helper
+                failures[index] = exc
+                stop.set()
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 def cmd_synth(cfg, out, args):
     profiles = _profiles(cfg)
     need = len(profiles) * cfg.trials * len(synthgen.ROSTER) * round(cfg.duration_s * cfg.sample_rate_hz) * 4
@@ -69,22 +118,18 @@ def cmd_synth(cfg, out, args):
     folder.mkdir(exist_ok=True)
     folder.rename(aside)  # a synth that fails puts it back, so it never mixes old and new recordings
     folder.mkdir()
-
-    entries = []
+    # the CPUs this process may run on, where the platform tells them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     try:
-        for profile, trial in _recordings(cfg, profiles):
-            seed = derive_seed(cfg.seed, "synth", profile.label, trial)
-            rec = synthgen.synthesize_recording(
-                profile, synthgen.ROSTER, cfg.duration_s, cfg.sample_rate_hz, seed
-            )
-            path = _recording_path(out, profile.label, trial)
-            synthgen.save_recording(path, rec)
-            entries.append({"label": profile.label, "trial": trial, "file": path.name, "seed": seed})
+        _synthesize_all(cfg, out, profiles, min(cpus, len(profiles) * cfg.trials))
     except BaseException:
         shutil.rmtree(folder)
         aside.rename(folder)
         raise
     shutil.rmtree(aside)
+    entries = [{"label": profile.label, "trial": trial, "file": _recording_path(out, profile.label, trial).name,
+                "seed": derive_seed(cfg.seed, "synth", profile.label, trial)}
+               for profile, trial in _recordings(cfg, profiles)]
     # written only now, so a synth that fails leaves no profiles beside older recordings
     synthgen.save_profiles(out / "profiles.txt", profiles)
     _write_manifest(out, "synth", cfg, {"recordings": entries})

@@ -95,8 +95,13 @@ LINE_AMPLITUDES = (1.0, 2.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a sample past float64's range is inf; save_recording refuses it
-def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
+def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed, out=None):
     """Render a TargetProfile into a Recording of the given channel ids.
+
+    The samples are rendered into `out`, a float64 (len(channels),
+    ceil(duration_s) * rate) buffer that a caller reuses from one recording to
+    the next (None allocates one), and the returned samples are a view of it,
+    valid until the next call on that buffer.
 
     Each channel is the sum of its spectral lines plus white Gaussian noise of
     std profile.noise_rms.  A line contributes amplitude * sin(phase) where
@@ -126,7 +131,8 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
     # sample j of a second is j = span * q + r: one coarse angle per q, one fine angle per r
     span = math.isqrt(rate - 1) + 1  # ceil(sqrt(rate))
     coarse_steps, fine_steps = span * np.arange(-(-rate // span)), np.arange(span)
-    data = np.zeros((len(channels), n_seconds * rate))  # a cut last second is padded
+    # a cut last second is rendered whole; its padding is never returned, so it is not cleared
+    data = np.empty((len(channels), n_seconds * rate)) if out is None else out
     # one line's samples, each second padded to a whole number of spans, and
     # its second term: buffers reused by every line
     wave = np.empty((n_seconds, len(coarse_steps), span))
@@ -139,6 +145,8 @@ def synthesize_recording(profile, channels, duration_s, sample_rate_hz, seed):
             rng.standard_normal(out=row[:n])
             row *= profile.noise_rms
             row += 0.0
+        else:
+            row[:n] = 0.0
         lines = profile.lines_per_channel.get(cid)
         if not lines:
             continue
@@ -202,16 +210,19 @@ def build_group_profiles(cfg):
 # ---------------------------------------------------------------------------
 # Persistence
 
-def save_recording(path, rec):
+def save_recording(path, rec, payload=None):
     """Binary recording file: one ASCII header line, then the samples rounded to
     little-endian float32, channel after channel.
 
-    A sample that float32 cannot hold (past its range of about 3.4e38, or not
-    finite) raises ValidationError naming the file and the channel, before the
-    file is opened.
+    The rounded samples go into `payload`, a "<f4" buffer of rec.samples'
+    shape that a caller reuses from one recording to the next (None allocates
+    one).  A sample that float32 cannot hold (past its range of about 3.4e38,
+    or not finite) raises ValidationError naming the file and the channel,
+    before the file is opened.
     """
     with np.errstate(over="ignore"):  # a sample past float32's range becomes inf, refused below
-        payload = rec.samples.astype("<f4")
+        payload = np.empty(rec.samples.shape, "<f4") if payload is None else payload
+        payload[...] = rec.samples
     finite = np.isfinite(payload).all(axis=1)
     if not finite.all():
         raise ValidationError(f"{path}: not written: channel {rec.channels[np.argmin(finite)]!r} holds a "

@@ -4,6 +4,8 @@ import json
 import math
 import re
 import shutil
+import sys
+import threading
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -1091,6 +1093,111 @@ def test_synth_leaves_only_its_own_recordings(tmp_path):
     cfg_path.write_text(SMOKE_CONFIG.replace("trials = 2", "trials = 1"))
     assert run(cfg_path, out, "synth") == 0
     assert sorted(p.name for p in (out / "recordings").iterdir()) == [f"{label}_t1.rec" for label in sorted(SMOKE_LABELS)]
+    assert sorted(p.name for p in out.iterdir()) == ["profiles.txt", "recordings", "synth_manifest.json"]
+
+
+def _use_cpus(monkeypatch, count):
+    """Make synth see `count` usable CPUs, so that it runs that many workers; None: a platform without affinity."""
+    if count is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _files(folder):
+    return {p.name: p.read_bytes() for p in folder.iterdir() if p.is_file()}
+
+
+def test_synth_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    # 2.5 s: each worker's reused buffers also hold a cut last second; more
+    # workers than this host's CPUs, switching threads often, so that a race in
+    # taking recordings would skip one or fail
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG.replace("duration_s = 2.0", "duration_s = 2.5").replace("trials = 2", "trials = 3"))
+    out, written, interval = tmp_path / "out", [], sys.getswitchinterval()
+    for workers in (1, 4, None):
+        _use_cpus(monkeypatch, workers)
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run(cfg_path, out, "synth") == 0
+        finally:
+            sys.setswitchinterval(interval)
+        written.append((_files(out / "recordings"), _files(out), capsys.readouterr()))
+    assert written[0] == written[1] == written[2]
+    assert len(written[0][0]) == 12 and sorted(written[0][1]) == ["profiles.txt", "synth_manifest.json"]
+
+
+# three profiles, three trials: B's recordings, the fourth to sixth in synth order, fail
+THREE_PROFILES = ("profile A\nline geo_front_10m 45 1.5 0.0\nprofile B\nline geo_front_10m 90 1.5 0.0\n"
+                  "profile C\nline geo_front_10m 135 1.5 0.0\n")
+
+
+def _failing_middle_profile(tmp_path):
+    """A failing synth config, the out dir of a good synth minus profiles.txt and manifest, and its recordings."""
+    profiles = tmp_path / "profiles.txt"
+    profiles.write_text(THREE_PROFILES)
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(f"profiles_file = {profiles}\ntrials = 3\nduration_s = 2.0\nseed = 0\n")
+    out = tmp_path / "out"
+    assert run(cfg_path, out, "synth") == 0
+    (out / "profiles.txt").unlink()
+    (out / "synth_manifest.json").unlink()
+    profiles.write_text(THREE_PROFILES.replace("90 1.5", "90 1e39"))
+    cfg_path.write_text(cfg_path.read_text().replace("seed = 0", "seed = 5"))
+    return cfg_path, out, _files(out / "recordings")
+
+
+@pytest.mark.parametrize("hold_back", [False, True], ids=["as-rendered", "B_t1-fails-after-B_t2"])
+def test_failed_synth_on_four_workers_reports_the_first_failure(tmp_path, capsys, monkeypatch, hold_back):
+    cfg_path, out, before = _failing_middle_profile(tmp_path)
+    _use_cpus(monkeypatch, 4)
+    if hold_back:  # B_t1's write waits for B_t2's to fail, so the later failure comes first
+        save, second_failed = synthgen.save_recording, threading.Event()
+
+        def save_second_first(path, *args, **kwargs):
+            if path.name == "B_t1.rec":
+                second_failed.wait(timeout=60)
+            try:
+                return save(path, *args, **kwargs)
+            finally:
+                if path.name == "B_t2.rec":
+                    second_failed.set()
+
+        monkeypatch.setattr(synthgen, "save_recording", save_second_first)
+    threads = threading.active_count()
+    assert run(cfg_path, out, "synth") == 2
+    _one_error_line(capsys, out / "recordings" / "B_t1.rec", "outside float32's finite range")
+    assert threading.active_count() == threads
+    assert _files(out / "recordings") == before and len(before) == 9
+    assert sorted(p.name for p in out.iterdir()) == ["recordings"]
+
+
+def test_interrupted_synth_stops_its_workers_and_restores_recordings(tmp_path, monkeypatch):
+    # the calling thread is interrupted in its first recording, once each helper is rendering one
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(SMOKE_CONFIG.replace("trials = 2", "trials = 5"))  # 20 recordings
+    out = tmp_path / "out"
+    assert run(cfg_path, out, "synth") == 0
+    before = _files(out / "recordings")
+    cfg_path.write_text(cfg_path.read_text().replace("seed = 7", "seed = 8"))
+    synthesize, interrupted, calls = synthgen.synthesize_recording, threading.Event(), []
+
+    def interrupt_caller(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            interrupted.set()
+            raise KeyboardInterrupt
+        interrupted.wait(timeout=60)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(synthgen, "synthesize_recording", interrupt_caller)
+    _use_cpus(monkeypatch, 4)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run(cfg_path, out, "synth")
+    assert threading.active_count() == threads
+    assert len(calls) < 20 and threading.main_thread() in calls
+    assert _files(out / "recordings") == before
     assert sorted(p.name for p in out.iterdir()) == ["profiles.txt", "recordings", "synth_manifest.json"]
 
 

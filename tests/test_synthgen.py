@@ -171,6 +171,16 @@ def test_recording_bytes_are_header_then_channel_major_float32(tmp_path):
     assert path.read_bytes() == header + payload
 
 
+def test_save_recording_into_a_reused_payload_writes_the_same_bytes(tmp_path):
+    p = profile({"mic": [SpectralLine(42, 1.1)], "geo": [SpectralLine(7, 0.3)]}, noise=0.4)
+    payload = np.full((3, 1500), np.nan, dtype="<f4")
+    for seed in (4, 5):
+        rec = synthgen.synthesize_recording(p, ("mic", "geo", "accel"), 1.5, 1000, seed=seed)
+        synthgen.save_recording(tmp_path / "fresh.rec", rec)
+        synthgen.save_recording(tmp_path / "reused.rec", rec, payload=payload)
+        assert (tmp_path / "reused.rec").read_bytes() == (tmp_path / "fresh.rec").read_bytes()
+
+
 def test_load_recording_reads_only_the_given_channels_read_only(tmp_path):
     mic, geo, accel = "mic_front_10m", "geo_front_10m", "accel_engine"  # load_recording takes roster ids only
     p = profile({mic: [SpectralLine(42, 1.1)], geo: [SpectralLine(7, 0.3)]}, noise=0.4)
@@ -261,12 +271,16 @@ def test_synthesis_bit_identical_to_allocating_reference(group, noise_rms, jitte
     else:
         cfg = PipelineConfig(group=group, seed=3, noise_rms=noise_rms, jitter_hz=jitter_hz)
         profiles, channels = synthgen.build_group_profiles(cfg), synthgen.ROSTER
+    # one buffer reused from profile to profile, as synth's workers do; nan shows any sample it leaks
+    out = np.full((len(channels), int(np.ceil(duration_s)) * rate), np.nan)
     for seed, p in enumerate(profiles):
-        rec = synthgen.synthesize_recording(p, channels, duration_s, rate, seed)
         expected = reference_synthesize(p, channels, duration_s, rate, seed)
-        assert rec.channels == tuple(expected)
-        for row, (cid, data) in zip(rec.samples, expected.items()):
-            assert row.tobytes() == data.tobytes(), (p.label, cid)
+        for rec in (synthgen.synthesize_recording(p, channels, duration_s, rate, seed),
+                    synthgen.synthesize_recording(p, channels, duration_s, rate, seed, out=out)):
+            assert rec.channels == tuple(expected)
+            for row, (cid, data) in zip(rec.samples, expected.items()):
+                assert row.tobytes() == data.tobytes(), (p.label, cid)
+        assert np.shares_memory(rec.samples, out)
 
 
 def test_noise_free_samples_match_mpmath_oracle():
